@@ -12,9 +12,9 @@ COVER_PKGS_TILES := ./internal/prepared/ ./internal/tile/
 PROFILE_EXP ?= table2
 PROFILE_DIR ?= /tmp/polyclip-prof
 
-.PHONY: check build vet test cover race differential conformance fuzz chaos profile clipd loadtest bench scaling overlay-bench tile-bench
+.PHONY: check build vet test benchmark-module cover race differential conformance fuzz chaos profile clipd loadtest bench scaling tile-bench
 
-check: vet build test cover race differential conformance fuzz chaos
+check: vet build test benchmark-module cover race differential conformance fuzz chaos
 
 build:
 	go build ./...
@@ -24,6 +24,12 @@ vet:
 
 test:
 	go test ./...
+
+# The benchmark is a module of its own (benchmark/go.mod), so the root's
+# go vet and go test never compile it, yet it imports internal packages.
+benchmark-module:
+	go -C benchmark vet ./...
+	go -C benchmark test ./...
 
 # Per-package statement-coverage floor for the engine packages whose
 # correctness the differential oracles lean on.
@@ -102,13 +108,6 @@ bench:
 # context for interpreting the curve — see EXPERIMENTS.md).
 scaling:
 	sh scripts/bench_scaling.sh
-
-# Million-feature batch overlay benchmark: cold + warm runs through the
-# arrangement cache, recorded to BENCH_overlay.json with an embedded
-# contract gate (warm repeated-operand run >= 2x cold). Tune with
-# OVERLAY_FEATURES / OVERLAY_REPEAT.
-overlay-bench:
-	sh scripts/bench_overlay.sh
 
 # Vector-tile pyramid-cutting benchmark: naive per-tile clips vs the
 # prepared pipeline, recorded to BENCH_tiles.json with embedded contract

@@ -19,10 +19,6 @@ func square(x, y, s float64) geom.Polygon {
 func TestNilCacheBypasses(t *testing.T) {
 	var c *Cache
 	a, b := square(0, 0, 2), square(1, 1, 2)
-	ra, rb := c.ResolvePair(a, b, geom.Hash(a), geom.Hash(b), engine.EvenOdd)
-	if len(ra) == 0 || len(rb) == 0 {
-		t.Fatal("nil cache dropped the resolution")
-	}
 	n := 0
 	for i := 0; i < 2; i++ {
 		c.Clip(geom.Hash(a), geom.Hash(b), engine.Intersection, engine.EvenOdd, "vatti",
@@ -67,32 +63,6 @@ func TestHitMissAndDeterministicValue(t *testing.T) {
 	}
 	if got := s.HitRate(); got != 0.2 {
 		t.Fatalf("hit rate %v, want 0.2", got)
-	}
-}
-
-func TestResolvePairCachedMatchesDirect(t *testing.T) {
-	c := New(1 << 20)
-	a, b := square(0, 0, 4), square(2, 2, 4) // overlapping: resolution splits edges
-	da, db := geom.Hash(a), geom.Hash(b)
-	for _, rule := range []engine.FillRule{engine.EvenOdd, engine.NonZero} {
-		ca, cb := c.ResolvePair(a, b, da, db, rule)
-		var nc *Cache
-		wa, wb := nc.ResolvePair(a, b, da, db, rule)
-		if fmt.Sprint(ca) != fmt.Sprint(wa) || fmt.Sprint(cb) != fmt.Sprint(wb) {
-			t.Fatalf("rule %v: cached resolution differs from direct", rule)
-		}
-		// Second call must hit.
-		before := c.Stats().Hits
-		c.ResolvePair(a, b, da, db, rule)
-		if c.Stats().Hits != before+1 {
-			t.Fatalf("rule %v: repeat resolve did not hit", rule)
-		}
-	}
-	// NonZero and Positive share the winding resolution family: one entry.
-	before := c.Stats()
-	c.ResolvePair(a, b, da, db, engine.Positive)
-	if s := c.Stats(); s.Misses != before.Misses || s.Hits != before.Hits+1 {
-		t.Fatal("winding rules should share one resolve-tier entry")
 	}
 }
 

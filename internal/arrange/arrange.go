@@ -8,8 +8,8 @@
 // intersection drifts along the edges, so scheduling the intersection's y is
 // not enough to keep the beam orders consistent.
 //
-// Resolve and ResolvePair remove both hazards at the source, the standard
-// snap-rounding route (cf. CGAL's arrangement preprocessing): every edge is
+// ResolvePair and its rule-aware forms remove both hazards at the source,
+// the standard snap-rounding route (cf. CGAL's arrangement preprocessing): every edge is
 // split at every intersection point found by the internal/isect finders, all
 // vertices are welded onto one power-of-two grid at geom.RelEps of the data
 // extent, and operands that genuinely self-intersect have their simple
@@ -20,51 +20,25 @@
 package arrange
 
 import (
-	"math"
 	"sort"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/isect"
 	"polyclip/internal/ringstitch"
 )
 
-// Resolve returns a polygon covering the same even-odd point set as p whose
-// rings are split at every self-intersection and welded onto the relative
-// snap grid; when p self-intersects (edges crossing in their interiors or
-// overlapping collinearly) the simple even-odd boundary is re-extracted, so
-// the result's rings cross only at shared vertices. Inputs that are already
-// resolved are returned unchanged, without copying.
-func Resolve(p geom.Polygon) geom.Polygon {
-	out, _, changed := resolve([]geom.Polygon{p}, false, false)
-	if !changed {
-		return p
-	}
-	return out[0]
-}
-
-// ResolveWinding is Resolve for winding-rule (NonZero/Positive/Negative)
-// sweeps: edges are split at every intersection and welded onto the shared
-// grid exactly as Resolve does, but self-intersecting operands keep their
-// rebuilt rings with their original directions instead of having the simple
-// even-odd boundary re-extracted. Re-extraction collapses coincident edges
-// by parity, destroying the winding multiplicity a signed-count walk needs;
-// a downstream sweep still meets crossings only at shared exact vertices.
-func ResolveWinding(p geom.Polygon) geom.Polygon {
-	out, _, changed := resolve([]geom.Polygon{p}, true, false)
-	if !changed {
-		return p
-	}
-	return out[0]
-}
-
 // ResolvePair resolves two operands jointly: edges of either operand are
 // split at their intersections with every other edge — their own operand's
-// or the other's — and all vertices weld onto one shared grid, so a
+// or the other's — all vertices weld onto one shared grid, and operands that
+// genuinely self-intersect (edges crossing in their interiors or overlapping
+// collinearly) have their simple even-odd boundary re-extracted. A
 // downstream sweep of the union of both edge sets meets crossings only at
-// shared exact vertices. Operand pairs that only touch at shared vertices
-// (or not at all) are returned unchanged, without copying.
+// shared exact vertices. Operand pairs that only touch at shared vertices (or
+// not at all) are returned unchanged, without copying. A single operand is
+// resolved as the pair (p, nil).
 func ResolvePair(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
-	a, b, _ = ResolvePairEstimate(a, b)
+	a, b, _ = resolve(a, b, false)
 	return a, b
 }
 
@@ -81,62 +55,41 @@ func ResolvePair(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
 // disjoint operands — but it grows with arrangement density, which is all a
 // slab heuristic needs.
 func ResolvePairEstimate(a, b geom.Polygon) (geom.Polygon, geom.Polygon, int) {
-	out, k, changed := resolve([]geom.Polygon{a, b}, false, false)
-	if !changed {
-		return a, b, k
-	}
-	return out[0], out[1], k
+	return resolve(a, b, false)
 }
 
-// ResolvePairWinding is ResolvePair for winding-rule sweeps: joint
-// split-and-weld with ring directions preserved (no even-odd re-extraction of
-// self-intersecting operands — see ResolveWinding).
+// ResolvePairWinding is ResolvePair for winding-rule (NonZero/Positive/
+// Negative) sweeps: the same joint split-and-weld, but self-intersecting
+// operands keep their rebuilt rings with their original directions instead
+// of having the simple even-odd boundary re-extracted. Re-extraction
+// collapses coincident edges by parity, destroying the winding multiplicity
+// a signed-count walk needs; a downstream sweep still meets crossings only
+// at shared exact vertices.
 func ResolvePairWinding(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
-	out, _, changed := resolve([]geom.Polygon{a, b}, true, false)
-	if !changed {
-		return a, b
-	}
-	return out[0], out[1]
+	a, b, _ = resolve(a, b, true)
+	return a, b
 }
 
-// ResolvePairPrepared is ResolvePair for a prepared subject (see
-// engine.Options.Prepared): a is promised to be already self-resolved — its
-// own edges meet only at shared exact vertices, as internal/prepared's
-// canonicalization guarantees — so every a↔a candidate pair is skipped
-// without evaluating its intersection. Crossings between a and b, and b's
-// own self-intersections, are split and welded exactly as ResolvePair does.
-// For a large prepared layer against a small clip window the pre-scan's
-// candidate stream is dominated by the layer's own adjacent-edge pairs, so
-// the skip removes most of the per-clip resolution cost that remains after
-// preparation.
-func ResolvePairPrepared(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
-	out, _, changed := resolve([]geom.Polygon{a, b}, false, true)
-	if !changed {
-		return a, b
-	}
-	return out[0], out[1]
+// ResolvePairRule resolves the pair in the resolution family the fill rule
+// needs — the one place that choice is made: EvenOdd re-extracts the simple
+// boundary of self-crossing operands (ResolvePair), the winding rules keep
+// ring directions (ResolvePairWinding). Every sweep engine runs it once per
+// clip, unless its caller promises an already-resolved pair
+// (engine.Options.PreResolved).
+func ResolvePairRule(a, b geom.Polygon, rule engine.FillRule) (geom.Polygon, geom.Polygon) {
+	a, b, _ = resolve(a, b, rule != engine.EvenOdd)
+	return a, b
 }
 
-// ResolvePairPreparedWinding is ResolvePairPrepared for winding-rule sweeps:
-// the a↔a skip with ring directions preserved (see ResolvePairWinding).
-func ResolvePairPreparedWinding(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
-	out, _, changed := resolve([]geom.Polygon{a, b}, true, true)
-	if !changed {
-		return a, b
-	}
-	return out[0], out[1]
-}
-
-// resolve is the shared implementation: ops is one polygon (Resolve) or an
-// operand pair (ResolvePair). winding keeps the rebuilt rings of
+// resolve is the shared implementation. winding keeps the rebuilt rings of
 // self-intersecting operands directed as given instead of re-extracting
-// their even-odd boundary. trustSelf0 promises operand 0 is already
-// self-resolved: its own candidate pairs are skipped outright (see
-// ResolvePairPrepared). The int counts the non-disjoint candidate pairs the
-// pre-scan evaluated (see ResolvePairEstimate). The boolean reports whether
-// anything changed; when false the caller keeps its originals and no
-// allocation is retained.
-func resolve(ops []geom.Polygon, winding, trustSelf0 bool) ([]geom.Polygon, int, bool) {
+// their even-odd boundary. The int counts the non-disjoint candidate pairs
+// the pre-scan evaluated (see ResolvePairEstimate). When nothing needs
+// splitting or re-extraction the originals come back and no allocation is
+// retained.
+func resolve(a, b geom.Polygon, winding bool) (geom.Polygon, geom.Polygon, int) {
+	ops := [2]geom.Polygon{a, b}
+
 	// Flatten every ring of every operand into one edge soup, remembering
 	// which operand each edge belongs to so self-intersection is detected
 	// per operand.
@@ -162,7 +115,7 @@ func resolve(ops []geom.Polygon, winding, trustSelf0 bool) ([]geom.Polygon, int,
 		}
 	}
 	if len(segs) < 2 {
-		return ops, 0, false
+		return a, b, 0
 	}
 
 	// Fast-path pre-scan fused with cut collection: stream the grid finder's
@@ -187,9 +140,6 @@ func resolve(ops []geom.Polygon, winding, trustSelf0 bool) ([]geom.Polygon, int,
 	anySelf := false
 	crossings := 0
 	isect.VisitCandidatePairs(segs, func(i, j int32) bool {
-		if trustSelf0 && owners[i] == 0 && owners[j] == 0 {
-			return true
-		}
 		si, sj := segs[i], segs[j]
 		kind, p0, p1 := geom.SegIntersection(si, sj)
 		if kind == geom.Disjoint {
@@ -226,7 +176,7 @@ func resolve(ops []geom.Polygon, winding, trustSelf0 bool) ([]geom.Polygon, int,
 		return true
 	})
 	if cuts == nil && !anySelf {
-		return ops, crossings, false
+		return a, b, crossings
 	}
 	if cuts == nil {
 		// Collinear same-owner overlaps with no interior split still force
@@ -239,7 +189,7 @@ func resolve(ops []geom.Polygon, winding, trustSelf0 bool) ([]geom.Polygon, int,
 	// Rebuild every ring with its split vertices inserted in order along
 	// each edge, everything welded, consecutive duplicates dropped. The
 	// iteration mirrors the flattening loop above so the cut lists line up.
-	out := make([]geom.Polygon, len(ops))
+	var out [2]geom.Polygon
 	ei := 0
 	for oi, p := range ops {
 		var np geom.Polygon
@@ -303,7 +253,7 @@ func resolve(ops []geom.Polygon, winding, trustSelf0 bool) ([]geom.Polygon, int,
 			}
 		}
 	}
-	return out, crossings, true
+	return out[0], out[1], crossings
 }
 
 // ringCollinear reports whether every vertex of r lies on one line (the
@@ -318,28 +268,22 @@ func ringCollinear(r geom.Ring) bool {
 	return true
 }
 
-// weldFunc returns the vertex weld for the given edge soup: quantization
-// onto a power-of-two grid at geom.RelEps of the data extent. Quantization
-// is a pure function of the coordinate, so the same arrangement vertex
-// reached through different edges always lands on the identical
-// representative, and a power-of-two step keeps binary-representable inputs
-// (integers, halves, ...) exact.
+// weldFunc returns the vertex weld for the given edge soup: geom.SnapPoint
+// onto the geom.GridStep grid of its extent. Quantization is a pure function
+// of the coordinate, so the same arrangement vertex reached through different
+// edges always lands on the identical representative. A zero or non-finite
+// extent welds nothing.
 func weldFunc(segs []geom.Segment) func(geom.Point) geom.Point {
 	box := geom.EmptyBBox()
 	for _, s := range segs {
 		box.Extend(s.A)
 		box.Extend(s.B)
 	}
-	scale := math.Max(box.Width(), box.Height())
-	scale = math.Max(scale, math.Max(math.Abs(box.MaxX), math.Abs(box.MaxY)))
-	scale = math.Max(scale, math.Max(math.Abs(box.MinX), math.Abs(box.MinY)))
-	if scale == 0 || math.IsInf(scale, 0) {
+	eps := geom.GridStep(box)
+	if eps == 0 {
 		return func(p geom.Point) geom.Point { return p }
 	}
-	eps := math.Ldexp(1, int(math.Ceil(math.Log2(scale*geom.RelEps))))
-	return func(p geom.Point) geom.Point {
-		return geom.Point{X: math.Round(p.X/eps) * eps, Y: math.Round(p.Y/eps) * eps}
-	}
+	return func(p geom.Point) geom.Point { return geom.SnapPoint(p, eps) }
 }
 
 // extractEvenOdd recovers the simple boundary of the even-odd region covered

@@ -41,7 +41,7 @@ func pentagramArea(r float64) float64 {
 
 func TestResolveFastPathLeavesSimpleInputAlone(t *testing.T) {
 	p := geom.Polygon{rect(0, 0, 4, 4)}
-	got := Resolve(p)
+	got, _ := ResolvePair(p, nil)
 	if len(got) != 1 || &got[0][0] != &p[0][0] {
 		t.Fatalf("simple polygon should be returned unchanged, got %v", got)
 	}
@@ -60,7 +60,7 @@ func TestResolvePairFastPathSharedVertices(t *testing.T) {
 
 func TestResolveBowtie(t *testing.T) {
 	p := geom.Polygon{bowtie(0, 0, 1)}
-	got := Resolve(p)
+	got, _ := ResolvePair(p, nil)
 	// The even-odd region of a bowtie is its two lobe triangles, each of
 	// area ½·2·1 = 1.
 	if a := got.Area(); math.Abs(a-2) > 1e-9 {
@@ -78,7 +78,7 @@ func TestResolveBowtie(t *testing.T) {
 
 func TestResolvePentagram(t *testing.T) {
 	p := geom.Polygon{pentagram(0, 0, 10)}
-	got := Resolve(p)
+	got, _ := ResolvePair(p, nil)
 	if a, want := got.Area(), pentagramArea(10); math.Abs(a-want) > 1e-6*want {
 		t.Errorf("pentagram even-odd area = %v, want %v", a, want)
 	}
@@ -94,7 +94,7 @@ func TestResolveDuplicatedRingCancels(t *testing.T) {
 	// the even-odd region is empty.
 	r := rect(0, 0, 3, 3)
 	p := geom.Polygon{r, r.Clone()}
-	if got := Resolve(p); len(got) != 0 {
+	if got, _ := ResolvePair(p, nil); len(got) != 0 {
 		t.Errorf("doubled ring should resolve to empty, got %v", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestResolveAdjacentRectsShareEdge(t *testing.T) {
 	// vertical edge appears twice, cancels, and the region re-extracts as
 	// the single fused rectangle.
 	p := geom.Polygon{rect(0, 0, 1, 1), rect(1, 0, 2, 1)}
-	got := Resolve(p)
+	got, _ := ResolvePair(p, nil)
 	if a := got.Area(); math.Abs(a-2) > 1e-9 {
 		t.Errorf("fused area = %v, want 2", a)
 	}
@@ -145,7 +145,7 @@ func TestResolveSelfIntersectionsGone(t *testing.T) {
 		"bowtie":    {bowtie(1, 2, 3)},
 		"pentagram": {pentagram(0, 0, 7)},
 	} {
-		got := Resolve(p)
+		got, _ := ResolvePair(p, nil)
 		assertResolved(t, got)
 		for ri, r := range got {
 			if len(r) < 3 {
@@ -184,7 +184,7 @@ func TestResolveHugeAndTinyScale(t *testing.T) {
 	// resolution behaves identically at any coordinate scale.
 	for _, s := range []float64{1e100, 1, 1e-100} {
 		p := geom.Polygon{bowtie(0, 0, s)}
-		got := Resolve(p)
+		got, _ := ResolvePair(p, nil)
 		want := 2 * s * s
 		if a := got.Area(); math.Abs(a-want) > 1e-9*want {
 			t.Errorf("scale %g: area = %v, want %v", s, a, want)
@@ -214,12 +214,12 @@ func TestResolvePairExtremeAspectSliver(t *testing.T) {
 }
 
 func TestResolveDegenerateInputs(t *testing.T) {
-	if got := Resolve(nil); got != nil {
-		t.Errorf("Resolve(nil) = %v", got)
+	if got, _ := ResolvePair(nil, nil); got != nil {
+		t.Errorf("ResolvePair(nil, nil) = %v", got)
 	}
 	// Sub-3-vertex rings and zero-length edges pass through untouched.
 	p := geom.Polygon{{{X: 0, Y: 0}, {X: 1, Y: 1}}}
-	if got := Resolve(p); len(got) != 1 {
+	if got, _ := ResolvePair(p, nil); len(got) != 1 {
 		t.Errorf("degenerate ring not passed through: %v", got)
 	}
 	a, b := ResolvePair(geom.Polygon{rect(0, 0, 1, 1)}, nil)

@@ -80,11 +80,7 @@ func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op Op, rule eng
 	// EvenOdd additionally rewrites self-intersecting operands as simple
 	// even-odd rings; the winding rules keep the split rings directed as
 	// given so the signed-count walk sees the original multiplicities.
-	if rule == engine.EvenOdd {
-		a, b = arrange.ResolvePair(a, b)
-	} else {
-		a, b = arrange.ResolvePairWinding(a, b)
-	}
+	a, b = arrange.ResolvePairRule(a, b, rule)
 	edges := scanbeam.CollectEdges(a, b)
 	if len(edges) == 0 {
 		return nil, rep

@@ -131,11 +131,13 @@ func slabEngine(opt Options) engine.Engine {
 
 // slabClip runs a sequential engine on one slab's operands. snapEps is the
 // vertex grid shared by every slab of one run, so that seam geometry produced
-// independently by different workers quantizes identically. A cancelled ctx
+// independently by different workers quantizes identically. resolved hands
+// the host a pair that already went through the joint arrangement resolution
+// (engine.Options.PreResolved), so the host only sweeps. A cancelled ctx
 // makes cancellable engines bail early; the surrounding loops detect the
 // cancellation and discard the partial output.
-func slabClip(ctx context.Context, e engine.Engine, a, b geom.Polygon, op Op, snapEps float64) geom.Polygon {
-	res, _ := e.Clip(ctx, a, b, op, engine.Options{Threads: 1, SnapEps: snapEps})
+func slabClip(ctx context.Context, e engine.Engine, a, b geom.Polygon, op Op, snapEps float64, resolved bool) geom.Polygon {
+	res, _ := e.Clip(ctx, a, b, op, engine.Options{Threads: 1, SnapEps: snapEps, PreResolved: resolved})
 	return res.Polygon
 }
 
@@ -301,7 +303,10 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (ge
 	// after this pre-pass every event y is a grid value (so cut lines and
 	// the caps they produce quantize identically in adjacent hosts) and
 	// every cut still passes exactly through the vertices that generated
-	// it, which seam cancellation in the merge relies on.
+	// it, which seam cancellation in the merge relies on. This is the pair's
+	// one resolve: when the pair is not cut into slabs, the host gets it
+	// with PreResolved set and only sweeps; band-clipped slab pieces are
+	// new geometry and their hosts resolve them again.
 	var crossings int
 	a, b, crossings = arrange.ResolvePairEstimate(a, b)
 	a = geom.SnapPolygon(a, snapEps)
@@ -325,7 +330,7 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (ge
 		return nil, st, err
 	}
 	if len(ys) == 0 {
-		out := slabClip(ctx, eng, a, b, op, snapEps)
+		out := slabClip(ctx, eng, a, b, op, snapEps, true)
 		return out, st, ctx.Err()
 	}
 
@@ -340,7 +345,7 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (ge
 		var out geom.Polygon
 		err := runStage(ctx, st, "clip", fracClip, p, opt.NoFallback, func(sctx context.Context, _ int) error {
 			var o geom.Polygon
-			if err := par.Run(sctx, func() { o = slabClip(sctx, eng, a, b, op, snapEps) }); err != nil {
+			if err := par.Run(sctx, func() { o = slabClip(sctx, eng, a, b, op, snapEps, true) }); err != nil {
 				return err
 			}
 			if err := stallIfExpired(sctx); err != nil {
@@ -408,7 +413,7 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (ge
 					}()
 					guard.Hit("core.slab-clip")
 					ts := time.Now()
-					pt[i] = slabClip(sctx, eng, subA[i], subB[i], op, snapEps)
+					pt[i] = slabClip(sctx, eng, subA[i], subB[i], op, snapEps, false)
 					tt[i] = time.Since(ts)
 				}(i)
 			}

@@ -16,8 +16,9 @@ import (
 // exactly. EvenOdd operands pass through untouched — the slab pipeline
 // handles them natively.
 //
-// The operands are first welded jointly onto the pair's shared snap grid
-// (ResolvePairWinding). Resolving each operand in isolation would pick a
+// The operands are first resolved jointly onto the pair's shared snap grid,
+// and each union sweep runs on that joint arrangement as it stands
+// (vatti.ClipRuleResolved). Resolving each operand in isolation would pick a
 // grid from that operand's own extent; when the extents differ by many
 // orders of magnitude the lone-operand arrangement diverges from the pair
 // arrangement every other engine sweeps, and the slab result drifts
@@ -26,8 +27,8 @@ func normalizePairRule(a, b geom.Polygon, rule engine.FillRule) (geom.Polygon, g
 	if rule == engine.EvenOdd {
 		return a, b
 	}
-	ra, rb := arrange.ResolvePairWinding(a, b)
-	return vatti.ClipRule(ra, nil, engine.Union, rule), vatti.ClipRule(rb, nil, engine.Union, rule)
+	ra, rb := arrange.ResolvePairRule(a, b, rule)
+	return vatti.ClipRuleResolved(ra, nil, engine.Union, rule), vatti.ClipRuleResolved(rb, nil, engine.Union, rule)
 }
 
 // slabsEngine adapts the multi-threaded Algorithm 2 slab decomposition

@@ -204,7 +204,7 @@ func pairClipSafe(ctx context.Context, opt Options, a, b geom.Polygon, op Op, sn
 			}
 		}()
 		guard.Hit("core.pair-clip")
-		return slabClip(ctx, e, a, b, op, snapEps), nil
+		return slabClip(ctx, e, a, b, op, snapEps, false), nil
 	}
 	out, ce := run(eng)
 	if ce == nil {

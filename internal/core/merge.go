@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"polyclip/internal/geom"
@@ -27,14 +26,6 @@ func mergePartials(partial []geom.Polygon, bounds []float64, mode MergeMode, sna
 	}
 }
 
-// snapMergePoint quantizes a point onto the shared grid.
-func snapMergePoint(pt geom.Point, inv, eps float64) geom.Point {
-	return geom.Point{
-		X: math.Round(pt.X*inv) * eps,
-		Y: math.Round(pt.Y*inv) * eps,
-	}
-}
-
 // mergeStitch erases the horizontal seam edges along interior slab
 // boundaries: partial outputs are decomposed into directed edges (interior
 // on the left, which both engines guarantee), the horizontal edges lying on
@@ -42,10 +33,12 @@ func snapMergePoint(pt geom.Point, inv, eps float64) geom.Point {
 // boundary (adjacent slabs contribute opposite directions over shared
 // intervals), and the surviving edges are restitched into rings.
 func mergeStitch(partial []geom.Polygon, bounds []float64, snapEps float64, p int) geom.Polygon {
-	inv := 1 / snapEps
+	// Boundaries and partial-output vertices quantize onto the run's shared
+	// grid, so seam caps from adjacent slabs meet on identical coordinates.
+	snapY := func(y float64) float64 { return geom.SnapPoint(geom.Point{Y: y}, snapEps).Y }
 	interior := make(map[float64]int, len(bounds))
 	for i := 1; i < len(bounds)-1; i++ {
-		interior[math.Round(bounds[i]*inv)*snapEps] = i
+		interior[snapY(bounds[i])] = i
 	}
 
 	type capIv struct {
@@ -66,8 +59,8 @@ func mergeStitch(partial []geom.Polygon, bounds []float64, snapEps float64, p in
 		for _, r := range pp {
 			n := len(r)
 			for i := 0; i < n; i++ {
-				a := snapMergePoint(r[i], inv, snapEps)
-				b := snapMergePoint(r[(i+1)%n], inv, snapEps)
+				a := geom.SnapPoint(r[i], snapEps)
+				b := geom.SnapPoint(r[(i+1)%n], snapEps)
 				if a == b {
 					continue
 				}
@@ -93,7 +86,7 @@ func mergeStitch(partial []geom.Polygon, bounds []float64, snapEps float64, p in
 		if len(ivs) == 0 {
 			return
 		}
-		y := snapMergePoint(geom.Point{X: 0, Y: bounds[bi]}, inv, snapEps).Y
+		y := snapY(bounds[bi])
 		xs := make([]float64, 0, 2*len(ivs))
 		for _, iv := range ivs {
 			xs = append(xs, iv.x0, iv.x1)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"polyclip/internal/arrange"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/guard"
@@ -30,20 +31,21 @@ type diffCase struct {
 
 const corpusDir = "../../testdata/differential"
 
-// TestConformanceGoldenCorpus runs every registered engine against the golden
-// differential corpus: each engine must reproduce the pinned area of every
-// operation on every case it declares capable (all engines implement EvenOdd,
-// the corpus rule), with internal fallbacks disabled so a drifting engine
-// fails by name rather than being silently rescued.
-func TestConformanceGoldenCorpus(t *testing.T) {
+// corpusCase is one parsed golden case.
+type corpusCase struct {
+	name          string
+	subject, clip geom.Polygon
+	areas         map[string]float64
+}
+
+// goldenCorpus loads and parses every case of the golden differential corpus.
+func goldenCorpus(t *testing.T) []corpusCase {
+	t.Helper()
 	files, err := filepath.Glob(filepath.Join(corpusDir, "*.json"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no golden files in %s (err=%v)", corpusDir, err)
 	}
-	engines := engine.All()
-	if len(engines) < 4 {
-		t.Fatalf("registry has %d engines, want at least 4 (overlay, scanbeam, slabs, vatti)", len(engines))
-	}
+	var out []corpusCase
 	for _, fn := range files {
 		raw, err := os.ReadFile(fn)
 		if err != nil {
@@ -53,18 +55,34 @@ func TestConformanceGoldenCorpus(t *testing.T) {
 		if err := json.Unmarshal(raw, &c); err != nil {
 			t.Fatalf("%s: %v", fn, err)
 		}
-		t.Run(c.Name, func(t *testing.T) {
-			subj, err := wkt.Unmarshal(c.Subject)
-			if err != nil {
-				t.Fatalf("subject WKT: %v", err)
-			}
-			clip, err := wkt.Unmarshal(c.Clip)
-			if err != nil {
-				t.Fatalf("clip WKT: %v", err)
-			}
-			scale := guard.MeasureBound(subj) + guard.MeasureBound(clip)
+		subj, err := wkt.Unmarshal(c.Subject)
+		if err != nil {
+			t.Fatalf("%s: subject WKT: %v", c.Name, err)
+		}
+		clip, err := wkt.Unmarshal(c.Clip)
+		if err != nil {
+			t.Fatalf("%s: clip WKT: %v", c.Name, err)
+		}
+		out = append(out, corpusCase{c.Name, subj, clip, c.Areas})
+	}
+	return out
+}
+
+// TestConformanceGoldenCorpus runs every registered engine against the golden
+// differential corpus: each engine must reproduce the pinned area of every
+// operation on every case it declares capable (all engines implement EvenOdd,
+// the corpus rule), with internal fallbacks disabled so a drifting engine
+// fails by name rather than being silently rescued.
+func TestConformanceGoldenCorpus(t *testing.T) {
+	engines := engine.All()
+	if len(engines) < 4 {
+		t.Fatalf("registry has %d engines, want at least 4 (overlay, scanbeam, slabs, vatti)", len(engines))
+	}
+	for _, c := range goldenCorpus(t) {
+		t.Run(c.name, func(t *testing.T) {
+			scale := guard.MeasureBound(c.subject) + guard.MeasureBound(c.clip)
 			for _, op := range engine.Ops() {
-				want, ok := c.Areas[op.String()]
+				want, ok := c.areas[op.String()]
 				if !ok {
 					t.Fatalf("golden file has no %s area", op)
 				}
@@ -72,7 +90,7 @@ func TestConformanceGoldenCorpus(t *testing.T) {
 					if !e.Capabilities().Rules.Has(engine.EvenOdd) {
 						continue // declared unsupported; the rule matrix covers the rejection
 					}
-					res, err := e.Clip(context.Background(), subj, clip, op,
+					res, err := e.Clip(context.Background(), c.subject, c.clip, op,
 						engine.Options{Threads: 4, NoFallback: true})
 					if err != nil {
 						t.Errorf("%s %s: %v", e.Name(), op, err)
@@ -80,6 +98,49 @@ func TestConformanceGoldenCorpus(t *testing.T) {
 					}
 					if got := res.Polygon.Area(); math.Abs(got-want) > 1e-6*math.Max(scale, want) {
 						t.Errorf("%s %s: area = %g, want %g", e.Name(), op, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestConformancePreResolved pins the one resolve seam: every engine that
+// declares SlabHostable, handed the corpus pair already resolved for the rule
+// (arrange.ResolvePairRule) with PreResolved set, must return the same area
+// as it does on the raw pair — over the golden corpus, every rule and every
+// operation.
+func TestConformancePreResolved(t *testing.T) {
+	var hosts []engine.Engine
+	for _, e := range engine.All() {
+		if e.Capabilities().SlabHostable {
+			hosts = append(hosts, e)
+		}
+	}
+	if len(hosts) < 2 {
+		t.Fatalf("registry has %d slab-hostable engines, want at least 2 (overlay, vatti)", len(hosts))
+	}
+	for _, c := range goldenCorpus(t) {
+		t.Run(c.name, func(t *testing.T) {
+			scale := guard.MeasureBound(c.subject) + guard.MeasureBound(c.clip)
+			for _, rule := range engine.Rules() {
+				ra, rb := arrange.ResolvePairRule(c.subject, c.clip, rule)
+				for _, op := range engine.Ops() {
+					for _, e := range hosts {
+						opt := engine.Options{Threads: 1, Rule: rule, NoFallback: true}
+						raw, err := e.Clip(context.Background(), c.subject, c.clip, op, opt)
+						if err != nil {
+							t.Fatalf("%s %s/%s raw: %v", e.Name(), rule, op, err)
+						}
+						opt.PreResolved = true
+						pre, err := e.Clip(context.Background(), ra, rb, op, opt)
+						if err != nil {
+							t.Fatalf("%s %s/%s pre-resolved: %v", e.Name(), rule, op, err)
+						}
+						want := raw.Polygon.Area()
+						if got := pre.Polygon.Area(); math.Abs(got-want) > 1e-6*math.Max(scale, want) {
+							t.Errorf("%s %s/%s: pre-resolved area = %g, raw area = %g", e.Name(), rule, op, got, want)
+						}
 					}
 				}
 			}

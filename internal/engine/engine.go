@@ -174,7 +174,7 @@ type Capabilities struct {
 	// SlabHostable reports the engine is safe to run as the sequential
 	// clipper inside one slab of the slab decomposition (single-threaded,
 	// non-recursive, honors Options.SnapEps so seam geometry quantizes
-	// identically across slabs).
+	// identically across slabs, and honors Options.PreResolved).
 	SlabHostable bool
 }
 
@@ -197,24 +197,11 @@ type Options struct {
 	// per-pair engine swaps), surfacing the first failure directly.
 	NoFallback bool
 	// PreResolved promises that a and b have already been through the joint
-	// arrangement resolution (arrange.ResolvePair / ResolvePairWinding for
-	// opt.Rule) — the batch overlay's arrangement cache sets it when serving
-	// cached resolved operands. Engines that honor it skip their own
-	// resolution pass; engines that ignore it merely re-resolve an already
-	// clean arrangement, which is correct and near-free (the second pass
-	// finds nothing to split).
+	// arrangement resolution for Rule (arrange.ResolvePairRule) — the slab
+	// decomposition sets it when it hands its resolved, snapped pair to the
+	// slab host whole. Every SlabHostable engine honors it by skipping its
+	// own resolution pass, so each clip resolves its pair once.
 	PreResolved bool
-	// Prepared extends the PreResolved seam one notch weaker: it promises
-	// only that operand a is a prepared subject (internal/prepared) — already
-	// self-resolved and snapped on its own — while b is an arbitrary window
-	// polygon whose crossings with a have NOT been resolved. Engines that
-	// honor it run the joint resolution pass but skip every a↔a candidate
-	// pair (arrange.ResolvePairPrepared), which is where a big prepared layer
-	// against a 4-edge tile rectangle spends its pre-scan otherwise. Engines
-	// that ignore it fall back to the full joint resolution, which is correct
-	// and merely re-verifies a clean subject. PreResolved wins when both are
-	// set.
-	Prepared bool
 }
 
 // Result is one engine run's output.

@@ -2,50 +2,60 @@ package geom
 
 import "math"
 
-// AutoSnapEps picks the vertex-snapping grid for a clipping run over the two
-// operands: proportional to the data magnitude, and shared by every worker
-// of one run so seam geometry produced independently (e.g. by different slab
-// workers) quantizes identically. Previously re-derived separately by the
-// overlay engine and the slab decomposition; this is the one policy both
-// compose.
-func AutoSnapEps(a, b Polygon) float64 {
-	box := a.BBox().Union(b.BBox())
-	m := box.Width()
-	if h := box.Height(); h > m {
-		m = h
-	}
-	// The grid must also respect the absolute coordinate magnitude:
-	// float64 cannot address (and int64 cannot index) positions finer than
-	// a relative 1e-12 of the largest coordinate.
+// GridStep returns the power-of-two snap grid for geometry spanning box: the
+// smallest power of two at or above RelEps times the box's largest side or
+// absolute coordinate. The grid must respect the absolute coordinate
+// magnitude as well as the extent: float64 cannot address (and int64 cannot
+// index) positions finer than a relative 1e-12 of the largest coordinate. A
+// power-of-two step keeps quantizing binary-representable coordinates
+// (integers, halves, ...) exact, so outputs stay clean. It returns 0 for a
+// zero, empty or non-finite extent, where there is no grid to derive.
+func GridStep(box BBox) float64 {
+	m := math.Max(box.Width(), box.Height())
 	for _, v := range [...]float64{box.MinX, box.MaxX, box.MinY, box.MaxY} {
-		if a := math.Abs(v); a > m && !math.IsInf(a, 0) {
-			m = a
-		}
+		m = math.Max(m, math.Abs(v))
 	}
-	if m <= 0 {
-		m = 1
+	if !(m > 0) || math.IsInf(m, 0) {
+		return 0
 	}
-	// Round the grid up to a power of two so quantizing binary-representable
-	// coordinates (integers, halves, ...) is exact and outputs stay clean.
-	return math.Pow(2, math.Ceil(math.Log2(m*RelEps)))
+	return math.Ldexp(1, int(math.Ceil(math.Log2(m*RelEps))))
 }
 
-// SnapPolygon quantizes every vertex onto the eps grid — the same rounding
-// the overlay engine applies before pair finding, so geometry snapped here
-// and geometry snapped inside a downstream sweep quantize identically.
-// Consecutive duplicate vertices are merged and rings that degenerate below
-// three distinct vertices are dropped. eps <= 0 returns p unchanged.
+// SnapPoint rounds p onto the eps grid. Rounding is a pure function of the
+// coordinate value, so the same arrangement vertex reached through different
+// edges — or produced independently by different slab workers — always lands
+// on the identical representative.
+func SnapPoint(p Point, eps float64) Point {
+	return Point{X: math.Round(p.X/eps) * eps, Y: math.Round(p.Y/eps) * eps}
+}
+
+// AutoSnapEps picks the vertex-snapping grid for a clipping run over the two
+// operands: the GridStep of their joint extent, shared by every worker of one
+// run so seam geometry produced independently (e.g. by different slab
+// workers) quantizes identically. Operands of zero extent get the grid of a
+// unit extent.
+func AutoSnapEps(a, b Polygon) float64 {
+	if eps := GridStep(a.BBox().Union(b.BBox())); eps > 0 {
+		return eps
+	}
+	return GridStep(BBox{MaxX: 1, MaxY: 1})
+}
+
+// SnapPolygon quantizes every vertex onto the eps grid (SnapPoint) — the same
+// rounding the overlay engine applies before pair finding, so geometry
+// snapped here and geometry snapped inside a downstream sweep quantize
+// identically. Consecutive duplicate vertices are merged and rings that
+// degenerate below three distinct vertices are dropped. eps <= 0 returns p
+// unchanged.
 func SnapPolygon(p Polygon, eps float64) Polygon {
 	if eps <= 0 {
 		return p
 	}
-	inv := 1 / eps
-	snap := func(v float64) float64 { return math.Round(v*inv) * eps }
 	out := make(Polygon, 0, len(p))
 	for _, r := range p {
 		nr := make(Ring, 0, len(r))
 		for _, pt := range r {
-			q := Point{X: snap(pt.X), Y: snap(pt.Y)}
+			q := SnapPoint(pt, eps)
 			if len(nr) == 0 || q != nr[len(nr)-1] {
 				nr = append(nr, q)
 			}

@@ -19,9 +19,8 @@ import (
 // ROADMAP's scale item: two synthetic feature layers of n features each
 // (repeatFrac exact repeats) are overlaid twice through one arrangement
 // cache — a cold run that populates it and a warm run that should be all
-// hits. The cache contract of the PR (warm ≥ 2× cold on a repeated-operand
-// corpus) is evaluated here and surfaced as the gate counters; the
-// bench_overlay.sh script turns a failed gate into a nonzero exit.
+// hits. The cache contract (warm ≥ 2× cold on a repeated-operand corpus) is
+// evaluated here and surfaced as the gate counters.
 func Overlay(n int, repeatFrac float64, threads int, seed int64) Result {
 	a := data.Features(data.FeatureOptions{N: n, Dist: "mixed", RepeatFrac: repeatFrac, Seed: seed})
 	b := data.Features(data.FeatureOptions{N: n, Dist: "mixed", RepeatFrac: repeatFrac, Seed: seed + 1})

@@ -27,11 +27,11 @@ func (e clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, o
 	if err := engine.CheckRule(e, opt.Rule); err != nil {
 		return engine.Result{}, err
 	}
-	out, err := ClipCtx(ctx, a, b, op, Options{
+	out, err := clipCtx(ctx, a, b, op, Options{
 		Parallelism: opt.Threads,
 		Rule:        opt.Rule,
 		SnapEps:     opt.SnapEps,
-	})
+	}, opt.PreResolved)
 	return engine.Result{Polygon: out}, err
 }
 

@@ -93,6 +93,13 @@ func Clip(subject, clip geom.Polygon, op Op, opt Options) geom.Polygon {
 // (ctx.Err()) is returned instead of a partial result. With an
 // already-satisfied context it behaves exactly like Clip.
 func ClipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options) (geom.Polygon, error) {
+	return clipCtx(ctx, subject, clip, op, opt, false)
+}
+
+// clipCtx is ClipCtx with the joint arrangement resolution skipped when
+// resolved promises the pair already went through it
+// (engine.Options.PreResolved).
+func clipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options, resolved bool) (geom.Polygon, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -159,23 +166,16 @@ func ClipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 	// unbalanced node degrees that stitching must drop. ResolvePair splits
 	// everything at every intersection and welds both operands onto one
 	// shared grid, so subdivide meets crossings only at shared exact
-	// vertices, which it never splits. ResolvePair re-extracts the even-odd
-	// boundary of self-crossing operands, so it must not run under the
-	// winding rules (NonZero/Positive/Negative), where winding multiplicity
-	// (same-direction overlapping rings, a pentagram's doubly-wound centre)
-	// is semantic.
-	if opt.Rule == EvenOdd {
-		subject, clip = arrange.ResolvePair(subject, clip)
-	} else {
-		// Winding rules get the winding-preserving joint resolve instead:
-		// both operands split-and-weld onto the pair's shared grid with ring
-		// directions (and hence winding multiplicity) intact. Beyond welding
-		// self-crossings, this matters when the snap grid is coarse relative
-		// to one operand (mixed-extent pairs): sub-eps slivers collapse here
-		// exactly as they do in every other engine's pair arrangement.
-		// Vertex snapping alone keeps such slivers at full width and the
-		// winding measure drifts from the rest of the registry.
-		subject, clip = arrange.ResolvePairWinding(subject, clip)
+	// vertices, which it never splits. The rule picks the resolution family
+	// (arrange.ResolvePairRule): EvenOdd re-extracts the even-odd boundary
+	// of self-crossing operands, while the winding rules keep ring
+	// directions, because winding multiplicity (same-direction overlapping
+	// rings, a pentagram's doubly-wound centre) is semantic. Beyond welding
+	// self-crossings, the joint resolve matters when the snap grid is coarse
+	// relative to one operand (mixed-extent pairs): sub-eps slivers collapse
+	// here exactly as they do in every other engine's pair arrangement.
+	if !resolved {
+		subject, clip = arrange.ResolvePairRule(subject, clip, opt.Rule)
 	}
 
 	// Snap the inputs onto the eps grid before pair finding, so that
@@ -183,8 +183,8 @@ func ClipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 	// decomposition in different workers) becomes exactly coincident and its
 	// overlaps are detected and cancelled, instead of being merged silently
 	// after the intersection pass.
-	subject = snapPolygon(subject, eps)
-	clip = snapPolygon(clip, eps)
+	subject = geom.SnapPolygon(subject, eps)
+	clip = geom.SnapPolygon(clip, eps)
 
 	edges, owners := gatherEdges(subject, clip)
 
@@ -246,7 +246,7 @@ func resolveSelf(ctx context.Context, poly geom.Polygon, eps float64, rule FillR
 	if poly.NumVertices() == 0 {
 		return nil
 	}
-	poly = snapPolygon(poly, eps)
+	poly = geom.SnapPolygon(poly, eps)
 	edges, owners := gatherEdges(poly, nil)
 	pairs := isect.GridPairs(edges, p)
 	segs := subdivide(ctx, edges, owners, pairs, eps, p)
@@ -279,11 +279,6 @@ func hasHorizontalEdge(poly geom.Polygon) bool {
 	}
 	return false
 }
-
-// SnapEpsFor returns the default vertex-snapping tolerance for a pair of
-// operands — exported so the hardened pipeline can retry a failed clip on
-// a deliberately coarser grid.
-func SnapEpsFor(a, b geom.Polygon) float64 { return geom.AutoSnapEps(a, b) }
 
 // gatherEdges flattens both polygons into one edge list with an owner tag
 // per edge (0 = subject, 1 = clip).

@@ -43,33 +43,6 @@ type segKey struct {
 	ax, ay, bx, by int64
 }
 
-// snapper canonicalizes coordinates onto an eps grid so that vertices
-// produced independently by different edges compare equal.
-type snapper struct {
-	inv float64
-	eps float64
-}
-
-func newSnapper(eps float64) snapper { return snapper{inv: 1 / eps, eps: eps} }
-
-func (s snapper) coord(v float64) int64 { return int64(math.Round(v * s.inv)) }
-
-func (s snapper) point(p geom.Point) geom.Point {
-	return geom.Point{
-		X: float64(s.coord(p.X)) * s.eps,
-		Y: float64(s.coord(p.Y)) * s.eps,
-	}
-}
-
-// snapPolygon canonicalizes every vertex onto the eps grid, dropping rings
-// that degenerate below three distinct vertices. It is geom.SnapPolygon —
-// one shared quantization policy, so geometry pre-snapped by callers (the
-// slab decomposition snaps the pair before cutting it) arrives here
-// bit-identical.
-func snapPolygon(p geom.Polygon, eps float64) geom.Polygon {
-	return geom.SnapPolygon(p, eps)
-}
-
 // weldNearVertex pulls an intersection point onto a nearby endpoint of
 // either parent edge. Snap rounding demands it: a crossing that lands
 // within a cell or two of an existing vertex (a near-tangency, e.g. one
@@ -98,8 +71,6 @@ func weldNearVertex(q geom.Point, e1, e2 geom.Segment, eps float64) geom.Point {
 // Cancellation is polled periodically; on a cancelled ctx the returned
 // arrangement is partial and the caller must discard it.
 func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs []isect.Pair, eps float64, p int) []*useg {
-	sn := newSnapper(eps)
-
 	// Intersection points per edge, computed in parallel over pairs into
 	// per-worker buckets then folded.
 	type split struct {
@@ -163,8 +134,14 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 		slab = append(slab, useg{Lo: a, Hi: b})
 		return &slab[len(slab)-1]
 	}
+	// A snapped coordinate's grid index keys the segment table.
+	inv := 1 / eps
+	coord := func(v float64) int64 { return int64(math.Round(v * inv)) }
 	addPiece := func(a, b geom.Point, owner uint8) {
-		a, b = sn.point(a), sn.point(b)
+		// Vertices produced independently by different edges snap onto the
+		// eps grid (geom.SnapPoint, the policy geom.SnapPolygon applies to
+		// the inputs) so they compare equal.
+		a, b = geom.SnapPoint(a, eps), geom.SnapPoint(b, eps)
 		if a == b {
 			return
 		}
@@ -173,7 +150,7 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 			a, b = b, a
 			dir = +1 // original piece directed Hi->Lo
 		}
-		key := segKey{sn.coord(a.X), sn.coord(a.Y), sn.coord(b.X), sn.coord(b.Y)}
+		key := segKey{coord(a.X), coord(a.Y), coord(b.X), coord(b.Y)}
 		u := table[key]
 		if u == nil {
 			u = newUseg(a, b)

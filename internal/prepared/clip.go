@@ -140,12 +140,11 @@ func finalizeTile(out geom.Polygon) geom.Polygon {
 }
 
 // SweepRect is the differential/rescue route: the same window clip computed
-// by the full scanbeam sweep through the engine.Options.Prepared seam
-// (vatti.ClipRulePrepared), which re-resolves only the window's crossings
-// with the canonical layer, never the layer against itself.
+// by the full scanbeam sweep (vatti.ClipRule) of the canonical layer against
+// the window rectangle.
 func (pp *Prepared) SweepRect(box geom.BBox) geom.Polygon {
 	rect := geom.RectPolygon(box.MinX, box.MinY, box.MaxX, box.MaxY)
-	return vatti.ClipRulePrepared(pp.poly, rect, engine.Intersection, engine.EvenOdd)
+	return vatti.ClipRule(pp.poly, rect, engine.Intersection, engine.EvenOdd)
 }
 
 // NaiveClipRect is the baseline the tile benchmark gates against: a full

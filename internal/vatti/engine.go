@@ -30,13 +30,7 @@ func (e clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, o
 			return engine.Result{}, err
 		}
 	}
-	switch {
-	case opt.PreResolved:
-		return engine.Result{Polygon: ClipRuleResolved(a, b, op, opt.Rule)}, nil
-	case opt.Prepared:
-		return engine.Result{Polygon: ClipRulePrepared(a, b, op, opt.Rule)}, nil
-	}
-	return engine.Result{Polygon: ClipRule(a, b, op, opt.Rule)}, nil
+	return engine.Result{Polygon: Assemble(trapezoidsRule(a, b, op, opt.Rule, opt.PreResolved))}, nil
 }
 
 func (clipEngine) Trapezoids(a, b geom.Polygon, op engine.Op) []engine.Trapezoid {

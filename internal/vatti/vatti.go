@@ -55,21 +55,11 @@ func ClipRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Poly
 }
 
 // ClipRuleResolved is ClipRule for operands already put through the joint
-// arrangement resolution (arrange.ResolvePair / ResolvePairWinding for the
-// rule). The batch overlay's arrangement cache calls it to reuse resolved
-// operands across clips; the sweep runs directly on the given geometry.
+// arrangement resolution for the rule (arrange.ResolvePairRule) — the
+// engine.Options.PreResolved seam: the sweep runs directly on the given
+// geometry.
 func ClipRuleResolved(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Polygon {
-	return Assemble(trapezoidsRule(subject, clip, op, rule, resolveSkip))
-}
-
-// ClipRulePrepared is ClipRule for a prepared subject (engine.Options.
-// Prepared): the subject is promised self-resolved — internal/prepared's
-// canonicalization — while clip is an arbitrary window polygon. The joint
-// resolution still runs, but skips every subject↔subject candidate pair
-// (arrange.ResolvePairPrepared), so a big prepared layer clipped against a
-// 4-edge tile rectangle does not re-pay its own pre-scan on every tile.
-func ClipRulePrepared(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Polygon {
-	return Assemble(trapezoidsRule(subject, clip, op, rule, resolvePrepared))
+	return Assemble(trapezoidsRule(subject, clip, op, rule, true))
 }
 
 // Trapezoids computes the even-odd trapezoid decomposition of
@@ -89,20 +79,12 @@ func Trapezoids(subject, clip geom.Polygon, op Op) []Trapezoid {
 // regenerated exactly as trapezoid caps. This sidesteps the paper's §III-C
 // perturbation without changing the result.
 func TrapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) []Trapezoid {
-	return trapezoidsRule(subject, clip, op, rule, resolveFull)
+	return trapezoidsRule(subject, clip, op, rule, false)
 }
 
-// resolveMode selects how much arrangement resolution trapezoidsRule runs
-// before the sweep, mirroring the engine.Options.PreResolved/Prepared seam.
-type resolveMode uint8
-
-const (
-	resolveFull     resolveMode = iota // full joint resolution
-	resolveSkip                        // pair already jointly resolved
-	resolvePrepared                    // subject self-resolved; skip its self pairs
-)
-
-func trapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule, mode resolveMode) []Trapezoid {
+// trapezoidsRule is TrapezoidsRule with the joint resolution pass skipped
+// when resolved promises the pair already went through it.
+func trapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule, resolved bool) []Trapezoid {
 	subject = dropDegenerate(subject)
 	clip = dropDegenerate(clip)
 
@@ -114,22 +96,9 @@ func trapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule, mod
 	// trapezoid corners inverted. Under EvenOdd, self-intersecting operands
 	// are additionally rewritten as simple even-odd rings; the winding rules
 	// keep the split rings directed as given, because the signed-count walk
-	// needs the original winding multiplicities. Callers that already
-	// resolved the pair (the arrangement cache) skip the pass; prepared
-	// subjects (internal/prepared) skip only their own self pairs.
-	switch mode {
-	case resolveFull:
-		if rule == engine.EvenOdd {
-			subject, clip = arrange.ResolvePair(subject, clip)
-		} else {
-			subject, clip = arrange.ResolvePairWinding(subject, clip)
-		}
-	case resolvePrepared:
-		if rule == engine.EvenOdd {
-			subject, clip = arrange.ResolvePairPrepared(subject, clip)
-		} else {
-			subject, clip = arrange.ResolvePairPreparedWinding(subject, clip)
-		}
+	// needs the original winding multiplicities.
+	if !resolved {
+		subject, clip = arrange.ResolvePairRule(subject, clip, rule)
 	}
 
 	edges := scanbeam.CollectEdges(subject, clip)
@@ -257,13 +226,12 @@ func Assemble(tzs []Trapezoid) geom.Polygon {
 }
 
 // snapCorners welds trapezoid corners that represent the same arrangement
-// vertex by quantizing every coordinate onto a power-of-two grid at
-// geom.RelEps of the data extent. Quantization is a pure function of the
+// vertex by quantizing every coordinate onto the geom.GridStep grid of the
+// data extent (geom.SnapPoint). Quantization is a pure function of the
 // coordinate value, so — unlike greedy nearest-neighbour clustering, whose
 // groups depend on scan order and can weld two corners while leaving a
 // third, equally close one apart — corners that must cancel downstream
-// always land on the identical representative. A power-of-two step keeps
-// the grid exact on binary-representable inputs (integers, halves, ...).
+// always land on the identical representative.
 func snapCorners(tzs []Trapezoid) []Trapezoid {
 	box := geom.EmptyBBox()
 	for _, tz := range tzs {
@@ -272,19 +240,16 @@ func snapCorners(tzs []Trapezoid) []Trapezoid {
 		box.Extend(tz.L2)
 		box.Extend(tz.R2)
 	}
-	scale := math.Max(box.Width(), box.Height())
-	scale = math.Max(scale, math.Max(math.Abs(box.MaxX), math.Abs(box.MaxY)))
-	scale = math.Max(scale, math.Max(math.Abs(box.MinX), math.Abs(box.MinY)))
-	if scale == 0 || math.IsInf(scale, 0) {
+	eps := geom.GridStep(box)
+	if eps == 0 {
 		return tzs
-	}
-	eps := math.Ldexp(1, int(math.Ceil(math.Log2(scale*geom.RelEps))))
-	q := func(p geom.Point) geom.Point {
-		return geom.Point{X: math.Round(p.X/eps) * eps, Y: math.Round(p.Y/eps) * eps}
 	}
 	out := make([]Trapezoid, len(tzs))
 	for i, tz := range tzs {
-		out[i] = Trapezoid{L1: q(tz.L1), R1: q(tz.R1), L2: q(tz.L2), R2: q(tz.R2)}
+		out[i] = Trapezoid{
+			L1: geom.SnapPoint(tz.L1, eps), R1: geom.SnapPoint(tz.R1, eps),
+			L2: geom.SnapPoint(tz.L2, eps), R2: geom.SnapPoint(tz.R2, eps),
+		}
 	}
 	return out
 }

@@ -18,6 +18,10 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== benchmark module: vet + test (its own go.mod, so the root's go test never compiles it)"
+go -C benchmark vet ./...
+go -C benchmark test ./...
+
 echo "== coverage floor (vatti, arrange, engine, scanbeam, serve, core, overlay, pool, par, batch, acache >= ${COVER_FLOOR:-80}%)"
 COVER_FLOOR="${COVER_FLOOR:-80}"
 for pkg in ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/; do
