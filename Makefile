@@ -12,9 +12,13 @@ COVER_PKGS_TILES := ./internal/prepared/ ./internal/tile/
 PROFILE_EXP ?= table2
 PROFILE_DIR ?= /tmp/polyclip-prof
 
-.PHONY: check build vet test benchmark-module cover race differential conformance fuzz chaos profile clipd loadtest bench scaling tile-bench
+.PHONY: check fmt build vet test benchmark-module cover race differential conformance fuzz chaos profile clipd loadtest bench scaling tile-bench
 
-check: vet build test benchmark-module cover race differential conformance fuzz chaos
+check: fmt vet build test benchmark-module cover race differential conformance fuzz chaos
+
+# Formatting gate: gofmt must list no file (benchmark/ included).
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	go build ./...
@@ -60,7 +64,7 @@ differential:
 	go test -race -run TestDifferentialCorpus .
 
 # Engine conformance: every registered engine against the golden corpus,
-# the rule x op capability matrix, trapezoid declarations, cancellation.
+# the rule x op matrix, the pre-resolved seam, cancellation.
 conformance:
 	go test -race -run TestConformance ./internal/engine/
 

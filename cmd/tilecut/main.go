@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"polyclip/internal/batch"
 	"polyclip/internal/engine"
@@ -69,9 +68,9 @@ func main() {
 		spec.Extent = b
 	}
 
-	fillRule, err := parseRule(*rule)
-	if err != nil {
-		fatalf("%v", err)
+	fillRule, ok := engine.ParseRule(*rule)
+	if !ok {
+		fatalf("unknown rule %q", *rule)
 	}
 
 	tiles, st, err := batch.CutTiles(context.Background(), features, batch.TileOptions{
@@ -126,20 +125,6 @@ func readLayer(path string) ([]geom.Polygon, error) {
 		r = f
 	}
 	return batch.ReadFeatures(r)
-}
-
-func parseRule(s string) (engine.FillRule, error) {
-	switch strings.ToLower(s) {
-	case "", "evenodd":
-		return engine.EvenOdd, nil
-	case "nonzero":
-		return engine.NonZero, nil
-	case "positive":
-		return engine.Positive, nil
-	case "negative":
-		return engine.Negative, nil
-	}
-	return 0, fmt.Errorf("unknown rule %q", s)
 }
 
 func fatalf(format string, args ...any) {

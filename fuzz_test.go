@@ -146,10 +146,9 @@ func FuzzClipRoundTrip(f *testing.F) {
 }
 
 // FuzzClipAllEngines drives every registered engine through the registry on
-// the same WKT pair, operation, AND fill rule: no engine may panic, engines
-// that decline a rule must do so with the typed ErrUnsupported (none of the
-// built-ins may — they all declare the full rule set), and all engines that
-// accept the input must agree on the clipped measure under that rule.
+// the same WKT pair, operation, AND fill rule: no engine may panic or reject
+// the rule (every engine serves every rule), and all engines that accept the
+// input must agree on the clipped measure under that rule.
 // Engines run with NoFallback, so a drifting engine fails by name rather
 // than being silently rescued by a sibling.
 func FuzzClipAllEngines(f *testing.F) {
@@ -179,19 +178,14 @@ func FuzzClipAllEngines(f *testing.F) {
 		}
 		var got []outcome
 		for _, e := range engine.All() {
-			if !e.Capabilities().Rules.Has(rule) {
-				// Declared unsupported under the fuzzed rule: the conformance
-				// rule matrix pins the typed rejection; nothing to compare.
-				continue
-			}
 			res, err := e.Clip(context.Background(), subject, clip, op,
 				engine.Options{Threads: 2, Rule: rule, NoFallback: true})
 			if err != nil {
 				// Real errors (overflowing coordinates, guard rejections) are
 				// acceptable; only panics are bugs, and those crash the fuzzer.
-				// A declared-capable engine must never reject with ErrUnsupported.
+				// No engine may reject one of the four rules.
 				if errors.Is(err, engine.ErrUnsupported) {
-					t.Fatalf("%s: rejected a declared-capable rule %v: %v", e.Name(), rule, err)
+					t.Fatalf("%s: rejected rule %v: %v", e.Name(), rule, err)
 				}
 				continue
 			}

@@ -24,6 +24,7 @@ package batch
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -41,9 +42,8 @@ import (
 type Options struct {
 	// Rule is the fill rule for every per-pair clip.
 	Rule engine.FillRule
-	// Engine names the registry engine that clips each pair; it must be
-	// slab-hostable (single-threaded per pair). Default "vatti" — the
-	// sequential reference.
+	// Engine names the registry engine that clips each pair, single-threaded.
+	// Default "vatti" — the sequential reference.
 	Engine string
 	// Threads bounds worker parallelism; <= 0 means all available CPUs.
 	Threads int
@@ -88,10 +88,11 @@ type Stats struct {
 }
 
 // Overlay clips every candidate feature pair of the two layers and returns
-// the non-empty results in canonical (A, B) order. A panic while clipping
-// one pair is recovered and the pair retried once on the alternate
-// slab-hostable engine (unless NoFallback); only a double failure surfaces,
-// as a *guard.ClipError naming the pair.
+// the non-empty results in canonical (A, B) order. An out-of-range rule or
+// an unknown engine name is an error wrapping engine.ErrUnsupported. A panic
+// while clipping one pair is recovered and the pair retried once on
+// engine.Reference (unless NoFallback); only a double failure surfaces, as a
+// *guard.ClipError naming the pair.
 func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options) ([]Output, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -100,12 +101,12 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 	if name == "" {
 		name = "vatti"
 	}
+	if err := engine.CheckRule(opt.Rule); err != nil {
+		return nil, nil, err
+	}
 	eng, ok := engine.Get(name)
 	if !ok {
-		return nil, nil, &engine.UnsupportedError{Engine: name, Rule: opt.Rule}
-	}
-	if err := engine.CheckRule(eng, opt.Rule); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("engine %q: %w", name, engine.ErrUnsupported)
 	}
 	cache := opt.Cache
 	if cache == nil && !opt.NoCache {
@@ -257,9 +258,9 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 }
 
 // pairClip clips one candidate pair through the cache with panic isolation,
-// mirroring core's pairClipSafe: a panicking engine is rescued once on the
-// alternate slab-hostable engine, clipping the raw operands uncached (the
-// cache withdrew its placeholder when the leader panicked).
+// mirroring core's pairClipSafe: a panicking engine is rescued once on
+// engine.Reference, clipping the raw operands uncached (the cache withdrew
+// its placeholder when the leader panicked).
 func pairClip(ctx context.Context, cache *acache.Cache, eng engine.Engine, opt Options,
 	fa, fb geom.Polygon, da, db geom.Digest, op engine.Op, pr [2]int32) (out geom.Polygon, wasRescued bool, ce *guard.ClipError) {
 	run := func(e engine.Engine, useCache bool) (p geom.Polygon, ce *guard.ClipError) {
@@ -288,7 +289,7 @@ func pairClip(ctx context.Context, cache *acache.Cache, eng engine.Engine, opt O
 	if opt.NoFallback {
 		return nil, false, ce
 	}
-	alt, ok := engine.SlabAlternate(eng.Name())
+	alt, ok := engine.Reference(eng.Name(), opt.Rule)
 	if !ok {
 		return nil, false, ce
 	}

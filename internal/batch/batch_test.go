@@ -150,9 +150,16 @@ func TestOverlayOps(t *testing.T) {
 
 func TestOverlayValidation(t *testing.T) {
 	a, b := testLayers(4, 0)
-	if _, _, err := Overlay(context.Background(), a, b, engine.Intersection,
-		Options{Engine: "no-such-engine"}); !errors.Is(err, engine.ErrUnsupported) {
+	_, _, err := Overlay(context.Background(), a, b, engine.Intersection, Options{Engine: "no-such-engine"})
+	if !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("unknown engine: %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "no-such-engine") || strings.Contains(msg, "rule") {
+		t.Errorf("unknown engine: error %q must name the engine and no fill rule", msg)
+	}
+	if _, _, err := Overlay(context.Background(), a, b, engine.Intersection,
+		Options{Rule: engine.FillRule(9)}); !errors.Is(err, engine.ErrUnsupported) {
+		t.Fatalf("FillRule(9): %v", err)
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -169,9 +176,6 @@ func TestOverlayValidation(t *testing.T) {
 type panicEngine struct{}
 
 func (panicEngine) Name() string { return "batch-test-panic" }
-func (panicEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Rules: engine.AllRules(), SlabHostable: true}
-}
 func (panicEngine) Clip(context.Context, geom.Polygon, geom.Polygon, engine.Op, engine.Options) (engine.Result, error) {
 	panic("batch-test-panic engine always panics")
 }
@@ -179,8 +183,8 @@ func (panicEngine) Clip(context.Context, geom.Polygon, geom.Polygon, engine.Op, 
 func init() { engine.Register(panicEngine{}) }
 
 // TestOverlayPanicRescue: a panicking primary engine is rescued per pair by
-// the alternate slab-hostable engine; with NoFallback the ClipError
-// surfaces, naming the pair.
+// engine.Reference (vatti); with NoFallback the ClipError surfaces, naming
+// the pair.
 func TestOverlayPanicRescue(t *testing.T) {
 	a, b := testLayers(40, 0)
 	outs, st, err := Overlay(context.Background(), a, b, engine.Intersection,
@@ -196,7 +200,7 @@ func TestOverlayPanicRescue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The rescue engine is registry-chosen; compare area, not bytes.
+	// The rescue ran vatti, the default engine: the areas must match.
 	var got, want float64
 	for _, o := range outs {
 		got += o.Poly.Area()

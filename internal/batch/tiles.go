@@ -43,9 +43,9 @@ type TileOutput struct {
 type TileStats struct {
 	Features int           `json:"features"`
 	Tiles    int64         `json:"tiles"`
-	Cut      tile.Stats    `json:"cut"`     // summed across features
-	Clip     time.Duration `json:"clipNs"`  // wall time of the cutting loop
-	Cache    acache.Stats  `json:"cache"`   // this run's delta
+	Cut      tile.Stats    `json:"cut"`    // summed across features
+	Clip     time.Duration `json:"clipNs"` // wall time of the cutting loop
+	Cache    acache.Stats  `json:"cache"`  // this run's delta
 }
 
 // CutTiles cuts every feature of the layer into the pyramid and returns the

@@ -8,6 +8,21 @@ import (
 	"polyclip/internal/geom"
 )
 
+// TestClipLayersMergedCtx runs the merged-layer overlay through the
+// cancellable entry point: both layers fused into one region each.
+func TestClipLayersMergedCtx(t *testing.T) {
+	la := Layer{geom.RectPolygon(0, 0, 2, 2), geom.RectPolygon(4, 0, 6, 2)}
+	lb := Layer{geom.RectPolygon(1, 1, 5, 3)}
+	got, _, err := ClipPairCtx(context.Background(), flatten(la), flatten(lb), Intersection, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each square overlaps the band in a 1x1 corner.
+	if want := 2.0; math.Abs(got.Area()-want) > 1e-9 {
+		t.Errorf("merged layer intersection area = %v, want %v", got.Area(), want)
+	}
+}
+
 func TestAdaptiveSlabCount(t *testing.T) {
 	cases := []struct {
 		p, events, crossings, want int
@@ -74,18 +89,5 @@ func TestAdaptiveSlabsDefault(t *testing.T) {
 		Options{Threads: 4, Slabs: 3})
 	if st.Slabs != 3 {
 		t.Errorf("pinned slabs: got %d, want 3", st.Slabs)
-	}
-}
-
-func TestClipLayersMergedCtx(t *testing.T) {
-	la := Layer{geom.RectPolygon(0, 0, 2, 2), geom.RectPolygon(4, 0, 6, 2)}
-	lb := Layer{geom.RectPolygon(1, 1, 5, 3)}
-	got, _, err := ClipLayersMergedCtx(context.Background(), la, lb, Intersection, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each square overlaps the band in a 1x1 corner.
-	if want := 2.0; math.Abs(got.Area()-want) > 1e-9 {
-		t.Errorf("merged layer intersection area = %v, want %v", got.Area(), want)
 	}
 }

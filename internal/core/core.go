@@ -33,7 +33,7 @@ import (
 	"polyclip/internal/par"
 
 	// Linked for their init-time engine registration: any program importing
-	// core can resolve the slab-hostable engines by name.
+	// core can resolve the slab hosts (overlay, vatti) by name.
 	_ "polyclip/internal/overlay"
 	_ "polyclip/internal/vatti"
 )
@@ -94,9 +94,10 @@ type Options struct {
 	// timers are only CPU-attributable when workers do not outnumber
 	// cores).
 	Slabs int
-	// Engine is the per-slab sequential clipper: any registered engine whose
-	// capabilities declare SlabHostable. nil selects the registry's default
-	// slab host (the overlay engine when linked).
+	// Engine is the per-slab sequential clipper: an engine that runs
+	// single-threaded, honors SnapEps so seam geometry quantizes identically
+	// across slabs, and honors PreResolved (overlay and vatti). nil selects
+	// overlay.
 	Engine engine.Engine
 	// Merge selects the partial-output merge strategy.
 	Merge MergeMode
@@ -117,16 +118,12 @@ type Stats = engine.Stats
 type Resilience = engine.Resilience
 
 // slabEngine resolves the per-slab sequential engine: the configured one, or
-// the registry's default slab host when unset.
+// overlay when unset.
 func slabEngine(opt Options) engine.Engine {
 	if opt.Engine != nil {
 		return opt.Engine
 	}
-	e, ok := engine.SlabHost("overlay")
-	if !ok {
-		panic("core: no slab-hostable engine registered")
-	}
-	return e
+	return engine.MustGet("overlay")
 }
 
 // slabClip runs a sequential engine on one slab's operands. snapEps is the

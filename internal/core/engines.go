@@ -32,27 +32,18 @@ func normalizePairRule(a, b geom.Polygon, rule engine.FillRule) (geom.Polygon, g
 }
 
 // slabsEngine adapts the multi-threaded Algorithm 2 slab decomposition
-// (ClipPairCtx) to the engine registry. It is not itself slab-hostable — a
-// slab hosting slabs would recurse — but it can host any registered
-// slab-hostable engine inside its workers.
+// (ClipPairCtx) to the engine registry. Its workers host overlay per slab; it
+// never hosts itself — a slab hosting slabs would recurse.
 type slabsEngine struct{}
 
 func (slabsEngine) Name() string { return "slabs" }
-
-func (slabsEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{
-		Rules:       engine.AllRules(),
-		Cancellable: true,
-		Parallel:    true,
-	}
-}
 
 // Clip runs the slab decomposition. The per-slab clipper (bandclip chain
 // pairing) is inherently parity-based, so winding rules are handled by
 // normalizing each operand to its rule-region first (see normalizePairRule)
 // — after which the even-odd slab pipeline is exact for the requested rule.
-func (e slabsEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
-	if err := engine.CheckRule(e, opt.Rule); err != nil {
+func (slabsEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
+	if err := engine.CheckRule(opt.Rule); err != nil {
 		return engine.Result{}, err
 	}
 	a, b = normalizePairRule(a, b, opt.Rule)
@@ -68,16 +59,8 @@ type scanbeamEngine struct{}
 
 func (scanbeamEngine) Name() string { return "scanbeam" }
 
-func (scanbeamEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{
-		Rules:       engine.AllRules(),
-		Cancellable: true,
-		Parallel:    true,
-	}
-}
-
-func (e scanbeamEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
-	if err := engine.CheckRule(e, opt.Rule); err != nil {
+func (scanbeamEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
+	if err := engine.CheckRule(opt.Rule); err != nil {
 		return engine.Result{}, err
 	}
 	if ctx == nil {

@@ -19,10 +19,6 @@ type recordingHost struct {
 
 func (*recordingHost) Name() string { return "core-test-recording-host" }
 
-func (*recordingHost) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Rules: engine.AllRules(), SlabHostable: true}
-}
-
 func (h *recordingHost) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
 	h.mu.Lock()
 	h.flags = append(h.flags, opt.PreResolved)

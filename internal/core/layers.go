@@ -191,8 +191,8 @@ func ClipLayersCtx(ctx context.Context, a, b Layer, op Op, opt Options) ([]geom.
 
 // pairClipSafe clips one candidate feature pair with panic isolation: a
 // panic in the selected engine is recovered and — unless opt.NoFallback —
-// the pair is retried once with a different slab-hostable engine from the
-// registry (the differential rescue). The returned bool reports a successful
+// the pair is retried once on engine.Reference, a structurally different
+// engine (the differential rescue). The returned bool reports a successful
 // rescue; a non-nil *guard.ClipError means both the engine and its rescue
 // failed (or fallback was disabled).
 func pairClipSafe(ctx context.Context, opt Options, a, b geom.Polygon, op Op, snapEps float64, pr [2]int32) (geom.Polygon, bool, *guard.ClipError) {
@@ -213,7 +213,7 @@ func pairClipSafe(ctx context.Context, opt Options, a, b geom.Polygon, op Op, sn
 	if opt.NoFallback {
 		return nil, false, ce
 	}
-	alt, ok := engine.SlabAlternate(eng.Name())
+	alt, ok := engine.Reference(eng.Name(), engine.EvenOdd)
 	if !ok {
 		return nil, false, ce
 	}
@@ -224,35 +224,12 @@ func pairClipSafe(ctx context.Context, opt Options, a, b geom.Polygon, op Op, sn
 	return out, true, nil
 }
 
-// ClipLayersMerged overlays two layers by fusing each layer into one
-// even-odd multi-polygon and running ClipPair — the splitting variant of
-// Algorithm 2. Unlike ClipLayers this supports union and difference
-// between whole layers.
-func ClipLayersMerged(a, b Layer, op Op, opt Options) (geom.Polygon, *Stats) {
-	return ClipPair(flatten(a), flatten(b), op, opt)
-}
-
-// ClipLayersMergedCtx is ClipLayersMerged with cooperative cancellation and
-// panic isolation (see ClipPairCtx).
-func ClipLayersMergedCtx(ctx context.Context, a, b Layer, op Op, opt Options) (geom.Polygon, *Stats, error) {
-	return ClipPairCtx(ctx, flatten(a), flatten(b), op, opt)
-}
-
 func flatten(l Layer) geom.Polygon {
 	var out geom.Polygon
 	for _, f := range l {
 		out = append(out, f...)
 	}
 	return out
-}
-
-// LayerArea returns the summed even-odd area of the layer's features.
-func LayerArea(l Layer) float64 {
-	var s float64
-	for _, f := range l {
-		s += f.Area()
-	}
-	return s
 }
 
 // mbrJoin returns every (i, j) with boxesA[i] intersecting boxesB[j], via

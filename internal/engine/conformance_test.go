@@ -70,9 +70,8 @@ func goldenCorpus(t *testing.T) []corpusCase {
 
 // TestConformanceGoldenCorpus runs every registered engine against the golden
 // differential corpus: each engine must reproduce the pinned area of every
-// operation on every case it declares capable (all engines implement EvenOdd,
-// the corpus rule), with internal fallbacks disabled so a drifting engine
-// fails by name rather than being silently rescued.
+// operation on every case, with internal fallbacks disabled so a drifting
+// engine fails by name rather than being silently rescued.
 func TestConformanceGoldenCorpus(t *testing.T) {
 	engines := engine.All()
 	if len(engines) < 4 {
@@ -87,9 +86,6 @@ func TestConformanceGoldenCorpus(t *testing.T) {
 					t.Fatalf("golden file has no %s area", op)
 				}
 				for _, e := range engines {
-					if !e.Capabilities().Rules.Has(engine.EvenOdd) {
-						continue // declared unsupported; the rule matrix covers the rejection
-					}
 					res, err := e.Clip(context.Background(), c.subject, c.clip, op,
 						engine.Options{Threads: 4, NoFallback: true})
 					if err != nil {
@@ -105,21 +101,13 @@ func TestConformanceGoldenCorpus(t *testing.T) {
 	}
 }
 
-// TestConformancePreResolved pins the one resolve seam: every engine that
-// declares SlabHostable, handed the corpus pair already resolved for the rule
+// TestConformancePreResolved pins the one resolve seam: each slab host
+// (overlay, vatti), handed the corpus pair already resolved for the rule
 // (arrange.ResolvePairRule) with PreResolved set, must return the same area
 // as it does on the raw pair — over the golden corpus, every rule and every
 // operation.
 func TestConformancePreResolved(t *testing.T) {
-	var hosts []engine.Engine
-	for _, e := range engine.All() {
-		if e.Capabilities().SlabHostable {
-			hosts = append(hosts, e)
-		}
-	}
-	if len(hosts) < 2 {
-		t.Fatalf("registry has %d slab-hostable engines, want at least 2 (overlay, vatti)", len(hosts))
-	}
+	hosts := []engine.Engine{engine.MustGet("overlay"), engine.MustGet("vatti")}
 	for _, c := range goldenCorpus(t) {
 		t.Run(c.name, func(t *testing.T) {
 			scale := guard.MeasureBound(c.subject) + guard.MeasureBound(c.clip)
@@ -164,9 +152,8 @@ func reverse(p geom.Polygon) geom.Polygon {
 // TestConformanceRuleMatrix drives every registered engine through the full
 // fill-rule x operation matrix on winding-sensitive inputs (two
 // same-direction overlapping rings, in both orientations, whose region
-// differs between every pair of rules). Supported combinations must produce
-// the analytic area; declared unsupported rules must be rejected with
-// ErrUnsupported for every operation — never served silently.
+// differs between every pair of rules). Every cell must produce the analytic
+// area.
 func TestConformanceRuleMatrix(t *testing.T) {
 	// Both rings CCW: winding +1 each, +2 on the overlap square.
 	ccwSubject := geom.Polygon{
@@ -230,17 +217,10 @@ func TestConformanceRuleMatrix(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		for _, e := range engine.All() {
-			caps := e.Capabilities()
 			for _, rule := range engine.Rules() {
 				for _, op := range engine.Ops() {
 					res, err := e.Clip(context.Background(), sc.subject, sc.clip, op,
 						engine.Options{Threads: 2, Rule: rule, NoFallback: true})
-					if !caps.Rules.Has(rule) {
-						if !errors.Is(err, engine.ErrUnsupported) {
-							t.Errorf("%s %s %s/%s: err = %v, want ErrUnsupported", sc.name, e.Name(), rule, op, err)
-						}
-						continue
-					}
 					if err != nil {
 						t.Errorf("%s %s %s/%s: %v", sc.name, e.Name(), rule, op, err)
 						continue
@@ -250,31 +230,6 @@ func TestConformanceRuleMatrix(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestConformanceTrapezoider checks that every engine declaring Trapezoids
-// actually implements the Trapezoider interface and that its decomposition
-// carries the right measure, and that no engine implements it undeclared.
-func TestConformanceTrapezoider(t *testing.T) {
-	a := geom.RectPolygon(0, 0, 4, 4)
-	b := geom.RectPolygon(2, 2, 6, 6)
-	for _, e := range engine.All() {
-		tr, ok := e.(engine.Trapezoider)
-		if e.Capabilities().Trapezoids != ok {
-			t.Errorf("%s: Trapezoids capability %v but Trapezoider implemented = %v",
-				e.Name(), e.Capabilities().Trapezoids, ok)
-		}
-		if !ok {
-			continue
-		}
-		var sum float64
-		for _, tz := range tr.Trapezoids(a, b, engine.Intersection) {
-			sum += tz.Area()
-		}
-		if math.Abs(sum-4) > 1e-9 {
-			t.Errorf("%s: trapezoid area sum = %g, want 4", e.Name(), sum)
 		}
 	}
 }

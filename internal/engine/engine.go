@@ -1,7 +1,10 @@
 // Package engine defines the execution-strategy seam of the clipping
-// library: the Engine interface every clipping strategy implements, the
-// Capabilities descriptor the resilience chain and slab decomposition use to
-// select engines, and the registry that makes engines first-class values.
+// library: the Engine interface every clipping strategy implements and the
+// registry that makes engines first-class values. Every registered engine
+// serves every fill rule and operation, so callers name the engine they
+// want: the resilience chain names its engines, the slab decomposition hosts
+// overlay (or a configured engine) per slab, and the differential audit
+// cross-checks against Reference.
 //
 // It is also the canonical home of the vocabulary shared by every layer —
 // the boolean operation Op, the FillRule, and the engine-facing Stats — so
@@ -11,7 +14,7 @@
 // The layer stack, top to bottom:
 //
 //	public API (polyclip.Clip/ClipWith/ClipCtx)
-//	  -> resilience chain (declarative ordered registry entries)
+//	  -> resilience chain (written down per Algorithm)
 //	    -> engine registry (this package)
 //	      -> engines (overlay, vatti, slabs, scanbeam)
 //	        -> scanbeam substrate (internal/scanbeam)
@@ -21,6 +24,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 
 	"polyclip/internal/geom"
 )
@@ -68,7 +73,7 @@ func (op Op) Eval(inSubject, inClip bool) bool {
 	}
 }
 
-// Ops lists every operation, for capability matrices and fuzz drivers.
+// Ops lists every operation, for conformance matrices and fuzz targets.
 func Ops() []Op { return []Op{Intersection, Union, Difference, Xor} }
 
 // FillRule decides which winding numbers count as interior.
@@ -125,61 +130,25 @@ func (r FillRule) String() string {
 }
 
 // ParseRule resolves a rule name as emitted by String (the wire spelling of
-// the HTTP API and the CLI tools); ok is false for unknown names.
+// the HTTP API and the CLI tools), ignoring case; the empty name is EvenOdd,
+// the default. ok is false for unknown names.
 func ParseRule(name string) (FillRule, bool) {
+	if name == "" {
+		return EvenOdd, true
+	}
 	for _, r := range Rules() {
-		if name == r.String() {
+		if strings.EqualFold(name, r.String()) {
 			return r, true
 		}
 	}
 	return EvenOdd, false
 }
 
-// Rules lists every fill rule, for capability matrices and fuzz drivers.
+// Rules lists every fill rule, for conformance matrices and fuzz targets.
 func Rules() []FillRule { return []FillRule{EvenOdd, NonZero, Positive, Negative} }
 
-// AllRules is the RuleSet containing every fill rule.
-func AllRules() RuleSet { return RuleMask(Rules()...) }
-
-// RuleSet is a bitmask of supported fill rules.
-type RuleSet uint8
-
-// RuleMask builds a RuleSet from rules.
-func RuleMask(rules ...FillRule) RuleSet {
-	var s RuleSet
-	for _, r := range rules {
-		s |= 1 << r
-	}
-	return s
-}
-
-// Has reports whether the set contains the rule.
-func (s RuleSet) Has(r FillRule) bool { return s&(1<<r) != 0 }
-
-// Capabilities describes what an engine can do. The resilience chain filters
-// its attempt list by these flags, the slab decomposition uses them to pick
-// per-slab engines, and the conformance suite skips exactly what an engine
-// declares unsupported.
-type Capabilities struct {
-	// Rules is the set of fill rules the engine implements.
-	Rules RuleSet
-	// Cancellable reports that Clip polls ctx inside its loops and stops
-	// early; engines without it only check ctx at entry.
-	Cancellable bool
-	// Parallel reports that Clip exploits Options.Threads > 1.
-	Parallel bool
-	// Trapezoids reports that the engine can emit the raw trapezoid
-	// decomposition (it additionally implements Trapezoider).
-	Trapezoids bool
-	// SlabHostable reports the engine is safe to run as the sequential
-	// clipper inside one slab of the slab decomposition (single-threaded,
-	// non-recursive, honors Options.SnapEps so seam geometry quantizes
-	// identically across slabs, and honors Options.PreResolved).
-	SlabHostable bool
-}
-
-// Options configures one engine run. Engines ignore fields outside their
-// capabilities (a sequential engine ignores Threads; engines without slab
+// Options configures one engine run. Engines ignore fields they have no use
+// for (a sequential engine ignores Threads; engines without slab
 // decomposition ignore Slabs).
 type Options struct {
 	// Threads bounds the parallelism; <= 0 means all available CPUs.
@@ -187,8 +156,8 @@ type Options struct {
 	// Slabs is the slab count for slab-decomposition engines; 0 means one
 	// per thread.
 	Slabs int
-	// Rule is the fill rule; engines must reject rules outside their
-	// Capabilities with ErrUnsupported.
+	// Rule is the fill rule; engines reject a value outside the four rules
+	// with ErrUnsupported (CheckRule).
 	Rule FillRule
 	// SnapEps is the vertex grid shared by every worker of one run; <= 0
 	// means derived from the input magnitude (geom.AutoSnapEps).
@@ -199,8 +168,9 @@ type Options struct {
 	// PreResolved promises that a and b have already been through the joint
 	// arrangement resolution for Rule (arrange.ResolvePairRule) — the slab
 	// decomposition sets it when it hands its resolved, snapped pair to the
-	// slab host whole. Every SlabHostable engine honors it by skipping its
-	// own resolution pass, so each clip resolves its pair once.
+	// slab host whole. The sequential engines that run inside slabs (overlay
+	// and vatti) honor it by skipping their own resolution pass, so each clip
+	// resolves its pair once.
 	PreResolved bool
 }
 
@@ -215,50 +185,27 @@ type Result struct {
 
 // Engine is one clipping execution strategy. Implementations are stateless
 // values registered once at init; a single Engine serves concurrent Clip
-// calls.
+// calls, under every fill rule and operation.
 type Engine interface {
 	// Name is the registry key, e.g. "overlay", "vatti", "slabs", "scanbeam".
 	Name() string
-	// Capabilities describes what the engine supports.
-	Capabilities() Capabilities
-	// Clip computes `a op b`. It must return ErrUnsupported (possibly
-	// wrapped) when opt.Rule is outside the declared capabilities, and
-	// ctx.Err() when the run was cancelled.
+	// Clip computes `a op b`. It returns ErrUnsupported (wrapped) when
+	// opt.Rule is not one of the four fill rules, and ctx.Err() when the run
+	// was cancelled.
 	Clip(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (Result, error)
 }
 
-// Trapezoider is implemented by engines whose Capabilities declare
-// Trapezoids: the raw scanbeam-sweep output before ring assembly.
-type Trapezoider interface {
-	Trapezoids(a, b geom.Polygon, op Op) []Trapezoid
-}
+// ErrUnsupported tags a request outside the declared vocabulary — a fill
+// rule or algorithm that is not one of the constants, or an engine name
+// nothing registered. The public API surfaces it instead of serving the
+// request with some default strategy. Test with errors.Is.
+var ErrUnsupported = errors.New("unsupported")
 
-// ErrUnsupported tags a rule/algorithm request no registered engine can
-// serve. The public API surfaces it (wrapped in a *guard.ClipError) instead
-// of silently swapping strategies. Test with errors.Is.
-var ErrUnsupported = errors.New("unsupported rule/algorithm combination")
-
-// CheckRule returns ErrUnsupported (annotated with the engine name) when the
-// engine's capabilities do not include the rule — the shared guard every
-// Clip implementation runs first.
-func CheckRule(e Engine, r FillRule) error {
-	if !e.Capabilities().Rules.Has(r) {
-		return &UnsupportedError{Engine: e.Name(), Rule: r}
+// CheckRule returns an error wrapping ErrUnsupported when r is not one of the
+// four fill rules — the shared guard every Clip implementation runs first.
+func CheckRule(r FillRule) error {
+	if r > Negative {
+		return fmt.Errorf("fill rule %d: %w", r, ErrUnsupported)
 	}
 	return nil
 }
-
-// UnsupportedError reports which engine rejected which fill rule; it wraps
-// ErrUnsupported for errors.Is.
-type UnsupportedError struct {
-	Engine string
-	Rule   FillRule
-}
-
-// Error formats the rejection.
-func (e *UnsupportedError) Error() string {
-	return "engine " + e.Engine + ": fill rule " + e.Rule.String() + ": " + ErrUnsupported.Error()
-}
-
-// Unwrap exposes ErrUnsupported to errors.Is.
-func (e *UnsupportedError) Unwrap() error { return ErrUnsupported }

@@ -70,54 +70,39 @@ func TestFillRule(t *testing.T) {
 		t.Errorf("Rules() has %d entries, want 4", len(engine.Rules()))
 	}
 	for _, r := range engine.Rules() {
-		got, ok := engine.ParseRule(r.String())
-		if !ok || got != r {
-			t.Errorf("ParseRule(%q) = %v, %v", r.String(), got, ok)
+		for _, name := range []string{r.String(), strings.ToUpper(r.String())} {
+			got, ok := engine.ParseRule(name)
+			if !ok || got != r {
+				t.Errorf("ParseRule(%q) = %v, %v", name, got, ok)
+			}
 		}
-		if !engine.AllRules().Has(r) {
-			t.Errorf("AllRules() lacks %s", r)
-		}
+	}
+	if got, ok := engine.ParseRule(""); !ok || got != engine.EvenOdd {
+		t.Errorf("ParseRule(\"\") = %v, %v; want the EvenOdd default", got, ok)
 	}
 	if _, ok := engine.ParseRule("winding-deluxe"); ok {
 		t.Error("ParseRule accepted an unknown name")
 	}
 }
 
-func TestRuleMask(t *testing.T) {
-	s := engine.RuleMask(engine.EvenOdd)
-	if !s.Has(engine.EvenOdd) || s.Has(engine.NonZero) {
-		t.Error("single-rule mask wrong")
+func TestCheckRule(t *testing.T) {
+	for _, r := range engine.Rules() {
+		if err := engine.CheckRule(r); err != nil {
+			t.Errorf("%s: %v", r, err)
+		}
 	}
-	both := engine.RuleMask(engine.EvenOdd, engine.NonZero)
-	if !both.Has(engine.EvenOdd) || !both.Has(engine.NonZero) {
-		t.Error("two-rule mask wrong")
-	}
-}
-
-func TestCheckRuleAndUnsupportedError(t *testing.T) {
-	// Every registered engine now implements every rule, so the rejection
-	// machinery is exercised through a parity-only stand-in.
-	parityOnly := badEngine{name: "parity-only", rules: engine.RuleMask(engine.EvenOdd)}
-	if err := engine.CheckRule(parityOnly, engine.EvenOdd); err != nil {
-		t.Errorf("parity-only EvenOdd: %v", err)
-	}
-	err := engine.CheckRule(parityOnly, engine.NonZero)
+	err := engine.CheckRule(engine.FillRule(9))
 	if !errors.Is(err, engine.ErrUnsupported) {
-		t.Fatalf("parity-only NonZero: err = %v, want ErrUnsupported", err)
+		t.Fatalf("FillRule(9): err = %v, want ErrUnsupported", err)
 	}
-	var ue *engine.UnsupportedError
-	if !errors.As(err, &ue) || ue.Engine != "parity-only" || ue.Rule != engine.NonZero {
-		t.Errorf("UnsupportedError fields = %+v", ue)
+	if !strings.Contains(err.Error(), "fill rule 9") {
+		t.Errorf("error text %q does not name the rule", err.Error())
 	}
-	if !strings.Contains(err.Error(), "parity-only") || !strings.Contains(err.Error(), "nonzero") {
-		t.Errorf("error text %q lacks engine/rule", err.Error())
-	}
-	// The registered engines must all pass the guard for all four rules.
+	// Every registered engine runs the guard before any work.
 	for _, e := range engine.All() {
-		for _, r := range engine.Rules() {
-			if err := engine.CheckRule(e, r); err != nil {
-				t.Errorf("%s %s: %v", e.Name(), r, err)
-			}
+		if _, err := e.Clip(context.Background(), nil, nil, engine.Union,
+			engine.Options{Rule: engine.FillRule(9)}); !errors.Is(err, engine.ErrUnsupported) {
+			t.Errorf("%s: FillRule(9) err = %v, want ErrUnsupported", e.Name(), err)
 		}
 	}
 }
@@ -152,65 +137,58 @@ func TestRegistryAllSorted(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	e, ok := engine.Select(func(e engine.Engine) bool {
-		return e.Capabilities().Rules.Has(engine.NonZero)
-	})
-	if !ok || e.Name() != "overlay" {
-		t.Errorf("Select(NonZero) = %v, %v; want overlay", e, ok)
-	}
-	if _, ok := engine.Select(func(engine.Engine) bool { return false }); ok {
-		t.Error("Select(never) succeeded")
-	}
-}
-
-func TestSlabHostAndAlternate(t *testing.T) {
-	if e, ok := engine.SlabHost("overlay"); !ok || e.Name() != "overlay" {
-		t.Errorf("SlabHost(overlay) = %v, %v", e, ok)
-	}
-	// A non-hostable preference falls back to the first hostable engine.
-	if e, ok := engine.SlabHost("slabs"); !ok || !e.Capabilities().SlabHostable {
-		t.Errorf("SlabHost(slabs) = %v, %v", e, ok)
-	}
-	if e, ok := engine.SlabHost(""); !ok || !e.Capabilities().SlabHostable {
-		t.Errorf("SlabHost(\"\") = %v, %v", e, ok)
-	}
-	alt, ok := engine.SlabAlternate("overlay")
-	if !ok || alt.Name() == "overlay" || !alt.Capabilities().SlabHostable {
-		t.Errorf("SlabAlternate(overlay) = %v, %v", alt, ok)
-	}
-	alt, ok = engine.SlabAlternate("vatti")
-	if !ok || alt.Name() == "vatti" || !alt.Capabilities().SlabHostable {
-		t.Errorf("SlabAlternate(vatti) = %v, %v", alt, ok)
-	}
-}
-
+// TestReference pins the differential reference, which is also the engine
+// a failed per-pair clip is retried on: vatti against every engine but
+// itself, overlay against vatti — under every rule.
 func TestReference(t *testing.T) {
-	if ref, ok := engine.Reference("overlay", engine.EvenOdd); !ok || ref.Name() != "vatti" {
-		t.Errorf("Reference(overlay, EvenOdd) = %v, %v; want vatti", ref, ok)
-	}
-	// The winding rules now have oracles too: auditing overlay under NonZero
-	// must find the vatti reference (the differential auditor depends on it).
-	if ref, ok := engine.Reference("overlay", engine.NonZero); !ok || ref.Name() != "vatti" {
-		t.Errorf("Reference(overlay, NonZero) = %v, %v; want vatti", ref, ok)
-	}
-	// Every rule any two engines share has a working Reference pair for every
-	// engine implementing it — no cell of the matrix audits blind.
 	for _, e := range engine.All() {
+		want := "vatti"
+		if e.Name() == "vatti" {
+			want = "overlay"
+		}
 		for _, r := range engine.Rules() {
-			if !e.Capabilities().Rules.Has(r) {
-				continue
+			if ref, ok := engine.Reference(e.Name(), r); !ok || ref.Name() != want {
+				t.Errorf("Reference(%s, %s) = %v, %v; want %s", e.Name(), r, ref, ok, want)
 			}
-			ref, ok := engine.Reference(e.Name(), r)
-			if !ok {
-				t.Errorf("Reference(%s, %s): no oracle", e.Name(), r)
-				continue
+		}
+	}
+	// Engines outside the registry (test fakes) get vatti too.
+	if ref, ok := engine.Reference("no-such-engine", engine.EvenOdd); !ok || ref.Name() != "vatti" {
+		t.Errorf("Reference(no-such-engine) = %v, %v; want vatti", ref, ok)
+	}
+}
+
+// TestSlabHostAndAlternate pins the two sequential engines a slab run is
+// hosted on and the rescue pairing between them: each host is registered,
+// its alternate is the other host, and the alternate agrees with the host,
+// so a pair retried on the alternate gets the same answer.
+func TestSlabHostAndAlternate(t *testing.T) {
+	a := geom.RectPolygon(0, 0, 4, 4)
+	b := geom.RectPolygon(2, 1, 6, 3)
+	for _, name := range []string{"overlay", "vatti"} {
+		host, ok := engine.Get(name)
+		if !ok {
+			t.Fatalf("slab host %q is not registered", name)
+		}
+		alt, ok := engine.Reference(name, engine.EvenOdd)
+		if !ok || alt.Name() == name {
+			t.Fatalf("alternate of %s = %v, %v; want the other host", name, alt, ok)
+		}
+		if back, ok := engine.Reference(alt.Name(), engine.EvenOdd); !ok || back.Name() != name {
+			t.Errorf("alternate of %s = %v, %v; want %s", alt.Name(), back, ok, name)
+		}
+		for _, op := range engine.Ops() {
+			hr, err := host.Clip(context.Background(), a, b, op, engine.Options{Threads: 1})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, op, err)
 			}
-			if ref.Name() == e.Name() {
-				t.Errorf("Reference(%s, %s) returned itself", e.Name(), r)
+			ar, err := alt.Clip(context.Background(), a, b, op, engine.Options{Threads: 1})
+			if err != nil {
+				t.Fatalf("%s %s: %v", alt.Name(), op, err)
 			}
-			if !ref.Capabilities().Rules.Has(r) {
-				t.Errorf("Reference(%s, %s) = %s, which lacks the rule", e.Name(), r, ref.Name())
+			if math.Abs(hr.Polygon.Area()-ar.Polygon.Area()) > 1e-9 {
+				t.Errorf("%s: %s area %v, alternate %s area %v",
+					op, name, hr.Polygon.Area(), alt.Name(), ar.Polygon.Area())
 			}
 		}
 	}
@@ -278,15 +256,9 @@ func TestTrapezoidRingArea(t *testing.T) {
 
 // badEngine lets the registration guards be exercised; its registrations all
 // panic before mutating the registry.
-type badEngine struct {
-	name  string
-	rules engine.RuleSet
-}
+type badEngine struct{ name string }
 
 func (b badEngine) Name() string { return b.name }
-func (b badEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{Rules: b.rules}
-}
 func (badEngine) Clip(context.Context, geom.Polygon, geom.Polygon, engine.Op, engine.Options) (engine.Result, error) {
 	return engine.Result{}, nil
 }
@@ -301,9 +273,8 @@ func TestRegisterGuards(t *testing.T) {
 		}()
 		engine.Register(e)
 	}
-	mustPanic("empty name", badEngine{name: "", rules: engine.RuleMask(engine.EvenOdd)})
-	mustPanic("duplicate", badEngine{name: "overlay", rules: engine.RuleMask(engine.EvenOdd)})
-	mustPanic("no rules", badEngine{name: "ruleless"})
+	mustPanic("empty name", badEngine{name: ""})
+	mustPanic("duplicate", badEngine{name: "overlay"})
 	if n := len(engine.All()); n != 4 {
 		t.Errorf("failed registrations mutated the registry: %d engines", n)
 	}

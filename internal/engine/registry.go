@@ -16,9 +16,8 @@ var (
 	names    []string // sorted engine names
 )
 
-// Register adds an engine under its Name. It panics on a duplicate name or
-// an engine with no supported fill rule — both are programming errors in the
-// registering package.
+// Register adds an engine under its Name. It panics on an empty or duplicate
+// name — both are programming errors in the registering package.
 func Register(e Engine) {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -28,9 +27,6 @@ func Register(e Engine) {
 	}
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("engine: duplicate Register(%q)", name))
-	}
-	if e.Capabilities().Rules == 0 {
-		panic(fmt.Sprintf("engine: Register(%q) declares no fill rules", name))
 	}
 	registry[name] = e
 	names = append(names, name)
@@ -66,45 +62,15 @@ func All() []Engine {
 	return out
 }
 
-// Select returns the first registered engine (by name order) satisfying the
-// predicate. It is the capability-driven selection primitive the resilience
-// chain and slab decomposition build on.
-func Select(pred func(Engine) bool) (Engine, bool) {
-	for _, e := range All() {
-		if pred(e) {
-			return e, true
-		}
+// Reference returns the engine a result of the named engine is cross-checked
+// against, and the engine a failed per-pair clip is retried on: the
+// sequential Vatti sweep, or overlay when the engine under audit is vatti
+// itself. Every engine serves every rule, so the rule argument does not
+// change the pick; ok is false only when the reference engine is not linked
+// in.
+func Reference(against string, _ FillRule) (Engine, bool) {
+	if against == "vatti" {
+		return Get("overlay")
 	}
-	return nil, false
-}
-
-// SlabHost returns the engine to run inside slab workers: prefer, when it is
-// registered and slab-hostable, otherwise the first slab-hostable engine.
-func SlabHost(prefer string) (Engine, bool) {
-	if e, ok := Get(prefer); ok && e.Capabilities().SlabHostable {
-		return e, true
-	}
-	return Select(func(e Engine) bool { return e.Capabilities().SlabHostable })
-}
-
-// SlabAlternate returns a slab-hostable engine different from name — the
-// registry-driven version of "retry the pair with the other sequential
-// engine".
-func SlabAlternate(name string) (Engine, bool) {
-	return Select(func(e Engine) bool {
-		return e.Name() != name && e.Capabilities().SlabHostable
-	})
-}
-
-// Reference returns the engine used as the differential cross-check oracle
-// against the named engine: a slab-hostable (sequential-capable) engine
-// supporting the rule, structurally different from the one under audit. The
-// sequential sweep ("vatti") is preferred when eligible.
-func Reference(against string, rule FillRule) (Engine, bool) {
-	if e, ok := Get("vatti"); ok && against != "vatti" && e.Capabilities().Rules.Has(rule) {
-		return e, true
-	}
-	return Select(func(e Engine) bool {
-		return e.Name() != against && e.Capabilities().SlabHostable && e.Capabilities().Rules.Has(rule)
-	})
+	return Get("vatti")
 }

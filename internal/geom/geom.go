@@ -109,8 +109,8 @@ func (s Segment) XSpan() (lo, hi float64) {
 // horizontal line at y. The segment must not be horizontal.
 func (s Segment) XAtY(y float64) float64 {
 	if s.A.Y == s.B.Y {
-		// Horizontal: return the left end; callers are expected to have
-		// removed horizontals (see PerturbHorizontals) but stay total.
+		// Horizontal: return the left end; callers are expected to skip
+		// horizontals (they span no scanbeam) but stay total.
 		if s.A.X < s.B.X {
 			return s.A.X
 		}
@@ -380,30 +380,3 @@ func (b BBox) Width() float64 { return b.MaxX - b.MinX }
 
 // Height returns the box height.
 func (b BBox) Height() float64 { return b.MaxY - b.MinY }
-
-// PerturbHorizontals returns a copy of the polygon in which every horizontal
-// edge has been removed by nudging one endpoint's y coordinate by a tiny
-// multiple of the polygon height. The paper assumes no horizontal edges and
-// prescribes exactly this preprocessing ("slightly perturbing the vertices
-// to make them non-horizontal", §III-C).
-func PerturbHorizontals(p Polygon, eps float64) Polygon {
-	out := p.Clone()
-	if eps <= 0 {
-		b := p.BBox()
-		h := b.Height()
-		if h == 0 {
-			h = 1
-		}
-		eps = h * 1e-12
-	}
-	for _, r := range out {
-		n := len(r)
-		for i := 0; i < n; i++ {
-			j := (i + 1) % n
-			if r[i].Y == r[j].Y && r[i] != r[j] {
-				r[j].Y += eps * float64(1+i%3)
-			}
-		}
-	}
-	return out
-}

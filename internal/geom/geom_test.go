@@ -320,20 +320,6 @@ func TestRingEdgesSkipDegenerate(t *testing.T) {
 	}
 }
 
-func TestPerturbHorizontals(t *testing.T) {
-	p := Polygon{Rect(0, 0, 10, 10)}
-	q := PerturbHorizontals(p, 0)
-	for _, s := range q.Edges() {
-		if s.IsHorizontal() {
-			t.Fatalf("horizontal edge survived: %v", s)
-		}
-	}
-	// Area should be essentially unchanged.
-	if math.Abs(q.Area()-100) > 1e-6 {
-		t.Errorf("area drifted: %v", q.Area())
-	}
-}
-
 func TestTranslateScale(t *testing.T) {
 	r := Rect(0, 0, 1, 1).Translate(5, 5)
 	if r[0] != (Point{5, 5}) {

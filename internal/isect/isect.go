@@ -12,8 +12,9 @@
 //
 // All finders return verified pairs: candidates are confirmed with the exact
 // segment intersection predicate before being reported. Horizontal edges
-// span no scanbeam and must be removed by the caller (the paper's
-// perturbation preprocessing, geom.PerturbHorizontals).
+// span no scanbeam, so the scanbeam finder cannot see them; callers with
+// horizontal edges use the grid finder (the overlay engine switches to it
+// whenever an operand has one).
 package isect
 
 import (

@@ -14,17 +14,8 @@ type clipEngine struct{}
 
 func (clipEngine) Name() string { return "overlay" }
 
-func (clipEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{
-		Rules:        engine.AllRules(),
-		Cancellable:  true,
-		Parallel:     true,
-		SlabHostable: true,
-	}
-}
-
-func (e clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
-	if err := engine.CheckRule(e, opt.Rule); err != nil {
+func (clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
+	if err := engine.CheckRule(opt.Rule); err != nil {
 		return engine.Result{}, err
 	}
 	out, err := clipCtx(ctx, a, b, op, Options{

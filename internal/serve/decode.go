@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"polyclip"
+	"polyclip/internal/engine"
 	"polyclip/internal/geojson"
 	"polyclip/internal/geom"
 	"polyclip/internal/tile"
@@ -181,19 +182,12 @@ func unmarshalBody(body []byte, v any) *httpError {
 
 // parseRule maps the wire rule name to the engine rule.
 func parseRule(s string) (polyclip.FillRule, *httpError) {
-	switch strings.ToLower(s) {
-	case "", "evenodd":
-		return polyclip.EvenOdd, nil
-	case "nonzero":
-		return polyclip.NonZero, nil
-	case "positive":
-		return polyclip.Positive, nil
-	case "negative":
-		return polyclip.Negative, nil
-	default:
+	r, ok := engine.ParseRule(s)
+	if !ok {
 		return 0, httpErrorf(http.StatusBadRequest, "unknown-rule",
 			"rule %q is not one of evenodd, nonzero, positive, negative", s)
 	}
+	return r, nil
 }
 
 // TileRequest is the wire form of one tile-cutting request: a layer plus a

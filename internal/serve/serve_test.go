@@ -113,8 +113,8 @@ func TestClipGeoJSONOperand(t *testing.T) {
 
 func TestAllOpsRulesAlgorithms(t *testing.T) {
 	// The full wire-level matrix: every op under every fill rule through
-	// every algorithm must answer 200 — no cell of the capability matrix is
-	// served by a silent strategy swap or rejected.
+	// every algorithm must answer 200 — no cell of the rule x algorithm
+	// matrix is served by a silent strategy swap or rejected.
 	_, ts := newTestServer(t, Config{})
 	for _, op := range []string{"intersection", "union", "difference", "xor"} {
 		for _, rule := range []string{"", "evenodd", "nonzero", "positive", "negative"} {
@@ -146,12 +146,13 @@ func TestAllOpsRulesAlgorithms(t *testing.T) {
 	}
 }
 
-// TestClipErrorUnsupportedMapping pins the 422 contract for unsupported
-// rule/engine combinations directly: no registered engine declines any rule
-// anymore, so the mapping is exercised at the error-translation seam the
-// handler uses (the same path a future capability-gapped engine would take).
+// TestClipErrorUnsupportedMapping pins the 422 contract for ErrUnsupported.
+// The decoder answers unknown rule and algorithm names with 400 before any
+// clip runs, so the mapping is exercised at the error-translation seam the
+// handler uses, on the error ClipCtx returns for an out-of-range Algorithm.
 func TestClipErrorUnsupportedMapping(t *testing.T) {
-	he := clipError(fmt.Errorf("select: %w", polyclip.ErrUnsupported))
+	_, _, err := polyclip.ClipCtx(context.Background(), nil, nil, polyclip.Union, polyclip.Options{Algorithm: 9})
+	he := clipError(err)
 	if he.status != http.StatusUnprocessableEntity {
 		t.Errorf("status = %d, want 422", he.status)
 	}

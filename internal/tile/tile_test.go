@@ -267,12 +267,12 @@ func TestGridRange(t *testing.T) {
 		vmin, vmax float64
 		lo, hi     int32
 	}{
-		{2, 6, 1, 4},    // interior span
-		{-5, 20, 0, 4},  // clamped both sides
-		{12, 20, 0, 0},  // fully right of extent
-		{-9, -1, 0, 0},  // fully left of extent
-		{4, 4, 2, 3},    // point on a grid line
-		{0, 8, 0, 4},    // exact extent
+		{2, 6, 1, 4},   // interior span
+		{-5, 20, 0, 4}, // clamped both sides
+		{12, 20, 0, 0}, // fully right of extent
+		{-9, -1, 0, 0}, // fully left of extent
+		{4, 4, 2, 3},   // point on a grid line
+		{0, 8, 0, 4},   // exact extent
 	}
 	for i, tc := range cases {
 		lo, hi := gridRange(tc.vmin, tc.vmax, 0, 8, 4)

@@ -8,21 +8,14 @@ import (
 )
 
 // clipEngine adapts the sequential scanbeam sweep to the engine registry:
-// the differential reference, and the only engine exposing trapezoid output.
+// the differential reference (engine.Reference). Its trapezoid output is
+// the package function Trapezoids.
 type clipEngine struct{}
 
 func (clipEngine) Name() string { return "vatti" }
 
-func (clipEngine) Capabilities() engine.Capabilities {
-	return engine.Capabilities{
-		Rules:        engine.AllRules(),
-		Trapezoids:   true,
-		SlabHostable: true,
-	}
-}
-
-func (e clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
-	if err := engine.CheckRule(e, opt.Rule); err != nil {
+func (clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
+	if err := engine.CheckRule(opt.Rule); err != nil {
 		return engine.Result{}, err
 	}
 	if ctx != nil {
@@ -31,10 +24,6 @@ func (e clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, o
 		}
 	}
 	return engine.Result{Polygon: Assemble(trapezoidsRule(a, b, op, opt.Rule, opt.PreResolved))}, nil
-}
-
-func (clipEngine) Trapezoids(a, b geom.Polygon, op engine.Op) []engine.Trapezoid {
-	return Trapezoids(a, b, op)
 }
 
 func init() { engine.Register(clipEngine{}) }

@@ -101,23 +101,24 @@ const (
 	Negative = engine.Negative
 )
 
-// ErrUnsupported tags a rule/algorithm combination no registered engine can
-// serve. Every built-in engine now implements all four fill rules, so the
-// error is reserved for future capability gaps (and external engines); the
-// registry still refuses to swap strategies silently. Test with errors.Is.
+// ErrUnsupported tags a fill rule or Algorithm that is not one of the
+// declared constants. Every Algorithm serves every rule, so nothing else is
+// rejected; such a request names no strategy, and the library refuses it
+// rather than serving it with a default one. Test with errors.Is.
 var ErrUnsupported = engine.ErrUnsupported
 
 // Options configures ClipWith and the hardened Ctx entry points.
 type Options struct {
 	// Algorithm selects the execution strategy; zero value is AlgoOverlay.
+	// A value that is not one of the four constants returns an error
+	// wrapping ErrUnsupported.
 	Algorithm Algorithm
 	// Threads bounds the parallelism; <= 0 means all available CPUs.
 	Threads int
 	// Rule is the fill rule; every Algorithm hosts all four (the scanbeam
 	// engines sweep signed winding counts, the slab decomposition
-	// normalizes winding operands before partitioning). A rule outside an
-	// engine's declared capabilities returns an error wrapping
-	// ErrUnsupported rather than silently swapping the strategy.
+	// normalizes winding operands before partitioning). A value that is not
+	// one of the four constants returns an error wrapping ErrUnsupported.
 	Rule FillRule
 	// Slabs is the slab count for AlgoSlabs and the layer overlay; 0 means
 	// one per thread.
@@ -127,10 +128,10 @@ type Options struct {
 	// retried on a coarser grid or a different engine.
 	NoFallback bool
 	// Degraded restricts the fallback chain to its cheap tail — the
-	// coarse-grid and sequential/non-parallel steps — and forces
-	// single-threaded execution. It is the load-shedding mode of the clipd
-	// service: overflow traffic is served at reduced fidelity and bounded
-	// cost instead of being dropped. Attempt names in Stats.Resilience
+	// coarse-grid and sequential steps — and forces single-threaded
+	// execution. It is the load-shedding mode of the clipd service:
+	// overflow traffic is served at reduced fidelity and bounded cost
+	// instead of being dropped. Attempt names in Stats.Resilience
 	// still identify the steps taken (e.g. "overlay-coarse:ok").
 	Degraded bool
 }

@@ -71,9 +71,13 @@ func TestOverlayLayers(t *testing.T) {
 	if st == nil {
 		t.Error("nil stats")
 	}
-	merged, _ := OverlayLayersMerged(la, lb, Union, Options{Threads: 2})
-	if math.Abs(Area(merged)-(4+4+8-2)) > 1e-6 {
-		t.Errorf("merged union area = %v", Area(merged))
+	// Merged, each layer is one region: the union counts the overlap once,
+	// and the intersection is the two 1x1 corners the band covers.
+	for op, want := range map[Op]float64{Union: 4 + 4 + 8 - 2, Intersection: 2} {
+		merged, _ := OverlayLayersMerged(la, lb, op, Options{Threads: 2})
+		if math.Abs(Area(merged)-want) > 1e-6 {
+			t.Errorf("merged %v area = %v, want %v", op, Area(merged), want)
+		}
 	}
 }
 

@@ -27,54 +27,55 @@ var ErrInvalidInput = guard.ErrInvalidInput
 // near-degenerate incidences that defeat the default grid.
 const coarseFactor = 1024
 
-// attempt is one engine try of the differential-fallback chain, resolved
-// from a chainStep against the engine registry.
+// attempt is one step of the differential-fallback chain bound to one
+// clip's operands and engine options.
 type attempt struct {
 	name   string // attempt label recorded in Stats.Resilience.Attempts
 	engine string // registry name of the engine behind the attempt
 	run    func(ctx context.Context) (Polygon, *Stats, error)
 }
 
-// chainStep is one declarative entry of the differential-fallback chain: a
-// registry engine name plus the flags that shape its run.
+// chainStep is one entry of the differential-fallback chain: a registry
+// engine and the snap grid it runs on.
 type chainStep struct {
-	name    string // attempt label
-	engine  string // registry engine name
-	coarse  bool   // run on the coarseFactor-coarser snap grid
-	seq     bool   // force single-threaded execution
-	altOnly bool   // include only when capability filtering dropped a step
+	name   string // attempt label
+	engine string // registry engine name
+	coarse bool   // run on the coarseFactor-coarser snap grid
 }
 
-// chains maps each Algorithm to its fallback chain: the requested engine
-// first, then the same arrangement on a coarser snap grid, then a
-// structurally different engine. Steps whose engine does not implement the
-// requested fill rule are dropped — except the primary step, whose
-// unsupported rule is a typed error (ErrUnsupported) rather than a silent
-// strategy swap — and altOnly steps fill back in when filtering dropped a
-// later step, keeping the chain three attempts deep.
-var chains = map[Algorithm][]chainStep{
+// The steps the chains share: overlay on the coarser snap grid, the
+// sequential Vatti sweep, and overlay on the default grid as the last
+// degraded step (single-threaded, like every degraded step).
+var (
+	overlayCoarse = chainStep{name: "overlay-coarse", engine: "overlay", coarse: true}
+	vattiStep     = chainStep{name: "vatti", engine: "vatti"}
+	overlaySeq    = chainStep{name: "overlay-seq", engine: "overlay"}
+)
+
+// chains writes down each Algorithm's fallback chain, in full and in
+// degraded mode. The full chain runs the requested engine, then overlay on a
+// 1024x coarser snap grid, then the structurally different Vatti sweep;
+// AlgoSequential, whose own engine is vatti, falls back to overlay on the
+// default and then the coarse grid. The degraded chain keeps the cheap
+// steps — coarse-grid and sequential — and runs each single-threaded. Every
+// engine serves every fill rule, so no chain depends on Options.Rule, and an
+// Algorithm missing here is rejected with ErrUnsupported.
+var chains = map[Algorithm]struct{ full, degraded []chainStep }{
 	AlgoOverlay: {
-		{name: "overlay", engine: "overlay"},
-		{name: "overlay-coarse", engine: "overlay", coarse: true},
-		{name: "vatti", engine: "vatti"},
-		{name: "overlay-seq", engine: "overlay", seq: true, altOnly: true},
+		full:     []chainStep{{name: "overlay", engine: "overlay"}, overlayCoarse, vattiStep},
+		degraded: []chainStep{overlayCoarse, vattiStep, overlaySeq},
 	},
 	AlgoSlabs: {
-		{name: "slabs", engine: "slabs"},
-		{name: "overlay-coarse", engine: "overlay", coarse: true},
-		{name: "vatti", engine: "vatti"},
-		{name: "overlay-seq", engine: "overlay", seq: true, altOnly: true},
+		full:     []chainStep{{name: "slabs", engine: "slabs"}, overlayCoarse, vattiStep},
+		degraded: []chainStep{overlayCoarse, vattiStep, overlaySeq},
 	},
 	AlgoScanbeam: {
-		{name: "scanbeam", engine: "scanbeam"},
-		{name: "overlay-coarse", engine: "overlay", coarse: true},
-		{name: "vatti", engine: "vatti"},
-		{name: "overlay-seq", engine: "overlay", seq: true, altOnly: true},
+		full:     []chainStep{{name: "scanbeam", engine: "scanbeam"}, overlayCoarse, vattiStep},
+		degraded: []chainStep{overlayCoarse, vattiStep, overlaySeq},
 	},
 	AlgoSequential: {
-		{name: "vatti", engine: "vatti"},
-		{name: "overlay", engine: "overlay"},
-		{name: "overlay-coarse", engine: "overlay", coarse: true},
+		full:     []chainStep{vattiStep, {name: "overlay", engine: "overlay"}, overlayCoarse},
+		degraded: []chainStep{vattiStep, overlayCoarse},
 	},
 }
 
@@ -94,7 +95,8 @@ var chains = map[Algorithm][]chainStep{
 //     every fill rule). Every attempt and its outcome is recorded in
 //     Stats.Resilience.Attempts.
 //
-// The returned error is non-nil only when the inputs are invalid, ctx was
+// The returned error is non-nil only when the inputs are invalid, the fill
+// rule or Algorithm is not one of the constants (ErrUnsupported), ctx was
 // cancelled, or every engine of the chain failed. Stats is always non-nil.
 // Setting Options.NoFallback disables step 3's retries, surfacing the first
 // failure directly.
@@ -111,6 +113,12 @@ func ClipCtx(ctx context.Context, subject, clip Polygon, op Op, opt Options) (Po
 		return st
 	}
 
+	if _, ok := chains[opt.Algorithm]; !ok {
+		return nil, fin(nil), fmt.Errorf("algorithm %d: %w", opt.Algorithm, ErrUnsupported)
+	}
+	if err := engine.CheckRule(opt.Rule); err != nil {
+		return nil, fin(nil), err
+	}
 	if err := guard.Validate(subject); err != nil {
 		return nil, fin(nil), fmt.Errorf("subject: %w", err)
 	}
@@ -127,10 +135,7 @@ func ClipCtx(ctx context.Context, subject, clip Polygon, op Op, opt Options) (Po
 	// measure (a bowtie sums to ~0), which made the audit reject correct
 	// results and drag every such clip through the fallback chain.
 	areaS, areaC := guard.MeasureBound(subject), guard.MeasureBound(clip)
-	chain, cerr := attemptChain(subject, clip, op, opt)
-	if cerr != nil {
-		return nil, fin(nil), cerr
-	}
+	chain := attemptChain(subject, clip, op, opt)
 	if opt.NoFallback {
 		chain = chain[:1]
 	}
@@ -213,11 +218,10 @@ func failureKind(err error) string {
 }
 
 // crossCheckArea computes the measure of `subject op clip` with an engine
-// structurally different from the attempt under audit, chosen by the
-// registry's Reference selection (the sequential Vatti sweep when eligible,
-// otherwise any other slab-hostable engine implementing the rule).
-// Panic-isolated; ok is false when no reference engine exists for the rule or
-// the reference fails too, leaving the caller to the heuristic verdict.
+// structurally different from the attempt under audit, engine.Reference (the
+// sequential Vatti sweep, or overlay when auditing vatti). Panic-isolated; ok
+// is false when the reference fails too, leaving the caller to the heuristic
+// verdict.
 func crossCheckArea(ctx context.Context, subject, clip Polygon, op Op, attemptEngine string, rule FillRule) (area float64, ok bool) {
 	defer func() {
 		if recover() != nil {
@@ -246,47 +250,23 @@ func runAttempt(ctx context.Context, at attempt) (out Polygon, st *Stats, err er
 	return at.run(ctx)
 }
 
-// attemptChain resolves the Algorithm's declarative chain against the engine
-// registry, filtering steps by fill-rule capability. A primary step whose
-// engine does not implement the requested rule is a typed *ClipError wrapping
-// ErrUnsupported — the registry never silently swaps strategies.
-//
-// With opt.Degraded the chain is restricted to its cheap tail — steps that
-// run on the coarse grid, are pinned sequential, or whose engine is not
-// parallel — and every surviving step is forced single-threaded. altOnly
-// steps are always candidates in degraded mode (they are exactly the
-// sequential backfills). When capability filtering leaves no degraded step,
-// the request is typed ErrUnsupported rather than silently served at full
-// cost.
-func attemptChain(subject, clip Polygon, op Op, opt Options) ([]attempt, error) {
-	steps, ok := chains[opt.Algorithm]
-	if !ok {
-		steps = chains[AlgoOverlay]
+// attemptChain binds the Algorithm's chain — the degraded one with
+// opt.Degraded, every step then single-threaded — to the operands and
+// options of one clip. opt.Algorithm must be a key of chains.
+func attemptChain(subject, clip Polygon, op Op, opt Options) []attempt {
+	steps := chains[opt.Algorithm].full
+	if opt.Degraded {
+		steps = chains[opt.Algorithm].degraded
 	}
 	coarse := geom.AutoSnapEps(subject, clip) * coarseFactor
-	var out []attempt
-	dropped := false
+	out := make([]attempt, len(steps))
 	for i, stp := range steps {
 		e := engine.MustGet(stp.engine)
-		if opt.Degraded && !(stp.coarse || stp.seq || !e.Capabilities().Parallel) {
-			continue
-		}
-		if !e.Capabilities().Rules.Has(opt.Rule) {
-			if i == 0 && !opt.Degraded {
-				err := &engine.UnsupportedError{Engine: stp.engine, Rule: opt.Rule}
-				return nil, &guard.ClipError{Stage: "select", Slab: -1, Pair: guard.NoPair, Value: err, Err: err}
-			}
-			dropped = true
-			continue
-		}
-		if stp.altOnly && !dropped && !opt.Degraded {
-			continue
-		}
 		eopt := engine.Options{
 			Threads: opt.Threads, Slabs: opt.Slabs,
 			Rule: opt.Rule, NoFallback: opt.NoFallback,
 		}
-		if stp.seq || opt.Degraded {
+		if opt.Degraded {
 			eopt.Threads = 1
 		}
 		if stp.coarse {
@@ -296,13 +276,9 @@ func attemptChain(subject, clip Polygon, op Op, opt Options) ([]attempt, error) 
 			res, err := e.Clip(ctx, subject, clip, op, eopt)
 			return res.Polygon, res.Stats, err
 		}
-		out = append(out, attempt{name: stp.name, engine: stp.engine, run: run})
+		out[i] = attempt{name: stp.name, engine: stp.engine, run: run}
 	}
-	if len(out) == 0 {
-		err := &engine.UnsupportedError{Engine: steps[0].engine, Rule: opt.Rule}
-		return nil, &guard.ClipError{Stage: "select", Slab: -1, Pair: guard.NoPair, Value: err, Err: err}
-	}
-	return out, nil
+	return out
 }
 
 // repairLayer validates and repairs every feature of a layer.

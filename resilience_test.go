@@ -333,13 +333,10 @@ func TestScanbeamAndSequentialChains(t *testing.T) {
 	}
 }
 
-// TestChainTableDepth pins the declarative chain table's shape: every engine
-// now implements every fill rule, so every Algorithm/rule combination
-// resolves to the same full chain exactly three attempts deep — no
-// capability filtering ever drops a step. The serve layer's degraded mode
-// budgets on this depth. The filtering/altOnly machinery itself is exercised
-// separately with a synthetic parity-only registry entry in the engine
-// package tests.
+// TestChainTableDepth pins the chain table's shape: every Algorithm/rule
+// combination runs the same full chain exactly three attempts deep, since
+// every engine serves every fill rule. The serve layer's degraded mode
+// budgets on this depth.
 func TestChainTableDepth(t *testing.T) {
 	sq := rect(0, 0, 4, 4)
 	chainsByAlgo := map[Algorithm][]string{
@@ -350,11 +347,7 @@ func TestChainTableDepth(t *testing.T) {
 	}
 	for algo, names := range chainsByAlgo {
 		for _, rule := range []FillRule{EvenOdd, NonZero, Positive, Negative} {
-			chain, err := attemptChain(sq, sq, Intersection, Options{Algorithm: algo, Rule: rule})
-			if err != nil {
-				t.Errorf("algo %d rule %v: %v", algo, rule, err)
-				continue
-			}
+			chain := attemptChain(sq, sq, Intersection, Options{Algorithm: algo, Rule: rule})
 			if len(chain) != 3 {
 				t.Errorf("algo %d rule %v: chain depth %d, want 3", algo, rule, len(chain))
 			}
@@ -370,10 +363,8 @@ func TestChainTableDepth(t *testing.T) {
 	}
 }
 
-// TestChainTableDegraded pins the degraded-mode restriction: only the
-// coarse-grid and sequential/non-parallel steps survive, altOnly backfills
-// are always candidates, and unsupported-by-every-step combinations are a
-// typed ErrUnsupported.
+// TestChainTableDegraded pins the degraded-mode chains: only the
+// coarse-grid and sequential steps, under every fill rule.
 func TestChainTableDegraded(t *testing.T) {
 	sq := rect(0, 0, 4, 4)
 	cases := []struct {
@@ -390,11 +381,7 @@ func TestChainTableDegraded(t *testing.T) {
 		{AlgoSlabs, Negative, []string{"overlay-coarse", "vatti", "overlay-seq"}},
 	}
 	for _, tc := range cases {
-		chain, err := attemptChain(sq, sq, Intersection, Options{Algorithm: tc.algo, Rule: tc.rule, Degraded: true})
-		if err != nil {
-			t.Errorf("algo %d rule %v: %v", tc.algo, tc.rule, err)
-			continue
-		}
+		chain := attemptChain(sq, sq, Intersection, Options{Algorithm: tc.algo, Rule: tc.rule, Degraded: true})
 		var names []string
 		for _, at := range chain {
 			names = append(names, at.name)
@@ -402,6 +389,37 @@ func TestChainTableDegraded(t *testing.T) {
 		if strings.Join(names, " ") != strings.Join(tc.names, " ") {
 			t.Errorf("algo %d rule %v: degraded chain %v, want %v", tc.algo, tc.rule, names, tc.names)
 		}
+	}
+}
+
+// TestClipCtxRejectsUnsupportedOptions: a fill rule or Algorithm outside
+// the declared constants names no engine, so ClipCtx rejects it with
+// ErrUnsupported — with and without Degraded — before any engine runs,
+// rather than serving it with a default strategy or reporting a panic.
+func TestClipCtxRejectsUnsupportedOptions(t *testing.T) {
+	a, b := rect(0, 0, 4, 4), rect(2, 2, 6, 6)
+	cases := []struct {
+		name string
+		opt  Options
+	}{
+		{"rule", Options{Rule: FillRule(9)}},
+		{"rule-degraded", Options{Rule: FillRule(9), Degraded: true}},
+		{"algorithm", Options{Algorithm: Algorithm(9)}},
+		{"algorithm-degraded", Options{Algorithm: Algorithm(9), Degraded: true}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out, st, err := ClipCtx(context.Background(), a, b, Intersection, c.opt)
+			if !errors.Is(err, ErrUnsupported) {
+				t.Fatalf("err = %v, want ErrUnsupported", err)
+			}
+			if strings.Contains(err.Error(), "panic") {
+				t.Errorf("error %q reads as a panic", err)
+			}
+			if out != nil || st == nil || len(st.Resilience.Attempts) != 0 {
+				t.Errorf("out = %v, attempts = %q: no engine may run", out, attemptsOf(st))
+			}
+		})
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification sweep: vet, build, tests under the race detector, a
+# Full verification sweep: gofmt, vet, build, tests under the race detector, a
 # short native-fuzz smoke on every fuzz target, and fixed-seed chaos runs
 # (clean + faulted). Mirrors `make check` for environments without make.
 set -eu
@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 FUZZTIME="${FUZZTIME:-10s}"
 CHAOS_SEED="${CHAOS_SEED:-1}"
 CHAOS_CASES="${CHAOS_CASES:-100}"
+
+echo "== gofmt (no file may need formatting, benchmark/ included)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet"
 go vet ./...
