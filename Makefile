@@ -12,9 +12,9 @@ COVER_PKGS_TILES := ./internal/prepared/ ./internal/tile/
 PROFILE_EXP ?= table2
 PROFILE_DIR ?= /tmp/polyclip-prof
 
-.PHONY: check fmt build vet test benchmark-module cover race differential conformance fuzz chaos profile clipd loadtest bench scaling tile-bench
+.PHONY: check fmt build vet test benchmark-module cover race differential conformance bench-smoke fuzz chaos profile clipd loadtest bench scaling tile-bench
 
-check: fmt vet build test benchmark-module cover race differential conformance fuzz chaos
+check: fmt vet build test benchmark-module cover race differential conformance bench-smoke fuzz chaos
 
 # Formatting gate: gofmt must list no file (benchmark/ included).
 fmt:
@@ -67,6 +67,12 @@ differential:
 # the rule x op matrix, the pre-resolved seam, cancellation.
 conformance:
 	go test -race -run TestConformance ./internal/engine/
+
+# Every benchmark of the root package and of the ring-stitching and
+# trapezoid-assembly stages runs once with allocation counters on: a
+# benchmark that panics or no longer compiles fails here, not in a perf run.
+bench-smoke:
+	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/ringstitch ./internal/vatti > /dev/null
 
 # Each native fuzz target gets a short smoke run; raise FUZZTIME for real
 # fuzzing sessions (e.g. make fuzz FUZZTIME=10m). FuzzServeRequest lives in

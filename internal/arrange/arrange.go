@@ -20,6 +20,8 @@
 package arrange
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"polyclip/internal/engine"
@@ -295,44 +297,61 @@ func weldFunc(segs []geom.Segment) func(geom.Point) geom.Point {
 // predicate, not by any epsilon — and the directed soup is stitched into
 // counter-clockwise outer rings and clockwise holes.
 func extractEvenOdd(edges []geom.Segment) geom.Polygon {
-	type ekey struct{ ax, ay, bx, by float64 }
-	counts := make(map[ekey]int, len(edges))
-	for _, s := range edges {
+	// Each edge, turned to run from its lesser endpoint, with its position:
+	// sorted, coincident edges form runs, and the odd runs are the boundary,
+	// already in (A, B) order — the classification and stitch order.
+	// Coincident edges can differ in the sign of a zero coordinate; a run
+	// is written as its last occurrence.
+	type occ struct {
+		s geom.Segment
+		i int32
+	}
+	occs := make([]occ, 0, len(edges))
+	for i, s := range edges {
 		if s.A == s.B {
 			continue
 		}
-		a, b := s.A, s.B
-		if b.Less(a) {
-			a, b = b, a
+		if s.B.Less(s.A) {
+			s.A, s.B = s.B, s.A
 		}
-		counts[ekey{a.X, a.Y, b.X, b.Y}]++
+		occs = append(occs, occ{s, int32(i)})
 	}
-	bd := make([]geom.Segment, 0, len(counts))
-	for k, c := range counts {
-		if c%2 == 1 {
-			bd = append(bd, geom.Segment{A: geom.Point{X: k.ax, Y: k.ay}, B: geom.Point{X: k.bx, Y: k.by}})
+	slices.SortFunc(occs, func(a, b occ) int {
+		if c := a.s.A.Compare(b.s.A); c != 0 {
+			return c
 		}
-	}
-	// Deterministic classification and stitch order regardless of map
-	// iteration.
-	sort.Slice(bd, func(i, j int) bool {
-		if bd[i].A != bd[j].A {
-			return bd[i].A.Less(bd[j].A)
+		if c := a.s.B.Compare(b.s.B); c != 0 {
+			return c
 		}
-		return bd[i].B.Less(bd[j].B)
+		return cmp.Compare(a.i, b.i)
 	})
+	bd := make([]geom.Segment, 0, len(occs))
+	for lo := 0; lo < len(occs); {
+		hi := lo + 1
+		for hi < len(occs) && occs[hi].s == occs[lo].s {
+			hi++
+		}
+		if (hi-lo)%2 == 1 {
+			bd = append(bd, occs[hi-1].s)
+		}
+		lo = hi
+	}
 
+	// Both rays skip e itself. Its midpoint lies on it — exactly, since
+	// welded vertices sit on a power-of-two grid — so it would contribute
+	// nothing, after Orient's exact fallback spent a big.Rat evaluation to
+	// say Collinear.
 	dir := make([]ringstitch.Edge, 0, len(bd))
-	for _, e := range bd {
+	for ei, e := range bd {
 		m := e.Midpoint()
 		if e.A.X == e.B.X {
 			// Vertical edge: parity of boundary edges strictly left of m
 			// along the leftward horizontal ray. Half-open in y so a vertex
 			// exactly at m.Y counts once; Orient is Collinear for edges
-			// through m (including e itself), which contribute nothing.
+			// through m, which contribute nothing.
 			parity := false
-			for _, f := range bd {
-				if (f.A.Y > m.Y) != (f.B.Y > m.Y) {
+			for fi, f := range bd {
+				if fi != ei && (f.A.Y > m.Y) != (f.B.Y > m.Y) {
 					lo, hi := f.A, f.B
 					if lo.Y > hi.Y {
 						lo, hi = hi, lo
@@ -356,8 +375,8 @@ func extractEvenOdd(edges []geom.Segment) geom.Polygon {
 			// Non-vertical edge: parity of boundary edges strictly below m
 			// along the downward vertical ray.
 			parity := false
-			for _, f := range bd {
-				if (f.A.X > m.X) != (f.B.X > m.X) {
+			for fi, f := range bd {
+				if fi != ei && (f.A.X > m.X) != (f.B.X > m.X) {
 					lo, hi := f.A, f.B
 					if lo.X > hi.X {
 						lo, hi = hi, lo

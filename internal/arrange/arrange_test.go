@@ -227,3 +227,13 @@ func TestResolveDegenerateInputs(t *testing.T) {
 		t.Errorf("ResolvePair with empty operand changed inputs: %v %v", a, b)
 	}
 }
+
+// TestResolvePairPentagramAllocs pins the allocations of re-extracting a
+// self-crossing operand. The boundary edges' ray tests must never reach
+// geom.Orient's big.Rat fallback, which allocates on every evaluation.
+func TestResolvePairPentagramAllocs(t *testing.T) {
+	p := geom.Polygon{pentagram(0, 0, 10)}
+	if got := testing.AllocsPerRun(50, func() { ResolvePair(p, nil) }); got != 64 {
+		t.Errorf("ResolvePair(pentagram) allocates %v objects/op, pinned at 64", got)
+	}
+}

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"sort"
-
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
 	"polyclip/internal/par"
 	"polyclip/internal/ringstitch"
-	"polyclip/internal/segtree"
 )
 
 // mergePartials combines per-slab outputs (paper Step 8 / Fig. 6).
@@ -29,31 +26,27 @@ func mergePartials(partial []geom.Polygon, bounds []float64, mode MergeMode, sna
 // mergeStitch erases the horizontal seam edges along interior slab
 // boundaries: partial outputs are decomposed into directed edges (interior
 // on the left, which both engines guarantee), the horizontal edges lying on
-// an interior boundary are net-cancelled with an interval sweep per
-// boundary (adjacent slabs contribute opposite directions over shared
-// intervals), and the surviving edges are restitched into rings.
+// an interior boundary are net-cancelled per boundary (ringstitch.NetCaps:
+// adjacent slabs contribute opposite directions over shared intervals), and
+// the surviving edges are restitched into rings.
 func mergeStitch(partial []geom.Polygon, bounds []float64, snapEps float64, p int) geom.Polygon {
 	// Boundaries and partial-output vertices quantize onto the run's shared
 	// grid, so seam caps from adjacent slabs meet on identical coordinates.
-	snapY := func(y float64) float64 { return geom.SnapPoint(geom.Point{Y: y}, snapEps).Y }
+	lineY := make([]float64, len(bounds))
 	interior := make(map[float64]int, len(bounds))
 	for i := 1; i < len(bounds)-1; i++ {
-		interior[snapY(bounds[i])] = i
+		lineY[i] = geom.SnapPoint(geom.Point{Y: bounds[i]}, snapEps).Y
+		interior[lineY[i]] = i
 	}
 
-	type capIv struct {
-		x0, x1 float64
-		dir    int // +1 traversed +x (interior above), -1 traversed -x
-	}
-	capsPer := make([][]capIv, len(bounds))
-	var rest []ringstitch.Edge
+	capsPer := make([][]ringstitch.Cap, len(bounds))
 	total := 0
 	for _, pp := range partial {
 		for _, r := range pp {
 			total += len(r)
 		}
 	}
-	rest = make([]ringstitch.Edge, 0, total)
+	rest := make([]ringstitch.Edge, 0, total)
 
 	for _, pp := range partial {
 		for _, r := range pp {
@@ -66,11 +59,11 @@ func mergeStitch(partial []geom.Polygon, bounds []float64, snapEps float64, p in
 				}
 				if a.Y == b.Y {
 					if bi, ok := interior[a.Y]; ok {
-						if a.X < b.X {
-							capsPer[bi] = append(capsPer[bi], capIv{a.X, b.X, +1})
-						} else {
-							capsPer[bi] = append(capsPer[bi], capIv{b.X, a.X, -1})
+						c := ringstitch.Cap{Y: lineY[bi], X0: a.X, X1: b.X, Dir: +1}
+						if b.X < a.X {
+							c.X0, c.X1, c.Dir = b.X, a.X, -1
 						}
+						capsPer[bi] = append(capsPer[bi], c)
 						continue
 					}
 				}
@@ -79,39 +72,10 @@ func mergeStitch(partial []geom.Polygon, bounds []float64, snapEps float64, p in
 		}
 	}
 
-	// Net interval sweep per interior boundary, in parallel.
+	// Net cancellation per interior boundary, in parallel.
 	results := make([][]ringstitch.Edge, len(bounds))
 	par.ForEachItem(len(bounds), p, func(bi int) {
-		ivs := capsPer[bi]
-		if len(ivs) == 0 {
-			return
-		}
-		y := snapY(bounds[bi])
-		xs := make([]float64, 0, 2*len(ivs))
-		for _, iv := range ivs {
-			xs = append(xs, iv.x0, iv.x1)
-		}
-		xs = segtree.Dedup(xs)
-		net := make([]int, len(xs)-1)
-		for _, iv := range ivs {
-			a := sort.SearchFloat64s(xs, iv.x0)
-			b := sort.SearchFloat64s(xs, iv.x1)
-			for i := a; i < b; i++ {
-				net[i] += iv.dir
-			}
-		}
-		var out []ringstitch.Edge
-		for i, nv := range net {
-			a := geom.Point{X: xs[i], Y: y}
-			b := geom.Point{X: xs[i+1], Y: y}
-			for ; nv > 0; nv-- {
-				out = append(out, ringstitch.Edge{From: a, To: b})
-			}
-			for ; nv < 0; nv++ {
-				out = append(out, ringstitch.Edge{From: b, To: a})
-			}
-		}
-		results[bi] = out
+		results[bi] = ringstitch.NetCaps(nil, capsPer[bi])
 	})
 	for _, es := range results {
 		rest = append(rest, es...)

@@ -11,6 +11,7 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -64,6 +65,15 @@ func (p Point) Less(q Point) bool {
 		return p.Y < q.Y
 	}
 	return p.X < q.X
+}
+
+// Compare is the three-way form of Less, for sorting: -1, 0 or +1. Like
+// ==, it treats -0 and +0 as equal; NaN sorts first.
+func (p Point) Compare(q Point) int {
+	if c := cmp.Compare(p.Y, q.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.X, q.X)
 }
 
 func (p Point) String() string { return fmt.Sprintf("(%g,%g)", p.X, p.Y) }

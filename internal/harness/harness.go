@@ -306,7 +306,7 @@ func Fig12(threads int, scale float64, seed int64) Result {
 		_, st := core.ClipLayers(w.a, w.b, w.op, core.Options{Threads: 1, Slabs: threads})
 		parTime := st.ModelledParallel(threads)
 		rows = append(rows, row(w.name, ms(seq), ms(arc), ms(parTime),
-			fmt.Sprintf("%.1f", float64(arc)/float64(parTime))))
+			fmt.Sprintf("%.3g", float64(arc)/float64(parTime))))
 	}
 	text := fmt.Sprintf("Figure 12 — absolute speedup vs modelled ArcGIS baseline (paper ratio %.1fx), %d threads\n", ArcGISRatio, threads) +
 		formatRows(header, rows)

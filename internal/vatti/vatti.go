@@ -17,8 +17,9 @@
 package vatti
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"polyclip/internal/arrange"
 	"polyclip/internal/engine"
@@ -151,20 +152,16 @@ func Assemble(tzs []Trapezoid) geom.Polygon {
 	// (e.g. the two edges of a crossing). Cluster near-identical corners
 	// onto shared representatives so the edge graph balances exactly.
 	tzs = snapCorners(tzs)
-	// Cap intervals per boundary y: +1 for bottom caps (interior above),
-	// -1 for top caps (interior below).
-	type capIv struct {
-		x0, x1 float64
-		dir    int
-	}
-	caps := make(map[float64][]capIv, 64)
-	var sides []ringstitch.Edge
+	// Caps: +1 for bottom caps (interior above), -1 for top caps (interior
+	// below).
+	caps := make([]ringstitch.Cap, 0, 2*len(tzs))
+	sides := make([]ringstitch.Edge, 0, 2*len(tzs))
 	for _, tz := range tzs {
 		if tz.R1.X > tz.L1.X {
-			caps[tz.L1.Y] = append(caps[tz.L1.Y], capIv{tz.L1.X, tz.R1.X, +1})
+			caps = append(caps, ringstitch.Cap{Y: tz.L1.Y, X0: tz.L1.X, X1: tz.R1.X, Dir: +1})
 		}
 		if tz.R2.X > tz.L2.X {
-			caps[tz.L2.Y] = append(caps[tz.L2.Y], capIv{tz.L2.X, tz.R2.X, -1})
+			caps = append(caps, ringstitch.Cap{Y: tz.L2.Y, X0: tz.L2.X, X1: tz.R2.X, Dir: -1})
 		}
 		// Right side up, left side down (interior on the left).
 		if tz.R1 != tz.R2 {
@@ -174,55 +171,10 @@ func Assemble(tzs []Trapezoid) geom.Polygon {
 			sides = append(sides, ringstitch.Edge{From: tz.L2, To: tz.L1})
 		}
 	}
-
-	edges := ringstitch.CancelOpposites(sides)
-
-	// Per boundary: net coverage sweep over the interval endpoints, in
-	// ascending y — the caps map's iteration order is randomized per
-	// process, and the emission order below decides where Stitch starts
-	// each output ring, so iterating the map directly would rotate rings
-	// differently on every run. The endpoint and coverage buffers are
-	// reused across boundaries.
-	capYs := make([]float64, 0, len(caps))
-	for y := range caps {
-		capYs = append(capYs, y)
-	}
-	sort.Float64s(capYs)
-	var xs []float64
-	var net []int
-	for _, y := range capYs {
-		ivs := caps[y]
-		xs = xs[:0]
-		for _, iv := range ivs {
-			xs = append(xs, iv.x0, iv.x1)
-		}
-		xs = segtree.Dedup(xs)
-		if cap(net) < len(xs)-1 {
-			net = make([]int, len(xs)-1)
-		}
-		net = net[:len(xs)-1]
-		for i := range net {
-			net[i] = 0
-		}
-		for _, iv := range ivs {
-			a := sort.SearchFloat64s(xs, iv.x0)
-			b := sort.SearchFloat64s(xs, iv.x1)
-			for i := a; i < b; i++ {
-				net[i] += iv.dir
-			}
-		}
-		for i, nv := range net {
-			a := geom.Point{X: xs[i], Y: y}
-			b := geom.Point{X: xs[i+1], Y: y}
-			switch {
-			case nv > 0: // interior above only: boundary traversed +x
-				edges = append(edges, ringstitch.Edge{From: a, To: b})
-			case nv < 0: // interior below only: boundary traversed -x
-				edges = append(edges, ringstitch.Edge{From: b, To: a})
-			}
-		}
-	}
-	return ringstitch.Stitch(edges)
+	// Cap lines in ascending y, each line's caps in trapezoid order: the
+	// emission order decides where Stitch starts each output ring.
+	slices.SortStableFunc(caps, func(a, b ringstitch.Cap) int { return cmp.Compare(a.Y, b.Y) })
+	return ringstitch.Stitch(ringstitch.NetCaps(ringstitch.CancelOpposites(sides), caps))
 }
 
 // snapCorners welds trapezoid corners that represent the same arrangement

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"polyclip/internal/data"
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
 )
@@ -209,5 +210,45 @@ func TestTriStripTriangleDegeneration(t *testing.T) {
 	}
 	if math.Abs(strips[0].Area()-2) > 1e-12 {
 		t.Errorf("area = %v", strips[0].Area())
+	}
+}
+
+// assembleInputs are the trapezoids BenchmarkAssemble and the allocation
+// pin merge: the difference of two hexagons (a 12-edge pair clip, 8
+// trapezoids) and the union of two 2048-edge polygons.
+func assembleInputs() []struct {
+	name string
+	tzs  []Trapezoid
+} {
+	hexA := geom.Polygon{geom.RegularPolygon(geom.Point{}, 10, 6, 0)}
+	hexB := geom.Polygon{geom.RegularPolygon(geom.Point{X: 5, Y: 3}, 10, 6, 0.3)}
+	a, b := data.SyntheticPair(1, 2048, 2048)
+	return []struct {
+		name string
+		tzs  []Trapezoid
+	}{
+		{"pair=12", Trapezoids(hexA, hexB, Difference)},
+		{"union=4096", Trapezoids(a, b, Union)},
+	}
+}
+
+func TestAssembleAllocs(t *testing.T) {
+	in := assembleInputs()[0]
+	if len(in.tzs) != 8 {
+		t.Fatalf("%s: %d trapezoids, want 8", in.name, len(in.tzs))
+	}
+	if got := testing.AllocsPerRun(50, func() { Assemble(in.tzs) }); got != 16 {
+		t.Errorf("%s: Assemble allocates %v objects/op, pinned at 16", in.name, got)
+	}
+}
+
+func BenchmarkAssemble(b *testing.B) {
+	for _, in := range assembleInputs() {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Assemble(in.tzs)
+			}
+		})
 	}
 }
