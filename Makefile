@@ -12,7 +12,7 @@ COVER_PKGS_TILES := ./internal/prepared/ ./internal/tile/
 PROFILE_EXP ?= table2
 PROFILE_DIR ?= /tmp/polyclip-prof
 
-.PHONY: check fmt build vet test benchmark-module cover race differential conformance bench-smoke fuzz chaos profile clipd loadtest bench scaling tile-bench
+.PHONY: check fmt build vet test benchmark-module cover race differential conformance bench-smoke fuzz chaos profile clipd bench
 
 check: fmt vet build test benchmark-module cover race differential conformance bench-smoke fuzz chaos
 
@@ -113,26 +113,8 @@ chaos:
 bench:
 	go test -run='^$$' -bench='Fig8SlabClipPair|AlgorithmOne' -benchtime=1x -cpu 1,2 .
 
-# Full scaling curve: Fig8SlabClipPair and AlgorithmOne at 1/2/4/8 workers,
-# recorded to BENCH_scaling.json with the host's core count (the honest
-# context for interpreting the curve — see EXPERIMENTS.md).
-scaling:
-	sh scripts/bench_scaling.sh
-
-# Vector-tile pyramid-cutting benchmark: naive per-tile clips vs the
-# prepared pipeline, recorded to BENCH_tiles.json with embedded contract
-# gates (prepared >= 2x naive; output bit-identical at 1/2/8 threads).
-# Tune with TILES_RINGS / TILES_MAXZOOM.
-tile-bench:
-	sh scripts/bench_tiles.sh
-
 # Build the serving daemon.
 clipd:
 	go build -o bin/clipd ./cmd/clipd
 	go build -o bin/clipload ./cmd/clipload
 	@echo "built bin/clipd and bin/clipload"
-
-# Reproduce BENCH_clipd.json: clipd under open-loop load at two rates,
-# a misbehaving-client phase, and a fault-injection (chaos-mode) phase.
-loadtest: clipd
-	sh scripts/bench_clipd.sh

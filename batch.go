@@ -8,8 +8,8 @@ import (
 )
 
 // BatchOptions configures the batch overlay (OverlayBatchCtx): the
-// million-feature streaming pipeline with spatial-join bucketing, parallel
-// per-bucket clips, and the arrangement cache.
+// million-feature streaming pipeline with spatial-join bucketing and
+// parallel per-bucket clips, each distinct operand pair clipped once.
 type BatchOptions struct {
 	// Rule is the fill rule for every per-pair clip (default EvenOdd).
 	Rule FillRule
@@ -20,11 +20,6 @@ type BatchOptions struct {
 	Threads int
 	// Buckets is the spatial bucket count; <= 0 derives 4 per thread.
 	Buckets int
-	// NoCache disables the arrangement cache (every pair resolves and clips
-	// from scratch). By default the process-wide shared cache is used, so
-	// repeated operands across calls — shared basemaps, common clip masks —
-	// are resolved once.
-	NoCache bool
 	// NoFallback disables the per-pair engine rescue, surfacing the first
 	// pair failure directly.
 	NoFallback bool
@@ -35,8 +30,10 @@ type BatchOptions struct {
 // makes results bit-identical regardless of thread count or scheduling.
 type BatchOutput = batch.Output
 
-// BatchStats reports a batch overlay run's shape and cost, including the
-// arrangement cache's hit/miss/bytes delta for the run.
+// BatchStats reports a batch overlay run's shape and cost. Its Cache field
+// counts the run's candidate pairs by operand digest pair: Hits is the pairs
+// served by an earlier identical pair, Misses and Entries the distinct pairs
+// clipped; Bytes is 0, since nothing outlives the call.
 type BatchStats = batch.Stats
 
 // OverlayBatchCtx streams two feature layers from r A and B — each WKT (one
@@ -44,7 +41,7 @@ type BatchStats = batch.Stats
 // and clips every candidate feature pair: the scalable batch form of
 // OverlayLayers. Candidate pairs come from a streaming R-tree MBR join,
 // grouped into spatial buckets and fanned out over the work-stealing pool;
-// repeated operands hit the arrangement cache instead of re-resolving.
+// a repeated operand pair is clipped once and its result shared.
 func OverlayBatchCtx(ctx context.Context, a, b io.Reader, op Op, opt BatchOptions) ([]BatchOutput, *BatchStats, error) {
 	fa, err := batch.ReadFeatures(a)
 	if err != nil {
@@ -64,7 +61,6 @@ func OverlayBatchLayersCtx(ctx context.Context, a, b Layer, op Op, opt BatchOpti
 		Engine:     opt.Engine,
 		Threads:    opt.Threads,
 		Buckets:    opt.Buckets,
-		NoCache:    opt.NoCache,
 		NoFallback: opt.NoFallback,
 	})
 }

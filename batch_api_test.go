@@ -42,8 +42,7 @@ func TestOverlayBatchLayersCtxMatchesOverlayLayers(t *testing.T) {
 		{{{X: 2, Y: 2}, {X: 6, Y: 2}, {X: 6, Y: 6}, {X: 2, Y: 6}}},
 		{{{X: 9, Y: 9}, {X: 11, Y: 9}, {X: 11, Y: 11}, {X: 9, Y: 11}}},
 	}
-	outs, _, err := OverlayBatchLayersCtx(context.Background(), a, b, Intersection,
-		BatchOptions{NoCache: true})
+	outs, _, err := OverlayBatchLayersCtx(context.Background(), a, b, Intersection, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,8 +274,8 @@ func BenchmarkAblationEngines(b *testing.B) {
 }
 
 // BenchmarkAlgorithmOne measures the fully parallel scanbeam pipeline.
-// The thread ladder matches BenchmarkFig8SlabClipPair so scripts/
-// bench_scaling.sh can record one scaling curve per algorithm.
+// The thread ladder matches BenchmarkFig8SlabClipPair, so the two read as
+// one scaling curve per algorithm (make bench runs both at 1 and 2 CPUs).
 func BenchmarkAlgorithmOne(b *testing.B) {
 	subject, clip := data.SyntheticPair(10, 4000, 4000)
 	for _, p := range []int{1, 2, 4, 8} {

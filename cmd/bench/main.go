@@ -30,10 +30,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments, or 'all'")
 	scale := flag.Float64("scale", 0.005, "dataset scale for Table III workloads (1.0 = full paper size)")
-	features := flag.Int("features", 200000, "feature count per layer for the overlay experiment")
-	repeat := flag.Float64("repeat", 0.5, "repeated-operand fraction for the overlay experiment")
-	rings := flag.Int("rings", 64, "layer ring count for the tiles experiment")
-	maxZoom := flag.Int("maxzoom", 6, "deepest pyramid zoom for the tiles experiment")
 	seed := flag.Int64("seed", 42, "random seed")
 	threads := flag.String("threads", "1,2,4,8,16,32,64", "thread counts for scaling experiments")
 	asJSON := flag.Bool("json", false, "emit one JSON object per experiment instead of formatted text")
@@ -128,25 +124,11 @@ func main() {
 	})
 	run("ablations", func() harness.Result { return harness.Ablations(*seed) })
 	run("resilience", func() harness.Result { return harness.ResilienceSummary(105, *seed) })
-	// The overlay benchmark is explicit-only (not part of 'all'): at its
-	// default million-feature scale it dwarfs every other experiment.
-	if want["overlay"] {
-		run("overlay", func() harness.Result {
-			return harness.Overlay(*features, *repeat, runtime.NumCPU(), *seed)
-		})
-	}
-	// The tiles benchmark is likewise explicit-only: its naive baseline
-	// re-clips the whole layer per tile by design.
-	if want["tiles"] {
-		run("tiles", func() harness.Result {
-			return harness.Tiles(*rings, *maxZoom, runtime.NumCPU(), *seed)
-		})
-	}
 
 	if !all {
 		for e := range want {
 			switch e {
-			case "table1", "table2", "table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "pram", "ablations", "resilience", "overlay", "tiles":
+			case "table1", "table2", "table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "pram", "ablations", "resilience":
 			default:
 				fmt.Fprintf(os.Stderr, "unknown experiment %q\n", e)
 				os.Exit(2)

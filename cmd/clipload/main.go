@@ -3,8 +3,8 @@
 // gated on completions, so queueing at the server is real queueing), with a
 // configurable fraction of misbehaving clients — slow request bodies, junk
 // geometry, and mid-flight cancels — and reports throughput and latency
-// percentiles per phase as JSON. BENCH_clipd.json is assembled from its
-// output (see scripts/bench_clipd.sh and EXPERIMENTS.md).
+// percentiles per phase as JSON, with shed answers missing Retry-After and
+// requests that got no HTTP answer counted per phase.
 //
 // Usage:
 //

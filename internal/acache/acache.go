@@ -1,16 +1,9 @@
-// Package acache is the arrangement cache of the batch overlay and the tile
-// pipeline: a byte-bounded LRU over canonical geometry digests (geom.Hash)
-// with singleflight admission, so repeated operands — shared basemaps,
-// common clip masks, duplicated features — pay for arrangement resolution
-// and clipping once per distinct geometry instead of once per occurrence.
-//
-// Two tiers share one LRU budget:
-//
-//   - the clip tier memoizes whole clip results, keyed by both operand
-//     digests, the engine name and the (op, rule) pair — sound because equal
-//     digests mean equal operands and every engine is deterministic;
-//   - the prepare tier memoizes one layer's canonical form per rule
-//     (internal/prepared's Canonicalize).
+// Package acache is the tile pipeline's prepare cache: a byte-bounded LRU
+// over canonical geometry digests (geom.Hash) with singleflight admission.
+// It memoizes one layer's canonical form per fill rule (internal/prepared's
+// Canonicalize), so a layer cut repeatedly — at several zoom ranges, or by
+// one POST /tile after another — resolves once per distinct geometry
+// instead of once per cut.
 //
 // Values are immutable once inserted (the pipeline never mutates polygons
 // it was handed), so cached polygons are shared across goroutines without
@@ -25,27 +18,19 @@ import (
 	"polyclip/internal/geom"
 )
 
-// value kinds, part of the cache key so the tiers cannot collide.
-const (
-	kindClip    = 1
-	kindPrepare = 2
-)
-
-// Key identifies one cached computation.
-type Key struct {
-	A, B geom.Digest
-	Eng  uint64 // engine-name hash, 0 for the prepare tier
-	Op   uint8
-	Rule uint8
-	Kind uint8
+// key identifies one cached canonical form: the layer's digest and the
+// fill rule it was canonicalized under.
+type key struct {
+	d    geom.Digest
+	rule engine.FillRule
 }
 
 // entry is one cache slot. Until the leader finishes, ready is non-nil and
 // the entry is absent from the LRU list (in-flight entries cannot be
 // evicted); once ready is closed and nilled, val/bytes are immutable.
 type entry struct {
-	key   Key
-	val   []geom.Polygon
+	key   key
+	val   geom.Polygon
 	bytes int64
 	ready chan struct{} // nil once the value is usable
 	elem  *list.Element // nil while in flight
@@ -59,7 +44,7 @@ type Cache struct {
 	max       int64
 	bytes     int64
 	ll        *list.List // front = most recent; holds *entry, ready only
-	m         map[Key]*entry
+	m         map[key]*entry
 	hits      uint64
 	misses    uint64
 	waits     uint64
@@ -74,12 +59,11 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &Cache{max: maxBytes, ll: list.New(), m: make(map[Key]*entry)}
+	return &Cache{max: maxBytes, ll: list.New(), m: make(map[key]*entry)}
 }
 
-// shared is the process-wide cache the serve layer and the public batch API
-// default to. 256 MiB holds roughly a million small resolved features —
-// sized for the ROADMAP's million-feature overlay on one node.
+// shared is the process-wide cache the tile pipeline defaults to (the
+// serve layer's POST /tile among them).
 var (
 	sharedOnce sync.Once
 	sharedC    *Cache
@@ -92,7 +76,8 @@ func Shared() *Cache {
 }
 
 // Stats is a point-in-time counter snapshot. The JSON tags are a stable
-// contract: they surface verbatim in batch Stats and /statz.
+// contract: they surface verbatim in batch Stats and TileStats, and as the
+// cache gauges of /statz.
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -113,7 +98,7 @@ func (s Stats) HitRate() float64 {
 }
 
 // Delta returns s with prev's monotonic counters subtracted — the per-run
-// view batch Stats reports against the shared cache.
+// view TileStats reports against the shared cache.
 func (s Stats) Delta(prev Stats) Stats {
 	s.Hits -= prev.Hits
 	s.Misses -= prev.Misses
@@ -147,14 +132,21 @@ func polyBytes(p geom.Polygon) int64 {
 	return n
 }
 
-// do is the singleflight core: return the cached value for k, or run
-// compute exactly once per concurrent cohort. A panic in compute removes
-// the placeholder (waiters retry, one becoming the next leader) and
-// propagates to the leader's caller.
-func (c *Cache) do(k Key, compute func() []geom.Polygon) []geom.Polygon {
+// Prepared returns the cached canonical form of the single layer with
+// digest d under rule — the output of prepared.Canonicalize — running
+// compute exactly once per distinct (digest, rule) and concurrent cohort.
+// The tile pyramid cutter funnels per-zoom and per-request preparation
+// through it so a layer cut repeatedly (or at several zoom ranges) resolves
+// once; the cheap index build still runs per Prepared. The closure
+// indirection keeps this package free of an internal/prepared dependency.
+//
+// A panic in compute removes the placeholder (waiters retry, one becoming
+// the next leader) and propagates to the leader's caller.
+func (c *Cache) Prepared(d geom.Digest, rule engine.FillRule, compute func() geom.Polygon) geom.Polygon {
 	if c == nil {
 		return compute()
 	}
+	k := key{d: d, rule: rule}
 	for {
 		c.mu.Lock()
 		e := c.m[k]
@@ -182,15 +174,14 @@ func (c *Cache) do(k Key, compute func() []geom.Polygon) []geom.Polygon {
 }
 
 // lead runs compute for the placeholder entry e and publishes the result.
-func (c *Cache) lead(e *entry, compute func() []geom.Polygon) []geom.Polygon {
+func (c *Cache) lead(e *entry, compute func() geom.Polygon) geom.Polygon {
 	done := false
 	defer func() {
 		if done {
 			return
 		}
 		// compute panicked: withdraw the placeholder so waiters retry, then
-		// let the panic continue to the caller (the batch layer's per-pair
-		// guard turns it into a rescue).
+		// let the panic continue to the caller.
 		c.mu.Lock()
 		delete(c.m, e.key)
 		c.mu.Unlock()
@@ -199,10 +190,7 @@ func (c *Cache) lead(e *entry, compute func() []geom.Polygon) []geom.Polygon {
 	val := compute()
 	done = true
 
-	var size int64
-	for _, p := range val {
-		size += polyBytes(p)
-	}
+	size := polyBytes(val)
 	if size > c.max/4 {
 		// Oversized value: admitting it would evict a quarter of the cache
 		// for one entry. Serve it uncached; waiters recompute.
@@ -231,47 +219,4 @@ func (c *Cache) lead(e *entry, compute func() []geom.Polygon) []geom.Polygon {
 	c.mu.Unlock()
 	close(ready)
 	return val
-}
-
-// engHash hashes an engine name for the clip-tier key (FNV-1a).
-func engHash(name string) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 0x100000001b3
-	}
-	return h
-}
-
-// Prepared returns the cached canonical form of the single layer with
-// digest d under rule — the output of prepared.Canonicalize — running
-// compute exactly once per distinct (digest, rule). The tile pyramid driver
-// funnels per-zoom and per-request preparation through this tier so a layer
-// cut repeatedly (or at several zoom ranges) resolves once; the cheap index
-// build still runs per Prepared. The closure indirection keeps this package
-// free of an internal/prepared dependency.
-func (c *Cache) Prepared(d geom.Digest, rule engine.FillRule, compute func() geom.Polygon) geom.Polygon {
-	if c == nil {
-		return compute()
-	}
-	v := c.do(Key{A: d, Rule: uint8(rule), Kind: kindPrepare},
-		func() []geom.Polygon { return []geom.Polygon{compute()} })
-	return v[0]
-}
-
-// Clip returns the cached result of `a op b` under (engineName, rule) for
-// the digest pair, running compute exactly once per distinct key. compute
-// must be deterministic for the key — true of every registered engine run
-// single-threaded, which is how the batch overlay invokes them.
-func (c *Cache) Clip(da, db geom.Digest, op engine.Op, rule engine.FillRule, engineName string, compute func() geom.Polygon) geom.Polygon {
-	if c == nil {
-		return compute()
-	}
-	v := c.do(Key{
-		A: da, B: db,
-		Eng:  engHash(engineName),
-		Op:   uint8(op),
-		Rule: uint8(rule),
-		Kind: kindClip,
-	}, func() []geom.Polygon { return []geom.Polygon{compute()} })
-	return v[0]
 }

@@ -5,16 +5,17 @@
 //
 //	stream features (WKT / GeoJSON)           internal/geojson, internal/wkt
 //	  -> bulk-load MBRs, streaming MBR join   internal/rtree (JoinVisit)
-//	    -> spatial buckets of candidate pairs (grid over the joint extent)
-//	      -> parallel per-bucket clips        internal/par work-stealing pool
-//	        -> engine registry per pair       internal/engine
-//	          -> arrangement cache            internal/acache (geom.Hash keys)
+//	    -> digest-pair groups of the call     geom.Hash of each operand
+//	      -> spatial buckets of first pairs   (grid over the joint extent)
+//	        -> parallel per-bucket clips      internal/par work-stealing pool
+//	          -> engine registry per pair     internal/engine
 //
 // The MBR join is the paper's Algorithm 2 candidate filter applied at the
 // layer level: per-bucket work is proportional to actual MBR overlaps, not
-// to |A|·|B|. The arrangement cache adds operand-level output sensitivity:
-// repeated operands (shared basemaps, duplicated features) resolve and clip
-// once per distinct geometry.
+// to |A|·|B|. Grouping the candidate pairs by operand digests adds
+// operand-level output sensitivity: repeated operands (shared basemaps,
+// duplicated features) clip once per distinct pair within a call, and
+// nothing outlives the call.
 //
 // Output is canonically ordered by (A, B) feature index, which makes the
 // result bit-identical regardless of thread count, bucket partition, or
@@ -51,12 +52,6 @@ type Options struct {
 	// into; <= 0 derives 4 buckets per thread (enough slack for the
 	// work-stealing pool to balance skewed clusters).
 	Buckets int
-	// Cache is the arrangement cache; nil uses the process-wide shared
-	// cache unless NoCache is set.
-	Cache *acache.Cache
-	// NoCache disables caching entirely (every pair resolves and clips
-	// from scratch) — the cold baseline of the overlay benchmark.
-	NoCache bool
 	// NoFallback disables the per-pair engine rescue, surfacing the first
 	// pair failure directly.
 	NoFallback bool
@@ -84,8 +79,15 @@ type Stats struct {
 	Hash           time.Duration `json:"hashNs"`
 	Index          time.Duration `json:"indexNs"`
 	Clip           time.Duration `json:"clipNs"`
-	Cache          acache.Stats  `json:"cache"` // this run's delta
+	// Cache counts the call's digest-pair groups: Hits is the pairs served
+	// by an earlier identical pair, Misses and Entries are the distinct
+	// pairs clipped. Bytes is 0: nothing is retained after the call.
+	Cache acache.Stats `json:"cache"`
 }
+
+// candidate is one MBR-join pair, feature A[a] × B[b], and the index of its
+// digest-pair group.
+type candidate struct{ a, b, group int32 }
 
 // Overlay clips every candidate feature pair of the two layers and returns
 // the non-empty results in canonical (A, B) order. An out-of-range rule or
@@ -108,31 +110,25 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 	if !ok {
 		return nil, nil, fmt.Errorf("engine %q: %w", name, engine.ErrUnsupported)
 	}
-	cache := opt.Cache
-	if cache == nil && !opt.NoCache {
-		cache = acache.Shared()
-	}
-	if opt.NoCache {
-		cache = nil
-	}
 	threads := opt.Threads
 	if threads <= 0 {
 		threads = par.DefaultParallelism()
 	}
 
 	st := &Stats{FeaturesA: len(a), FeaturesB: len(b)}
-	cacheBefore := cache.Stats()
 
 	// Canonical digests, once per feature. Repeated operands inside or
-	// across the layers collapse onto the same cache keys here.
+	// across the layers collapse onto the same digest pair here.
 	t0 := time.Now()
 	da := hashAll(ctx, a, threads)
 	db := hashAll(ctx, b, threads)
 	st.Hash = time.Since(t0)
 
-	// Bulk-load the B MBRs, then stream the spatial join directly into
-	// buckets: each candidate pair lands in the grid cell of its shared-MBR
-	// center without the full pair list ever existing.
+	// Bulk-load the B MBRs, then stream the spatial join into digest-pair
+	// groups. Equal digests mean equal operands and every engine is
+	// deterministic, so only a group's first pair is clipped: it lands in
+	// the grid cell of its shared-MBR center, and the rest of the group
+	// takes its result after the clip phase.
 	t1 := time.Now()
 	boxesA := make([]geom.BBox, len(a))
 	boxesB := make([]geom.BBox, len(b))
@@ -153,7 +149,7 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 	if g < 1 {
 		g = 1
 	}
-	buckets := make([][][2]int32, g*g)
+	buckets := make([][]int32, g*g) // group indices
 	w, h := ext.Width(), ext.Height()
 	cellOf := func(ba, bb geom.BBox) int {
 		cx := (math.Max(ba.MinX, bb.MinX) + math.Min(ba.MaxX, bb.MaxX)) / 2
@@ -169,17 +165,28 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 		gy = clamp(gy, g-1)
 		return gy*g + gx
 	}
+	var cands []candidate // every candidate pair, in join order
+	var lead [][2]int32   // lead[g] is the first pair of group g
 	if len(a) > 0 && len(b) > 0 {
+		groups := make(map[[2]geom.Digest]int32)
 		tr := rtree.Build(len(boxesB), func(j int32) geom.BBox { return boxesB[j] })
 		tr.JoinVisit(len(a),
 			func(i int32) geom.BBox { return boxesA[i] },
 			func(j int32) geom.BBox { return boxesB[j] },
 			func(i, j int32) {
-				st.CandidatePairs++
-				c := cellOf(boxesA[i], boxesB[j])
-				buckets[c] = append(buckets[c], [2]int32{i, j})
+				key := [2]geom.Digest{da[i], db[j]}
+				gi, ok := groups[key]
+				if !ok {
+					gi = int32(len(lead))
+					groups[key] = gi
+					lead = append(lead, [2]int32{i, j})
+					c := cellOf(boxesA[i], boxesB[j])
+					buckets[c] = append(buckets[c], gi)
+				}
+				cands = append(cands, candidate{i, j, gi})
 			})
 	}
+	st.CandidatePairs = len(cands)
 	active := make([]int, 0, len(buckets))
 	for c, prs := range buckets {
 		if len(prs) > 0 {
@@ -194,39 +201,40 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 		order = active
 	}
 
-	// Fan the buckets out over the work-stealing pool. Each pair clips
-	// single-threaded through the cache; outputs collect per bucket and are
+	// Fan the buckets out over the work-stealing pool. Each group's first
+	// pair clips single-threaded into the group's own slot; outputs are
 	// canonically sorted afterwards, so scheduling leaves no trace.
 	t2 := time.Now()
-	results := make([][]Output, len(order))
+	polys := make([]geom.Polygon, len(lead))
+	rescued := make([]bool, len(lead))
 	var firstErr atomic.Pointer[guard.ClipError]
-	var rescued atomic.Int32
 	werr := par.ForEachCtx(ctx, len(order), threads, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			var out []Output
-			for _, pr := range buckets[order[k]] {
+			for _, gi := range buckets[order[k]] {
 				if canceled(ctx) || firstErr.Load() != nil {
 					break
 				}
-				poly, wasRescued, ce := pairClip(ctx, cache, eng, opt,
-					a[pr[0]], b[pr[1]], da[pr[0]], db[pr[1]], op, pr)
+				pr := lead[gi]
+				poly, wasRescued, ce := pairClip(ctx, eng, opt, a[pr[0]], b[pr[1]], op, pr)
 				if ce != nil {
 					firstErr.CompareAndSwap(nil, ce)
 					break
 				}
-				if wasRescued {
-					rescued.Add(1)
-				}
-				if len(poly) > 0 {
-					out = append(out, Output{A: pr[0], B: pr[1], Poly: poly})
-				}
+				polys[gi], rescued[gi] = poly, wasRescued
 			}
-			results[k] = out
 		}
 	})
-	st.Rescued = int(rescued.Load())
 	if werr != nil {
-		return nil, st, werr
+		return nil, st, werr // workers may still be running: leave their slots alone
+	}
+	n := 0 // non-empty outputs
+	for _, c := range cands {
+		if rescued[c.group] {
+			st.Rescued++
+		}
+		if len(polys[c.group]) > 0 {
+			n++
+		}
 	}
 	if ce := firstErr.Load(); ce != nil {
 		return nil, st, ce
@@ -235,16 +243,14 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 		return nil, st, err
 	}
 
-	n := 0
-	for _, r := range results {
-		n += len(r)
-	}
+	// Every candidate pair takes its group's result. Canonical order: (A, B)
+	// ascending, a total order since the join visits each pair once.
 	out := make([]Output, 0, n)
-	for _, r := range results {
-		out = append(out, r...)
+	for _, c := range cands {
+		if poly := polys[c.group]; len(poly) > 0 {
+			out = append(out, Output{A: c.a, B: c.b, Poly: poly})
+		}
 	}
-	// Canonical order: (A, B) ascending. Each pair occurs in exactly one
-	// bucket, so this is a total order independent of the bucketing.
 	sort.Slice(out, func(x, y int) bool {
 		if out[x].A != out[y].A {
 			return out[x].A < out[y].A
@@ -253,36 +259,32 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 	})
 	st.Outputs = len(out)
 	st.Clip = time.Since(t2)
-	st.Cache = cache.Stats().Delta(cacheBefore)
+	st.Cache = acache.Stats{
+		Hits:    uint64(len(cands) - len(lead)),
+		Misses:  uint64(len(lead)),
+		Entries: len(lead),
+	}
 	return out, st, nil
 }
 
-// pairClip clips one candidate pair through the cache with panic isolation,
-// mirroring core's pairClipSafe: a panicking engine is rescued once on
-// engine.Reference, clipping the raw operands uncached (the cache withdrew
-// its placeholder when the leader panicked).
-func pairClip(ctx context.Context, cache *acache.Cache, eng engine.Engine, opt Options,
-	fa, fb geom.Polygon, da, db geom.Digest, op engine.Op, pr [2]int32) (out geom.Polygon, wasRescued bool, ce *guard.ClipError) {
-	run := func(e engine.Engine, useCache bool) (p geom.Polygon, ce *guard.ClipError) {
+// pairClip clips one candidate pair with panic isolation, mirroring core's
+// pairClipSafe: a panicking engine is rescued once on engine.Reference.
+func pairClip(ctx context.Context, eng engine.Engine, opt Options,
+	fa, fb geom.Polygon, op engine.Op, pr [2]int32) (out geom.Polygon, wasRescued bool, ce *guard.ClipError) {
+	run := func(e engine.Engine) (p geom.Polygon, ce *guard.ClipError) {
 		defer func() {
 			if r := recover(); r != nil {
 				ce = guard.FromPanic("batch-clip", -1, [2]int{int(pr[0]), int(pr[1])}, r)
 			}
 		}()
 		guard.Hit("batch.pair-clip")
-		c := cache
-		if !useCache {
-			c = nil
+		res, err := e.Clip(ctx, fa, fb, op, engine.Options{Threads: 1, Rule: opt.Rule})
+		if err != nil {
+			panic(err) // recovered above; carried as ClipError.Err
 		}
-		return c.Clip(da, db, op, opt.Rule, e.Name(), func() geom.Polygon {
-			res, err := e.Clip(ctx, fa, fb, op, engine.Options{Threads: 1, Rule: opt.Rule})
-			if err != nil {
-				panic(err) // recovered above; carried as ClipError.Err
-			}
-			return res.Polygon
-		}), nil
+		return res.Polygon, nil
 	}
-	out, ce = run(eng, true)
+	out, ce = run(eng)
 	if ce == nil {
 		return out, false, nil
 	}
@@ -293,7 +295,7 @@ func pairClip(ctx context.Context, cache *acache.Cache, eng engine.Engine, opt O
 	if !ok {
 		return nil, false, ce
 	}
-	out, ce2 := run(alt, false)
+	out, ce2 := run(alt)
 	if ce2 != nil {
 		return nil, false, ce // surface the original failure
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"polyclip/internal/acache"
@@ -15,6 +16,7 @@ import (
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/guard"
+	"polyclip/internal/rtree"
 	"polyclip/internal/wkt"
 )
 
@@ -40,7 +42,7 @@ func render(outs []Output) string {
 func TestOverlayMatchesCoreLayers(t *testing.T) {
 	a, b := testLayers(300, 0)
 	outs, st, err := Overlay(context.Background(), a, b, engine.Intersection,
-		Options{Cache: acache.New(1 << 20), Threads: 4})
+		Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,64 +74,126 @@ func TestOverlayMatchesCoreLayers(t *testing.T) {
 	}
 }
 
-// TestOverlayDeterminism is the PR's determinism pin: bit-identical output
-// at threads 1/2/8 and under shuffled bucket processing order, cache on and
-// off.
+// TestOverlayDeterminism is the determinism pin: bit-identical output at
+// threads 1/2/8 and under shuffled bucket processing order.
 func TestOverlayDeterminism(t *testing.T) {
 	a, b := testLayers(400, 0.4)
 	const buckets = 9 // 3x3 grid
 	var want string
-	for _, cached := range []bool{true, false} {
-		for _, threads := range []int{1, 2, 8} {
-			for trial := 0; trial < 2; trial++ {
-				opt := Options{Threads: threads, Buckets: buckets, NoCache: !cached}
-				if cached {
-					opt.Cache = acache.New(4 << 20)
-				}
-				if trial == 1 {
-					opt.bucketOrder = rand.New(rand.NewSource(int64(threads))).Perm(buckets)
-				}
-				outs, _, err := Overlay(context.Background(), a, b, engine.Intersection, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := render(outs)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("output differs at threads=%d shuffled=%v cached=%v",
-						threads, trial == 1, cached)
-				}
+	for _, threads := range []int{1, 2, 8} {
+		for trial := 0; trial < 2; trial++ {
+			opt := Options{Threads: threads, Buckets: buckets}
+			if trial == 1 {
+				opt.bucketOrder = rand.New(rand.NewSource(int64(threads))).Perm(buckets)
+			}
+			outs, _, err := Overlay(context.Background(), a, b, engine.Intersection, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := render(outs)
+			if want == "" {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Fatalf("output differs at threads=%d shuffled=%v", threads, trial == 1)
 			}
 		}
 	}
 }
 
-// TestOverlayCacheHits checks the cache actually fires on repeated operands
-// and that a warm second run is all hits.
+// TestOverlayCacheHits checks repeated operands are served by an earlier
+// identical pair instead of being clipped again.
 func TestOverlayCacheHits(t *testing.T) {
 	a, b := testLayers(400, 0.5)
-	c := acache.New(16 << 20)
-	_, st1, err := Overlay(context.Background(), a, b, engine.Intersection,
-		Options{Cache: c, Threads: 2})
+	_, st, err := Overlay(context.Background(), a, b, engine.Intersection,
+		Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.Cache.Hits == 0 {
-		t.Fatalf("no cache hits despite 50%% repeated operands: %+v", st1.Cache)
+	if st.Cache.Hits == 0 {
+		t.Fatalf("no cache hits despite 50%% repeated operands: %+v", st.Cache)
 	}
-	_, st2, err := Overlay(context.Background(), a, b, engine.Intersection,
-		Options{Cache: c, Threads: 2})
+}
+
+// countingEngine delegates to vatti and counts the clips of each digest
+// pair: the fixture that shows one engine run per distinct pair.
+type countingEngine struct{}
+
+var (
+	countMu sync.Mutex
+	counts  map[[2]geom.Digest]int
+)
+
+func (countingEngine) Name() string { return "batch-test-counting" }
+func (countingEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
+	countMu.Lock()
+	counts[[2]geom.Digest{geom.Hash(a), geom.Hash(b)}]++
+	countMu.Unlock()
+	return engine.MustGet("vatti").Clip(ctx, a, b, op, opt)
+}
+
+func init() { engine.Register(countingEngine{}) }
+
+// TestOverlayClipsEachDigestPairOnce: within one call the engine runs once
+// per distinct (digest A, digest B) candidate pair, every other candidate
+// pair is a hit, and the output matches the engine it delegates to.
+func TestOverlayClipsEachDigestPairOnce(t *testing.T) {
+	a, b := testLayers(400, 0.5)
+	counts = map[[2]geom.Digest]int{}
+	outs, st, err := Overlay(context.Background(), a, b, engine.Intersection,
+		Options{Engine: "batch-test-counting", Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Cache.Misses != 0 {
-		t.Fatalf("warm run missed %d times", st2.Cache.Misses)
+	boxB := make([]geom.BBox, len(b))
+	for j, f := range b {
+		boxB[j] = f.BBox()
 	}
-	if got := st2.Cache.HitRate(); got != 1 {
-		t.Fatalf("warm hit rate %v, want 1", got)
+	pairs := 0
+	distinct := map[[2]geom.Digest]bool{}
+	rtree.Build(len(b), func(j int32) geom.BBox { return boxB[j] }).JoinVisit(len(a),
+		func(i int32) geom.BBox { return a[i].BBox() },
+		func(j int32) geom.BBox { return boxB[j] },
+		func(i, j int32) {
+			pairs++
+			distinct[[2]geom.Digest{geom.Hash(a[i]), geom.Hash(b[j])}] = true
+		})
+	if st.CandidatePairs != pairs || len(distinct) == pairs {
+		t.Fatalf("%d candidate pairs (join: %d), %d distinct: want repeats",
+			st.CandidatePairs, pairs, len(distinct))
+	}
+	if len(counts) != len(distinct) {
+		t.Fatalf("engine saw %d digest pairs, the join has %d", len(counts), len(distinct))
+	}
+	for k, n := range counts {
+		if n != 1 || !distinct[k] {
+			t.Fatalf("digest pair %v clipped %d times (a candidate: %v)", k, n, distinct[k])
+		}
+	}
+	if st.Cache.Misses != uint64(len(distinct)) || st.Cache.Entries != len(distinct) ||
+		st.Cache.Hits+st.Cache.Misses != uint64(st.CandidatePairs) || st.Cache.Bytes != 0 {
+		t.Fatalf("cache stats %+v for %d pairs, %d distinct", st.Cache, st.CandidatePairs, len(distinct))
+	}
+	ref, _, err := Overlay(context.Background(), a, b, engine.Intersection, Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render(outs) != render(ref) {
+		t.Fatal("grouped outputs differ from vatti's")
+	}
+}
+
+// TestOverlayLeavesSharedCacheAlone: a batch overlay keeps nothing past the
+// call, so the process-wide cache the tile pipeline uses does not move.
+func TestOverlayLeavesSharedCacheAlone(t *testing.T) {
+	a, b := testLayers(200, 0.5)
+	before := acache.Shared().Stats()
+	if _, _, err := Overlay(context.Background(), a, b, engine.Union, Options{Threads: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if after := acache.Shared().Stats(); after != before {
+		t.Fatalf("shared cache moved: %+v -> %+v", before, after)
 	}
 }
 
@@ -137,7 +201,7 @@ func TestOverlayOps(t *testing.T) {
 	a, b := testLayers(60, 0)
 	for _, op := range engine.Ops() {
 		outs, _, err := Overlay(context.Background(), a, b, op,
-			Options{NoCache: true, Threads: 2})
+			Options{Threads: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
@@ -163,10 +227,10 @@ func TestOverlayValidation(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Overlay(cancelled, a, b, engine.Intersection, Options{NoCache: true}); !errors.Is(err, context.Canceled) {
+	if _, _, err := Overlay(cancelled, a, b, engine.Intersection, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: %v", err)
 	}
-	outs, st, err := Overlay(context.Background(), nil, b, engine.Intersection, Options{NoCache: true})
+	outs, st, err := Overlay(context.Background(), nil, b, engine.Intersection, Options{})
 	if err != nil || len(outs) != 0 || st.CandidatePairs != 0 {
 		t.Fatalf("empty layer: %v %v %+v", outs, err, st)
 	}
@@ -188,7 +252,7 @@ func init() { engine.Register(panicEngine{}) }
 func TestOverlayPanicRescue(t *testing.T) {
 	a, b := testLayers(40, 0)
 	outs, st, err := Overlay(context.Background(), a, b, engine.Intersection,
-		Options{Engine: "batch-test-panic", NoCache: true, Threads: 2})
+		Options{Engine: "batch-test-panic", Threads: 2})
 	if err != nil {
 		t.Fatalf("rescue failed: %v", err)
 	}
@@ -196,7 +260,7 @@ func TestOverlayPanicRescue(t *testing.T) {
 		t.Fatalf("rescued %d of %d pairs", st.Rescued, st.CandidatePairs)
 	}
 	ref, _, err := Overlay(context.Background(), a, b, engine.Intersection,
-		Options{NoCache: true, Threads: 2})
+		Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +277,7 @@ func TestOverlayPanicRescue(t *testing.T) {
 	}
 
 	_, _, err = Overlay(context.Background(), a, b, engine.Intersection,
-		Options{Engine: "batch-test-panic", NoCache: true, NoFallback: true})
+		Options{Engine: "batch-test-panic", NoFallback: true})
 	var ce *guard.ClipError
 	if !errors.As(err, &ce) {
 		t.Fatalf("NoFallback: want *guard.ClipError, got %v", err)
@@ -269,7 +333,7 @@ func TestOverlayFromStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, _, err := Overlay(context.Background(), fa, fb, engine.Intersection, Options{NoCache: true})
+	outs, _, err := Overlay(context.Background(), fa, fb, engine.Intersection, Options{})
 	if err != nil || len(outs) != 1 {
 		t.Fatalf("%v (%d outputs)", err, len(outs))
 	}

@@ -22,9 +22,9 @@ type TileOptions struct {
 	// Naive disables the prepared pipeline (per-tile full clips) — the
 	// benchmark baseline.
 	Naive bool
-	// Cache is the arrangement cache; nil uses the process-wide shared
-	// cache unless NoCache is set. Repeated features (shared basemaps)
-	// canonicalize once via the prepare tier.
+	// Cache is the prepare cache; nil uses the process-wide shared cache
+	// unless NoCache is set. Repeated features (shared basemaps)
+	// canonicalize once.
 	Cache *acache.Cache
 	// NoCache disables caching entirely.
 	NoCache bool

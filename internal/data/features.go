@@ -9,7 +9,7 @@ import (
 
 // FeatureOptions configures the million-feature batch-overlay workload:
 // many small features over a shared extent, with a tunable fraction of
-// exact repeats so the arrangement cache has something to hit.
+// exact repeats for the overlay's digest-pair groups to share.
 type FeatureOptions struct {
 	// N is the feature count (default 1000).
 	N int

@@ -7,8 +7,8 @@ import "time"
 // of the public Stats type: internal/core and the root package alias it.
 //
 // The JSON tags are a stable serialization contract (lower-camel names,
-// durations as nanosecond integers) relied on by the clipd service and the
-// BENCH_clipd.json artifacts; renaming a tag is a breaking change.
+// durations as nanosecond integers) relied on by the clipd service's
+// responses and /statz; renaming a tag is a breaking change.
 type Stats struct {
 	// Engine is the registry name of the engine that produced the accepted
 	// result, recorded by the resilience chain.

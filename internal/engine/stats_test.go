@@ -11,8 +11,8 @@ import (
 )
 
 // TestStatsJSONRoundTrip pins the Stats serialization contract the clipd
-// service and the BENCH_clipd.json artifacts depend on: lower-camel field
-// names, durations as nanosecond integers, and a lossless round trip.
+// service's responses depend on: lower-camel field names, durations as
+// nanosecond integers, and a lossless round trip.
 func TestStatsJSONRoundTrip(t *testing.T) {
 	in := engine.Stats{
 		Engine:    "overlay",

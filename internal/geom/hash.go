@@ -10,8 +10,8 @@ import (
 // the ring structure. Equal polygons (same rings, same vertex order) always
 // produce equal digests; at 128 bits, distinct polygons colliding is
 // negligible even across billion-entry caches, which is what lets the
-// arrangement cache key resolved operands by digest alone instead of
-// retaining the operand geometry for verification.
+// prepare cache and the batch overlay's pair groups key operands by digest
+// alone instead of retaining the operand geometry for verification.
 //
 // The digest is canonical over the value, not the representation: -0.0
 // hashes as +0.0 (the two compare equal everywhere else in the pipeline),
@@ -54,10 +54,10 @@ func canonBits(v float64) uint64 {
 	return math.Float64bits(v)
 }
 
-// Hash returns the canonical 128-bit digest of p. It is the cache key of
-// the arrangement cache: repeated operands (shared basemaps, common clip
-// masks) hash identically, so their resolved arrangements are computed
-// once.
+// Hash returns the canonical 128-bit digest of p. It keys the tile
+// pipeline's prepare cache and the batch overlay's pair groups: repeated
+// operands (shared basemaps, common clip masks) hash identically, so their
+// work is done once.
 func Hash(p Polygon) Digest {
 	lo := uint64(hashOffsetLo)
 	hi := uint64(hashOffsetHi)

@@ -1,7 +1,5 @@
 package geom
 
-import "sort"
-
 // IsSimple reports whether the ring has no self-intersections: no two
 // non-adjacent edges share a point and no two adjacent edges overlap.
 func (r Ring) IsSimple() bool {
@@ -31,163 +29,4 @@ func (r Ring) IsSimple() bool {
 		}
 	}
 	return true
-}
-
-// RemoveCollinear returns the ring with vertices lying exactly on the
-// segment between their neighbours removed, along with consecutive
-// duplicates. Rings that collapse below three vertices return nil.
-func (r Ring) RemoveCollinear() Ring {
-	// Pass 1: drop consecutive duplicates (including the wrap pair).
-	dedup := make(Ring, 0, len(r))
-	for _, p := range r {
-		if len(dedup) == 0 || p != dedup[len(dedup)-1] {
-			dedup = append(dedup, p)
-		}
-	}
-	for len(dedup) > 1 && dedup[len(dedup)-1] == dedup[0] {
-		dedup = dedup[:len(dedup)-1]
-	}
-	n := len(dedup)
-	if n < 3 {
-		return nil
-	}
-	// Pass 2: drop vertices collinear between their (distinct) neighbours.
-	out := make(Ring, 0, n)
-	for i := 0; i < n; i++ {
-		prev := dedup[(i+n-1)%n]
-		cur := dedup[i]
-		next := dedup[(i+1)%n]
-		if Orient(prev, cur, next) == Collinear &&
-			cur.Sub(prev).Dot(next.Sub(prev)) >= 0 && cur.Dist(prev) <= next.Dist(prev) {
-			continue
-		}
-		out = append(out, cur)
-	}
-	if len(out) < 3 {
-		return nil
-	}
-	return out
-}
-
-// Normalize reorients the polygon's rings by containment depth: rings
-// contained in an even number of other rings (outer boundaries) become
-// counter-clockwise, odd-depth rings (holes) clockwise. Rings must not
-// cross each other (the clipping engines' output satisfies this). The
-// polygon is modified in place and returned.
-func (p Polygon) Normalize() Polygon {
-	n := len(p)
-	if n == 0 {
-		return p
-	}
-	depth := make([]int, n)
-	for i := 0; i < n; i++ {
-		if len(p[i]) == 0 {
-			continue
-		}
-		// Sample point: a vertex of ring i. Count rings containing it.
-		sample := p[i][0]
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if (Polygon{p[j]}).ContainsPoint(sample) {
-				depth[i]++
-			}
-		}
-	}
-	for i, r := range p {
-		ccw := r.IsCCW()
-		wantCCW := depth[i]%2 == 0
-		if ccw != wantCCW {
-			r.Reverse()
-		}
-	}
-	return p
-}
-
-// ConvexHull returns the convex hull of the points as a counter-clockwise
-// ring (Andrew's monotone chain). Returns nil for fewer than three
-// non-collinear points.
-func ConvexHull(pts []Point) Ring {
-	if len(pts) < 3 {
-		return nil
-	}
-	ps := make([]Point, len(pts))
-	copy(ps, pts)
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a].X != ps[b].X {
-			return ps[a].X < ps[b].X
-		}
-		return ps[a].Y < ps[b].Y
-	})
-	// Dedup.
-	uniq := ps[:0]
-	for i, p := range ps {
-		if i == 0 || p != uniq[len(uniq)-1] {
-			uniq = append(uniq, p)
-		}
-	}
-	ps = uniq
-	if len(ps) < 3 {
-		return nil
-	}
-
-	var lower, upper []Point
-	for _, p := range ps {
-		for len(lower) >= 2 && Orient(lower[len(lower)-2], lower[len(lower)-1], p) != CounterClockwise {
-			lower = lower[:len(lower)-1]
-		}
-		lower = append(lower, p)
-	}
-	for i := len(ps) - 1; i >= 0; i-- {
-		p := ps[i]
-		for len(upper) >= 2 && Orient(upper[len(upper)-2], upper[len(upper)-1], p) != CounterClockwise {
-			upper = upper[:len(upper)-1]
-		}
-		upper = append(upper, p)
-	}
-	hull := append(lower[:len(lower)-1], upper[:len(upper)-1]...)
-	if len(hull) < 3 {
-		return nil
-	}
-	return Ring(hull)
-}
-
-// Centroid returns the area centroid of the ring.
-func (r Ring) Centroid() Point {
-	n := len(r)
-	if n == 0 {
-		return Point{}
-	}
-	// Computed relative to the first vertex for numerical stability far
-	// from the origin.
-	o := r[0]
-	var cx, cy, a float64
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		pi, pj := r[i].Sub(o), r[j].Sub(o)
-		cross := pi.Cross(pj)
-		cx += (pi.X + pj.X) * cross
-		cy += (pi.Y + pj.Y) * cross
-		a += cross
-	}
-	if a == 0 {
-		// Degenerate: average the vertices.
-		var sx, sy float64
-		for _, p := range r {
-			sx += p.X
-			sy += p.Y
-		}
-		return Point{X: sx / float64(n), Y: sy / float64(n)}
-	}
-	return Point{X: o.X + cx/(3*a), Y: o.Y + cy/(3*a)}
-}
-
-// Perimeter returns the total boundary length of the polygon.
-func (p Polygon) Perimeter() float64 {
-	var sum float64
-	for _, e := range p.Edges() {
-		sum += e.Len()
-	}
-	return sum
 }

@@ -1,10 +1,6 @@
 package geom
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestIsSimple(t *testing.T) {
 	if !Rect(0, 0, 2, 2).IsSimple() {
@@ -23,143 +19,5 @@ func TestIsSimple(t *testing.T) {
 	spike := Ring{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 4, Y: 4}, {X: 2, Y: 4}, {X: 2, Y: 6}, {X: 2, Y: 4}, {X: 0, Y: 4}}
 	if spike.IsSimple() {
 		t.Error("spiked ring should not be simple")
-	}
-}
-
-func TestRemoveCollinear(t *testing.T) {
-	r := Ring{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 2}, {X: 0, Y: 2}}
-	got := r.RemoveCollinear()
-	if len(got) != 4 {
-		t.Errorf("vertices = %d, want 4 (got %v)", len(got), got)
-	}
-	if math.Abs(got.Area()-4) > 1e-12 {
-		t.Errorf("area = %v", got.Area())
-	}
-	// Duplicate vertices collapse too.
-	d := Ring{{X: 0, Y: 0}, {X: 0, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 2}, {X: 0, Y: 2}}
-	if got := d.RemoveCollinear(); len(got) != 4 {
-		t.Errorf("dup vertices = %d, want 4", len(got))
-	}
-	// Fully collinear ring collapses to nil.
-	line := Ring{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 2, Y: 0}}
-	if got := line.RemoveCollinear(); got != nil {
-		t.Errorf("collinear ring = %v", got)
-	}
-}
-
-func TestNormalizeOrientations(t *testing.T) {
-	outer := Rect(0, 0, 10, 10)
-	outer.Reverse()          // start CW
-	hole := Rect(2, 2, 8, 8) // CCW (wrong for a hole)
-	island := Rect(4, 4, 6, 6)
-	island.Reverse() // CW (wrong for an island)
-	p := Polygon{outer, hole, island}.Normalize()
-	if !p[0].IsCCW() {
-		t.Error("outer should be CCW")
-	}
-	if p[1].IsCCW() {
-		t.Error("hole should be CW")
-	}
-	if !p[2].IsCCW() {
-		t.Error("island should be CCW")
-	}
-	// Net signed area = 100 - 36 + 4 = 68.
-	var net float64
-	for _, r := range p {
-		net += r.SignedArea()
-	}
-	if math.Abs(net-68) > 1e-12 {
-		t.Errorf("net area = %v", net)
-	}
-}
-
-func TestConvexHullSquarePlusInterior(t *testing.T) {
-	pts := []Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}, {2, 2}, {1, 3}, {2, 1}}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull = %v", hull)
-	}
-	if !hull.IsCCW() {
-		t.Error("hull should be CCW")
-	}
-	if math.Abs(hull.Area()-16) > 1e-12 {
-		t.Errorf("hull area = %v", hull.Area())
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if ConvexHull([]Point{{0, 0}, {1, 1}}) != nil {
-		t.Error("two points should give nil hull")
-	}
-	if ConvexHull([]Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}) != nil {
-		t.Error("collinear points should give nil hull")
-	}
-	if ConvexHull([]Point{{0, 0}, {0, 0}, {1, 0}, {1, 0}}) != nil {
-		t.Error("two distinct points should give nil hull")
-	}
-}
-
-func TestConvexHullContainsAllPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := make([]Point, 200)
-	for i := range pts {
-		pts[i] = Point{X: rng.NormFloat64() * 10, Y: rng.NormFloat64() * 10}
-	}
-	hull := ConvexHull(pts)
-	if hull == nil {
-		t.Fatal("nil hull")
-	}
-	poly := Polygon{hull}
-	for _, p := range pts {
-		onHull := false
-		for _, h := range hull {
-			if h == p {
-				onHull = true
-			}
-		}
-		if !onHull && !poly.ContainsPoint(p) {
-			// Boundary points can be flaky with exact ray casting; verify by
-			// hull-edge orientation instead.
-			inside := true
-			for i := range hull {
-				j := (i + 1) % len(hull)
-				if Orient(hull[i], hull[j], p) == Clockwise {
-					inside = false
-				}
-			}
-			if !inside {
-				t.Fatalf("point %v outside hull", p)
-			}
-		}
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	r := Rect(0, 0, 4, 2)
-	c := r.Centroid()
-	if math.Abs(c.X-2) > 1e-12 || math.Abs(c.Y-1) > 1e-12 {
-		t.Errorf("centroid = %v", c)
-	}
-	// Centroid is translation-equivariant.
-	r2 := r.Translate(10, -5)
-	c2 := r2.Centroid()
-	if math.Abs(c2.X-12) > 1e-12 || math.Abs(c2.Y+4) > 1e-12 {
-		t.Errorf("translated centroid = %v", c2)
-	}
-	// Degenerate ring falls back to vertex average.
-	line := Ring{{X: 0, Y: 0}, {X: 2, Y: 0}}
-	lc := line.Centroid()
-	if math.Abs(lc.X-1) > 1e-12 {
-		t.Errorf("degenerate centroid = %v", lc)
-	}
-	if (Ring{}).Centroid() != (Point{}) {
-		t.Error("empty centroid should be origin")
-	}
-}
-
-func TestPerimeter(t *testing.T) {
-	p := Polygon{Rect(0, 0, 3, 4)}
-	if got := p.Perimeter(); math.Abs(got-14) > 1e-12 {
-		t.Errorf("perimeter = %v", got)
 	}
 }

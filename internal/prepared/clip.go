@@ -147,12 +147,13 @@ func (pp *Prepared) SweepRect(box geom.BBox) geom.Polygon {
 	return vatti.ClipRule(pp.poly, rect, engine.Intersection, engine.EvenOdd)
 }
 
-// NaiveClipRect is the baseline the tile benchmark gates against: a full
-// per-window clip of the raw source layer — joint resolution, sweep, stitch —
-// with nothing reused across windows. The sweep applies the fill rule to
-// each operand's own winding, so the window rectangle is oriented to read
-// as inside under the rule: counter-clockwise (winding +1) for every rule
-// except Negative, which needs clockwise (winding -1).
+// NaiveClipRect is the baseline that tile's TestPreparedBeatsNaive holds
+// the prepared pipeline to (at least 2x faster): a full per-window clip of
+// the raw source layer — joint resolution, sweep, stitch — with nothing
+// reused across windows. The sweep applies the fill rule to each operand's
+// own winding, so the window rectangle is oriented to read as inside under
+// the rule: counter-clockwise (winding +1) for every rule except Negative,
+// which needs clockwise (winding -1).
 func NaiveClipRect(src geom.Polygon, box geom.BBox, rule engine.FillRule) geom.Polygon {
 	rect := geom.RectPolygon(box.MinX, box.MinY, box.MaxX, box.MaxY)
 	if rule == engine.Negative {

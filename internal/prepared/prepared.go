@@ -136,7 +136,7 @@ func Prepare(p geom.Polygon, rule engine.FillRule) *Prepared {
 }
 
 // Canonicalize is the expensive half of Prepare, split out so callers can
-// memoize it (internal/acache's prepare tier): a union-with-empty sweep under
+// memoize it (internal/acache): a union-with-empty sweep under
 // the rule, which resolves the lone operand with the same arrangement pass
 // every engine runs. The sweep turns any rule's region into a simple even-odd
 // boundary with ringstitch's canonical orientations (CCW outers, CW holes) —

@@ -188,7 +188,7 @@ func (s *Server) clipOne(j *job) {
 }
 
 // cutTiles serves one tile-cutting job: the prepared pyramid cut through
-// the shared arrangement cache (so a layer cut repeatedly canonicalizes
+// the shared prepare cache (so a layer cut repeatedly canonicalizes
 // once). Degraded jobs run single-threaded, like degraded clips. tile.Cut
 // has no internal panic sites of its own beyond prepared's rescue route, so
 // clipOne's recover is the outer guard.

@@ -14,9 +14,8 @@ import (
 
 // RequestMetrics is the flat per-request record of the serving pipeline:
 // one row per request, every field scalar, so the whole window dumps to CSV
-// without reflection and joins cleanly with BENCH_clipd.json. Timestamps
-// are Unix nanoseconds at each lifecycle point; stage durations come from
-// the accepted engine attempt's Stats.
+// without reflection. Timestamps are Unix nanoseconds at each lifecycle
+// point; stage durations come from the accepted engine attempt's Stats.
 type RequestMetrics struct {
 	ID        int64  `json:"id"`
 	Op        string `json:"op"`
@@ -200,8 +199,8 @@ type Statz struct {
 	AuditFailures int64 `json:"auditFailures"`
 	FallbackSteps int64 `json:"fallbackSteps"`
 
-	// Arrangement-cache counters (the process-wide shared cache the batch
-	// overlay uses; lifetime totals, not per-window).
+	// Prepare-cache counters: the process-wide acache that POST /tile
+	// canonicalizes layers through; lifetime totals, not per-window.
 	CacheHits    uint64  `json:"cacheHits"`
 	CacheMisses  uint64  `json:"cacheMisses"`
 	CacheBytes   int64   `json:"cacheBytes"`

@@ -274,8 +274,8 @@ func slowOperands(n int) (string, string) {
 }
 
 // TestOverloadDegradesThenSheds drives the server past its queue: overflow
-// must be served through the degraded chain first, sheds must carry
-// Retry-After, nothing may be dropped silently, and the mode must
+// must be served through the degraded chain first, the rest must be shed
+// with Retry-After, nothing may be dropped silently, and the mode must
 // disengage once load subsides.
 func TestOverloadDegradesThenSheds(t *testing.T) {
 	subj, clip := slowOperands(600)
@@ -386,6 +386,9 @@ func TestOverloadDegradesThenSheds(t *testing.T) {
 	}
 	if degraded.Load() == 0 {
 		t.Error("no 200 response was marked degraded")
+	}
+	if shed.Load() == 0 || st.Shed == 0 {
+		t.Errorf("overload shed nothing (client saw %d, statz %d): capacity not saturated", shed.Load(), st.Shed)
 	}
 	if !sawDegraded {
 		t.Error("mode never engaged degraded during the overload burst")

@@ -114,13 +114,13 @@ type Options struct {
 	// full per-tile clip of the raw layer. The benchmark baseline.
 	Naive bool
 	// Cache, when non-nil, memoizes the layer's canonical form by digest
-	// (acache's prepare tier), so repeated cuts of the same layer — serve
+	// (internal/acache), so repeated cuts of the same layer — serve
 	// traffic, multi-request batches — canonicalize once.
 	Cache *acache.Cache
 }
 
-// Stats describes one Cut. JSON tags are stable; they surface in the tile
-// benchmark artifact and /statz.
+// Stats describes one Cut. JSON tags are stable; they surface in
+// cmd/tilecut -stats and in POST /tile responses.
 type Stats struct {
 	Zooms    int            `json:"zooms"`
 	Tiles    int64          `json:"tiles"`       // non-empty tiles emitted

@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"polyclip/internal/acache"
+	"polyclip/internal/data"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/prepared"
@@ -99,6 +101,31 @@ func TestCutDeterministic(t *testing.T) {
 			t.Fatalf("threads=%d: output differs from threads=1", threads)
 		}
 	}
+}
+
+// TestPreparedBeatsNaive is the prepared pipeline's speed gate: cutting a
+// 16-ring layer into zooms 0–4 must take at most half the time of the naive
+// per-tile clips. Each side takes the best of 3 runs.
+func TestPreparedBeatsNaive(t *testing.T) {
+	layer := data.TileLayer(data.TileLayerOptions{Rings: 16, Seed: 42})
+	spec := testSpec(layer, 0, 4)
+	best := func(naive bool) time.Duration {
+		b := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if _, _, err := Cut(context.Background(), layer, spec,
+				Options{Rule: engine.EvenOdd, Naive: naive}); err != nil {
+				t.Fatalf("naive=%v: %v", naive, err)
+			}
+			b = min(b, time.Since(start))
+		}
+		return b
+	}
+	naive, prep := best(true), best(false)
+	if 2*prep > naive {
+		t.Fatalf("prepared cut %v is not 2x faster than naive %v", prep, naive)
+	}
+	t.Logf("naive %v, prepared %v (%.1fx)", naive, prep, float64(naive)/float64(prep))
 }
 
 // TestCutAreaConservation: at every zoom the cut is a partition, so tile
