@@ -158,7 +158,7 @@ func (e *engine) cutTiles(ci int, w workload, layer polyclip.Polygon, spec tile.
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.Budget)
 		defer cancel()
 	}
-	out, _, err := tile.Cut(ctx, layer, spec, tile.Options{Rule: rule, Threads: threads, Naive: naive})
+	out, st, err := tile.Cut(ctx, layer, spec, tile.Options{Rule: rule, Threads: threads, Naive: naive})
 	if err != nil {
 		if structuredErr(err) {
 			e.rep.StructuredErrors++
@@ -167,6 +167,15 @@ func (e *engine) cutTiles(ci int, w workload, layer polyclip.Polygon, spec tile.
 			e.record(ci, w.name, "unstructured-error", err.Error())
 		}
 		return nil, false
+	}
+	// A clean cut's leaf clips never need the sweep rescue: a rescue there
+	// is a prepared-route bug that would otherwise show only as a slow cut.
+	if !naive && !e.cfg.Faults {
+		e.rep.InvariantChecks++
+		if n := st.Prepared.Rescues; n > 0 {
+			e.rep.InvariantFailures++
+			e.record(ci, w.name, "tiles-rescue", fmt.Sprintf("%d leaf clips rescued by the sweep", n))
+		}
 	}
 	return out, true
 }

@@ -53,19 +53,3 @@ func SegIntersectsBBox(s Segment, b BBox) bool {
 	allNeg := c1 < 0 && c2 < 0 && c3 < 0 && c4 < 0
 	return !allPos && !allNeg
 }
-
-// Transpose returns the polygon reflected across the line y = x (every
-// vertex's coordinates swapped). Reflection preserves even-odd parity, which
-// is how the prepared pipeline reuses the horizontal band clipper for
-// vertical bands: transpose, clip the y-band, transpose back.
-func (p Polygon) Transpose() Polygon {
-	out := make(Polygon, len(p))
-	for i, r := range p {
-		nr := make(Ring, len(r))
-		for j, pt := range r {
-			nr[j] = Point{X: pt.Y, Y: pt.X}
-		}
-		out[i] = nr
-	}
-	return out
-}

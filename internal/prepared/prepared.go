@@ -11,10 +11,8 @@
 // (geom.SnapPolygon at geom.AutoSnapEps). The result is a simple even-odd
 // boundary — CCW outers, CW holes, edges meeting only at shared exact
 // vertices — whose even-odd reading equals the rule-R region of the source.
-// Every subsequent window clip therefore runs under even-odd semantics on
-// clean geometry, whatever rule the layer was prepared for, and the
-// downstream clippers (internal/shclip, internal/bandclip) consume the
-// canonical subject instead of re-resolving it per clip.
+// Its interior lies on the left of every directed edge, whatever rule the
+// layer was prepared for, and every window clip leans on that.
 //
 // A window clip then takes one of three routes, cheapest first:
 //
@@ -22,12 +20,10 @@
 //	          -> exact segment/box tests
 //	Outside:  emit nothing               (no geometry touched)
 //	Inside:   emit the window rectangle  (O(1) accept)
-//	Straddle: per-ring decomposition — rings inside the window pass through
-//	          verbatim, rings surrounding it toggle a parity bit, and only
-//	          rings whose boundary actually crosses the window are clipped:
-//	          a single convex ring via Sutherland–Hodgman, everything else
-//	          via two linear band-clip passes (y-band, then the transposed
-//	          x-band)
+//	Straddle: one oriented pass over the edges the window query returned
+//	          (Weiler–Atherton on the rectangle): chains of boundary through
+//	          the open window, linked exit to next entry around the corners;
+//	          a sole convex ring goes through Sutherland–Hodgman instead
 //
 // so the cost of a tile is proportional to the boundary inside it, not to
 // the layer.
@@ -35,6 +31,7 @@ package prepared
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,12 +70,15 @@ func (c Class) String() string {
 }
 
 // Stats is a point-in-time snapshot of a Prepared's clip counters. The JSON
-// tags are stable: they surface in the tile benchmark artifact.
+// tags are stable: they surface in `cmd/tilecut -stats`, in POST /tile
+// responses and in the benchmark's traced prepared.* metrics. BandClips
+// keeps its name from the band-clip route it replaced and counts the
+// oriented route.
 type Stats struct {
 	FastInside  uint64 `json:"fastInside"`  // windows emitted as full rectangles
 	FastOutside uint64 `json:"fastOutside"` // windows rejected without geometry
 	ConvexClips uint64 `json:"convexClips"` // straddles served by Sutherland–Hodgman
-	BandClips   uint64 `json:"bandClips"`   // straddles served by the band-clip path
+	BandClips   uint64 `json:"bandClips"`   // straddles served by the oriented route
 	Rescues     uint64 `json:"rescues"`     // straddles rescued by the full sweep
 }
 
@@ -96,6 +96,7 @@ type Prepared struct {
 
 	ringBox    []geom.BBox
 	ringConvex []bool
+	ringOff    []int32 // ring ri's edges are edges[ringOff[ri]:ringOff[ri+1]]
 	edges      []geom.Segment
 	edgeRing   []int32
 	tree       *rtree.Tree
@@ -116,16 +117,20 @@ type Prepared struct {
 	scratch sync.Pool
 }
 
-// scratch recycles the per-clip query buffers; one Prepared serves many
+// scratch recycles the per-clip buffers; one Prepared serves many
 // goroutines, so the buffers are pooled rather than owned.
 type scratch struct {
-	ids     []int32 // R-tree window query results
-	rayIDs  []int32 // R-tree ray query results
-	ringHit []bool  // rings whose boundary meets the current window
-	hits    []int32 // which ringHit entries to clear
-	rayOdd  []bool  // rings with odd parity at the current ray origin
-	odds    []int32 // which rayOdd entries to clear
-	sweep   geom.Polygon
+	ids    []int32 // R-tree window query results
+	first  int32   // the first of ids whose edge meets the closed window
+	rayIDs []int32 // R-tree ray query results
+	rings  []int32 // ring of each ray crossing
+
+	// The oriented pass (clipOriented): chain points, chains, crossings and
+	// the ring being linked.
+	pts    []geom.Point
+	chains []chain
+	xs     []crossing
+	ring   geom.Ring
 }
 
 // Prepare canonicalizes p under rule and builds the window-clipping indexes.
@@ -163,11 +168,13 @@ func (pp *Prepared) buildIndex() {
 		pp.ringBox = append(pp.ringBox, r.BBox())
 		pp.ringConvex = append(pp.ringConvex, ringIsConvex(r))
 		base := len(pp.edges)
+		pp.ringOff = append(pp.ringOff, int32(base))
 		pp.edges = r.Edges(pp.edges)
 		for i := base; i < len(pp.edges); i++ {
 			pp.edgeRing = append(pp.edgeRing, int32(ri))
 		}
 	}
+	pp.ringOff = append(pp.ringOff, int32(len(pp.edges)))
 	pp.tree = rtree.Build(len(pp.edges), func(i int32) geom.BBox {
 		return segBox(pp.edges[i])
 	})
@@ -241,42 +248,30 @@ func (pp *Prepared) Stats() Stats {
 // interior pyramid nodes with it, and only leaf tiles count.
 func (pp *Prepared) ClassifyRect(box geom.BBox) Class {
 	scr := pp.scratch.Get().(*scratch)
-	cls := pp.classify(box, scr, false)
+	cls := pp.classify(box, scr)
 	pp.scratch.Put(scr)
 	return cls
 }
 
-// classify runs the fast-path cascade. With markRings set, scr.ringHit is
-// left marking the rings whose boundary meets the window (cleared via
-// scr.hits by the caller).
-func (pp *Prepared) classify(box geom.BBox, scr *scratch, markRings bool) Class {
+// classify runs the fast-path cascade. A Straddle leaves the window query's
+// candidate edges in scr.ids and the first that meets the window in
+// scr.first.
+func (pp *Prepared) classify(box geom.BBox, scr *scratch) Class {
 	if box.IsEmpty() || len(pp.poly) == 0 || !pp.box.Intersects(box) {
 		return Outside
 	}
-	hit := false
 	if pp.anyEdgeInYRange(box.MinY, box.MaxY) {
 		scr.ids = pp.tree.SearchRect(box, scr.ids[:0])
 		for _, id := range scr.ids {
-			if !geom.SegIntersectsBBox(pp.edges[id], box) {
-				continue
-			}
-			hit = true
-			if !markRings {
-				break
-			}
-			ri := pp.edgeRing[id]
-			if !scr.ringHit[ri] {
-				scr.ringHit[ri] = true
-				scr.hits = append(scr.hits, ri)
+			if geom.SegIntersectsBBox(pp.edges[id], box) {
+				scr.first = id
+				return Straddle
 			}
 		}
 	}
-	if hit {
-		return Straddle
-	}
 	// No boundary meets the closed window, so the whole window lies in one
 	// region; its center (strictly off every edge) decides which.
-	if in, _ := pp.containsPoint(box.Center(), scr); in {
+	if pp.containsPoint(box.Center(), scr) {
 		return Inside
 	}
 	return Outside
@@ -284,18 +279,54 @@ func (pp *Prepared) classify(box geom.BBox, scr *scratch, markRings bool) Class 
 
 // containsPoint is the even-odd test against the canonical layer via the
 // edge R-tree: parity of boundary crossings along the upward vertical ray,
-// O(lg N + k) instead of a scan of every edge. The returned scratch slices
-// let clipRect reuse the candidate list for its per-ring parity pass.
-func (pp *Prepared) containsPoint(pt geom.Point, scr *scratch) (bool, []int32) {
-	ray := geom.BBox{MinX: pt.X, MinY: pt.Y, MaxX: pt.X, MaxY: math.Inf(1)}
-	scr.rayIDs = pp.tree.SearchRect(ray, scr.rayIDs[:0])
+// O(lg N + k) instead of a scan of every edge.
+func (pp *Prepared) containsPoint(pt geom.Point, scr *scratch) bool {
 	odd := false
-	for _, id := range scr.rayIDs {
+	for _, id := range pp.rayQuery(pt, scr) {
 		if rayCrosses(pp.edges[id], pt) {
 			odd = !odd
 		}
 	}
-	return odd, scr.rayIDs
+	return odd
+}
+
+// rayQuery returns the candidate edges of the upward vertical ray from pt.
+// The slice is scratch.
+func (pp *Prepared) rayQuery(pt geom.Point, scr *scratch) []int32 {
+	ray := geom.BBox{MinX: pt.X, MinY: pt.Y, MaxX: pt.X, MaxY: math.Inf(1)}
+	scr.rayIDs = pp.tree.SearchRect(ray, scr.rayIDs[:0])
+	return scr.rayIDs
+}
+
+// rayRings returns the ring of each edge the upward vertical ray from pt
+// crosses, rings for which skip reports true aside. The slice is scratch.
+func (pp *Prepared) rayRings(pt geom.Point, scr *scratch, skip func(ri int32) bool) []int32 {
+	scr.rings = scr.rings[:0]
+	for _, id := range pp.rayQuery(pt, scr) {
+		if !rayCrosses(pp.edges[id], pt) {
+			continue
+		}
+		if ri := pp.edgeRing[id]; !skip(ri) {
+			scr.rings = append(scr.rings, ri)
+		}
+	}
+	return scr.rings
+}
+
+// oddRings counts the rings that occur an odd number of times in rings (the
+// rings around the ray's origin), sorting rings in place.
+func oddRings(rings []int32) int {
+	slices.Sort(rings)
+	odd := 0
+	for i := 0; i < len(rings); {
+		j := i + 1
+		for j < len(rings) && rings[j] == rings[i] {
+			j++
+		}
+		odd += (j - i) % 2
+		i = j
+	}
+	return odd
 }
 
 // rayCrosses reports whether the upward vertical ray from pt crosses the
@@ -307,6 +338,21 @@ func rayCrosses(s geom.Segment, pt geom.Point) bool {
 	}
 	y := a.Y + (pt.X-a.X)/(b.X-a.X)*(b.Y-a.Y)
 	return y > pt.Y
+}
+
+// nextEdge returns the edge after edge id around its ring.
+func (pp *Prepared) nextEdge(id int32) int32 {
+	ri := pp.edgeRing[id]
+	if id++; id == pp.ringOff[ri+1] {
+		return pp.ringOff[ri]
+	}
+	return id
+}
+
+// ringInterior reports whether ring ri lies strictly inside the box.
+func (pp *Prepared) ringInterior(ri int32, b geom.BBox) bool {
+	rb := pp.ringBox[ri]
+	return rb.MinX > b.MinX && rb.MaxX < b.MaxX && rb.MinY > b.MinY && rb.MaxY < b.MaxY
 }
 
 // ringIsConvex reports whether the simple ring turns consistently in one

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
+	"polyclip/internal/data"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/vatti"
@@ -282,4 +284,274 @@ func TestEmptyAndDegenerateLayers(t *testing.T) {
 	if cls := pp.ClassifyRect(geom.BBox{MinX: 1, MinY: 1, MaxX: 2, MaxY: 2}); cls != Outside {
 		t.Errorf("negative-empty layer classified %v", cls)
 	}
+}
+
+// alignedLayer is the chaos tiles family's aligned layer: rectangles with
+// even-integer corners in [0,16]^2 and a square with a flush hole, so
+// windows on the even grid put ring edges along sides and ring corners on
+// window corners.
+func alignedLayer(rng *rand.Rand) geom.Polygon {
+	var layer geom.Polygon
+	for i := 0; i < 5; i++ {
+		x0, y0 := float64(2*rng.Intn(6)), float64(2*rng.Intn(6))
+		w, h := float64(2*(1+rng.Intn(3))), float64(2*(1+rng.Intn(3)))
+		layer = append(layer, geom.Rect(x0, y0, x0+w, y0+h))
+	}
+	hole := geom.Rect(6, 6, 10, 10)
+	hole.Reverse()
+	return append(layer, geom.Rect(4, 4, 12, 12), hole)
+}
+
+// degenerateWindows builds windows from the canonical layer's own
+// coordinates: spanned by two vertices (sides through both, corners on both
+// when they are opposite), cornered on one vertex, a ring's bounding box,
+// and sharing the line of an axis-parallel canonical edge as a side.
+func degenerateWindows(rng *rand.Rand, canon geom.Polygon, n int) []geom.BBox {
+	var verts []geom.Point
+	var edges []geom.Segment
+	for _, r := range canon {
+		verts = append(verts, r...)
+		for _, e := range r.Edges(nil) {
+			if e.A.X == e.B.X || e.A.Y == e.B.Y {
+				edges = append(edges, e)
+			}
+		}
+	}
+	var boxes []geom.BBox
+	add := func(x0, y0, x1, y1 float64) {
+		if x1 > x0 && y1 > y0 {
+			boxes = append(boxes, geom.BBox{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1})
+		}
+	}
+	for len(boxes) < n {
+		v, u := verts[rng.Intn(len(verts))], verts[rng.Intn(len(verts))]
+		add(min(v.X, u.X), min(v.Y, u.Y), max(v.X, u.X), max(v.Y, u.Y))
+		w, h := math.Abs(u.X-v.X), math.Abs(u.Y-v.Y)
+		dx, dy := []float64{-w, 0}[rng.Intn(2)], []float64{-h, 0}[rng.Intn(2)]
+		add(v.X+dx, v.Y+dy, v.X+dx+w, v.Y+dy+h)
+		// A ring's own box, whose sides its extreme vertices touch from
+		// inside, and that box pushed out past u on two sides.
+		rb := canon[rng.Intn(len(canon))].BBox()
+		add(rb.MinX, rb.MinY, rb.MaxX, rb.MaxY)
+		add(min(rb.MinX, u.X), min(rb.MinY, u.Y), max(rb.MaxX, u.X), max(rb.MaxY, u.Y))
+		if len(edges) == 0 {
+			continue
+		}
+		// The edge's line as a side, the window reaching u on the other
+		// axis and running past or short of the edge's ends.
+		e := edges[rng.Intn(len(edges))]
+		lox, hix := e.XSpan()
+		loy, hiy := e.YSpan()
+		if loy == hiy {
+			add(min(lox, u.X), min(loy, u.Y), max(hix, u.X), max(loy, u.Y))
+			add((lox+hix)/2, min(loy, u.Y), hix, max(loy, u.Y))
+		} else {
+			add(min(lox, u.X), min(loy, u.Y), max(lox, u.X), max(hiy, u.Y))
+			add(min(lox, u.X), loy, max(lox, u.X), (loy+hiy)/2)
+		}
+	}
+	return boxes
+}
+
+// TestClipRectDegenerateWindows cuts windows whose sides and corners lie on
+// the layer's own vertices and edges: the contacts the oriented pass
+// settles by its shrunk-window rule. Each clip must match the naive sweep,
+// keep every ring a proper ring (3+ distinct vertices, nonzero area), be
+// oriented canonically (its signed-area sum is its area), and never need
+// the sweep rescue.
+func TestClipRectDegenerateWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	layers := []struct {
+		name string
+		poly geom.Polygon
+	}{
+		{"random", randomLayer(rng, 3)},
+		{"tiles", data.TileLayer(data.TileLayerOptions{Rings: 16, Seed: 3})},
+		{"aligned", alignedLayer(rng)},
+	}
+	n := 48
+	if testing.Short() {
+		n = 12
+	}
+	for _, lc := range layers {
+		for _, rule := range engine.Rules() {
+			pp := Prepare(lc.poly, rule)
+			if len(pp.Polygon()) == 0 {
+				continue // Negative of a CCW-only layer
+			}
+			for i, box := range degenerateWindows(rng, pp.Polygon(), n) {
+				name := fmt.Sprintf("%s/%s/win%d %+v", lc.name, rule, i, box)
+				checkAgainstNaive(t, name, lc.poly, pp, box, rule)
+				got, _ := pp.ClipRect(box)
+				var signed float64
+				for ri, r := range got {
+					if len(r) < 3 || r.SignedArea() == 0 {
+						t.Errorf("%s: ring %d is degenerate: %v", name, ri, r)
+					}
+					for j := range r {
+						if r[j] == r[(j+1)%len(r)] {
+							t.Errorf("%s: ring %d repeats vertex %v", name, ri, r[j])
+						}
+					}
+					signed += r.SignedArea()
+				}
+				if d := math.Abs(signed - got.Area()); d > 1e-9*box.Width()*box.Height() {
+					t.Errorf("%s: signed areas sum to %g, area %g: rings not canonically oriented", name, signed, got.Area())
+				}
+			}
+			if st := pp.Stats(); st.Rescues != 0 {
+				t.Errorf("%s/%s: %d windows rescued by the sweep", lc.name, rule, st.Rescues)
+			}
+		}
+	}
+}
+
+// TestClipRectVertexJustInside pins the crossings that round together: a
+// ring vertex one ulp inside the window's left side, between two shallow
+// edges whose crossings with that side both round to (x0, 0.5). As the tip
+// of a hole the vertex leaves the window covered; as the tip of an outer
+// ring it adds nothing.
+func TestClipRectVertexJustInside(t *testing.T) {
+	d := math.Ldexp(1, -20)
+	p, v, q := geom.Point{X: 0, Y: 0.5 - d}, geom.Point{X: 1, Y: 0.5}, geom.Point{X: 0, Y: 0.5 + d}
+	box := geom.BBox{MinX: math.Nextafter(1, 0), MinY: 0, MaxX: 2, MaxY: 1}
+	for _, tc := range []struct {
+		name  string
+		layer geom.Polygon
+		area  float64
+	}{
+		{"hole tip", geom.Polygon{geom.Rect(-10, -10, 10, 10), {p, q, v}}, box.Width() * box.Height()},
+		{"outer tip", geom.Polygon{{p, v, q}}, 0},
+	} {
+		pp := FromCanonical(tc.layer, engine.EvenOdd)
+		got, cls := pp.ClipRect(box)
+		if cls != Straddle || pp.Stats().Rescues != 0 {
+			t.Fatalf("%s: classified %v, stats %+v", tc.name, cls, pp.Stats())
+		}
+		if a := got.Area(); math.Abs(a-tc.area) > 1e-12 {
+			t.Errorf("%s: area %g, want %g: %v", tc.name, a, tc.area, got)
+		}
+	}
+}
+
+// starLayer is a canonical layer of side*side 16-vertex stars, 10 apart,
+// and the window straddling the right tip of the star nearest the centre.
+func starLayer(side int) (geom.Polygon, geom.BBox) {
+	var p geom.Polygon
+	for i := 0; i < side*side; i++ {
+		c := geom.Point{X: float64(i%side)*10 + 5, Y: float64(i/side)*10 + 5}
+		p = append(p, geom.Star(c, 4, 2, 8, 0))
+	}
+	c := float64(side/2)*10 + 5
+	return p, geom.BBox{MinX: c + 2.5, MinY: c - 1, MaxX: c + 5, MaxY: c + 1}
+}
+
+// bigStar is one canonical star ring of n vertices, its spikes as deep as
+// two vertex spacings so every size looks alike up close, and a window
+// straddling its boundary that holds about four vertices.
+func bigStar(n int) (geom.Polygon, geom.BBox) {
+	const r = 1000.0
+	s := 2 * math.Pi * r / float64(n)
+	mid := r - s
+	return geom.Polygon{geom.Star(geom.Point{}, r, r-2*s, n/2, 0)},
+		geom.BBox{MinX: mid - 2*s, MinY: -2 * s, MaxX: mid + 2*s, MaxY: 2 * s}
+}
+
+// TestClipRectIsOutputSensitive holds a straddling tile's cost to the
+// boundary inside it: clipping one window of a big layer must cost within
+// 4x of the same window of a small one, both as a 64x larger ring and as a
+// 256x larger ring count. Each layer is canonical already, so FromCanonical
+// skips the sweep; each time is the best of 5 batches of clips.
+func TestClipRectIsOutputSensitive(t *testing.T) {
+	vSmall, vBig, rSmall, rBig := 1<<10, 1<<16, 8, 128
+	if testing.Short() {
+		vBig, rBig = 1<<14, 64
+	}
+	// sample times one batch of clips of the window; small and big layers
+	// alternate, so a burst of load on the host hits both.
+	sample := func(pp *Prepared, box geom.BBox) time.Duration {
+		const reps = 200
+		start := time.Now()
+		for j := 0; j < reps; j++ {
+			pp.ClipRect(box)
+		}
+		return time.Since(start) / reps
+	}
+	cost := func(small, big func() (geom.Polygon, geom.BBox)) (time.Duration, time.Duration) {
+		var pps [2]*Prepared
+		var boxes [2]geom.BBox
+		for i, mk := range [2]func() (geom.Polygon, geom.BBox){small, big} {
+			layer, box := mk()
+			pps[i], boxes[i] = FromCanonical(layer, engine.EvenOdd), box
+			if _, cls := pps[i].ClipRect(box); cls != Straddle {
+				t.Fatalf("window %+v classified %v, want straddle", box, cls)
+			}
+		}
+		best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+		for i := 0; i < 5; i++ {
+			for k := range pps {
+				best[k] = min(best[k], sample(pps[k], boxes[k]))
+			}
+		}
+		return best[0], best[1]
+	}
+	cases := []struct {
+		name       string
+		small, big func() (geom.Polygon, geom.BBox)
+	}{
+		{fmt.Sprintf("ring of %d vs %d vertices", vBig, vSmall),
+			func() (geom.Polygon, geom.BBox) { return bigStar(vSmall) },
+			func() (geom.Polygon, geom.BBox) { return bigStar(vBig) }},
+		{fmt.Sprintf("%d vs %d rings", rBig*rBig, rSmall*rSmall),
+			func() (geom.Polygon, geom.BBox) { return starLayer(rSmall) },
+			func() (geom.Polygon, geom.BBox) { return starLayer(rBig) }},
+	}
+	for _, tc := range cases {
+		small, big := cost(tc.small, tc.big)
+		ratio := float64(big) / float64(small)
+		t.Logf("%s: %v vs %v per clip (%.2fx)", tc.name, big, small, ratio)
+		if ratio > 4 {
+			t.Errorf("%s: the big layer's tile costs %.1fx the small one's (%v vs %v), want within 4x", tc.name, ratio, big, small)
+		}
+	}
+}
+
+// BenchmarkClipRect times ClipRect on straddling windows: every straddling
+// zoom-7 tile of the seed-1 32-ring tile layer, and one tile on a
+// 2^16-vertex ring.
+func BenchmarkClipRect(b *testing.B) {
+	b.Run("tiles-z7", func(b *testing.B) {
+		layer := data.TileLayer(data.TileLayerOptions{Rings: 32, Seed: 1})
+		pp := Prepare(layer, engine.EvenOdd)
+		lb := layer.BBox()
+		side := max(lb.Width(), lb.Height()) * (1 + 1.0/1024)
+		x0, y0 := (lb.MinX+lb.MaxX-side)/2, (lb.MinY+lb.MaxY-side)/2
+		const n = 128
+		var boxes []geom.BBox
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				box := geom.BBox{
+					MinX: x0 + side*float64(x)/n, MinY: y0 + side*float64(y)/n,
+					MaxX: x0 + side*float64(x+1)/n, MaxY: y0 + side*float64(y+1)/n,
+				}
+				if pp.ClassifyRect(box) == Straddle {
+					boxes = append(boxes, box)
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pp.ClipRect(boxes[i%len(boxes)])
+		}
+	})
+	b.Run("ring-2^16", func(b *testing.B) {
+		layer, box := bigStar(1 << 16)
+		pp := FromCanonical(layer, engine.EvenOdd)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pp.ClipRect(box)
+		}
+	})
 }

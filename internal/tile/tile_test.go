@@ -77,6 +77,9 @@ func TestCutMatchesNaive(t *testing.T) {
 		if len(fast) > 0 && (fstats.Prepared.FastInside == 0 || fstats.Prepared.FastOutside == 0) {
 			t.Errorf("%v: fast paths never taken: %+v", rule, fstats.Prepared)
 		}
+		if fstats.Prepared.Rescues != 0 {
+			t.Errorf("%v: %d leaf clips rescued by the sweep", rule, fstats.Prepared.Rescues)
+		}
 		if rule == engine.Negative && len(fast) != 0 {
 			t.Errorf("negative: CCW-only layer produced %d tiles", len(fast))
 		}
