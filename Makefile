@@ -68,12 +68,12 @@ differential:
 conformance:
 	go test -race -run TestConformance ./internal/engine/
 
-# Every benchmark of the root package, of the ring-stitching and
-# trapezoid-assembly stages and of the prepared tile clip runs once with
-# allocation counters on: a benchmark that panics or no longer compiles
-# fails here, not in a perf run.
+# Every benchmark of the root package, of the overlay engine, of the
+# ring-stitching and trapezoid-assembly stages and of the prepared tile clip
+# runs once with allocation counters on: a benchmark that panics or no
+# longer compiles fails here, not in a perf run.
 bench-smoke:
-	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/ringstitch ./internal/vatti ./internal/prepared > /dev/null
+	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared > /dev/null
 
 # Each native fuzz target gets a short smoke run; raise FUZZTIME for real
 # fuzzing sessions (e.g. make fuzz FUZZTIME=10m). FuzzServeRequest lives in

@@ -7,17 +7,20 @@
 //  1. Find all pairs of intersecting edges (the paper's Step 3.2 / Lemma 4;
 //     finder selectable: uniform grid or the scanbeam-inversion method).
 //  2. Subdivide every edge at its intersection points so that no two edges
-//     cross except at shared endpoints (the k and k' vertices).
-//  3. Decompose the plane into scanbeams and classify every sub-edge with
-//     the parity prefix sums of Lemmas 1–3: which polygons is the region
-//     immediately left of the edge inside of?
+//     cross except at shared endpoints (the k and k' vertices), and fold
+//     geometric duplicates into one sub-edge with a winding count per
+//     polygon, by one sort over flat arrays.
+//  3. Sweep the scanbeams bottom to top once and classify every sub-edge,
+//     in the beam where it starts, with the prefix sums of Lemmas 1–3:
+//     which polygons is the region immediately left of the edge inside of?
 //  4. Select the edges where the clipping operation changes value across
 //     the edge (Lemma 2's contributing edges), direct them so the result
 //     interior lies on their left, and stitch them into output rings
 //     (Step 3.4/Step 4's merge).
 //
-// Every stage but stitching runs in parallel over its natural units (pairs,
-// edges, scanbeams) with configurable parallelism.
+// Pair finding, the split-point computation and edge selection run in
+// parallel with configurable parallelism; the fold, the classifying sweep
+// and stitching are sequential.
 package overlay
 
 import (
@@ -213,12 +216,12 @@ func clipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	classify(ctx, segs, p)
+	classify(ctx, segs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	dirs := selectEdges(segs, op, opt.Rule, p)
-	return stitch(segs, dirs), nil
+	return stitch(dirs), nil
 }
 
 // finish discards a possibly-partial result when ctx was cancelled.
@@ -250,9 +253,9 @@ func resolveSelf(ctx context.Context, poly geom.Polygon, eps float64, rule FillR
 	edges, owners := gatherEdges(poly, nil)
 	pairs := isect.GridPairs(edges, p)
 	segs := subdivide(ctx, edges, owners, pairs, eps, p)
-	classify(ctx, segs, p)
+	classify(ctx, segs)
 	dirs := selectEdges(segs, Xor, rule, p)
-	return stitch(segs, dirs)
+	return stitch(dirs)
 }
 
 // sanitize removes degenerate rings.

@@ -7,8 +7,7 @@ import (
 
 // stitch links the directed contributing edges into closed output rings via
 // the shared interior-on-the-left ring stitcher.
-func stitch(segs []*useg, dirs []dirEdge) geom.Polygon {
-	_ = segs
+func stitch(dirs []dirEdge) geom.Polygon {
 	if len(dirs) == 0 {
 		return nil
 	}

@@ -1,8 +1,8 @@
 package overlay
 
 import (
+	"cmp"
 	"context"
-	"math"
 	"slices"
 	"sync"
 
@@ -30,17 +30,13 @@ type useg struct {
 	// segment's left side (smaller x; above, for horizontals).
 	WindSubL  int16
 	WindClipL int16
-	classify  bool // set once classified
 }
 
-// mulSub reports the even-odd parity of the subject copies.
-func (u *useg) mulSub() bool { return u.WindSub&1 != 0 }
-
-func (u *useg) mulClip() bool { return u.WindClip&1 != 0 }
-
-// segKey identifies a useg by its snapped endpoints.
-type segKey struct {
-	ax, ay, bx, by int64
+// piece is one snapped sub-edge before the fold: its endpoints in (Lo, Hi)
+// order and its winding contribution.
+type piece struct {
+	lo, hi    geom.Point
+	sub, clip int16
 }
 
 // weldNearVertex pulls an intersection point onto a nearby endpoint of
@@ -66,13 +62,15 @@ func weldNearVertex(q geom.Point, e1, e2 geom.Segment, eps float64) geom.Point {
 
 // subdivide splits every edge at its intersection points with other edges
 // and merges geometric duplicates, returning the unique sub-segments with
-// multiplicities. The split-point computation is parallel over pairs; the
-// merge is a sequential hash fold (cheap relative to intersection finding).
+// multiplicities in (Lo, Hi) order. The split points are computed in
+// parallel over pairs and laid out per edge in one CSR table (a count, a
+// prefix sum and a fill); the merge is one sort of the snapped pieces by
+// (Lo, Hi, insertion index) and a linear fold over equal runs.
 // Cancellation is polled periodically; on a cancelled ctx the returned
 // arrangement is partial and the caller must discard it.
-func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs []isect.Pair, eps float64, p int) []*useg {
+func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs []isect.Pair, eps float64, p int) []useg {
 	// Intersection points per edge, computed in parallel over pairs into
-	// per-worker buckets then folded.
+	// per-worker buckets.
 	type split struct {
 		edge int32
 		pt   geom.Point
@@ -111,32 +109,27 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 		buckets[slot] = local
 	})
 
-	// Edge indices are dense, so the split points live in a flat slice
-	// rather than a map.
-	splitsPerEdge := make([][]geom.Point, len(edges))
+	// CSR split table: count per edge, exclusive prefix sum, then a fill in
+	// bucket order. The fill advances end[e] from edge e's start to its
+	// end, so afterwards edge e's points are pts[end[e-1]:end[e]].
+	end := make([]int32, len(edges)+1)
 	for _, b := range buckets {
 		for _, s := range b {
-			splitsPerEdge[s.edge] = append(splitsPerEdge[s.edge], s.pt)
+			end[s.edge+1]++
+		}
+	}
+	for e := 1; e < len(end); e++ {
+		end[e] += end[e-1]
+	}
+	pts := make([]geom.Point, end[len(edges)])
+	for _, b := range buckets {
+		for _, s := range b {
+			pts[end[s.edge]] = s.pt
+			end[s.edge]++
 		}
 	}
 
-	// Subdivide each edge and fold into the unique-segment table. The usegs
-	// are slab-allocated in blocks: the table holds one pointer per unique
-	// sub-segment and a per-entry heap object would dominate the fold's
-	// allocation count. Blocks are never reallocated, so the handed-out
-	// pointers stay valid.
-	table := make(map[segKey]*useg, len(edges)*2)
-	var slab []useg
-	newUseg := func(a, b geom.Point) *useg {
-		if len(slab) == cap(slab) {
-			slab = make([]useg, 0, 256)
-		}
-		slab = append(slab, useg{Lo: a, Hi: b})
-		return &slab[len(slab)-1]
-	}
-	// A snapped coordinate's grid index keys the segment table.
-	inv := 1 / eps
-	coord := func(v float64) int64 { return int64(math.Round(v * inv)) }
+	pieces := make([]piece, 0, len(edges)+len(pts))
 	addPiece := func(a, b geom.Point, owner uint8) {
 		// Vertices produced independently by different edges snap onto the
 		// eps grid (geom.SnapPoint, the policy geom.SnapPolygon applies to
@@ -150,25 +143,23 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 			a, b = b, a
 			dir = +1 // original piece directed Hi->Lo
 		}
-		key := segKey{coord(a.X), coord(a.Y), coord(b.X), coord(b.Y)}
-		u := table[key]
-		if u == nil {
-			u = newUseg(a, b)
-			table[key] = u
-		}
+		pc := piece{lo: a, hi: b}
 		if owner == 0 {
-			u.WindSub += dir
+			pc.sub = dir
 		} else {
-			u.WindClip += dir
+			pc.clip = dir
 		}
+		pieces = append(pieces, pc)
 	}
 
+	var start int32
 	for i, e := range edges {
 		if i&1023 == 0 && canceled(ctx) {
 			break
 		}
-		pts := splitsPerEdge[i]
-		if len(pts) == 0 {
+		own := pts[start:end[i]]
+		start = end[i]
+		if len(own) == 0 {
 			addPiece(e.A, e.B, owners[i])
 			continue
 		}
@@ -181,7 +172,7 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 			}
 			return q.Sub(e.A).Dot(d) / l2
 		}
-		slices.SortFunc(pts, func(a, b geom.Point) int {
+		slices.SortFunc(own, func(a, b geom.Point) int {
 			ta, tb := tOf(a), tOf(b)
 			switch {
 			case ta < tb:
@@ -193,7 +184,7 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 			}
 		})
 		prev := e.A
-		for _, q := range pts {
+		for _, q := range own {
 			t := tOf(q)
 			if t <= 0 || t >= 1 {
 				continue
@@ -204,8 +195,43 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 		addPiece(prev, e.B, owners[i])
 	}
 
-	segs := make([]*useg, 0, len(table))
-	for _, u := range table {
+	// Fold equal pieces: one sort of piece indices by (Lo, Hi, index) brings
+	// each geometric segment's copies together, and the first one inserted
+	// supplies the useg's coordinates (of -0 and +0, the one its edge met
+	// first). It also gives the deterministic (Lo, Hi) order that
+	// classification and stitching rely on.
+	order := make([]int32, len(pieces))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &pieces[i], &pieces[j]
+		switch {
+		case a.lo != b.lo:
+			if a.lo.Less(b.lo) {
+				return -1
+			}
+			return 1
+		case a.hi != b.hi:
+			if a.hi.Less(b.hi) {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(i, j)
+	})
+	segs := make([]useg, 0, len(pieces))
+	for k := 0; k < len(order); {
+		pc := &pieces[order[k]]
+		u := useg{Lo: pc.lo, Hi: pc.hi, WindSub: pc.sub, WindClip: pc.clip}
+		for k++; k < len(order); k++ {
+			pc = &pieces[order[k]]
+			if pc.lo != u.Lo || pc.hi != u.Hi {
+				break
+			}
+			u.WindSub += pc.sub
+			u.WindClip += pc.clip
+		}
 		if u.WindSub == 0 && u.WindClip == 0 {
 			// Opposite-direction copies cancel under both fill rules. A
 			// segment with even copy count but nonzero winding (e.g. two
@@ -214,22 +240,5 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 		}
 		segs = append(segs, u)
 	}
-	// Deterministic order for reproducible stitching.
-	slices.SortFunc(segs, func(a, b *useg) int {
-		if a.Lo != b.Lo {
-			if a.Lo.Less(b.Lo) {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Hi.Less(b.Hi):
-			return -1
-		case b.Hi.Less(a.Hi):
-			return 1
-		default:
-			return 0
-		}
-	})
 	return segs
 }
