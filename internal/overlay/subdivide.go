@@ -64,8 +64,8 @@ func weldNearVertex(q geom.Point, e1, e2 geom.Segment, eps float64) geom.Point {
 // and merges geometric duplicates, returning the unique sub-segments with
 // multiplicities in (Lo, Hi) order. The split points are computed in
 // parallel over pairs and laid out per edge in one CSR table (a count, a
-// prefix sum and a fill); the merge is one sort of the snapped pieces by
-// (Lo, Hi, insertion index) and a linear fold over equal runs.
+// prefix sum and a fill); the merge is one sort of the snapped pieces'
+// indices by (Lo, Hi, insertion index) and a linear fold over equal runs.
 // Cancellation is polled periodically; on a cancelled ctx the returned
 // arrangement is partial and the caller must discard it.
 func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs []isect.Pair, eps float64, p int) []useg {
