@@ -33,6 +33,7 @@ var outputPins = map[string]string{
 	"checkerboard-shared":  "c4df3cb956e8c67dbbde4eccd9b0535b5179c18341db808ef57908cb464bbde1",
 	"checkerboard-shifted": "1c7b2773f9f941c70c45b3b61e30e5fa3475bbcf5f1b2b740e17182094423e3d",
 	"features":             "40363027bc2075d458434df0aa1ef8abf5e3f684d714272ef280ae4d94fbef51",
+	"signed-zero":          "d552be8ae4c688cdf0d5c44d35023797545410f5af481efc5a64b78e2a93aa89",
 }
 
 // pinFamily is one named list of operand pairs; short families also run
@@ -76,6 +77,16 @@ func featurePairs() [][2]geom.Polygon {
 	return out
 }
 
+// signedZeroPairs share an edge between an operand written with -0 and one
+// written with +0: which zero reaches the output is the duplicate fold's
+// choice between equal pieces.
+func signedZeroPairs() [][2]geom.Polygon {
+	nz := math.Copysign(0, -1)
+	a := geom.Polygon{{{X: -10, Y: 0}, {X: nz, Y: 0}, {X: nz, Y: 10}, {X: -10, Y: 10}}}
+	b := geom.Polygon{{{X: -5, Y: 3}, {X: 0, Y: 3}, {X: 0, Y: 10}, {X: -5, Y: 10}}}
+	return [][2]geom.Polygon{{a, b}, {b, a}}
+}
+
 var pinFamilies = []pinFamily{
 	{"synthetic-64", true, func() [][2]geom.Polygon { return one(data.SyntheticPair(1, 64, 64)) }},
 	{"synthetic-256", false, func() [][2]geom.Polygon { return one(data.SyntheticPair(2, 256, 256)) }},
@@ -91,6 +102,7 @@ var pinFamilies = []pinFamily{
 		return one(checkerboard(16, 0, 2, 0), checkerboard(16, 0, 2, 2))
 	}},
 	{"features", true, featurePairs},
+	{"signed-zero", true, signedZeroPairs},
 }
 
 // familyHash clips every pair of f with both engines, every op and rule, at
