@@ -3,7 +3,7 @@ FUZZ_TARGETS := FuzzParseWKT FuzzParseGeoJSON FuzzClipRoundTrip FuzzClipAllEngin
 CHAOS_SEED ?= 1
 CHAOS_CASES ?= 200
 COVER_FLOOR ?= 80
-COVER_PKGS := ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/
+COVER_PKGS := ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/ ./internal/geojson/
 # The tile-cutting fast paths carry a higher floor: a missed branch there is
 # a silently wrong tile, not a slow one.
 COVER_FLOOR_TILES ?= 85
@@ -69,15 +69,17 @@ conformance:
 	go test -race -run TestConformance ./internal/engine/
 
 # Every benchmark of the root package, of the overlay engine, of the
-# ring-stitching and trapezoid-assembly stages and of the prepared tile clip
-# runs once with allocation counters on: a benchmark that panics or no
-# longer compiles fails here, not in a perf run.
+# ring-stitching and trapezoid-assembly stages, of the prepared tile clip and
+# of the GeoJSON reader runs once with allocation counters on: a benchmark
+# that panics or no longer compiles fails here, not in a perf run.
 bench-smoke:
-	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared > /dev/null
+	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson > /dev/null
 
 # Each native fuzz target gets a short smoke run; raise FUZZTIME for real
 # fuzzing sessions (e.g. make fuzz FUZZTIME=10m). FuzzServeRequest lives in
-# internal/serve and fuzzes the whole HTTP serving path.
+# internal/serve and fuzzes the whole HTTP serving path; FuzzDecodeFeatures
+# lives in internal/geojson and holds the GeoJSON reader to its
+# encoding/json oracle.
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
@@ -85,6 +87,8 @@ fuzz:
 	done
 	@echo "fuzz FuzzServeRequest ($(FUZZTIME))"
 	go test -run='^$$' -fuzz='^FuzzServeRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve/
+	@echo "fuzz FuzzDecodeFeatures ($(FUZZTIME))"
+	go test -run='^$$' -fuzz='^FuzzDecodeFeatures$$' -fuzztime=$(FUZZTIME) ./internal/geojson/
 
 # CPU and heap profiles of one bench experiment (default table2, the
 # scanbeam hot path). Inspect with `go tool pprof $(PROFILE_DIR)/cpu.prof`.

@@ -2,26 +2,46 @@
 // other interchange format, besides WKT, that GIS toolchains exchanging
 // overlay results expect. Supported geometries: Polygon, MultiPolygon, and
 // Feature/FeatureCollection wrappers for whole layers.
+//
+// Every reader — DecodeFeatures, UnmarshalLayer and Unmarshal — runs on one
+// single-pass reader (read.go). It scans each byte once out of one fixed
+// buffer, checks JSON syntax as it goes, dispatches on member names, checks
+// only the syntax of every member it does not read, and parses each
+// position with strconv.ParseFloat straight into ring storage. It decodes
+// the same polygons, bit for bit, as the encoding/json reader it replaced,
+// and accepts and rejects the same documents except in three ways:
+//
+//   - properties are checked for JSON syntax only, so a value that is not
+//     an object, or an out-of-range number inside one, is no longer an
+//     error;
+//   - member names match case-insensitively in every object, and the first
+//     object of a stream is read by the same rules as every later one. The
+//     old reader matched the first object's names exactly, range-checked
+//     the numbers in its members it skipped, and read the members of an
+//     object or array given as its type as if they were its own;
+//   - when one object repeats a member name, its last occurrence wins
+//     whole. The old reader merged a repeated geometry object into the
+//     earlier one. A repeated features member still streams both arrays.
+//
+// The write path (Marshal, MarshalPolygon, MarshalLayer) uses encoding/json.
 package geojson
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"polyclip/internal/geom"
 )
 
 // ParseError reports a GeoJSON parse failure with position context: the
-// byte offset into the document when the underlying JSON decoder knows it
-// (-1 otherwise) and the offending JSON value or field when attributable.
-// Callers serving parse errors to clients — the clipd 400 bodies — retrieve
-// it with errors.As to echo the position back.
+// byte offset into the document when it is known (-1 otherwise) and the
+// offending JSON value or field when attributable. Callers serving parse
+// errors to clients — the clipd 400 bodies — retrieve it with errors.As to
+// echo the position back.
 type ParseError struct {
 	Offset int64  // byte offset into the document, -1 when unknown
 	Token  string // offending JSON value/field, "" when unknown
-	Msg    string // what the decoder rejected
+	Msg    string // what the reader rejected
 }
 
 // Error formats the failure with whatever position context is known.
@@ -36,25 +56,6 @@ func (e *ParseError) Error() string {
 	return s
 }
 
-// wrapJSON converts an encoding/json decode error into a *ParseError,
-// pulling the byte offset out of the decoder's typed errors.
-func wrapJSON(err error) error {
-	var syn *json.SyntaxError
-	if errors.As(err, &syn) {
-		return &ParseError{Offset: syn.Offset, Msg: syn.Error()}
-	}
-	var typ *json.UnmarshalTypeError
-	if errors.As(err, &typ) {
-		tok := typ.Field
-		if tok == "" {
-			tok = typ.Value
-		}
-		return &ParseError{Offset: typ.Offset, Token: tok,
-			Msg: fmt.Sprintf("cannot decode %s into %s", typ.Value, typ.Type)}
-	}
-	return &ParseError{Offset: -1, Msg: err.Error()}
-}
-
 // geometry is the wire form of a GeoJSON geometry object.
 type geometry struct {
 	Type        string          `json:"type"`
@@ -62,9 +63,8 @@ type geometry struct {
 }
 
 type feature struct {
-	Type       string         `json:"type"`
-	Geometry   *geometry      `json:"geometry"`
-	Properties map[string]any `json:"properties,omitempty"`
+	Type     string          `json:"type"`
+	Geometry json.RawMessage `json:"geometry"`
 }
 
 type featureCollection struct {
@@ -74,117 +74,59 @@ type featureCollection struct {
 
 // Marshal renders a polygon as a GeoJSON geometry: Polygon when it has one
 // ring, MultiPolygon otherwise (each ring as its own polygon — the even-odd
-// model does not track hole nesting).
+// model does not track hole nesting). A non-finite coordinate is an error
+// naming its ring and vertex.
 func Marshal(p geom.Polygon) ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("geojson: %w", err)
+	}
+	return marshal(p)
+}
+
+func marshal(p geom.Polygon) ([]byte, error) {
 	if len(p) == 1 {
-		return json.Marshal(geometry{
-			Type:        "Polygon",
-			Coordinates: mustRaw(ringsToCoords(p)),
-		})
+		return marshalGeometry("Polygon", ringsToCoords(p))
 	}
 	multi := make([][][][2]float64, len(p))
 	for i, r := range p {
 		multi[i] = ringsToCoords(geom.Polygon{r})
 	}
-	return json.Marshal(geometry{Type: "MultiPolygon", Coordinates: mustRaw(multi)})
+	return marshalGeometry("MultiPolygon", multi)
 }
 
 // MarshalPolygon renders all rings as one GeoJSON Polygon (first ring
-// shell, rest holes) for consumers that understand ring nesting.
+// shell, rest holes) for consumers that understand ring nesting. A
+// non-finite coordinate is an error naming its ring and vertex.
 func MarshalPolygon(p geom.Polygon) ([]byte, error) {
-	return json.Marshal(geometry{Type: "Polygon", Coordinates: mustRaw(ringsToCoords(p))})
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("geojson: %w", err)
+	}
+	return marshalGeometry("Polygon", ringsToCoords(p))
 }
 
-// MarshalLayer renders a feature layer as a FeatureCollection.
+// MarshalLayer renders a feature layer as a FeatureCollection. A
+// non-finite coordinate is an error naming its feature, ring and vertex.
 func MarshalLayer(layer []geom.Polygon) ([]byte, error) {
 	fc := featureCollection{Type: "FeatureCollection"}
-	for _, f := range layer {
-		raw, err := Marshal(f)
+	for i, f := range layer {
+		if err := f.Validate(); err != nil {
+			return nil, fmt.Errorf("geojson: feature %d: %w", i, err)
+		}
+		raw, err := marshal(f)
 		if err != nil {
 			return nil, err
 		}
-		var g geometry
-		if err := json.Unmarshal(raw, &g); err != nil {
-			return nil, err
-		}
-		fc.Features = append(fc.Features, feature{Type: "Feature", Geometry: &g})
+		fc.Features = append(fc.Features, feature{Type: "Feature", Geometry: raw})
 	}
 	return json.Marshal(fc)
 }
 
-// Unmarshal parses a GeoJSON Polygon, MultiPolygon, or Feature wrapping
-// one of those.
-func Unmarshal(data []byte) (geom.Polygon, error) {
-	var probe struct {
-		Type string `json:"type"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, wrapJSON(err)
-	}
-	switch probe.Type {
-	case "Polygon", "MultiPolygon":
-		var g geometry
-		if err := json.Unmarshal(data, &g); err != nil {
-			return nil, wrapJSON(err)
-		}
-		return geometryToPolygon(&g)
-	case "Feature":
-		var f feature
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, wrapJSON(err)
-		}
-		if f.Geometry == nil {
-			return nil, nil
-		}
-		return geometryToPolygon(f.Geometry)
-	default:
-		return nil, &ParseError{Offset: -1, Token: probe.Type, Msg: "unsupported type"}
-	}
-}
-
-// UnmarshalLayer parses a FeatureCollection into a feature layer. It is a
-// buffered convenience over the streaming decoder: the features are decoded
-// one at a time off data, never materialized as a wire-form slice first.
-func UnmarshalLayer(data []byte) ([]geom.Polygon, error) {
-	var out []geom.Polygon
-	err := decodeFeatures(bytes.NewReader(data), func(p geom.Polygon) error {
-		out = append(out, p)
-		return nil
-	}, true)
+func marshalGeometry(typ string, coords any) ([]byte, error) {
+	raw, err := json.Marshal(coords)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-func geometryToPolygon(g *geometry) (geom.Polygon, error) {
-	switch g.Type {
-	case "Polygon":
-		var coords [][][2]float64
-		if err := json.Unmarshal(g.Coordinates, &coords); err != nil {
-			return nil, &ParseError{Offset: -1, Token: "coordinates", Msg: "malformed Polygon coordinates: " + err.Error()}
-		}
-		out := coordsToRings(coords)
-		if err := out.Validate(); err != nil {
-			return nil, &ParseError{Offset: -1, Token: "coordinates", Msg: err.Error()}
-		}
-		return out, nil
-	case "MultiPolygon":
-		var multi [][][][2]float64
-		if err := json.Unmarshal(g.Coordinates, &multi); err != nil {
-			return nil, &ParseError{Offset: -1, Token: "coordinates", Msg: "malformed MultiPolygon coordinates: " + err.Error()}
-		}
-		var out geom.Polygon
-		for _, coords := range multi {
-			out = append(out, coordsToRings(coords)...)
-		}
-		if err := out.Validate(); err != nil {
-			return nil, &ParseError{Offset: -1, Token: "coordinates", Msg: err.Error()}
-		}
-		return out, nil
-	default:
-		return nil, &ParseError{Offset: -1, Token: g.Type, Msg: "unsupported geometry"}
-	}
+	return json.Marshal(geometry{Type: typ, Coordinates: raw})
 }
 
 // ringsToCoords converts rings to GeoJSON linear rings (closed: first
@@ -202,31 +144,4 @@ func ringsToCoords(p geom.Polygon) [][][2]float64 {
 		out[i] = ring
 	}
 	return out
-}
-
-// coordsToRings converts GeoJSON linear rings, dropping the closing
-// duplicate and degenerate rings.
-func coordsToRings(coords [][][2]float64) geom.Polygon {
-	var out geom.Polygon
-	for _, rc := range coords {
-		ring := make(geom.Ring, 0, len(rc))
-		for _, c := range rc {
-			ring = append(ring, geom.Point{X: c[0], Y: c[1]})
-		}
-		if len(ring) > 1 && ring[0] == ring[len(ring)-1] {
-			ring = ring[:len(ring)-1]
-		}
-		if len(ring) >= 3 {
-			out = append(out, ring)
-		}
-	}
-	return out
-}
-
-func mustRaw(v any) json.RawMessage {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		panic(err) // [2]float64 nests cannot fail to marshal
-	}
-	return raw
 }

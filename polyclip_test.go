@@ -193,6 +193,20 @@ func TestGeoJSONRoundTripPublicAPI(t *testing.T) {
 	}
 }
 
+// TestFormatGeoJSONNonFinite: a non-finite coordinate is an error naming
+// its ring and vertex, not a panic.
+func TestFormatGeoJSONNonFinite(t *testing.T) {
+	bad := Polygon{Ring{{X: 0, Y: 0}, {X: 1, Y: math.NaN()}, {X: 1, Y: 1}}}
+	if raw, err := FormatGeoJSON(bad); err == nil || raw != nil ||
+		!strings.HasPrefix(err.Error(), "geojson: ring 0: vertex 1: non-finite coordinate") {
+		t.Errorf("FormatGeoJSON: %q, %v", raw, err)
+	}
+	if raw, err := FormatGeoJSONLayer(Layer{rect(0, 0, 1, 1), bad}); err == nil || raw != nil ||
+		!strings.HasPrefix(err.Error(), "geojson: feature 1: ring 0: vertex 1: non-finite coordinate") {
+		t.Errorf("FormatGeoJSONLayer: %q, %v", raw, err)
+	}
+}
+
 // TestDegenerateInputsAllAlgorithmsAgree feeds classic degenerate inputs to
 // every execution strategy and checks they neither crash nor disagree: the
 // repair pass normalizes the garbage away, so all four engines must land on

@@ -30,9 +30,9 @@ echo "== benchmark module: vet + test (its own go.mod, so the root's go test nev
 go -C benchmark vet ./...
 go -C benchmark test ./...
 
-echo "== coverage floor (vatti, arrange, engine, scanbeam, serve, core, overlay, pool, par, batch, acache >= ${COVER_FLOOR:-80}%)"
+echo "== coverage floor (vatti, arrange, engine, scanbeam, serve, core, overlay, pool, par, batch, acache, geojson >= ${COVER_FLOOR:-80}%)"
 COVER_FLOOR="${COVER_FLOOR:-80}"
-for pkg in ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/; do
+for pkg in ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/ ./internal/geojson/; do
 	pct=$(go test -cover "$pkg" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
 	if [ -z "$pct" ]; then
 		echo "could not parse coverage for $pkg" >&2
@@ -81,8 +81,8 @@ go test -race -run TestDifferentialCorpus .
 echo "== engine conformance suite under -race"
 go test -race -run TestConformance ./internal/engine/
 
-echo "== bench smoke (one iteration, alloc counters live; root, overlay engine, ring stitching, trapezoid assembly, prepared tile clip)"
-go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared > /dev/null
+echo "== bench smoke (one iteration, alloc counters live; root, overlay engine, ring stitching, trapezoid assembly, prepared tile clip, GeoJSON reader)"
+go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson > /dev/null
 
 for t in FuzzParseWKT FuzzParseGeoJSON FuzzClipRoundTrip FuzzClipAllEngines; do
 	echo "== fuzz $t ($FUZZTIME)"
@@ -91,6 +91,9 @@ done
 
 echo "== fuzz FuzzServeRequest ($FUZZTIME, whole HTTP serve path)"
 go test -run='^$' -fuzz='^FuzzServeRequest$' -fuzztime="$FUZZTIME" ./internal/serve/
+
+echo "== fuzz FuzzDecodeFeatures ($FUZZTIME, GeoJSON reader against the encoding/json oracle)"
+go test -run='^$' -fuzz='^FuzzDecodeFeatures$' -fuzztime="$FUZZTIME" ./internal/geojson/
 
 echo "== chaos (seed $CHAOS_SEED, $CHAOS_CASES cases, clean)"
 go run ./cmd/chaos -seed "$CHAOS_SEED" -cases "$CHAOS_CASES"
