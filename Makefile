@@ -12,9 +12,9 @@ COVER_PKGS_TILES := ./internal/prepared/ ./internal/tile/
 PROFILE_EXP ?= table2
 PROFILE_DIR ?= /tmp/polyclip-prof
 
-.PHONY: check fmt build vet test benchmark-module cover race differential conformance bench-smoke fuzz chaos profile clipd bench
+.PHONY: check fmt build vet test benchmark-module cover race differential conformance bench-smoke fuzz chaos layers-smoke profile clipd bench
 
-check: fmt vet build test benchmark-module cover race differential conformance bench-smoke fuzz chaos
+check: fmt vet build test benchmark-module cover race differential conformance bench-smoke fuzz chaos layers-smoke
 
 # Formatting gate: gofmt must list no file (benchmark/ included).
 fmt:
@@ -111,6 +111,24 @@ chaos:
 	go run ./cmd/chaos -seed $(CHAOS_SEED) -cases 60 -faults -budget 500ms
 	go run ./cmd/chaos -seed 7 -cases 320 -family degenerate
 	go run ./cmd/chaos -seed 5 -cases 120 -family tiles
+
+# Layer-overlay smoke: two datagen feature layers through polyclip -layers
+# must give at least one result and the same bytes from WKT and from ndjson
+# input, and the gisoverlay example must report a nonzero result count.
+layers-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for s in 1 2; do \
+		go run ./cmd/datagen -features 200 -seed $$s -o $$tmp/layer$$s.wkt || exit 1; \
+		go run ./cmd/datagen -features 200 -seed $$s -format ndjson -o $$tmp/layer$$s.ndjson || exit 1; \
+	done; \
+	go run ./cmd/polyclip -layers $$tmp/layer1.wkt $$tmp/layer2.wkt > $$tmp/wkt.out || exit 1; \
+	go run ./cmd/polyclip -layers $$tmp/layer1.ndjson $$tmp/layer2.ndjson > $$tmp/ndjson.out || exit 1; \
+	n=$$(wc -l < $$tmp/wkt.out); \
+	if [ $$n -lt 1 ]; then echo "polyclip -layers printed no result"; exit 1; fi; \
+	cmp -s $$tmp/wkt.out $$tmp/ndjson.out || { echo "polyclip -layers output differs between WKT and ndjson input"; exit 1; }; \
+	g=$$(go run ./examples/gisoverlay | sed -n 's/^intersect(A,B): \([0-9]*\) result polygons.*/\1/p'); \
+	if [ -z "$$g" ] || [ $$g -lt 1 ]; then echo "examples/gisoverlay reported no result polygons"; exit 1; fi; \
+	echo "layers: $$n results, WKT and ndjson identical; gisoverlay: $$g results"
 
 # Short scaling smoke: one iteration of the two scaling benchmarks at 1 and
 # 2 workers — enough to catch a pool regression (deadlock, lost task, gross

@@ -2,24 +2,21 @@ package polyclip
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"polyclip/internal/batch"
 )
 
-// BatchOptions configures the batch overlay (OverlayBatchCtx): the
-// million-feature streaming pipeline with spatial-join bucketing and
-// parallel per-bucket clips, each distinct operand pair clipped once.
+// BatchOptions configures the batch overlay (OverlayBatchCtx): the paper's
+// Algorithm 2 for two sets of polygons, streaming million-feature layers
+// through an MBR join into event-balanced slabs of per-pair clips, each
+// distinct operand pair clipped once by the sequential reference engine.
 type BatchOptions struct {
 	// Rule is the fill rule for every per-pair clip (default EvenOdd).
 	Rule FillRule
-	// Engine names the registry engine clipping each pair; "" means the
-	// sequential reference ("vatti").
-	Engine string
 	// Threads bounds worker parallelism; <= 0 means all available CPUs.
 	Threads int
-	// Buckets is the spatial bucket count; <= 0 derives 4 per thread.
-	Buckets int
 	// NoFallback disables the per-pair engine rescue, surfacing the first
 	// pair failure directly.
 	NoFallback bool
@@ -30,37 +27,45 @@ type BatchOptions struct {
 // makes results bit-identical regardless of thread count or scheduling.
 type BatchOutput = batch.Output
 
-// BatchStats reports a batch overlay run's shape and cost. Its Cache field
-// counts the run's candidate pairs by operand digest pair: Hits is the pairs
-// served by an earlier identical pair, Misses and Entries the distinct pairs
-// clipped; Bytes is 0, since nothing outlives the call.
+// BatchStats reports a batch overlay run's shape and cost. Repaired counts
+// the features validation had to repair. Its Cache field counts the run's
+// candidate pairs by operand digest pair: Hits is the pairs served by an
+// earlier identical pair, Misses and Entries the distinct pairs clipped;
+// Bytes is 0, since nothing outlives the call.
 type BatchStats = batch.Stats
 
 // OverlayBatchCtx streams two feature layers from r A and B — each WKT (one
 // geometry per line) or GeoJSON (FeatureCollection or newline-delimited) —
-// and clips every candidate feature pair: the scalable batch form of
-// OverlayLayers. Candidate pairs come from a streaming R-tree MBR join,
-// grouped into spatial buckets and fanned out over the work-stealing pool;
-// a repeated operand pair is clipped once and its result shared.
+// and clips every feature pair whose MBRs overlap (see
+// OverlayBatchLayersCtx).
 func OverlayBatchCtx(ctx context.Context, a, b io.Reader, op Op, opt BatchOptions) ([]BatchOutput, *BatchStats, error) {
 	fa, err := batch.ReadFeatures(a)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("layer a: %w", err)
 	}
 	fb, err := batch.ReadFeatures(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("layer b: %w", err)
 	}
 	return OverlayBatchLayersCtx(ctx, Layer(fa), Layer(fb), op, opt)
 }
 
-// OverlayBatchLayersCtx is OverlayBatchCtx over already-parsed layers.
+// OverlayBatchLayersCtx clips every feature pair of two layers whose MBRs
+// overlap, in parallel — the paper's pthread Algorithm 2 for two sets of
+// polygons — and returns the non-empty per-pair results. Every feature is
+// validated (a non-finite or overflowing coordinate returns an error
+// wrapping ErrInvalidInput that names the layer and the feature) and
+// repaired first. Candidate pairs come from a streaming R-tree MBR join and
+// are handed to event-balanced horizontal slabs fanned out over the
+// work-stealing pool; a repeated operand pair is clipped once and its result
+// shared. The clip loop honors ctx; a panicking pair is rescued once by a
+// structurally different engine (counted in BatchStats.Rescued) before a
+// *ClipError naming the pair surfaces, and any other worker panic surfaces
+// as a *ClipError naming its stage.
 func OverlayBatchLayersCtx(ctx context.Context, a, b Layer, op Op, opt BatchOptions) ([]BatchOutput, *BatchStats, error) {
 	return batch.Overlay(ctx, a, b, op, batch.Options{
 		Rule:       opt.Rule,
-		Engine:     opt.Engine,
 		Threads:    opt.Threads,
-		Buckets:    opt.Buckets,
 		NoFallback: opt.NoFallback,
 	})
 }

@@ -2,8 +2,12 @@ package polyclip
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"polyclip/internal/guard"
 )
 
 func TestOverlayBatchCtx(t *testing.T) {
@@ -33,31 +37,88 @@ func TestOverlayBatchCtxBadInput(t *testing.T) {
 	}
 }
 
-func TestOverlayBatchLayersCtxMatchesOverlayLayers(t *testing.T) {
-	a := Layer{
-		{{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 4, Y: 4}, {X: 0, Y: 4}}},
-		{{{X: 8, Y: 8}, {X: 12, Y: 8}, {X: 12, Y: 12}, {X: 8, Y: 12}}},
-	}
-	b := Layer{
-		{{{X: 2, Y: 2}, {X: 6, Y: 2}, {X: 6, Y: 6}, {X: 2, Y: 6}}},
-		{{{X: 9, Y: 9}, {X: 11, Y: 9}, {X: 11, Y: 11}, {X: 9, Y: 11}}},
-	}
+// TestOverlayBatchLayersCtxMatchesClipCtx holds every batch output to the
+// hardened single-pair path on the same pair.
+func TestOverlayBatchLayersCtxMatchesClipCtx(t *testing.T) {
+	a := Layer{rect(0, 0, 4, 4), rect(8, 8, 12, 12)}
+	b := Layer{rect(2, 2, 6, 6), rect(9, 9, 11, 11)}
 	outs, _, err := OverlayBatchLayersCtx(context.Background(), a, b, Intersection, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := OverlayLayers(a, b, Intersection, Options{Threads: 1})
-	if len(outs) != len(ref) {
-		t.Fatalf("batch %d outputs, layers %d", len(outs), len(ref))
+	if len(outs) != 2 {
+		t.Fatalf("%d outputs, want 2", len(outs))
 	}
-	var got, want float64
 	for _, o := range outs {
-		got += o.Poly.Area()
+		want, _, err := ClipCtx(context.Background(), a[o.A], b[o.B], Intersection, Options{Algorithm: AlgoSequential})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := o.Poly.Area() - want.Area(); math.Abs(d) > 1e-9 {
+			t.Fatalf("pair (%d,%d): area %v, ClipCtx %v", o.A, o.B, o.Poly.Area(), want.Area())
+		}
 	}
-	for _, p := range ref {
-		want += p.Area()
+}
+
+// TestOverlayBatchInputContract: every feature is validated and repaired
+// before any pair is clipped, like ClipCtx's operands.
+func TestOverlayBatchInputContract(t *testing.T) {
+	frame := Layer{rect(-1, -1, 7, 7), rect(20, 20, 21, 21)}
+	for name, bad := range map[string]Polygon{
+		"NaN":   {{{X: 0, Y: 0}, {X: math.NaN(), Y: 0}, {X: 1, Y: 1}}},
+		"+Inf":  {{{X: 0, Y: 0}, {X: math.Inf(1), Y: 0}, {X: 1, Y: 1}}},
+		"1e200": rect(0, 0, 4e200, 4e200),
+	} {
+		l := Layer{rect(0, 0, 1, 1), bad}
+		_, _, err := OverlayBatchLayersCtx(context.Background(), frame, l, Intersection, BatchOptions{})
+		if !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "layer b feature 1") {
+			t.Errorf("%s feature: error %v, want ErrInvalidInput naming layer b feature 1", name, err)
+		}
 	}
-	if d := got - want; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("area %v != %v", got, want)
+
+	dup := Polygon{{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 2}, {X: 0, Y: 2}}}
+	spike := Polygon{{{X: 3, Y: 0}, {X: 5, Y: 0}, {X: 6, Y: 0}, {X: 5, Y: 0}, {X: 5, Y: 2}, {X: 3, Y: 2}}}
+	outs, st, err := OverlayBatchLayersCtx(context.Background(), Layer{dup, spike}, frame, Intersection, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Repaired != 2 || len(outs) != 2 {
+		t.Fatalf("%d features repaired, %d outputs; want 2 and 2", st.Repaired, len(outs))
+	}
+	for _, o := range outs {
+		if math.Abs(o.Poly.Area()-4) > 1e-9 {
+			t.Fatalf("repaired feature %d: area %v, want 4", o.A, o.Poly.Area())
+		}
+	}
+
+	// Two same-direction squares in one feature: NonZero fills their
+	// overlap, EvenOdd leaves it a hole.
+	twoSquares := Layer{append(rect(0, 0, 4, 4), rect(2, 2, 6, 6)...)}
+	for rule, want := range map[FillRule]float64{NonZero: 28, EvenOdd: 24} {
+		outs, _, err := OverlayBatchLayersCtx(context.Background(), twoSquares, frame, Intersection, BatchOptions{Rule: rule})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outs) != 1 || math.Abs(outs[0].Poly.Area()-want) > 1e-9 {
+			t.Fatalf("%v: outputs %+v, want one of area %v", rule, outs, want)
+		}
+	}
+}
+
+// TestOverlayBatchWorkerPanic: a worker panic in the slab fan-out surfaces
+// as a *ClipError naming the stage, not as a raw panic, and leaves nothing
+// behind: the next call returns the full result.
+func TestOverlayBatchWorkerPanic(t *testing.T) {
+	a := Layer{rect(0, 0, 4, 4), rect(10, 0, 14, 4)}
+	b := Layer{rect(2, 2, 6, 6), rect(12, 2, 16, 6)}
+	guard.WithFault(t, "par.worker", guard.Once(func() { panic("worker crash") }))
+	_, _, err := OverlayBatchLayersCtx(context.Background(), a, b, Intersection, BatchOptions{Threads: 1})
+	var ce *ClipError
+	if !errors.As(err, &ce) || ce.Stage != "batch-clip" {
+		t.Fatalf("error %T (%v), want a *ClipError from stage batch-clip", err, err)
+	}
+	outs, _, err := OverlayBatchLayersCtx(context.Background(), a, b, Intersection, BatchOptions{Threads: 1})
+	if err != nil || len(outs) != 2 {
+		t.Fatalf("after the fault: %v, %d outputs; want 2", err, len(outs))
 	}
 }

@@ -10,6 +10,7 @@
 package polyclip
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -129,12 +130,12 @@ func BenchmarkFig9MergeStitch(b *testing.B) {
 // --- Figure 10: layer overlay scaling (Table III datasets) ---------------
 
 func BenchmarkFig10LayerOverlay(b *testing.B) {
-	la := core.Layer(data.Layer(data.TableIII[0], 0.002, 1))
-	lb := core.Layer(data.Layer(data.TableIII[1], 0.002, 2))
+	la := Layer(data.Layer(data.TableIII[0], 0.002, 1))
+	lb := Layer(data.Layer(data.TableIII[1], 0.002, 2))
 	for _, p := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("threads=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ClipLayers(la, lb, core.Intersection, core.Options{Threads: p})
+				overlayLayers(b, la, lb, BatchOptions{Threads: p})
 			}
 		})
 	}
@@ -142,31 +143,38 @@ func BenchmarkFig10LayerOverlay(b *testing.B) {
 
 // --- Figure 11: load imbalance accounting --------------------------------
 
-func BenchmarkFig11PerThreadTimes(b *testing.B) {
-	la := core.Layer(data.Layer(data.TableIII[0], 0.002, 1))
-	lb := core.Layer(data.Layer(data.TableIII[1], 0.002, 2))
+func BenchmarkFig11PerSlabTimes(b *testing.B) {
+	la := Layer(data.Layer(data.TableIII[0], 0.002, 1))
+	lb := Layer(data.Layer(data.TableIII[1], 0.002, 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st := core.ClipLayers(la, lb, core.Intersection, core.Options{Threads: 16})
-		_ = st.CriticalPath()
+		overlayLayers(b, la, lb, BatchOptions{Threads: 16})
 	}
 }
 
 // --- Figure 12: end-to-end absolute comparison ---------------------------
 
 func BenchmarkFig12EndToEnd(b *testing.B) {
-	la := core.Layer(data.Layer(data.TableIII[2], 0.0005, 3))
-	lb := core.Layer(data.Layer(data.TableIII[3], 0.0005, 4))
+	la := Layer(data.Layer(data.TableIII[2], 0.0005, 3))
+	lb := Layer(data.Layer(data.TableIII[3], 0.0005, 4))
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.ClipLayers(la, lb, core.Intersection, core.Options{Threads: 1})
+			overlayLayers(b, la, lb, BatchOptions{Threads: 1})
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.ClipLayers(la, lb, core.Intersection, core.Options{Threads: 0})
+			overlayLayers(b, la, lb, BatchOptions{})
 		}
 	})
+}
+
+// overlayLayers intersects two layers through the batch overlay, failing
+// the benchmark on an error.
+func overlayLayers(b *testing.B, la, lb Layer, opt BatchOptions) {
+	if _, _, err := OverlayBatchLayersCtx(context.Background(), la, lb, Intersection, opt); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // --- §III theory: PRAM primitives ----------------------------------------
@@ -231,30 +239,6 @@ func BenchmarkAblationMerge(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.ClipPair(subject, clip, core.Intersection, core.Options{Threads: 8, Merge: mode})
 			}
-		})
-	}
-}
-
-// BenchmarkAblationPartition compares event-balanced slabs (the paper) with
-// uniform-height slabs (the grid approach of the paper's [19]) on skewed
-// data, reporting the load-balance critical path.
-func BenchmarkAblationPartition(b *testing.B) {
-	la := core.Layer(data.Layer(data.TableIII[1], 0.005, 7))
-	lb := core.Layer(data.OverlapLayer(la, 8))
-	modes := map[string]core.PartitionMode{
-		"event-balanced": core.PartitionEvents,
-		"uniform-height": core.PartitionUniform,
-	}
-	for name, mode := range modes {
-		b.Run(name, func(b *testing.B) {
-			var worst float64
-			for i := 0; i < b.N; i++ {
-				_, st := core.ClipLayers(la, lb, core.Intersection, core.Options{Threads: 8, Partition: mode})
-				if cp := float64(st.CriticalPath()); cp > worst {
-					worst = cp
-				}
-			}
-			b.ReportMetric(worst/1e6, "critpath-ms")
 		})
 	}
 }

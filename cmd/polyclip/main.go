@@ -5,14 +5,17 @@
 //	polyclip -op intersection -alg slabs -threads 8 subject.wkt clip.wkt
 //
 // Each input file holds one POLYGON or MULTIPOLYGON. The result is written
-// to stdout as WKT; -stats prints phase timings to stderr.
+// to stdout as WKT; -stats prints phase timings to stderr. With -layers each
+// input is a feature layer (WKT, one feature per line, or GeoJSON), every
+// feature pair whose MBRs overlap is clipped through the batch overlay, and
+// each non-empty result is written as one WKT line in (A, B) order.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"polyclip"
 )
@@ -22,7 +25,7 @@ func main() {
 	alg := flag.String("alg", "overlay", "algorithm: overlay|slabs|scanbeam|sequential")
 	threads := flag.Int("threads", 0, "parallelism (0 = all CPUs)")
 	stats := flag.Bool("stats", false, "print phase timings to stderr")
-	layers := flag.Bool("layers", false, "treat each input line as one feature and overlay the two layers pairwise")
+	layers := flag.Bool("layers", false, "read each input as a feature layer (WKT, one feature per line, or GeoJSON) and overlay the two layers pair by pair")
 	flag.Parse()
 
 	if flag.NArg() != 2 {
@@ -60,19 +63,24 @@ func main() {
 	}
 
 	if *layers {
-		la := loadLayer(flag.Arg(0))
-		lb := loadLayer(flag.Arg(1))
-		results, st := polyclip.OverlayLayers(la, lb, op, polyclip.Options{Threads: *threads})
+		la, lb := openFile(flag.Arg(0)), openFile(flag.Arg(1))
+		defer la.Close()
+		defer lb.Close()
+		results, st, err := polyclip.OverlayBatchCtx(context.Background(), la, lb, op,
+			polyclip.BatchOptions{Threads: *threads})
+		if err != nil {
+			fatalf("%v", err)
+		}
 		var area float64
 		for _, r := range results {
-			fmt.Println(polyclip.FormatWKT(r))
-			area += polyclip.Area(r)
+			fmt.Println(polyclip.FormatWKT(r.Poly))
+			area += polyclip.Area(r.Poly)
 		}
 		if *stats {
 			fmt.Fprintf(os.Stderr, "features: %d x %d -> %d results, total area %g\n",
-				len(la), len(lb), len(results), area)
-			fmt.Fprintf(os.Stderr, "slabs=%d sort=%v partition=%v clip=%v\n",
-				st.Slabs, st.Sort, st.Partition, st.Clip)
+				st.FeaturesA, st.FeaturesB, len(results), area)
+			fmt.Fprintf(os.Stderr, "candidates=%d repaired=%d slabs=%d hash=%v index=%v clip=%v\n",
+				st.CandidatePairs, st.Repaired, st.Slabs, st.Hash, st.Index, st.Clip)
 		}
 		return
 	}
@@ -94,25 +102,13 @@ func main() {
 	}
 }
 
-// loadLayer reads one feature per non-empty line.
-func loadLayer(path string) polyclip.Layer {
-	raw, err := os.ReadFile(path)
+// openFile opens one input layer for reading.
+func openFile(path string) *os.File {
+	f, err := os.Open(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var layer polyclip.Layer
-	for ln, line := range strings.Split(string(raw), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		p, err := polyclip.ParseWKT(line)
-		if err != nil {
-			fatalf("%s:%d: %v", path, ln+1, err)
-		}
-		layer = append(layer, p)
-	}
-	return layer
+	return f
 }
 
 func loadWKT(path string) polyclip.Polygon {

@@ -1,12 +1,14 @@
-// GIS overlay: synthesize two feature layers shaped like the paper's
-// Table III datasets (urban areas vs administrative boundaries), overlay
-// them in parallel with the multi-threaded slab algorithm, and report the
-// result statistics and where the time went — the paper's §V-B workload in
-// miniature.
+// GIS overlay: synthesize a feature layer shaped like one of the paper's
+// Table III datasets (urban areas) and a second layer that overlaps it
+// feature by feature, overlay them in parallel with the multi-threaded slab
+// algorithm, and report the result statistics and where the time went —
+// the paper's §V-B workload in miniature.
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"time"
 
 	"polyclip"
@@ -15,31 +17,36 @@ import (
 
 func main() {
 	const scale = 0.01 // 1% of the paper's dataset sizes
-	urban := polyclip.Layer(data.Layer(data.TableIII[0], scale, 1))
-	states := polyclip.Layer(data.Layer(data.TableIII[1], scale, 2))
+	a := polyclip.Layer(data.Layer(data.TableIII[0], scale, 1))
+	// Every feature of A displaced by up to half its size: each one meets
+	// its own copy and whatever neighbours it drifts into.
+	b := polyclip.Layer(data.OverlapLayer(a, 2))
 
-	fmt.Printf("layer A: %d features, %d edges\n", len(urban), polyclip.Layer(urban).NumVertices())
-	fmt.Printf("layer B: %d features, %d edges\n", len(states), polyclip.Layer(states).NumVertices())
+	fmt.Printf("layer A: %d features, %d edges\n", len(a), a.NumVertices())
+	fmt.Printf("layer B: %d features, %d edges\n", len(b), b.NumVertices())
 
 	t0 := time.Now()
-	results, st := polyclip.OverlayLayers(urban, states, polyclip.Intersection, polyclip.Options{Threads: 8})
+	results, st, err := polyclip.OverlayBatchLayersCtx(context.Background(), a, b,
+		polyclip.Intersection, polyclip.BatchOptions{Threads: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
 	wall := time.Since(t0)
 
 	var area float64
 	for _, r := range results {
-		area += polyclip.Area(r)
+		area += polyclip.Area(r.Poly)
 	}
-	fmt.Printf("\nintersect(A,B): %d result polygons, total area %.4f\n", len(results), area)
-	fmt.Printf("wall %v | slabs=%d sort=%v partition=%v clip=%v\n",
-		wall, st.Slabs, st.Sort, st.Partition, st.Clip)
-	fmt.Printf("per-thread clip times (load balance, cf. paper Fig. 11):\n")
-	for i, d := range st.PerThread {
-		fmt.Printf("  thread %2d: %v\n", i, d)
+	fmt.Printf("\nintersect(A,B): %d result polygons from %d candidate pairs, total area %.4f\n",
+		len(results), st.CandidatePairs, area)
+	fmt.Printf("wall %v | slabs=%d hash=%v index=%v clip=%v\n",
+		wall, st.Slabs, st.Hash, st.Index, st.Clip)
+	fmt.Printf("per-slab clip times (load balance, cf. paper Fig. 11):\n")
+	for i, d := range st.PerSlab {
+		fmt.Printf("  slab %2d: %v\n", i, d)
 	}
-	fmt.Printf("modelled parallel time on 8 workers: %v (total work %v)\n",
-		st.ModelledParallel(8), st.TotalWork())
 
 	// Whole-layer union through the splitting variant.
-	merged, _ := polyclip.OverlayLayersMerged(urban, states, polyclip.Union, polyclip.Options{Threads: 8})
+	merged, _ := polyclip.OverlayLayersMerged(a, b, polyclip.Union, polyclip.Options{Threads: 8})
 	fmt.Printf("\nunion(A,B): %d rings, area %.4f\n", len(merged), polyclip.Area(merged))
 }

@@ -1,24 +1,27 @@
-// Package batch is the million-feature overlay pipeline — the layer-level
-// realization of the ROADMAP's "scale set-vs-set overlay to millions of
-// polygons" item. It composes pieces the repo already has into one
-// output-sensitive batch path:
+// Package batch is the million-feature overlay pipeline: the paper's §IV
+// Algorithm 2 for two sets of polygons, at the layer level. It composes
+// pieces the repo already has into one output-sensitive batch path:
 //
 //	stream features (WKT / GeoJSON)           internal/geojson, internal/wkt
-//	  -> bulk-load MBRs, streaming MBR join   internal/rtree (JoinVisit)
-//	    -> digest-pair groups of the call     geom.Hash of each operand
-//	      -> spatial buckets of first pairs   (grid over the joint extent)
-//	        -> parallel per-bucket clips      internal/par work-stealing pool
-//	          -> engine registry per pair     internal/engine
+//	  -> validate and repair every feature    internal/guard
+//	    -> bulk-load MBRs, streaming MBR join internal/rtree (JoinVisit)
+//	      -> digest-pair groups of the call   geom.Hash of each operand
+//	        -> event-balanced slabs           core.SlabBoundaries over MBR y-extents
+//	          -> parallel per-slab clips      internal/par work-stealing pool
+//	            -> engine registry per pair   internal/engine
 //
 // The MBR join is the paper's Algorithm 2 candidate filter applied at the
-// layer level: per-bucket work is proportional to actual MBR overlaps, not
-// to |A|·|B|. Grouping the candidate pairs by operand digests adds
-// operand-level output sensitivity: repeated operands (shared basemaps,
-// duplicated features) clip once per distinct pair within a call, and
-// nothing outlives the call.
+// layer level: per-slab work is proportional to actual MBR overlaps, not to
+// |A|·|B|. Slabs get roughly equal numbers of MBR y-events, and each pair is
+// clipped whole in the one slab holding the midpoint of its shared MBR's
+// y-range, so features spanning slab boundaries are replicated rather than
+// split and no merge phase is needed (§IV, last paragraph). Grouping the
+// candidate pairs by operand digests adds operand-level output sensitivity:
+// repeated operands (shared basemaps, duplicated features) clip once per
+// distinct pair within a call, and nothing outlives the call.
 //
 // Output is canonically ordered by (A, B) feature index, which makes the
-// result bit-identical regardless of thread count, bucket partition, or
+// result bit-identical regardless of thread count, slab partition, or
 // scheduling — each candidate pair is clipped independently (no cross-pair
 // seams), so ordering is the only scheduling-visible freedom.
 package batch
@@ -32,6 +35,7 @@ import (
 	"time"
 
 	"polyclip/internal/acache"
+	"polyclip/internal/core"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/guard"
@@ -44,21 +48,24 @@ type Options struct {
 	// Rule is the fill rule for every per-pair clip.
 	Rule engine.FillRule
 	// Engine names the registry engine that clips each pair, single-threaded.
-	// Default "vatti" — the sequential reference.
+	// Default "vatti" — the sequential reference, which the public API
+	// always uses; tests substitute fakes, and the paper's figures the
+	// overlay engine.
 	Engine string
 	// Threads bounds worker parallelism; <= 0 means all available CPUs.
 	Threads int
-	// Buckets is the spatial bucket count candidate pairs are grouped
-	// into; <= 0 derives 4 buckets per thread (enough slack for the
-	// work-stealing pool to balance skewed clusters).
-	Buckets int
+	// Slabs is the number of event-balanced horizontal slabs the pairs are
+	// handed to; <= 0 means one slab at one thread and 4 per thread
+	// otherwise (enough slack for the work-stealing pool to balance skewed
+	// slabs). The paper's figures set it to time p slabs on one thread.
+	Slabs int
 	// NoFallback disables the per-pair engine rescue, surfacing the first
 	// pair failure directly.
 	NoFallback bool
 
-	// bucketOrder overrides the bucket processing order (test hook for the
+	// slabOrder overrides the slab processing order (test hook for the
 	// determinism pin: a shuffled order must not change the output).
-	bucketOrder []int
+	slabOrder []int
 }
 
 // Output is one non-empty per-pair clip result: feature A[i] op B[j].
@@ -70,15 +77,20 @@ type Output struct {
 // Stats reports one run's shape and cost. Duration fields are nanoseconds
 // on the wire, matching the engine Stats convention.
 type Stats struct {
-	FeaturesA      int           `json:"featuresA"`
-	FeaturesB      int           `json:"featuresB"`
-	CandidatePairs int           `json:"candidatePairs"`
-	Buckets        int           `json:"buckets"` // non-empty buckets
-	Outputs        int           `json:"outputs"`
-	Rescued        int           `json:"rescued"`
-	Hash           time.Duration `json:"hashNs"`
-	Index          time.Duration `json:"indexNs"`
-	Clip           time.Duration `json:"clipNs"`
+	FeaturesA      int `json:"featuresA"`
+	FeaturesB      int `json:"featuresB"`
+	Repaired       int `json:"repaired"` // features guard.Repair changed
+	CandidatePairs int `json:"candidatePairs"`
+	Slabs          int `json:"slabs"`
+	Outputs        int `json:"outputs"`
+	Rescued        int `json:"rescued"`
+	// Hash covers validating, repairing and digesting every feature; Index
+	// the MBR join and the slab partition; Clip the per-slab clips and the
+	// output assembly.
+	Hash    time.Duration   `json:"hashNs"`
+	Index   time.Duration   `json:"indexNs"`
+	Clip    time.Duration   `json:"clipNs"`
+	PerSlab []time.Duration `json:"perSlabNs,omitempty"` // clip time of each slab (Fig. 11 load balance)
 	// Cache counts the call's digest-pair groups: Hits is the pairs served
 	// by an earlier identical pair, Misses and Entries are the distinct
 	// pairs clipped. Bytes is 0: nothing is retained after the call.
@@ -90,12 +102,17 @@ type Stats struct {
 type candidate struct{ a, b, group int32 }
 
 // Overlay clips every candidate feature pair of the two layers and returns
-// the non-empty results in canonical (A, B) order. An out-of-range rule or
-// an unknown engine name is an error wrapping engine.ErrUnsupported. A panic
-// while clipping one pair is recovered and the pair retried once on
-// engine.Reference (unless NoFallback); only a double failure surfaces, as a
-// *guard.ClipError naming the pair.
-func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options) ([]Output, *Stats, error) {
+// the non-empty results in canonical (A, B) order. Every feature is first
+// validated — a non-finite or overflowing coordinate is an error wrapping
+// guard.ErrInvalidInput that names the layer and the feature — and repaired
+// (duplicate vertices, zero-area spikes, degenerate rings; counted in
+// Stats.Repaired). An out-of-range rule or an unknown engine name is an
+// error wrapping engine.ErrUnsupported. A panic while clipping one pair is
+// recovered and the pair retried once on engine.Reference (unless
+// NoFallback); only a double failure surfaces, as a *guard.ClipError naming
+// the pair. A panic anywhere else — hashing, the join, the slab fan-out's
+// workers — surfaces as a *guard.ClipError naming the stage.
+func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options) (out []Output, st *Stats, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -115,56 +132,73 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 		threads = par.DefaultParallelism()
 	}
 
-	st := &Stats{FeaturesA: len(a), FeaturesB: len(b)}
+	st = &Stats{FeaturesA: len(a), FeaturesB: len(b)}
+	stage := "batch-hash"
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, guard.FromPanic(stage, -1, guard.NoPair, r)
+		}
+	}()
 
-	// Canonical digests, once per feature. Repeated operands inside or
-	// across the layers collapse onto the same digest pair here.
+	// Validated, repaired operands, then canonical digests, once per
+	// feature. Repeated operands inside or across the layers collapse onto
+	// the same digest pair here.
 	t0 := time.Now()
+	a, na, err := repairLayer("layer a", a)
+	if err != nil {
+		return nil, st, err
+	}
+	b, nb, err := repairLayer("layer b", b)
+	if err != nil {
+		return nil, st, err
+	}
+	st.Repaired = na + nb
 	da := hashAll(ctx, a, threads)
 	db := hashAll(ctx, b, threads)
 	st.Hash = time.Since(t0)
 
-	// Bulk-load the B MBRs, then stream the spatial join into digest-pair
-	// groups. Equal digests mean equal operands and every engine is
-	// deterministic, so only a group's first pair is clipped: it lands in
-	// the grid cell of its shared-MBR center, and the rest of the group
-	// takes its result after the clip phase.
+	// Event-balanced slabs over the features' MBR y-extents: every slab
+	// gets roughly equal numbers of MBR events. One slab needs no cut, so
+	// it pays no event sort.
+	stage = "batch-index"
 	t1 := time.Now()
 	boxesA := make([]geom.BBox, len(a))
 	boxesB := make([]geom.BBox, len(b))
-	ext := geom.EmptyBBox()
 	for i, f := range a {
 		boxesA[i] = f.BBox()
-		ext = ext.Union(boxesA[i])
 	}
 	for j, f := range b {
 		boxesB[j] = f.BBox()
-		ext = ext.Union(boxesB[j])
 	}
-	nb := opt.Buckets
-	if nb <= 0 {
-		nb = 4 * threads
-	}
-	g := int(math.Ceil(math.Sqrt(float64(nb))))
-	if g < 1 {
-		g = 1
-	}
-	buckets := make([][]int32, g*g) // group indices
-	w, h := ext.Width(), ext.Height()
-	cellOf := func(ba, bb geom.BBox) int {
-		cx := (math.Max(ba.MinX, bb.MinX) + math.Min(ba.MaxX, bb.MaxX)) / 2
-		cy := (math.Max(ba.MinY, bb.MinY) + math.Min(ba.MaxY, bb.MaxY)) / 2
-		gx, gy := 0, 0
-		if w > 0 {
-			gx = int((cx - ext.MinX) / w * float64(g))
+	ns := opt.Slabs
+	if ns <= 0 {
+		ns = 1
+		if threads > 1 {
+			ns = 4 * threads
 		}
-		if h > 0 {
-			gy = int((cy - ext.MinY) / h * float64(g))
-		}
-		gx = clamp(gx, g-1)
-		gy = clamp(gy, g-1)
-		return gy*g + gx
 	}
+	var cuts []float64 // interior slab boundaries, ascending
+	if ns > 1 {
+		ys := make([]float64, 0, 2*(len(a)+len(b)))
+		for _, bx := range boxesA {
+			ys = append(ys, bx.MinY, bx.MaxY)
+		}
+		for _, bx := range boxesB {
+			ys = append(ys, bx.MinY, bx.MaxY)
+		}
+		if ys = core.SortedDistinct(ys, threads); len(ys) > 0 {
+			bounds := core.SlabBoundaries(ys, ns)
+			cuts = bounds[1 : len(bounds)-1]
+		}
+	}
+	slabs := make([][]int32, len(cuts)+1) // group indices per slab
+	st.Slabs = len(slabs)
+
+	// Bulk-load the B MBRs, then stream the spatial join into digest-pair
+	// groups. Equal digests mean equal operands and every engine is
+	// deterministic, so only a group's first pair is clipped: it lands in
+	// the slab holding its shared MBR's y-midpoint, and the rest of the
+	// group takes its result after the clip phase.
 	var cands []candidate // every candidate pair, in join order
 	var lead [][2]int32   // lead[g] is the first pair of group g
 	if len(a) > 0 && len(b) > 0 {
@@ -180,37 +214,34 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 					gi = int32(len(lead))
 					groups[key] = gi
 					lead = append(lead, [2]int32{i, j})
-					c := cellOf(boxesA[i], boxesB[j])
-					buckets[c] = append(buckets[c], gi)
+					ba, bb := boxesA[i], boxesB[j]
+					mid := (math.Max(ba.MinY, bb.MinY) + math.Min(ba.MaxY, bb.MaxY)) / 2
+					s := sort.SearchFloat64s(cuts, mid)
+					slabs[s] = append(slabs[s], gi)
 				}
 				cands = append(cands, candidate{i, j, gi})
 			})
 	}
 	st.CandidatePairs = len(cands)
-	active := make([]int, 0, len(buckets))
-	for c, prs := range buckets {
-		if len(prs) > 0 {
-			active = append(active, c)
-		}
-	}
-	st.Buckets = len(active)
 	st.Index = time.Since(t1)
 
-	order := opt.bucketOrder
-	if order == nil {
-		order = active
-	}
-
-	// Fan the buckets out over the work-stealing pool. Each group's first
+	// Fan the slabs out over the work-stealing pool. Each group's first
 	// pair clips single-threaded into the group's own slot; outputs are
 	// canonically sorted afterwards, so scheduling leaves no trace.
+	stage = "batch-clip"
 	t2 := time.Now()
 	polys := make([]geom.Polygon, len(lead))
 	rescued := make([]bool, len(lead))
+	perSlab := make([]time.Duration, len(slabs))
 	var firstErr atomic.Pointer[guard.ClipError]
-	werr := par.ForEachCtx(ctx, len(order), threads, func(lo, hi int) {
+	werr := par.ForEachCtx(ctx, len(slabs), threads, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			for _, gi := range buckets[order[k]] {
+			s := k
+			if opt.slabOrder != nil {
+				s = opt.slabOrder[k]
+			}
+			ts := time.Now()
+			for _, gi := range slabs[s] {
 				if canceled(ctx) || firstErr.Load() != nil {
 					break
 				}
@@ -222,11 +253,13 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 				}
 				polys[gi], rescued[gi] = poly, wasRescued
 			}
+			perSlab[s] = time.Since(ts)
 		}
 	})
 	if werr != nil {
 		return nil, st, werr // workers may still be running: leave their slots alone
 	}
+	st.PerSlab = perSlab
 	n := 0 // non-empty outputs
 	for _, c := range cands {
 		if rescued[c.group] {
@@ -245,7 +278,7 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 
 	// Every candidate pair takes its group's result. Canonical order: (A, B)
 	// ascending, a total order since the join visits each pair once.
-	out := make([]Output, 0, n)
+	out = make([]Output, 0, n)
 	for _, c := range cands {
 		if poly := polys[c.group]; len(poly) > 0 {
 			out = append(out, Output{A: c.a, B: c.b, Poly: poly})
@@ -267,8 +300,26 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 	return out, st, nil
 }
 
-// pairClip clips one candidate pair with panic isolation, mirroring core's
-// pairClipSafe: a panicking engine is rescued once on engine.Reference.
+// repairLayer validates and repairs every feature of a layer, returning the
+// repaired copy and the number of features Repair changed.
+func repairLayer(name string, l []geom.Polygon) ([]geom.Polygon, int, error) {
+	changed := 0
+	out := make([]geom.Polygon, len(l))
+	for i, f := range l {
+		if err := guard.Validate(f); err != nil {
+			return nil, 0, fmt.Errorf("%s feature %d: %w", name, i, err)
+		}
+		var rep guard.RepairReport
+		out[i], rep = guard.Repair(f)
+		if rep.Changed() {
+			changed++
+		}
+	}
+	return out, changed, nil
+}
+
+// pairClip clips one candidate pair with panic isolation: a panicking engine
+// is rescued once on engine.Reference.
 func pairClip(ctx context.Context, eng engine.Engine, opt Options,
 	fa, fb geom.Polygon, op engine.Op, pr [2]int32) (out geom.Polygon, wasRescued bool, ce *guard.ClipError) {
 	run := func(e engine.Engine) (p geom.Polygon, ce *guard.ClipError) {
@@ -317,16 +368,6 @@ func hashAll(ctx context.Context, fs []geom.Polygon, threads int) []geom.Digest 
 		}
 	})
 	return out
-}
-
-func clamp(v, hi int) int {
-	if v < 0 {
-		return 0
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 func canceled(ctx context.Context) bool {

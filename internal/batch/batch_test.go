@@ -4,14 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"polyclip/internal/acache"
-	"polyclip/internal/core"
 	"polyclip/internal/data"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
@@ -36,10 +35,11 @@ func render(outs []Output) string {
 	return sb.String()
 }
 
-// TestOverlayMatchesCoreLayers pins the batch path against the existing
-// layer overlay: same candidate pairs, same per-pair engine, so the output
-// multisets must match exactly.
-func TestOverlayMatchesCoreLayers(t *testing.T) {
+// TestOverlayMatchesBruteForce holds the batch path to an oracle that
+// shares none of its machinery: every (i, j) of A × B box-tested without
+// the R-tree, each overlapping pair clipped by vatti single-threaded, in
+// (A, B) order. The (A, B, WKT) lists must match exactly.
+func TestOverlayMatchesBruteForce(t *testing.T) {
 	a, b := testLayers(300, 0)
 	outs, st, err := Overlay(context.Background(), a, b, engine.Intersection,
 		Options{Threads: 4})
@@ -49,46 +49,46 @@ func TestOverlayMatchesCoreLayers(t *testing.T) {
 	if st.CandidatePairs == 0 || st.Outputs == 0 {
 		t.Fatalf("degenerate workload: %+v", st)
 	}
-	ref, _, err := core.ClipLayersCtx(context.Background(), a, b, engine.Intersection,
-		core.Options{Engine: engine.MustGet("vatti"), Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]string, len(outs))
-	for i, o := range outs {
-		got[i] = wkt.Marshal(o.Poly)
-	}
-	want := make([]string, len(ref))
-	for i, p := range ref {
-		want[i] = wkt.Marshal(p)
-	}
-	sort.Strings(got)
-	sort.Strings(want)
-	if len(got) != len(want) {
-		t.Fatalf("batch produced %d outputs, core %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("output %d differs:\nbatch: %s\ncore:  %s", i, got[i], want[i])
+	vatti := engine.MustGet("vatti")
+	var want []Output
+	for i := range a {
+		for j := range b {
+			if !a[i].BBox().Intersects(b[j].BBox()) {
+				continue
+			}
+			res, err := vatti.Clip(context.Background(), a[i], b[j], engine.Intersection, engine.Options{Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Polygon) > 0 {
+				want = append(want, Output{A: int32(i), B: int32(j), Poly: res.Polygon})
+			}
 		}
+	}
+	if got, ref := render(outs), render(want); got != ref {
+		t.Fatalf("batch gave %d outputs, brute force %d; first lines:\nbatch: %.200s\nbrute: %.200s",
+			len(outs), len(want), got, ref)
 	}
 }
 
 // TestOverlayDeterminism is the determinism pin: bit-identical output at
-// threads 1/2/8 and under shuffled bucket processing order.
+// threads 1/2/8 and under shuffled slab processing order.
 func TestOverlayDeterminism(t *testing.T) {
 	a, b := testLayers(400, 0.4)
-	const buckets = 9 // 3x3 grid
+	const slabs = 9
 	var want string
 	for _, threads := range []int{1, 2, 8} {
 		for trial := 0; trial < 2; trial++ {
-			opt := Options{Threads: threads, Buckets: buckets}
+			opt := Options{Threads: threads, Slabs: slabs}
 			if trial == 1 {
-				opt.bucketOrder = rand.New(rand.NewSource(int64(threads))).Perm(buckets)
+				opt.slabOrder = rand.New(rand.NewSource(int64(threads))).Perm(slabs)
 			}
-			outs, _, err := Overlay(context.Background(), a, b, engine.Intersection, opt)
+			outs, st, err := Overlay(context.Background(), a, b, engine.Intersection, opt)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if st.Slabs != slabs || len(st.PerSlab) != slabs {
+				t.Fatalf("%d slabs, %d slab times; want %d", st.Slabs, len(st.PerSlab), slabs)
 			}
 			got := render(outs)
 			if want == "" {
@@ -99,6 +99,32 @@ func TestOverlayDeterminism(t *testing.T) {
 				t.Fatalf("output differs at threads=%d shuffled=%v", threads, trial == 1)
 			}
 		}
+	}
+}
+
+// TestOverlayClipsSpanningPairOnce: a pair whose shared MBR spans every
+// slab belongs to one slab only, so it is clipped once and output once.
+func TestOverlayClipsSpanningPairOnce(t *testing.T) {
+	a := []geom.Polygon{geom.RectPolygon(0, 0, 10, 100)}
+	b := []geom.Polygon{geom.RectPolygon(5, 0, 15, 100)}
+	// Small features elsewhere give the partition events to cut at.
+	for i := 0; i < 16; i++ {
+		a = append(a, geom.RectPolygon(20, float64(i*6), 21, float64(i*6+1)))
+	}
+	counts = map[[2]geom.Digest]int{}
+	outs, st, err := Overlay(context.Background(), a, b, engine.Intersection,
+		Options{Engine: "batch-test-counting", Threads: 2, Slabs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Slabs != 8 {
+		t.Fatalf("%d slabs, want 8", st.Slabs)
+	}
+	if n := counts[[2]geom.Digest{geom.Hash(a[0]), geom.Hash(b[0])}]; n != 1 || len(counts) != 1 {
+		t.Fatalf("spanning pair clipped %d times, %d pairs clipped", n, len(counts))
+	}
+	if len(outs) != 1 || math.Abs(outs[0].Poly.Area()-500) > 1e-6 {
+		t.Fatalf("outputs %+v, want one of area 500", outs)
 	}
 }
 

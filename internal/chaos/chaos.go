@@ -309,7 +309,7 @@ var faultPlans = []struct {
 	{"isect.pairs", kindPanic},
 	{"ringstitch.stitch", kindPanic},
 	{"core.slab-clip", kindPanic},
-	{"core.pair-clip", kindPanic},
+	{"batch.pair-clip", kindPanic},
 	{"overlay.clip", kindPanic},
 	{"polyclip.result", kindCorrupt},
 	{"par.worker", kindHang},

@@ -13,7 +13,7 @@ import (
 func TestClipLayersMergedCtx(t *testing.T) {
 	la := Layer{geom.RectPolygon(0, 0, 2, 2), geom.RectPolygon(4, 0, 6, 2)}
 	lb := Layer{geom.RectPolygon(1, 1, 5, 3)}
-	got, _, err := ClipPairCtx(context.Background(), flatten(la), flatten(lb), Intersection, Options{Threads: 2})
+	got, _, err := ClipPairCtx(context.Background(), fuse(la), fuse(lb), Intersection, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

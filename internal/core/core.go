@@ -8,11 +8,13 @@
 //     Lemmas 1–3) with intersections from the inversion method (Lemma 4),
 //     and a parallel merge of the partial results (Step 4, Fig. 6).
 //
-//   - ClipPair / ClipLayers — the multi-threaded Algorithm 2 (§IV): the
-//     input is partitioned into p horizontal slabs balanced by event count,
-//     each slab is clipped independently by a sequential engine after
+//   - ClipPair — the multi-threaded Algorithm 2 (§IV): the input is
+//     partitioned into p horizontal slabs balanced by event count, each slab
+//     is clipped independently by a sequential engine after
 //     rectangle-clipping both operands to the slab, and the partial outputs
-//     are merged by cancelling the seams along slab boundaries.
+//     are merged by cancelling the seams along slab boundaries. The §IV form
+//     for two polygon sets, which hands each feature pair to one slab whole,
+//     is batch.Overlay; it cuts its slabs with SlabBoundaries.
 //
 // All entry points report phase timings (partition / clip / merge) and
 // per-thread clip times so the paper's Figures 8–12 can be regenerated.
@@ -67,19 +69,6 @@ const (
 	MergeUnionTree
 )
 
-// PartitionMode selects how slab boundaries are chosen.
-type PartitionMode uint8
-
-// Partition modes.
-const (
-	// PartitionEvents balances slabs by event count — the paper's approach
-	// ("every thread gets roughly equal number of local event points").
-	PartitionEvents PartitionMode = iota
-	// PartitionUniform uses equal-height slabs — the uniform grid approach
-	// of the paper's [19], kept as the load-balancing ablation baseline.
-	PartitionUniform
-)
-
 // Options configures a parallel clipping run.
 type Options struct {
 	// Threads is the number of concurrent workers; <= 0 means GOMAXPROCS.
@@ -101,11 +90,9 @@ type Options struct {
 	Engine engine.Engine
 	// Merge selects the partial-output merge strategy.
 	Merge MergeMode
-	// Partition selects the slab boundary placement.
-	Partition PartitionMode
-	// NoFallback disables the per-pair engine rescue in ClipLayersCtx (a
-	// pair whose clip panics is normally retried once with the other
-	// sequential engine before the error is surfaced).
+	// NoFallback disables the stage retry: a stage that panics or times out
+	// surfaces its *guard.ClipError at once instead of being re-run
+	// sequentially.
 	NoFallback bool
 }
 
@@ -334,7 +321,7 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (ge
 	if nslabs <= 0 {
 		nslabs = adaptiveSlabCount(p, len(ys), crossings)
 	}
-	bounds := pruneThinSlabs(slabBoundaries(ys, nslabs, opt.Partition), snapEps)
+	bounds := pruneThinSlabs(SlabBoundaries(ys, nslabs), snapEps)
 	ns := len(bounds) - 1
 	st.Slabs = ns
 	if ns <= 1 {
@@ -462,6 +449,12 @@ func eventYs(a, b geom.Polygon, p int) []float64 {
 			}
 		}
 	}
+	return SortedDistinct(ys, p)
+}
+
+// SortedDistinct sorts the event ys in place with parallelism p and returns
+// their distinct values, reusing ys's storage; nil when ys is empty.
+func SortedDistinct(ys []float64, p int) []float64 {
 	if len(ys) == 0 {
 		return nil
 	}
@@ -529,8 +522,12 @@ func pruneThinSlabs(bounds []float64, eps float64) []float64 {
 	return append(out, hi)
 }
 
-// slabBoundaries picks ns+1 boundaries over the sorted event ys.
-func slabBoundaries(ys []float64, p int, mode PartitionMode) []float64 {
+// SlabBoundaries picks up to p+1 boundaries over the sorted distinct event
+// ys so that the p slabs get roughly equal numbers of events — the paper's
+// partition ("every thread gets roughly equal number of local event
+// points"). Slab s spans [bounds[s], bounds[s+1]]; fewer slabs come back
+// when the events cannot fill p of them.
+func SlabBoundaries(ys []float64, p int) []float64 {
 	lo, hi := ys[0], ys[len(ys)-1]
 	if lo == hi || p < 1 {
 		return []float64{lo, hi}
@@ -538,12 +535,7 @@ func slabBoundaries(ys []float64, p int, mode PartitionMode) []float64 {
 	bounds := make([]float64, 0, p+1)
 	bounds = append(bounds, lo)
 	for i := 1; i < p; i++ {
-		var v float64
-		if mode == PartitionUniform {
-			v = lo + (hi-lo)*float64(i)/float64(p)
-		} else {
-			v = ys[len(ys)*i/p]
-		}
+		v := ys[len(ys)*i/p]
 		if v > bounds[len(bounds)-1] && v < hi {
 			bounds = append(bounds, v)
 		}

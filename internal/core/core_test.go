@@ -34,10 +34,14 @@ func TestClipPairStars(t *testing.T) {
 		a := geom.Polygon{geom.Star(geom.Point{X: rng.Float64(), Y: rng.Float64()}, 5, 2, 8+rng.Intn(20), rng.Float64())}
 		b := geom.Polygon{geom.Star(geom.Point{X: 1 + rng.Float64(), Y: rng.Float64() - 1}, 5, 2, 8+rng.Intn(20), rng.Float64())}
 		for _, op := range []Op{Intersection, Union, Difference, Xor} {
-			got, _ := ClipPair(a, b, op, Options{Threads: 4})
 			want := seqArea(a, b, op)
-			if math.Abs(got.Area()-want) > 1e-6*(1+want) {
-				t.Errorf("trial %d op=%v: got %v want %v", trial, op, got.Area(), want)
+			// 0 lets the adaptive count pick; 5 forces event-balanced cuts
+			// through these small stars.
+			for _, slabs := range []int{0, 5} {
+				got, _ := ClipPair(a, b, op, Options{Threads: 4, Slabs: slabs})
+				if math.Abs(got.Area()-want) > 1e-6*(1+want) {
+					t.Errorf("trial %d op=%v slabs=%d: got %v want %v", trial, op, slabs, got.Area(), want)
+				}
 			}
 		}
 	}
@@ -86,18 +90,6 @@ func TestClipPairMergeStitchRemovesSeams(t *testing.T) {
 	}
 	if len(got) != 1 {
 		t.Errorf("stitched result has %d rings, want 1 convex-ish region", len(got))
-	}
-}
-
-func TestClipPairPartitionModes(t *testing.T) {
-	a := geom.Polygon{geom.Star(geom.Point{X: 0, Y: 0}, 5, 2, 16, 0.3)}
-	b := geom.Polygon{geom.Star(geom.Point{X: 1, Y: 0}, 5, 2, 14, 0.9)}
-	want := seqArea(a, b, Xor)
-	for _, pm := range []PartitionMode{PartitionEvents, PartitionUniform} {
-		got, _ := ClipPair(a, b, Xor, Options{Threads: 5, Slabs: 5, Partition: pm})
-		if math.Abs(got.Area()-want) > 1e-6*(1+want) {
-			t.Errorf("partition=%d: got %v want %v", pm, got.Area(), want)
-		}
 	}
 }
 
@@ -163,62 +155,26 @@ func TestAlgorithmOneReportOutputSensitive(t *testing.T) {
 	}
 }
 
-func TestClipLayersPairwise(t *testing.T) {
-	// Two layers of unit squares on offset grids: every overlap is 0.25.
-	var la, lb Layer
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			la = append(la, geom.RectPolygon(float64(2*i), float64(2*j), float64(2*i+1), float64(2*j+1)))
-			lb = append(lb, geom.RectPolygon(float64(2*i)+0.5, float64(2*j)+0.5, float64(2*i)+1.5, float64(2*j)+1.5))
-		}
-	}
-	got, st := ClipLayers(la, lb, Intersection, Options{Threads: 4})
-	if len(got) != 16 {
-		t.Errorf("outputs = %d, want 16", len(got))
-	}
-	var area float64
-	for _, g := range got {
-		area += g.Area()
-	}
-	if math.Abs(area-16*0.25) > 1e-9 {
-		t.Errorf("total area = %v, want 4", area)
-	}
-	if st.Slabs < 1 {
-		t.Error("no slabs")
-	}
-}
-
-func TestClipLayersNoDuplicates(t *testing.T) {
-	// A single big pair spanning all slabs must be clipped exactly once.
-	la := Layer{geom.RectPolygon(0, 0, 10, 100)}
-	lb := Layer{geom.RectPolygon(5, 0, 15, 100)}
-	// Add some small features to force multiple slabs.
-	for i := 0; i < 16; i++ {
-		la = append(la, geom.RectPolygon(20, float64(i*6), 21, float64(i*6+1)))
-	}
-	got, st := ClipLayers(la, lb, Intersection, Options{Threads: 8})
-	if st.Slabs < 2 {
-		t.Skip("single slab")
-	}
-	if len(got) != 1 {
-		t.Fatalf("outputs = %d, want 1 (no replication duplicates)", len(got))
-	}
-	if math.Abs(got[0].Area()-500) > 1e-6 {
-		t.Errorf("area = %v, want 500", got[0].Area())
-	}
-}
-
 // TestClipLayersMergedUnion checks the merged-layer overlay: each layer is
 // fused into one even-odd region and the regions are clipped as one pair,
 // so a whole-layer union matches the sequential union of the fused layers.
 func TestClipLayersMergedUnion(t *testing.T) {
 	la := Layer{geom.RectPolygon(0, 0, 2, 2), geom.RectPolygon(4, 0, 6, 2)}
 	lb := Layer{geom.RectPolygon(1, 1, 5, 3)}
-	got, _ := ClipPair(flatten(la), flatten(lb), Union, Options{Threads: 3})
-	want := seqArea(flatten(la), flatten(lb), Union)
+	got, _ := ClipPair(fuse(la), fuse(lb), Union, Options{Threads: 3})
+	want := seqArea(fuse(la), fuse(lb), Union)
 	if math.Abs(got.Area()-want) > 1e-6 {
 		t.Errorf("merged union = %v, want %v", got.Area(), want)
 	}
+}
+
+// fuse concatenates a layer's rings into one even-odd region.
+func fuse(l Layer) geom.Polygon {
+	var out geom.Polygon
+	for _, f := range l {
+		out = append(out, f...)
+	}
+	return out
 }
 
 func TestLayerHelpers(t *testing.T) {
@@ -234,19 +190,15 @@ func TestLayerHelpers(t *testing.T) {
 
 func TestSlabBoundaries(t *testing.T) {
 	ys := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	b := slabBoundaries(ys, 3, PartitionEvents)
+	b := SlabBoundaries(ys, 3)
 	if b[0] != 0 || b[len(b)-1] != 9 {
 		t.Errorf("bounds = %v", b)
 	}
 	if len(b) != 4 {
 		t.Errorf("bounds = %v, want 4 entries", b)
 	}
-	u := slabBoundaries(ys, 3, PartitionUniform)
-	if math.Abs(u[1]-3) > 1e-12 || math.Abs(u[2]-6) > 1e-12 {
-		t.Errorf("uniform bounds = %v", u)
-	}
 	// Degenerate: all events equal.
-	d := slabBoundaries([]float64{5, 5, 5}, 4, PartitionEvents)
+	d := SlabBoundaries([]float64{5, 5, 5}, 4)
 	if len(d) != 2 {
 		t.Errorf("degenerate bounds = %v", d)
 	}

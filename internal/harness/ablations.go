@@ -52,26 +52,7 @@ func Ablations(seed int64) Result {
 			})), "Fig. 6 variants"))
 	}
 
-	// 3. Partitioning: event-balanced vs uniform (critical path on skewed
-	// layers).
-	la := core.Layer(data.Layer(data.TableIII[0], 0.02, seed+7))
-	lb := core.Layer(data.OverlapLayer(la, seed+8))
-	for _, m := range []struct {
-		name string
-		mode core.PartitionMode
-	}{{"event-balanced", core.PartitionEvents}, {"uniform-height", core.PartitionUniform}} {
-		mode := m.mode
-		var cp time.Duration
-		timeIt(2, func() {
-			_, st := core.ClipLayers(la, lb, core.Intersection, core.Options{Threads: 1, Slabs: 16, Partition: mode})
-			if c := st.CriticalPath(); c > cp {
-				cp = c
-			}
-		})
-		rows = append(rows, row("partition", m.name, ms(cp), "critical path, 16 slabs"))
-	}
-
-	// 4. Rectangle clipping for Steps 4–5: bandclip vs Greiner–Hormann (the
+	// 3. Rectangle clipping for Steps 4–5: bandclip vs Greiner–Hormann (the
 	// paper's choice).
 	poly := data.Layer(data.TableIII[1], 0.002, seed+11)
 	band := [2]float64{20, 40}

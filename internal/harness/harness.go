@@ -12,12 +12,15 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
+	"polyclip/internal/batch"
 	"polyclip/internal/core"
 	"polyclip/internal/data"
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
 	"polyclip/internal/par"
@@ -217,6 +220,21 @@ func datasetLayers(scale float64, seed int64) [][]geom.Polygon {
 	return out
 }
 
+// layerOverlay overlays two layers the way Figures 10–12 time them:
+// batch.Overlay on the overlay engine with every slab clipped on one thread,
+// so each slab's time is CPU-attributable; slabs <= 0 is the one-slab
+// sequential run. Hashing and indexing become the sequential phase and the
+// slab times the per-thread work, so Stats.ModelledParallel schedules the
+// slabs onto p workers.
+func layerOverlay(a, b []geom.Polygon, op core.Op, slabs int) *engine.Stats {
+	_, st, err := batch.Overlay(context.Background(), a, b, op,
+		batch.Options{Engine: "overlay", Threads: 1, Slabs: slabs})
+	if err != nil {
+		panic(err)
+	}
+	return &engine.Stats{Partition: st.Hash + st.Index, PerThread: st.PerSlab}
+}
+
 // Fig10 regenerates Figure 10: relative speedup versus threads for the
 // real-data workloads Intersect(1,2), Union(1,2), Intersect(3,4),
 // Union(3,4). Larger datasets scale better — the paper's headline
@@ -242,11 +260,11 @@ func Fig10(threads []int, scale float64, seed int64) Result {
 	}()...)
 	var rows [][]string
 	for _, w := range workloads {
-		_, stSeq := core.ClipLayers(w.a, w.b, w.op, core.Options{Threads: 1})
+		stSeq := layerOverlay(w.a, w.b, w.op, 0)
 		seq := stSeq.TotalWork() + stSeq.Sort + stSeq.Partition
 		cells := []string{w.name, ms(seq)}
 		for _, p := range threads {
-			_, st := core.ClipLayers(w.a, w.b, w.op, core.Options{Threads: 1, Slabs: p})
+			st := layerOverlay(w.a, w.b, w.op, p)
 			model := st.ModelledParallel(p)
 			cells = append(cells, fmt.Sprintf("%.2f", float64(seq)/float64(model)))
 		}
@@ -262,7 +280,7 @@ func Fig10(threads []int, scale float64, seed int64) Result {
 // scalability.
 func Fig11(threads int, scale float64, seed int64) Result {
 	layers := datasetLayers(scale, seed)
-	_, st := core.ClipLayers(layers[0], layers[1], core.Intersection, core.Options{Threads: 1, Slabs: threads})
+	st := layerOverlay(layers[0], layers[1], core.Intersection, threads)
 	header := []string{"Thread", "Clip time (ms)", "Share of max"}
 	maxT := st.CriticalPath()
 	var rows [][]string
@@ -300,10 +318,10 @@ func Fig12(threads int, scale float64, seed int64) Result {
 	header := []string{"Workload", "Seq GPC-like (ms)", "Modelled ArcGIS (ms)", "Parallel p=" + fmt.Sprint(threads) + " (ms)", "Abs speedup"}
 	var rows [][]string
 	for _, w := range workloads {
-		_, stSeq := core.ClipLayers(w.a, w.b, w.op, core.Options{Threads: 1})
+		stSeq := layerOverlay(w.a, w.b, w.op, 0)
 		seq := stSeq.TotalWork() + stSeq.Sort + stSeq.Partition
 		arc := time.Duration(float64(seq) / ArcGISRatio)
-		_, st := core.ClipLayers(w.a, w.b, w.op, core.Options{Threads: 1, Slabs: threads})
+		st := layerOverlay(w.a, w.b, w.op, threads)
 		parTime := st.ModelledParallel(threads)
 		rows = append(rows, row(w.name, ms(seq), ms(arc), ms(parTime),
 			fmt.Sprintf("%.3g", float64(arc)/float64(parTime))))

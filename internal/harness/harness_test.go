@@ -124,7 +124,7 @@ func TestAblations(t *testing.T) {
 	for _, row := range r.Rows {
 		kinds[row[0]] = true
 	}
-	for _, want := range []string{"finder", "merge", "partition", "rect-clip"} {
+	for _, want := range []string{"finder", "merge", "rect-clip"} {
 		if !kinds[want] {
 			t.Errorf("missing ablation %q", want)
 		}

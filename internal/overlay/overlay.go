@@ -4,8 +4,10 @@
 //
 // The engine is the practical realization of the paper's Algorithm 1:
 //
-//  1. Find all pairs of intersecting edges (the paper's Step 3.2 / Lemma 4;
-//     finder selectable: uniform grid or the scanbeam-inversion method).
+//  1. Find all pairs of intersecting edges (the paper's Step 3.2) with the
+//     uniform-grid filter; internal/isect also holds the paper's
+//     scanbeam-inversion method (Lemma 4) and a plane sweep, held to the
+//     same brute-force oracle.
 //  2. Subdivide every edge at its intersection points so that no two edges
 //     cross except at shared endpoints (the k and k' vertices), and fold
 //     geometric duplicates into one sub-edge with a winding count per
@@ -45,17 +47,6 @@ const (
 	Xor          = engine.Xor          // symmetric difference
 )
 
-// Finder selects the intersection-finding strategy.
-type Finder uint8
-
-// Available finders.
-const (
-	FinderGrid     Finder = iota // uniform-grid candidate filter (default)
-	FinderScanbeam               // the paper's scanbeam + inversion counting
-	FinderSweep                  // Bentley–Ottmann plane sweep (the paper's [2])
-	FinderBrute                  // O(n²); tests only
-)
-
 // FillRule aliases the canonical fill-rule type (see internal/engine).
 type FillRule = engine.FillRule
 
@@ -74,8 +65,6 @@ type Options struct {
 	// Parallelism is the number of concurrent workers; <= 0 means
 	// GOMAXPROCS.
 	Parallelism int
-	// Finder selects the pair-finding strategy.
-	Finder Finder
 	// SnapEps is the vertex-identification tolerance; <= 0 means geom.Eps
 	// scaled to the input magnitude.
 	SnapEps float64
@@ -191,23 +180,7 @@ func clipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 
 	edges, owners := gatherEdges(subject, clip)
 
-	finder := opt.Finder
-	if finder == FinderScanbeam && (hasHorizontalEdge(subject) || hasHorizontalEdge(clip)) {
-		// The scanbeam finder cannot see horizontal edges (they span no
-		// beam); the grid finder handles them natively.
-		finder = FinderGrid
-	}
-	var pairs []isect.Pair
-	switch finder {
-	case FinderScanbeam:
-		pairs = isect.ScanbeamPairs(edges, p)
-	case FinderSweep:
-		pairs = isect.SweepPairs(edges)
-	case FinderBrute:
-		pairs = isect.BruteForcePairs(edges)
-	default:
-		pairs = isect.GridPairs(edges, p)
-	}
+	pairs := isect.GridPairs(edges, p)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -267,20 +240,6 @@ func sanitize(poly geom.Polygon) geom.Polygon {
 		}
 	}
 	return out
-}
-
-// hasHorizontalEdge reports whether any ring has an edge parallel to the
-// x-axis.
-func hasHorizontalEdge(poly geom.Polygon) bool {
-	for _, r := range poly {
-		for i := range r {
-			j := (i + 1) % len(r)
-			if r[i].Y == r[j].Y && r[i] != r[j] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // gatherEdges flattens both polygons into one edge list with an owner tag

@@ -281,24 +281,6 @@ func TestRandomStarsAllOps(t *testing.T) {
 	}
 }
 
-func TestFindersProduceSameResult(t *testing.T) {
-	a := geom.Polygon{geom.Star(geom.Point{X: 0, Y: 0}, 5, 2, 9, 0.2)}
-	b := geom.Polygon{geom.Star(geom.Point{X: 1, Y: 1}, 5, 2, 7, 0.5)}
-	for _, op := range []Op{Intersection, Union, Difference, Xor} {
-		grid := Clip(a, b, op, Options{Finder: FinderGrid})
-		beam := Clip(a, b, op, Options{Finder: FinderScanbeam})
-		sweep := Clip(a, b, op, Options{Finder: FinderSweep})
-		if math.Abs(grid.Area()-sweep.Area()) > 1e-9 {
-			t.Errorf("%v: sweep=%v grid=%v", op, sweep.Area(), grid.Area())
-		}
-		brute := Clip(a, b, op, Options{Finder: FinderBrute})
-		ag, ab, ar := grid.Area(), beam.Area(), brute.Area()
-		if math.Abs(ag-ab) > 1e-9 || math.Abs(ag-ar) > 1e-9 {
-			t.Errorf("%v: grid=%v scanbeam=%v brute=%v", op, ag, ab, ar)
-		}
-	}
-}
-
 func TestParallelMatchesSequential(t *testing.T) {
 	a := geom.Polygon{geom.Star(geom.Point{X: 0, Y: 0}, 10, 4, 40, 0.1)}
 	b := geom.Polygon{geom.Star(geom.Point{X: 2, Y: 1}, 10, 4, 35, 0.4)}

@@ -196,7 +196,7 @@ func (t *Tree) Join(na int, boxA func(i int32) geom.BBox, boxB func(j int32) geo
 // JoinVisit is the streaming spatial join: visit is called for every pair
 // (i, j) with boxA(i) intersecting the tree's item j (exact box boxB(j)),
 // without ever materializing the pair list. The million-feature batch
-// overlay buckets pairs as they stream out, so the join's memory stays
+// overlay groups pairs as they stream out, so the join's memory stays
 // O(tree depth) regardless of how many candidates the layers produce.
 // Visit order matches Join: i ascending, j in tree traversal order.
 //

@@ -4,8 +4,8 @@
 //
 // It computes boolean operations — intersection, union, difference and
 // symmetric difference — between arbitrary polygons: convex, concave,
-// multi-contour, and self-intersecting, under the even-odd fill rule. Three
-// execution strategies are provided:
+// multi-contour, and self-intersecting, under the even-odd, nonzero,
+// positive or negative fill rule. Four execution strategies are provided:
 //
 //   - AlgoOverlay (default): a parallel subdivision/classification engine
 //     built from the paper's primitives (scanbeams, parity prefix sums,
@@ -16,6 +16,8 @@
 //   - AlgoScanbeam: the multicore realization of the paper's CREW PRAM
 //     Algorithm 1 — fully parallel over scanbeams, with output-sensitive
 //     work accounting.
+//   - AlgoSequential: the single-threaded scanbeam sweep, the Vatti/GPC
+//     reference.
 //
 // Quick start:
 //
@@ -23,8 +25,9 @@
 //	b := polyclip.Polygon{{{2, 2}, {6, 2}, {6, 6}, {2, 6}}}
 //	out := polyclip.Clip(a, b, polyclip.Intersection)
 //
-// Layers of polygon features (GIS overlay) are supported through
-// OverlayLayers; WKT I/O through ParseWKT and FormatWKT.
+// Layers of polygon features (GIS overlay) are clipped pair by pair through
+// OverlayBatchCtx and OverlayBatchLayersCtx, and as two fused regions
+// through OverlayLayersMerged; WKT I/O goes through ParseWKT and FormatWKT.
 package polyclip
 
 import (
@@ -120,8 +123,8 @@ type Options struct {
 	// normalizes winding operands before partitioning). A value that is not
 	// one of the four constants returns an error wrapping ErrUnsupported.
 	Rule FillRule
-	// Slabs is the slab count for AlgoSlabs and the layer overlay; 0 means
-	// one per thread.
+	// Slabs is the slab count for AlgoSlabs; 0 derives it from the input's
+	// size and the thread count.
 	Slabs int
 	// NoFallback disables the differential-fallback chain: the first engine
 	// failure (panic or failed audit) surfaces directly instead of being
@@ -163,15 +166,6 @@ func ClipWith(subject, clip Polygon, op Op, opt Options) (Polygon, *Stats) {
 // pipelines that rasterize trapezoids directly).
 func Trapezoids(subject, clip Polygon, op Op) []Trapezoid {
 	return vatti.Trapezoids(subject, clip, op)
-}
-
-// OverlayLayers clips every overlapping feature pair of two layers in
-// parallel (the paper's pthread Algorithm 2 for two sets of polygons) and
-// returns the per-pair results. It never returns an error; use
-// OverlayLayersCtx for error reporting and cancellation.
-func OverlayLayers(a, b Layer, op Op, opt Options) ([]Polygon, *Stats) {
-	out, st, _ := OverlayLayersCtx(context.Background(), a, b, op, opt)
-	return out, st
 }
 
 // OverlayLayersMerged fuses each layer into one even-odd region and clips

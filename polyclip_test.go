@@ -60,16 +60,19 @@ func TestTrapezoids(t *testing.T) {
 func TestOverlayLayers(t *testing.T) {
 	la := Layer{rect(0, 0, 2, 2), rect(4, 0, 6, 2)}
 	lb := Layer{rect(1, 1, 5, 3)}
-	got, st := OverlayLayers(la, lb, Intersection, Options{Threads: 2})
+	got, st, err := OverlayBatchLayersCtx(context.Background(), la, lb, Intersection, BatchOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sum float64
 	for _, g := range got {
-		sum += Area(g)
+		sum += Area(g.Poly)
 	}
 	if math.Abs(sum-2) > 1e-6 {
 		t.Errorf("layer overlay area = %v (results=%d)", sum, len(got))
 	}
-	if st == nil {
-		t.Error("nil stats")
+	if st.CandidatePairs != 2 {
+		t.Errorf("%d candidate pairs, want 2", st.CandidatePairs)
 	}
 	// Merged, each layer is one region: the union counts the overlap once,
 	// and the intersection is the two 1x1 corners the band covers.

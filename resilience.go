@@ -281,45 +281,6 @@ func attemptChain(subject, clip Polygon, op Op, opt Options) []attempt {
 	return out
 }
 
-// repairLayer validates and repairs every feature of a layer.
-func repairLayer(name string, l Layer) (Layer, bool, error) {
-	changed := false
-	out := make(Layer, len(l))
-	for i, f := range l {
-		if err := guard.Validate(f); err != nil {
-			return nil, false, fmt.Errorf("%s feature %d: %w", name, i, err)
-		}
-		var rep guard.RepairReport
-		out[i], rep = guard.Repair(f)
-		changed = changed || rep.Changed()
-	}
-	return out, changed, nil
-}
-
-// OverlayLayersCtx is OverlayLayers through the hardened pipeline: features
-// are validated and repaired, the per-pair clip loop honors ctx, and a
-// panicking pair is rescued once by the other sequential engine (counted in
-// Stats.Resilience.Recovered) before a *ClipError carrying the offending
-// pair is surfaced.
-func OverlayLayersCtx(ctx context.Context, a, b Layer, op Op, opt Options) ([]Polygon, *Stats, error) {
-	a2, chA, err := repairLayer("layer a", a)
-	if err != nil {
-		return nil, &Stats{}, err
-	}
-	b2, chB, err := repairLayer("layer b", b)
-	if err != nil {
-		return nil, &Stats{}, err
-	}
-	out, st, err := core.ClipLayersCtx(ctx, a2, b2, op, core.Options{
-		Threads: opt.Threads, Slabs: opt.Slabs, NoFallback: opt.NoFallback,
-	})
-	if st == nil {
-		st = &Stats{}
-	}
-	st.Resilience.Repaired = chA || chB
-	return out, st, err
-}
-
 // OverlayLayersMergedCtx is OverlayLayersMerged through the hardened
 // pipeline (see ClipCtx): each layer is fused into one even-odd region and
 // the regions are clipped with validation, repair, panic isolation,

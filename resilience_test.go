@@ -277,32 +277,35 @@ func TestClipCtxPreCancelled(t *testing.T) {
 	}
 }
 
+// TestOverlayLayersCtxPairPanic: in the layer overlay a panicking pair clip
+// is rescued by the reference engine, or surfaces with NoFallback as a
+// *ClipError naming the pair; an invalid feature is rejected up front.
 func TestOverlayLayersCtxPairPanic(t *testing.T) {
 	la := Layer{rect(0, 0, 4, 4), rect(10, 0, 14, 4)}
 	lb := Layer{rect(2, 2, 6, 6), rect(12, 2, 16, 6)}
 
 	t.Run("rescued", func(t *testing.T) {
-		guard.WithFault(t, "core.pair-clip", guard.Once(func() { panic("pair crash") }))
-		out, st, err := OverlayLayersCtx(context.Background(), la, lb, Intersection, Options{Threads: 1})
+		guard.WithFault(t, "batch.pair-clip", guard.Once(func() { panic("pair crash") }))
+		out, st, err := OverlayBatchLayersCtx(context.Background(), la, lb, Intersection, BatchOptions{Threads: 1})
 		if err != nil {
 			t.Fatalf("pair rescue failed: %v", err)
 		}
 		if len(out) != 2 {
 			t.Fatalf("want 2 pair results, got %d", len(out))
 		}
-		if st.Resilience.Recovered != 1 {
-			t.Fatalf("Recovered = %d, want 1", st.Resilience.Recovered)
+		if st.Rescued != 1 {
+			t.Fatalf("Rescued = %d, want 1", st.Rescued)
 		}
 	})
 	t.Run("surfaced with NoFallback", func(t *testing.T) {
-		guard.WithFault(t, "core.pair-clip", guard.Once(func() { panic("pair crash") }))
-		_, _, err := OverlayLayersCtx(context.Background(), la, lb, Intersection, Options{Threads: 1, NoFallback: true})
+		guard.WithFault(t, "batch.pair-clip", guard.Once(func() { panic("pair crash") }))
+		_, _, err := OverlayBatchLayersCtx(context.Background(), la, lb, Intersection, BatchOptions{Threads: 1, NoFallback: true})
 		var ce *ClipError
 		if !errors.As(err, &ce) {
 			t.Fatalf("error %T (%v) is not a *ClipError", err, err)
 		}
-		if ce.Stage != "pair-clip" {
-			t.Fatalf("stage %q, want pair-clip", ce.Stage)
+		if ce.Stage != "batch-clip" {
+			t.Fatalf("stage %q, want batch-clip", ce.Stage)
 		}
 		if ce.Pair[0] < 0 || ce.Pair[1] < 0 {
 			t.Fatalf("no pair attribution: %+v", ce)
@@ -310,7 +313,7 @@ func TestOverlayLayersCtxPairPanic(t *testing.T) {
 	})
 	t.Run("invalid feature rejected", func(t *testing.T) {
 		bad := Layer{Polygon{{{X: math.Inf(1), Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}}}}
-		_, _, err := OverlayLayersCtx(context.Background(), bad, lb, Intersection, Options{})
+		_, _, err := OverlayBatchLayersCtx(context.Background(), bad, lb, Intersection, BatchOptions{})
 		if !errors.Is(err, ErrInvalidInput) {
 			t.Fatalf("err %v does not wrap ErrInvalidInput", err)
 		}

@@ -125,4 +125,27 @@ if [ "$TILE_COUNT" != "$NAIVE_COUNT" ]; then
 fi
 echo "tilecut: $TILE_COUNT tiles, prepared and naive agree"
 
+echo "== layer-overlay smoke (datagen layers through polyclip -layers, WKT and ndjson byte-identical; gisoverlay overlays something)"
+for s in 1 2; do
+	go run ./cmd/datagen -features 200 -seed "$s" -o "$TILE_TMP/layer$s.wkt"
+	go run ./cmd/datagen -features 200 -seed "$s" -format ndjson -o "$TILE_TMP/layer$s.ndjson"
+done
+go run ./cmd/polyclip -layers "$TILE_TMP/layer1.wkt" "$TILE_TMP/layer2.wkt" > "$TILE_TMP/overlay-wkt.out"
+go run ./cmd/polyclip -layers "$TILE_TMP/layer1.ndjson" "$TILE_TMP/layer2.ndjson" > "$TILE_TMP/overlay-ndjson.out"
+LAYER_RESULTS=$(wc -l < "$TILE_TMP/overlay-wkt.out")
+if [ "$LAYER_RESULTS" -lt 1 ]; then
+	echo "polyclip -layers printed no result" >&2
+	exit 1
+fi
+if ! cmp -s "$TILE_TMP/overlay-wkt.out" "$TILE_TMP/overlay-ndjson.out"; then
+	echo "polyclip -layers output differs between WKT and ndjson input" >&2
+	exit 1
+fi
+GIS_RESULTS=$(go run ./examples/gisoverlay | sed -n 's/^intersect(A,B): \([0-9]*\) result polygons.*/\1/p')
+if [ -z "$GIS_RESULTS" ] || [ "$GIS_RESULTS" -lt 1 ]; then
+	echo "examples/gisoverlay reported no result polygons" >&2
+	exit 1
+fi
+echo "layers: $LAYER_RESULTS results, WKT and ndjson identical; gisoverlay: $GIS_RESULTS results"
+
 echo "all checks passed"
