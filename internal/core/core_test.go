@@ -93,6 +93,22 @@ func TestClipPairMergeStitchRemovesSeams(t *testing.T) {
 	}
 }
 
+func TestClipPairPartitionModes(t *testing.T) {
+	// The event-balanced partition is the only one left; five slabs at
+	// five threads cut these stars at event quantiles, and xor is the op
+	// most sensitive to a seam counted twice or dropped.
+	a := geom.Polygon{geom.Star(geom.Point{X: 0, Y: 0}, 5, 2, 16, 0.3)}
+	b := geom.Polygon{geom.Star(geom.Point{X: 1, Y: 0}, 5, 2, 14, 0.9)}
+	want := seqArea(a, b, Xor)
+	got, st := ClipPair(a, b, Xor, Options{Threads: 5, Slabs: 5})
+	if st.Slabs < 2 {
+		t.Errorf("slabs = %d, want the pinned count to cut the stars", st.Slabs)
+	}
+	if math.Abs(got.Area()-want) > 1e-6*(1+want) {
+		t.Errorf("got %v want %v (slabs=%d)", got.Area(), want, st.Slabs)
+	}
+}
+
 func TestClipPairEmptyInputs(t *testing.T) {
 	a := geom.RectPolygon(0, 0, 1, 1)
 	if got, _ := ClipPair(nil, a, Intersection, Options{Threads: 4}); got.Area() != 0 {
