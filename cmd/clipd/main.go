@@ -1,17 +1,20 @@
 // Command clipd serves the clipping library over HTTP/JSON: WKT or GeoJSON
 // operands in, GeoJSON out. It is a thin main around internal/serve, which
-// owns the batching, admission control, degraded-mode routing, deadline
-// budgets and per-request metrics (see DESIGN.md row for internal/serve).
+// owns admission control, degraded-mode routing, deadline budgets and
+// per-request metrics (see DESIGN.md row for internal/serve). Each request
+// runs its own clip as soon as it takes a work slot.
 //
 // Usage:
 //
 //	clipd -addr :8080
-//	clipd -addr :8080 -batch 32 -max-wait 1ms -queue 512 -timeout 2s
+//	clipd -addr :8080 -queue 512 -max-concurrent 8 -timeout 2s
 //
 // Endpoints:
 //
 //	POST /clip         {"subject": <wkt-string|geojson>, "clip": ..., "op": "intersection|union|difference|xor",
-//	                    "rule": "evenodd|nonzero", "algorithm": "overlay|slabs|scanbeam|sequential"}
+//	                    "rule": "evenodd|nonzero|positive|negative", "algorithm": "overlay|slabs|scanbeam|sequential"}
+//	POST /tile         {"layer": <wkt-string|geojson>, "minZoom": 0, "maxZoom": 6, "extent": [minX, minY, maxX, maxY],
+//	                    "rule": ...} — the layer's non-empty tiles as GeoJSON
 //	GET  /healthz      liveness + admission mode
 //	GET  /statz        aggregate counters (JSON)
 //	GET  /metrics.csv  per-request metrics window (CSV)
@@ -36,32 +39,24 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	batch := flag.Int("batch", 0, "max requests coalesced per flush (0 = default 16)")
-	maxWait := flag.Duration("max-wait", 0, "max wait for a batch to fill (0 = default 2ms)")
-	queue := flag.Int("queue", 0, "admission queue depth (0 = default 256)")
+	queue := flag.Int("queue", 0, "max requests waiting for a work slot (0 = default 256)")
 	maxConc := flag.Int("max-concurrent", 0, "max clips in flight (0 = default 2*GOMAXPROCS)")
-	degraded := flag.Int("degraded-slots", 0, "inline slots for overflow traffic (0 = default 2)")
+	degraded := flag.Int("degraded-slots", 0, "slots for overflow traffic (0 = default 2)")
 	hold := flag.Duration("degraded-hold", 0, "degraded-mode hysteresis (0 = default 1s)")
 	timeout := flag.Duration("timeout", 0, "per-request deadline budget (0 = default 5s, negative disables)")
-	retries := flag.Int("retries", 0, "jittered-backoff retries for recoverable errors (0 = default 2)")
 	threads := flag.Int("threads", 0, "per-clip parallelism (0 = library default)")
 	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0 = default 1MiB)")
-	seed := flag.Int64("seed", 0, "retry-jitter seed (0 = from clock)")
 	chaos := flag.Duration("chaos", 0, "arm a cycling injected fault every interval (benchmark/chaos mode only; 0 = off)")
 	flag.Parse()
 
 	srv := serve.NewServer(serve.Config{
-		BatchSize:           *batch,
-		MaxWait:             *maxWait,
 		QueueDepth:          *queue,
 		MaxConcurrent:       *maxConc,
 		DegradedConcurrency: *degraded,
 		DegradedHold:        *hold,
 		RequestTimeout:      *timeout,
-		MaxRetries:          *retries,
 		Threads:             *threads,
 		MaxBodyBytes:        *maxBody,
-		Seed:                *seed,
 	})
 	if *chaos > 0 {
 		fmt.Fprintf(os.Stderr, "clipd: CHAOS MODE — injecting a fault every %v\n", *chaos)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,9 +21,10 @@ import (
 // while a fault armer cycles panics, hangs and corruptions through the
 // serve and engine guard sites. The contract: zero crashes, every request
 // gets an HTTP answer, every non-2xx answer is structured JSON, every shed
-// answer carries Retry-After, and tail latency stays bounded by the
-// request deadline. Fixed seed; SERVE_CHAOS_MS stretches the run (check.sh
-// uses 5000).
+// answer carries Retry-After, no more 5xx answers than serve-path faults
+// armed (each fails one request; the engines' faults fail none), and tail
+// latency stays bounded by the request deadline. Fixed seed;
+// SERVE_CHAOS_MS stretches the run (check.sh uses 5000).
 func TestServeChaosSmoke(t *testing.T) {
 	dur := 1200 * time.Millisecond
 	if ms, err := strconv.Atoi(os.Getenv("SERVE_CHAOS_MS")); err == nil && ms > 0 {
@@ -31,17 +33,12 @@ func TestServeChaosSmoke(t *testing.T) {
 	const seed = 42
 
 	s := NewServer(Config{
-		BatchSize:           4,
-		MaxWait:             time.Millisecond,
 		QueueDepth:          8,
 		MaxConcurrent:       2,
 		DegradedConcurrency: 1,
 		DegradedHold:        100 * time.Millisecond,
 		RequestTimeout:      time.Second,
-		MaxRetries:          2,
-		RetryBase:           time.Millisecond,
 		Threads:             2,
-		Seed:                seed,
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer func() {
@@ -51,7 +48,7 @@ func TestServeChaosSmoke(t *testing.T) {
 	defer guard.ClearFaults()
 
 	stop := make(chan struct{})
-	var armed atomic.Int64
+	var armed, armedServe atomic.Int64
 
 	// Fault armer: a fresh one-shot fault every 40ms, cycling the plan table.
 	var armerWG sync.WaitGroup
@@ -67,6 +64,9 @@ func TestServeChaosSmoke(t *testing.T) {
 			case <-tick.C:
 				armCycleFault(i)
 				armed.Add(1)
+				if strings.HasPrefix(faultCyclePlans[i%len(faultCyclePlans)].site, "serve.") {
+					armedServe.Add(1)
+				}
 			}
 		}
 	}()
@@ -138,8 +138,8 @@ func TestServeChaosSmoke(t *testing.T) {
 	armerWG.Wait()
 
 	st := s.Statz()
-	t.Logf("chaos smoke: %d requests (ok=%d 4xx=%d shed=%d 5xx=%d), %d faults armed, statz=%s",
-		tl.total, tl.ok, tl.cli, tl.shed, tl.srv, armed.Load(), st)
+	t.Logf("chaos smoke: %d requests (ok=%d 4xx=%d shed=%d 5xx=%d), %d faults armed (%d serve-path), statz=%s",
+		tl.total, tl.ok, tl.cli, tl.shed, tl.srv, armed.Load(), armedServe.Load(), st)
 
 	if tl.total == 0 {
 		t.Fatal("no requests completed")
@@ -152,6 +152,9 @@ func TestServeChaosSmoke(t *testing.T) {
 	}
 	if tl.shedNoRA != 0 {
 		t.Errorf("%d shed responses missing Retry-After", tl.shedNoRA)
+	}
+	if tl.srv > armedServe.Load() {
+		t.Errorf("%d 5xx answers for %d armed serve-path faults: a fault failed more than one request", tl.srv, armedServe.Load())
 	}
 	if tl.badBody != 0 {
 		t.Errorf("%d non-2xx responses without structured JSON body", tl.badBody)

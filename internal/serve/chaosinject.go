@@ -18,7 +18,7 @@ var faultCyclePlans = []struct {
 	kind string // "panic" | "hang" | "corrupt"
 }{
 	{"serve.enqueue", "panic"},
-	{"serve.flush", "panic"},
+	{"serve.clip", "panic"},
 	{"serve.encode", "panic"},
 	{"overlay.clip", "panic"},
 	{"par.worker", "panic"},

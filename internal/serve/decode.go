@@ -64,10 +64,10 @@ func httpErrorf(status int, code, format string, args ...any) *httpError {
 	return &httpError{status: status, body: ErrorResponse{Code: code, Error: fmt.Sprintf(format, args...)}}
 }
 
-// parsedRequest is a decoded, validated request ready to enqueue: a clip
+// parsedRequest is a decoded, validated request ready to admit: a clip
 // (the default) or — when tileSpec is non-nil — a tile-cutting job, where
-// subject holds the layer and op/clip are unused. Both kinds ride the same
-// admission queue, batcher, and degraded/shed machinery.
+// subject holds the layer and op/clip are unused. Both kinds take the same
+// admission, degraded and shed path.
 type parsedRequest struct {
 	subject, clip polyclip.Polygon
 	op            polyclip.Op
@@ -76,8 +76,7 @@ type parsedRequest struct {
 	opName        string
 	algoName      string
 
-	tileSpec  *tile.Spec
-	tileNaive bool
+	tileSpec *tile.Spec
 }
 
 // decodeRequest turns an HTTP request into a validated clip job, mapping
@@ -199,7 +198,6 @@ type TileRequest struct {
 	MaxZoom int             `json:"maxZoom"`
 	Extent  []float64       `json:"extent,omitempty"` // [minX, minY, maxX, maxY]
 	Rule    string          `json:"rule,omitempty"`
-	Naive   bool            `json:"naive,omitempty"` // baseline mode, for benchmarking
 }
 
 // TileFeature is one non-empty tile on the wire.
@@ -259,12 +257,11 @@ func decodeTileRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (*
 		return nil, httpErrorf(http.StatusBadRequest, "bad-spec", "%v", err)
 	}
 	return &parsedRequest{
-		subject:   layer,
-		rule:      rule,
-		opName:    "tiles",
-		algoName:  "tiles",
-		tileSpec:  &spec,
-		tileNaive: req.Naive,
+		subject:  layer,
+		rule:     rule,
+		opName:   "tiles",
+		algoName: "tiles",
+		tileSpec: &spec,
 	}, nil
 }
 

@@ -11,14 +11,7 @@ import (
 
 // fuzzServer is one shared server for the fuzz run: building a server per
 // input would dominate the fuzz loop.
-var fuzzServer = func() *Server {
-	return NewServer(Config{
-		BatchSize:      4,
-		MaxWait:        100 * time.Microsecond,
-		RequestTimeout: 2 * time.Second,
-		Seed:           1,
-	})
-}()
+var fuzzServer = NewServer(Config{RequestTimeout: 2 * time.Second})
 
 // FuzzServeRequest throws arbitrary bytes and mutated request bodies at the
 // full serve path. The invariants under fuzz: the handler never panics

@@ -26,15 +26,14 @@ type RequestMetrics struct {
 	Shed      bool   `json:"shed"`
 
 	RecvNs    int64 `json:"recvNs"`    // request decoded
-	EnqueueNs int64 `json:"enqueueNs"` // admitted to the batch queue (0 when shed)
-	FlushNs   int64 `json:"flushNs"`   // picked up by a batch flush (0 when shed/degraded-inline)
+	EnqueueNs int64 `json:"enqueueNs"` // admitted: waits for a work slot, or takes a degraded one
+	StartNs   int64 `json:"startNs"`   // holds its slot; the clip starts (0 when shed)
 	DoneNs    int64 `json:"doneNs"`    // response written
 
 	ArrangeNs int64 `json:"arrangeNs"` // engine sort+partition (arrangement) time
 	SweepNs   int64 `json:"sweepNs"`   // engine per-slab clip (sweep) time
 	StitchNs  int64 `json:"stitchNs"`  // engine merge (stitch) time
 
-	ServeRetries  int    `json:"serveRetries"` // jittered-backoff retries taken by the serve layer
 	Recovered     int    `json:"recovered"`
 	StageTimeouts int    `json:"stageTimeouts"`
 	ChainRetries  int    `json:"chainRetries"`
@@ -43,8 +42,8 @@ type RequestMetrics struct {
 	Attempts      string `json:"attempts,omitempty"` // semicolon-joined "name:outcome" trail
 }
 
-// absorbStats folds one accepted (or final failed) attempt's Stats into the
-// record.
+// absorbStats folds the clip's Stats (its accepted attempt, or its final
+// failed one) into the record.
 func (m *RequestMetrics) absorbStats(st *polyclip.Stats) {
 	if st == nil {
 		return
@@ -53,16 +52,12 @@ func (m *RequestMetrics) absorbStats(st *polyclip.Stats) {
 	m.ArrangeNs = int64(st.Sort + st.Partition)
 	m.SweepNs = int64(st.Clip)
 	m.StitchNs = int64(st.Merge)
-	m.Recovered += st.Resilience.Recovered
-	m.StageTimeouts += st.Resilience.StageTimeouts
-	m.ChainRetries += st.Resilience.Retries
-	m.AuditFailures += st.Resilience.InvariantFailures
-	if n := len(st.Resilience.Attempts) - 1; n > 0 {
-		m.FallbackSteps += n
-	}
-	if len(st.Resilience.Attempts) > 0 {
-		m.Attempts = strings.Join(st.Resilience.Attempts, ";")
-	}
+	m.Recovered = st.Resilience.Recovered
+	m.StageTimeouts = st.Resilience.StageTimeouts
+	m.ChainRetries = st.Resilience.Retries
+	m.AuditFailures = st.Resilience.InvariantFailures
+	m.FallbackSteps = max(len(st.Resilience.Attempts)-1, 0)
+	m.Attempts = strings.Join(st.Resilience.Attempts, ";")
 }
 
 // LatencyNs returns the end-to-end latency, 0 until the request is done.
@@ -76,9 +71,9 @@ func (m *RequestMetrics) LatencyNs() int64 {
 // csvHeader is the stable column order of the CSV export.
 var csvHeader = []string{
 	"id", "op", "algorithm", "engine", "status", "degraded", "shed",
-	"recvNs", "enqueueNs", "flushNs", "doneNs", "latencyNs",
+	"recvNs", "enqueueNs", "startNs", "doneNs", "latencyNs",
 	"arrangeNs", "sweepNs", "stitchNs",
-	"serveRetries", "recovered", "stageTimeouts", "chainRetries",
+	"recovered", "stageTimeouts", "chainRetries",
 	"auditFailures", "fallbackSteps", "attempts",
 }
 
@@ -88,12 +83,12 @@ func (m *RequestMetrics) csvRow() []string {
 		strconv.FormatInt(m.ID, 10), m.Op, m.Algorithm, m.Engine,
 		strconv.Itoa(m.Status), strconv.FormatBool(m.Degraded), strconv.FormatBool(m.Shed),
 		strconv.FormatInt(m.RecvNs, 10), strconv.FormatInt(m.EnqueueNs, 10),
-		strconv.FormatInt(m.FlushNs, 10), strconv.FormatInt(m.DoneNs, 10),
+		strconv.FormatInt(m.StartNs, 10), strconv.FormatInt(m.DoneNs, 10),
 		strconv.FormatInt(m.LatencyNs(), 10),
 		strconv.FormatInt(m.ArrangeNs, 10), strconv.FormatInt(m.SweepNs, 10),
 		strconv.FormatInt(m.StitchNs, 10),
-		strconv.Itoa(m.ServeRetries), strconv.Itoa(m.Recovered),
-		strconv.Itoa(m.StageTimeouts), strconv.Itoa(m.ChainRetries),
+		strconv.Itoa(m.Recovered), strconv.Itoa(m.StageTimeouts),
+		strconv.Itoa(m.ChainRetries),
 		strconv.Itoa(m.AuditFailures), strconv.Itoa(m.FallbackSteps),
 		m.Attempts,
 	}
@@ -182,18 +177,13 @@ type Statz struct {
 	Shed           int64 `json:"shed"`           // 503 + Retry-After answers
 	DegradedServed int64 `json:"degradedServed"` // overflow served by the degraded chain
 
-	QueueLen int   `json:"queueLen"`
+	QueueLen int   `json:"queueLen"` // requests waiting for a work slot
 	QueueCap int   `json:"queueCap"`
 	Inflight int64 `json:"inflight"`
-
-	BatchFlushes    int64   `json:"batchFlushes"`
-	BatchedRequests int64   `json:"batchedRequests"`
-	MeanBatchSize   float64 `json:"meanBatchSize"`
 
 	P50Ms float64 `json:"p50Ms"`
 	P99Ms float64 `json:"p99Ms"`
 
-	ServeRetries  int64 `json:"serveRetries"`
 	Recovered     int64 `json:"recovered"`
 	StageTimeouts int64 `json:"stageTimeouts"`
 	AuditFailures int64 `json:"auditFailures"`

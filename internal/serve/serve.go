@@ -2,19 +2,21 @@
 // library: the clipd daemon is a thin main around this package. Robustness
 // is the architecture, not a wrapper —
 //
-//   - a channel-based batcher coalesces small clips into one flush
-//     (BatchSize + MaxWait knobs, per-request response channels);
-//   - admission control bounds the queue, switches overflow traffic to the
-//     degraded chain (the coarse-grid/sequential tail of the resilience
-//     chain table) and sheds with 503 + Retry-After only when even the
-//     degraded slots are exhausted — no silent drops;
+//   - each request's handler admits its own request and runs its own clip:
+//     the paper parallelises inside one clip (Algorithm 2's slabs), so
+//     concurrent requests share no work and nothing coalesces them;
+//   - admission control bounds the requests waiting for a work slot,
+//     switches overflow traffic to the degraded chain (the
+//     coarse-grid/sequential tail of the resilience chain table) and sheds
+//     with 503 + Retry-After only when even the degraded slots are
+//     exhausted — no silent drops;
 //   - every request runs under a deadline budget that propagates into the
-//     library's per-stage watchdogs, with jittered-backoff retries for
-//     recoverable ClipErrors;
-//   - guard fault sites (serve.enqueue / serve.flush / serve.encode) let
+//     library's per-stage watchdogs; only ClipCtx's own fallback chain
+//     re-runs a failed clip;
+//   - guard fault sites (serve.enqueue / serve.clip / serve.encode) let
 //     the chaos harness drive panics, hangs and corruption through the
 //     server itself, which must answer every request and never crash;
-//   - a flat per-request metrics record (enqueue/flush/arrange/sweep/stitch
+//   - a flat per-request metrics record (enqueue/start/arrange/sweep/stitch
 //     timestamps plus the Stats.Resilience counters) is retained in a ring
 //     and exported as CSV, with /healthz and /statz for probes.
 package serve
@@ -22,17 +24,16 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"polyclip"
 	"polyclip/internal/acache"
 	"polyclip/internal/guard"
+	"polyclip/internal/tile"
 )
 
 func numCPU() int { return runtime.GOMAXPROCS(0) }
@@ -40,21 +41,16 @@ func numCPU() int { return runtime.GOMAXPROCS(0) }
 // Config parameterizes one Server. The zero value is usable: every knob
 // has a production-shaped default.
 type Config struct {
-	// BatchSize is the max requests coalesced into one flush (default 16).
-	BatchSize int
-	// MaxWait bounds how long an admitted request waits for its batch to
-	// fill before a partial flush (default 2ms).
-	MaxWait time.Duration
-	// QueueDepth bounds the admission queue; a full queue switches traffic
-	// to the degraded path (default 256).
+	// QueueDepth bounds the requests waiting for a work slot; when that
+	// many wait, traffic switches to the degraded path (default 256).
 	QueueDepth int
-	// MaxConcurrent bounds clips in flight at once across all batches
-	// (default 2*GOMAXPROCS, min 4). Backpressure propagates: when every
-	// slot is busy the flush loop blocks, the queue fills, and admission
-	// control starts degrading/shedding.
+	// MaxConcurrent bounds clips in flight at once (default 2*GOMAXPROCS,
+	// min 4). Backpressure propagates: when every slot is busy requests
+	// wait, the queue fills, and admission control starts
+	// degrading/shedding.
 	MaxConcurrent int
-	// DegradedConcurrency is the number of inline slots serving overflow
-	// traffic through the degraded chain (default 2).
+	// DegradedConcurrency is the number of slots serving overflow traffic
+	// through the degraded chain (default 2).
 	DegradedConcurrency int
 	// DegradedHold is how long degraded mode stays engaged after the last
 	// overflow (default 1s) — the hysteresis that makes /statz mode
@@ -63,20 +59,12 @@ type Config struct {
 	// RequestTimeout is the per-request deadline budget, propagated into
 	// the engine's per-stage watchdogs (default 5s; <0 disables).
 	RequestTimeout time.Duration
-	// MaxRetries is the number of jittered-backoff retries for recoverable
-	// ClipErrors (default 2).
-	MaxRetries int
-	// RetryBase is the backoff base; attempt n sleeps in
-	// [RetryBase<<n/2, RetryBase<<n) (default 2ms).
-	RetryBase time.Duration
 	// RetryAfter is the advertised Retry-After on shed responses
 	// (default 1s, rounded up to whole seconds).
 	RetryAfter time.Duration
 	// Threads bounds per-clip parallelism in the normal path; degraded
 	// clips are always single-threaded (default: library default).
 	Threads int
-	// Seed makes the retry jitter reproducible; 0 seeds from the clock.
-	Seed int64
 	// MaxBodyBytes caps request bodies (default 1 MiB).
 	MaxBodyBytes int64
 	// MetricsWindow is the retained per-request record count (default 4096).
@@ -84,12 +72,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
@@ -108,14 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 2 * time.Millisecond
-	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
@@ -133,17 +107,13 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg Config
 
-	queue       chan *job
+	queue       chan struct{} // one token per request waiting for a work slot
 	workSem     chan struct{} // bounds clips in flight (normal path)
-	degradedSem chan struct{} // bounds inline degraded clips (overflow path)
+	degradedSem chan struct{} // bounds degraded clips (overflow path)
 	done        chan struct{}
-	wg          sync.WaitGroup
 	closed      atomic.Bool
 
 	degradedUntil atomic.Int64 // unix nanos; mode is degraded until then
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	metrics *metricsRing
 	start   time.Time
@@ -156,36 +126,26 @@ type Server struct {
 	shed     atomic.Int64
 	degraded atomic.Int64
 	inflight atomic.Int64
-	flushes  atomic.Int64
-	batched  atomic.Int64
 
-	retries       atomic.Int64
 	recovered     atomic.Int64
 	stageTimeouts atomic.Int64
 	auditFailures atomic.Int64
 	fallbackSteps atomic.Int64
 }
 
-// NewServer builds a Server and starts its flush loop.
+// NewServer builds a Server. It starts no goroutine: each request's
+// handler runs its own clip.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	s := &Server{
+	return &Server{
 		cfg:         cfg,
-		queue:       make(chan *job, cfg.QueueDepth),
+		queue:       make(chan struct{}, cfg.QueueDepth),
 		workSem:     make(chan struct{}, cfg.MaxConcurrent),
 		degradedSem: make(chan struct{}, cfg.DegradedConcurrency),
 		done:        make(chan struct{}),
-		rng:         rand.New(rand.NewSource(seed)),
 		metrics:     newMetricsRing(cfg.MetricsWindow),
 		start:       time.Now(),
 	}
-	s.wg.Add(1)
-	go s.flushLoop()
-	return s
 }
 
 // Handler returns the HTTP surface: POST /clip, POST /tile, GET /healthz,
@@ -200,12 +160,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Close stops the flush loop and marks the server draining: new requests
-// are answered 503. In-flight clips finish on their own goroutines.
+// Close marks the server draining: new requests, and requests still
+// waiting for a work slot, are answered 503. In-flight clips finish on
+// their own goroutines.
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
 		close(s.done)
-		s.wg.Wait()
 	}
 }
 
@@ -234,29 +194,23 @@ func (s *Server) markDegraded() {
 func (s *Server) Statz() Statz {
 	p50, p99 := s.metrics.Percentiles()
 	st := Statz{
-		UptimeSeconds:   time.Since(s.start).Seconds(),
-		Mode:            s.Mode(),
-		Served:          s.served.Load(),
-		OK:              s.ok.Load(),
-		ClientErrors:    s.cliErr.Load(),
-		ServerErrors:    s.srvErr.Load(),
-		Shed:            s.shed.Load(),
-		DegradedServed:  s.degraded.Load(),
-		QueueLen:        len(s.queue),
-		QueueCap:        cap(s.queue),
-		Inflight:        s.inflight.Load(),
-		BatchFlushes:    s.flushes.Load(),
-		BatchedRequests: s.batched.Load(),
-		P50Ms:           float64(p50) / float64(time.Millisecond),
-		P99Ms:           float64(p99) / float64(time.Millisecond),
-		ServeRetries:    s.retries.Load(),
-		Recovered:       s.recovered.Load(),
-		StageTimeouts:   s.stageTimeouts.Load(),
-		AuditFailures:   s.auditFailures.Load(),
-		FallbackSteps:   s.fallbackSteps.Load(),
-	}
-	if st.BatchFlushes > 0 {
-		st.MeanBatchSize = float64(st.BatchedRequests) / float64(st.BatchFlushes)
+		UptimeSeconds:  time.Since(s.start).Seconds(),
+		Mode:           s.Mode(),
+		Served:         s.served.Load(),
+		OK:             s.ok.Load(),
+		ClientErrors:   s.cliErr.Load(),
+		ServerErrors:   s.srvErr.Load(),
+		Shed:           s.shed.Load(),
+		DegradedServed: s.degraded.Load(),
+		QueueLen:       len(s.queue),
+		QueueCap:       cap(s.queue),
+		Inflight:       s.inflight.Load(),
+		P50Ms:          float64(p50) / float64(time.Millisecond),
+		P99Ms:          float64(p99) / float64(time.Millisecond),
+		Recovered:      s.recovered.Load(),
+		StageTimeouts:  s.stageTimeouts.Load(),
+		AuditFailures:  s.auditFailures.Load(),
+		FallbackSteps:  s.fallbackSteps.Load(),
 	}
 	cs := acache.Shared().Stats()
 	st.CacheHits = cs.Hits
@@ -288,19 +242,29 @@ func (s *Server) handleMetricsCSV(w http.ResponseWriter, r *http.Request) {
 	_ = s.metrics.WriteCSV(w)
 }
 
-// handleClip is the clip request path: decode → admit (enqueue, degrade, or
-// shed) → await the response channel → encode. A panic anywhere in the
-// handler — including the serve.enqueue / serve.encode fault sites — is
-// answered as a structured 500, never a crash.
+// handleClip is the clip request path: decode → admit (wait for a work
+// slot, degrade, or shed) → clip → encode. A panic anywhere in the handler
+// — including the serve.enqueue / serve.encode fault sites — is answered as
+// a structured 500, never a crash.
 func (s *Server) handleClip(w http.ResponseWriter, r *http.Request) {
 	s.handleJob(w, r, decodeRequest)
 }
 
-// handleTile is the tile-cutting path: same admission, batching, degraded
-// and shed machinery as /clip, with a tile decoder in front and the tile
-// encoder behind.
+// handleTile is the tile-cutting path: same admission, degraded and shed
+// machinery as /clip, with a tile decoder in front and the tile encoder
+// behind.
 func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	s.handleJob(w, r, decodeTileRequest)
+}
+
+// result is what one clip goroutine hands back to its handler.
+type result struct {
+	out polyclip.Polygon
+	st  *polyclip.Stats
+	err error
+
+	tiles []tile.Tile // tile requests only
+	tst   *tile.Stats
 }
 
 // handleJob runs one request of either kind through the shared pipeline.
@@ -363,58 +327,45 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request,
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	// The job gets a private copy of the metrics record: the batcher and
-	// clip workers stamp timings into it without synchronizing with this
-	// handler, which may abandon the job on context expiry and read its own
-	// record concurrently. The finished copy rides back on the response
-	// channel (a happens-before edge) and is merged below.
-	jm := *m
-	j := &job{req: preq, ctx: ctx, resp: make(chan jobResult, 1), m: &jm}
 
-	// Admission. The enqueue fault site sits before the queue send so an
-	// injected panic exercises the handler's recovery path.
+	// Admission. The enqueue fault site sits before it so an injected
+	// panic exercises the handler's recovery path.
 	guard.Hit("serve.enqueue")
-	select {
-	case s.queue <- j:
-		m.EnqueueNs = time.Now().UnixNano()
-	default:
-		// Queue full: degraded slot, or shed with Retry-After.
-		s.markDegraded()
-		select {
-		case s.degradedSem <- struct{}{}:
-			j.degraded = true
-			m.Degraded = true
-			m.EnqueueNs = time.Now().UnixNano()
-			s.degraded.Add(1)
-			go func() {
-				defer func() { <-s.degradedSem }()
-				s.clipOne(j)
-			}()
-		default:
+	slot, he := s.admit(ctx, m)
+	if he != nil {
+		if he.status == http.StatusServiceUnavailable {
 			m.Shed = true
-			he := s.shedError("queue and degraded slots are full")
 			s.writeShed(w, he)
-			finish(he.status)
-			return
+		} else {
+			s.writeError(w, he)
 		}
+		finish(he.status)
+		return
 	}
 
+	// The clip runs on a goroutine that holds the slot, so the handler can
+	// still answer at its deadline when an engine does not poll ctx.
+	m.StartNs = time.Now().UnixNano()
+	done := make(chan result, 1)
+	go func(degraded bool) {
+		s.inflight.Add(1)
+		defer func() {
+			s.inflight.Add(-1)
+			<-slot
+		}()
+		done <- s.run(ctx, preq, degraded)
+	}(m.Degraded)
+
 	select {
-	case res := <-j.resp:
-		if res.m != nil {
-			// Adopt the job-side timings; enqueue/degraded were stamped on
-			// the handler's record after the job copy was taken.
-			res.m.EnqueueNs = m.EnqueueNs
-			res.m.Degraded = m.Degraded
-			*m = *res.m
-		}
+	case res := <-done:
+		m.absorbStats(res.st)
 		if res.err != nil {
 			he := clipError(res.err)
 			s.writeError(w, he)
 			finish(he.status)
 			return
 		}
-		status, err := s.writeResult(w, j, res)
+		status, err := s.writeResult(w, preq, m.Degraded, res)
 		if err != nil {
 			he := clipError(err)
 			s.writeError(w, he)
@@ -429,13 +380,86 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request,
 	}
 }
 
-// writeResult encodes the clipped polygon as GeoJSON — or, for a tile job,
-// the tile list. The serve.encode fault site sits before marshalling; a
-// panic there unwinds into the handler's recovery.
-func (s *Server) writeResult(w http.ResponseWriter, j *job, res jobResult) (int, error) {
+// admit takes a slot for one request and returns the semaphore to release
+// when its clip is done. While fewer than QueueDepth requests wait, the
+// request waits for a work slot; otherwise it takes a degraded slot. When
+// neither is possible, or the server starts draining while the request
+// waits, admit returns the 503 to shed it with; a request whose context
+// ends while it waits gets that context's answer.
+func (s *Server) admit(ctx context.Context, m *RequestMetrics) (chan struct{}, *httpError) {
+	select {
+	case s.queue <- struct{}{}:
+		m.EnqueueNs = time.Now().UnixNano()
+		defer func() { <-s.queue }()
+		select {
+		case s.workSem <- struct{}{}:
+			return s.workSem, nil
+		case <-s.done:
+			return nil, s.shedError("server is draining")
+		case <-ctx.Done():
+			return nil, clipError(ctx.Err())
+		}
+	default:
+	}
+	s.markDegraded()
+	select {
+	case s.degradedSem <- struct{}{}:
+		m.Degraded = true
+		m.EnqueueNs = time.Now().UnixNano()
+		s.degraded.Add(1)
+		return s.degradedSem, nil
+	default:
+		return nil, s.shedError("queue and degraded slots are full")
+	}
+}
+
+// run is the clip goroutine's body: one clip, or one tile cut, through the
+// hardened pipeline under the request's deadline. Degraded requests run
+// single-threaded. The serve.clip fault site sits at its entry, inside its
+// recover, so a panic outside the engines (those are isolated inside
+// ClipCtx) fails only this request.
+func (s *Server) run(ctx context.Context, req *parsedRequest, degraded bool) (res result) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = result{err: guard.FromPanic("serve.clip", -1, guard.NoPair, r)}
+		}
+	}()
+	guard.Hit("serve.clip")
+	if req.tileSpec != nil {
+		// The prepared pyramid cut goes through the shared prepare cache,
+		// so a layer cut repeatedly canonicalizes once.
+		opt := tile.Options{Rule: req.rule, Threads: s.cfg.Threads, Cache: acache.Shared()}
+		if degraded {
+			opt.Threads = 1
+		}
+		tiles, st, err := tile.Cut(ctx, req.subject, *req.tileSpec, opt)
+		return result{tiles: tiles, tst: &st, err: err}
+	}
+	opt := polyclip.Options{
+		Algorithm: req.algo,
+		Rule:      req.rule,
+		Threads:   s.cfg.Threads,
+		Degraded:  degraded,
+	}
+	res.out, res.st, res.err = polyclip.ClipCtx(ctx, req.subject, req.clip, req.op, opt)
+	if st := res.st; st != nil {
+		s.recovered.Add(int64(st.Resilience.Recovered))
+		s.stageTimeouts.Add(int64(st.Resilience.StageTimeouts))
+		s.auditFailures.Add(int64(st.Resilience.InvariantFailures))
+		if n := len(st.Resilience.Attempts) - 1; n > 0 {
+			s.fallbackSteps.Add(int64(n))
+		}
+	}
+	return res
+}
+
+// writeResult encodes the clipped polygon as GeoJSON — or, for a tile
+// request, the tile list. The serve.encode fault site sits before
+// marshalling; a panic there unwinds into the handler's recovery.
+func (s *Server) writeResult(w http.ResponseWriter, req *parsedRequest, degraded bool, res result) (int, error) {
 	guard.Hit("serve.encode")
-	if j.req.tileSpec != nil {
-		return s.writeTileResult(w, j, res)
+	if req.tileSpec != nil {
+		return s.writeTileResult(w, degraded, res)
 	}
 	raw, err := polyclip.FormatGeoJSON(res.out)
 	if err != nil {
@@ -443,7 +467,7 @@ func (s *Server) writeResult(w http.ResponseWriter, j *job, res jobResult) (int,
 	}
 	resp := ClipResponse{
 		Result:   raw,
-		Degraded: j.degraded,
+		Degraded: degraded,
 		Stats:    res.st,
 	}
 	if res.st != nil {
@@ -456,12 +480,12 @@ func (s *Server) writeResult(w http.ResponseWriter, j *job, res jobResult) (int,
 
 // writeTileResult encodes one cut pyramid: each non-empty tile as a
 // (z, x, y, geometry) record, already in canonical sorted order.
-func (s *Server) writeTileResult(w http.ResponseWriter, j *job, res jobResult) (int, error) {
+func (s *Server) writeTileResult(w http.ResponseWriter, degraded bool, res result) (int, error) {
 	resp := TileResponse{
 		Tiles:    make([]TileFeature, 0, len(res.tiles)),
 		Count:    len(res.tiles),
 		Stats:    res.tst,
-		Degraded: j.degraded,
+		Degraded: degraded,
 	}
 	for _, t := range res.tiles {
 		raw, err := polyclip.FormatGeoJSON(t.Poly)

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,9 +28,6 @@ const (
 // newTestServer builds a server + httptest frontend with fast test knobs.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 5 * time.Second
 	}
@@ -60,6 +59,55 @@ func postClip(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	var buf bytes.Buffer
 	_, _ = buf.ReadFrom(resp.Body)
 	return resp, buf.Bytes()
+}
+
+// answer is one HTTP answer collected off the test goroutine.
+type answer struct {
+	status     int
+	retryAfter string
+	body       []byte
+	err        error // transport failure: no HTTP answer at all
+}
+
+// goPost sends one POST /clip on its own goroutine; the answer arrives on
+// the returned channel.
+func goPost(url string, body []byte) <-chan answer {
+	ch := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(url+"/clip", "application/json", bytes.NewReader(body))
+		if err != nil {
+			ch <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		ch <- answer{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), body: raw, err: err}
+	}()
+	return ch
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// holdAtClip parks every clip at the serve.clip fault site until the
+// returned release is called. The test's cleanup releases them too, so a
+// failing test cannot leave a handler parked behind the httptest server's
+// Close; call it after newTestServer for that ordering.
+func holdAtClip(t *testing.T) (release func()) {
+	t.Helper()
+	ch := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(ch) }) }
+	guard.WithFault(t, "serve.clip", func() { <-ch })
+	t.Cleanup(release)
+	return release
 }
 
 func resultArea(t *testing.T, body []byte) float64 {
@@ -146,6 +194,16 @@ func TestAllOpsRulesAlgorithms(t *testing.T) {
 	}
 }
 
+func TestHTTPErrorMessage(t *testing.T) {
+	e := httpErrorf(422, "bad_rule", "unknown fill rule %q", "winding")
+	if got := e.Error(); got != `unknown fill rule "winding"` {
+		t.Errorf("Error() = %q", got)
+	}
+	if e.status != 422 || e.body.Code != "bad_rule" {
+		t.Errorf("status/code = %d/%q", e.status, e.body.Code)
+	}
+}
+
 // TestClipErrorUnsupportedMapping pins the 422 contract for ErrUnsupported.
 // The decoder answers unknown rule and algorithm names with 400 before any
 // clip runs, so the mapping is exercised at the error-translation seam the
@@ -225,37 +283,8 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces proves the batcher actually batches: a burst
-// launched while the flush loop waits out MaxWait lands in few flushes.
-func TestBatchingCoalesces(t *testing.T) {
-	s, ts := newTestServer(t, Config{BatchSize: 8, MaxWait: 100 * time.Millisecond})
-	const n = 8
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, body := postClip(t, ts.URL, clipBody(sqA, sqB, "intersection", nil))
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d: %s", resp.StatusCode, body)
-			}
-		}()
-	}
-	wg.Wait()
-	st := s.Statz()
-	if st.BatchedRequests != n {
-		t.Errorf("batched %d requests, want %d", st.BatchedRequests, n)
-	}
-	if st.BatchFlushes >= n {
-		t.Errorf("%d flushes for %d requests: no coalescing happened", st.BatchFlushes, n)
-	}
-	if st.MeanBatchSize <= 1 {
-		t.Errorf("mean batch size %.2f, want > 1", st.MeanBatchSize)
-	}
-}
-
-// slowRing builds a many-vertex operand pair so each clip takes real work —
-// the overload tests need requests to pile up.
+// slowOperands builds a many-vertex operand pair so a clip takes real work,
+// long enough for a client to cancel it mid-flight.
 func slowOperands(n int) (string, string) {
 	ring := func(cx, cy, r float64) string {
 		var b strings.Builder
@@ -276,91 +305,71 @@ func slowOperands(n int) (string, string) {
 // TestOverloadDegradesThenSheds drives the server past its queue: overflow
 // must be served through the degraded chain first, the rest must be shed
 // with Retry-After, nothing may be dropped silently, and the mode must
-// disengage once load subsides.
+// disengage once load subsides. Before the burst it fills each admission
+// position in order — the work slot, the QueueDepth waiting positions, then
+// the degraded slot — and confirms each through Statz before filling the
+// next. Those requests are held at the serve.clip site until the burst has
+// been answered, so the outcome does not depend on how fast the host clips.
 func TestOverloadDegradesThenSheds(t *testing.T) {
-	subj, clip := slowOperands(600)
+	const queueDepth = 2
 	s, ts := newTestServer(t, Config{
-		BatchSize:           2,
-		MaxWait:             time.Millisecond,
-		QueueDepth:          2,
+		QueueDepth:          queueDepth,
 		MaxConcurrent:       1,
 		DegradedConcurrency: 1,
 		Threads:             1,
 		DegradedHold:        300 * time.Millisecond,
 		RequestTimeout:      10 * time.Second,
-		MaxBodyBytes:        8 << 20,
 	})
+	release := holdAtClip(t)
+	body := clipBody(sqA, sqB, "intersection", nil)
+
+	var ok, shed, degraded, other, missingRA, unanswered atomic.Int64
+	tally := func(a answer) {
+		switch {
+		case a.err != nil:
+			unanswered.Add(1)
+		case a.status == http.StatusOK:
+			ok.Add(1)
+			var cr ClipResponse
+			_ = json.Unmarshal(a.body, &cr)
+			if cr.Degraded {
+				degraded.Add(1)
+				if len(cr.Attempts) == 0 || !(strings.HasPrefix(cr.Attempts[0], "overlay-coarse") || strings.HasPrefix(cr.Attempts[0], "vatti")) {
+					t.Errorf("degraded response did not go through the degraded chain: %v", cr.Attempts)
+				}
+			}
+		case a.status == http.StatusServiceUnavailable:
+			shed.Add(1)
+			if a.retryAfter == "" {
+				missingRA.Add(1)
+			}
+		default:
+			other.Add(1)
+			t.Errorf("unexpected status %d: %s", a.status, a.body)
+		}
+	}
+
+	held := []<-chan answer{goPost(ts.URL, body)}
+	waitFor(t, "a request to hold the work slot", func() bool { return s.Statz().Inflight == 1 })
+	for i := 1; i <= queueDepth; i++ {
+		held = append(held, goPost(ts.URL, body))
+		waitFor(t, fmt.Sprintf("%d requests to wait for the work slot", i), func() bool { return s.Statz().QueueLen == i })
+	}
+	held = append(held, goPost(ts.URL, body))
+	waitFor(t, "a request to take the degraded slot", func() bool { return s.Statz().DegradedServed == 1 })
+
 	const n = 40
-	var (
-		wg         sync.WaitGroup
-		ok, shed   atomic.Int64
-		degraded   atomic.Int64
-		other      atomic.Int64
-		missingRA  atomic.Int64
-		unanswered atomic.Int64
-	)
-	body := clipBody(subj, clip, "intersection", nil)
-
-	// Wedge the single worker slot before firing the burst: one oversized
-	// request (~160ms of clipping) holds MaxConcurrent=1 while the n
-	// requests below arrive, so the depth-2 queue overflows regardless of
-	// how fast the machine drains 600-vertex clips.
-	plugSubj, plugClip := slowOperands(30000)
-	plugBody := clipBody(plugSubj, plugClip, "intersection", nil)
-	plugDone := make(chan struct{})
-	go func() {
-		defer close(plugDone)
-		resp, err := http.Post(ts.URL+"/clip", "application/json", bytes.NewReader(plugBody))
-		if err != nil {
-			t.Errorf("plug request failed: %v", err)
-			return
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("plug request: status %d: %s", resp.StatusCode, buf.Bytes())
-		}
-	}()
-	time.Sleep(60 * time.Millisecond)
-
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/clip", "application/json", bytes.NewReader(body))
-			if err != nil {
-				unanswered.Add(1)
-				return
-			}
-			defer resp.Body.Close()
-			var buf bytes.Buffer
-			_, _ = buf.ReadFrom(resp.Body)
-			switch resp.StatusCode {
-			case http.StatusOK:
-				ok.Add(1)
-				var cr ClipResponse
-				_ = json.Unmarshal(buf.Bytes(), &cr)
-				if cr.Degraded {
-					degraded.Add(1)
-					if len(cr.Attempts) == 0 || !(strings.HasPrefix(cr.Attempts[0], "overlay-coarse") || strings.HasPrefix(cr.Attempts[0], "vatti")) {
-						t.Errorf("degraded response did not go through the degraded chain: %v", cr.Attempts)
-					}
-				}
-			case http.StatusServiceUnavailable:
-				shed.Add(1)
-				if resp.Header.Get("Retry-After") == "" {
-					missingRA.Add(1)
-				}
-			default:
-				other.Add(1)
-				t.Errorf("unexpected status %d: %s", resp.StatusCode, buf.Bytes())
-			}
+			tally(<-goPost(ts.URL, body))
 		}()
 	}
-	// Observe the mode while the burst is still in flight: wg.Wait below can
-	// outlast DegradedHold (two queued requests drain behind the plug), so
-	// the engaged state must be sampled now, not after.
+	// Observe the mode while the burst is still in flight: the held
+	// requests can outlast DegradedHold, so the engaged state must be
+	// sampled now, not after.
 	sawDegraded := false
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		if s.Mode() == "degraded" {
@@ -370,15 +379,19 @@ func TestOverloadDegradesThenSheds(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	wg.Wait()
-	<-plugDone
+	release()
+	for _, ch := range held {
+		tally(<-ch)
+	}
+	total := int64(n + len(held))
 	if unanswered.Load() > 0 {
 		t.Errorf("%d requests got no HTTP answer at all", unanswered.Load())
 	}
 	if missingRA.Load() > 0 {
 		t.Errorf("%d shed responses missing Retry-After", missingRA.Load())
 	}
-	if ok.Load()+shed.Load()+other.Load() != n {
-		t.Errorf("answered %d of %d", ok.Load()+shed.Load()+other.Load(), n)
+	if ok.Load()+shed.Load()+other.Load() != total {
+		t.Errorf("answered %d of %d", ok.Load()+shed.Load()+other.Load(), total)
 	}
 	st := s.Statz()
 	if st.DegradedServed == 0 {
@@ -404,37 +417,51 @@ func TestOverloadDegradesThenSheds(t *testing.T) {
 }
 
 // TestServeFaultSites drives one injected panic through each serve-path
-// fault site: the process must not crash and every request must still get
-// an HTTP answer.
+// fault site while four requests are sent at once: the process must not
+// crash, every request must get an HTTP answer, and the one fault must fail
+// exactly one request.
 func TestServeFaultSites(t *testing.T) {
-	for _, site := range []string{"serve.enqueue", "serve.flush", "serve.encode"} {
+	for _, site := range []string{"serve.enqueue", "serve.clip", "serve.encode"} {
 		t.Run(site, func(t *testing.T) {
-			_, ts := newTestServer(t, Config{MaxWait: time.Millisecond})
+			_, ts := newTestServer(t, Config{})
 			guard.WithFault(t, site, guard.Once(func() {
 				panic("chaos: injected panic at " + site)
 			}))
-			resp, body := postClip(t, ts.URL, clipBody(sqA, sqB, "intersection", nil))
-			if resp.StatusCode != http.StatusInternalServerError {
-				t.Errorf("faulted request: status %d, want 500: %s", resp.StatusCode, body)
+			body := clipBody(sqA, sqB, "intersection", nil)
+			var answers []<-chan answer
+			for i := 0; i < 4; i++ {
+				answers = append(answers, goPost(ts.URL, body))
 			}
-			var er ErrorResponse
-			if err := json.Unmarshal(body, &er); err != nil {
-				t.Fatalf("error body is not structured JSON: %s", body)
+			var ok, failed int
+			for _, ch := range answers {
+				a := <-ch
+				switch {
+				case a.err != nil:
+					t.Errorf("no HTTP answer: %v", a.err)
+				case a.status == http.StatusOK:
+					ok++
+				case a.status == http.StatusInternalServerError:
+					failed++
+					var er ErrorResponse
+					if err := json.Unmarshal(a.body, &er); err != nil || er.Code == "" {
+						t.Errorf("error body is not structured JSON: %s", a.body)
+					}
+				default:
+					t.Errorf("status %d: %s", a.status, a.body)
+				}
 			}
-			// The fault was one-shot: the next request must succeed.
-			resp2, body2 := postClip(t, ts.URL, clipBody(sqA, sqB, "intersection", nil))
-			if resp2.StatusCode != http.StatusOK {
-				t.Errorf("post-fault request: status %d: %s", resp2.StatusCode, body2)
+			if ok != 3 || failed != 1 {
+				t.Errorf("%d answered 200 and %d answered 500, want 3 and 1", ok, failed)
 			}
 		})
 	}
 }
 
 // TestEngineFaultRetried: a transient engine panic is absorbed by the
-// serve layer's jittered retry (or the library's own fallback chain) — the
+// library's fallback chain, which retries the clip on its next engine — the
 // client still sees a 200.
 func TestEngineFaultRetried(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxWait: time.Millisecond, MaxRetries: 2, RetryBase: time.Millisecond})
+	s, ts := newTestServer(t, Config{})
 	guard.WithFault(t, "overlay.clip", guard.Once(func() {
 		panic("chaos: transient engine fault")
 	}))
@@ -446,13 +473,13 @@ func TestEngineFaultRetried(t *testing.T) {
 		t.Errorf("area = %v, want 4", got)
 	}
 	st := s.Statz()
-	if st.FallbackSteps == 0 && st.ServeRetries == 0 && st.Recovered == 0 {
+	if st.FallbackSteps == 0 && st.Recovered == 0 {
 		t.Error("no resilience intervention recorded for the faulted clip")
 	}
 }
 
 func TestDeadlineBudget(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxWait: time.Millisecond, RequestTimeout: 60 * time.Millisecond, MaxRetries: 0})
+	_, ts := newTestServer(t, Config{RequestTimeout: 60 * time.Millisecond})
 	guard.WithFault(t, "par.worker", func() { time.Sleep(300 * time.Millisecond) })
 	start := time.Now()
 	resp, body := postClip(t, ts.URL, clipBody(sqA, sqB, "intersection", nil))
@@ -466,7 +493,7 @@ func TestDeadlineBudget(t *testing.T) {
 }
 
 func TestHealthzStatzMetrics(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxWait: time.Millisecond})
+	s, ts := newTestServer(t, Config{})
 	postClip(t, ts.URL, clipBody(sqA, sqB, "xor", nil))
 
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -519,25 +546,68 @@ func TestHealthzStatzMetrics(t *testing.T) {
 		t.Errorf("csv row has %d fields, want %d", len(row), len(csvHeader))
 	}
 
-	// Lifecycle timestamps are monotone for a batched request.
+	// Lifecycle timestamps are monotone for an answered request.
 	recs := s.metrics.Records()
 	var found bool
 	for _, m := range recs {
 		if m.Status == http.StatusOK && !m.Degraded {
 			found = true
-			if !(m.RecvNs <= m.EnqueueNs && m.EnqueueNs <= m.FlushNs && m.FlushNs <= m.DoneNs) {
+			if !(m.RecvNs <= m.EnqueueNs && m.EnqueueNs <= m.StartNs && m.StartNs <= m.DoneNs) {
 				t.Errorf("timestamps not monotone: %+v", m)
 			}
 		}
 	}
 	if !found {
-		t.Error("no successful batched record retained")
+		t.Error("no successful record retained")
 	}
 }
 
+// TestLoneRequestStartsAtOnce: an uncontended request takes its work slot
+// as soon as it is admitted; nothing holds it back to wait for others.
+func TestLoneRequestStartsAtOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for i := 0; i < 20; i++ {
+		resp, body := postClip(t, ts.URL, clipBody(sqA, sqB, "intersection", nil))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	var waits []int64
+	for _, m := range s.metrics.Records() {
+		waits = append(waits, m.StartNs-m.EnqueueNs)
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	if med := time.Duration(waits[len(waits)/2]); med >= time.Millisecond {
+		t.Errorf("median wait for a work slot %v over %d uncontended requests, want under 1ms", med, len(waits))
+	}
+}
+
+// TestCloseDrains: after Close every new request, and every request still
+// waiting for a work slot, is shed like a draining request, while a clip
+// already in flight finishes.
 func TestCloseDrains(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxWait: time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxConcurrent: 1})
+	release := holdAtClip(t)
+	body := clipBody(sqA, sqB, "union", nil)
+	inflight := goPost(ts.URL, body)
+	waitFor(t, "a request to hold the work slot", func() bool { return s.Statz().Inflight == 1 })
+	waiting := goPost(ts.URL, body)
+	waitFor(t, "a request to wait for the work slot", func() bool { return s.Statz().QueueLen == 1 })
 	s.Close()
+	a := <-waiting
+	if a.err != nil {
+		t.Fatalf("waiting request got no answer: %v", a.err)
+	}
+	var er ErrorResponse
+	_ = json.Unmarshal(a.body, &er)
+	if a.status != http.StatusServiceUnavailable || a.retryAfter == "" || er.Error != "server is draining" {
+		t.Errorf("request waiting at close: status %d, Retry-After %q: %s", a.status, a.retryAfter, a.body)
+	}
+	release()
+	if a := <-inflight; a.err != nil || a.status != http.StatusOK {
+		t.Errorf("request in flight at close: status %d (%v): %s", a.status, a.err, a.body)
+	}
+
 	resp, body := postClip(t, ts.URL, clipBody(sqA, sqB, "union", nil))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("post-close clip: status %d: %s", resp.StatusCode, body)
@@ -558,7 +628,7 @@ func TestCloseDrains(t *testing.T) {
 }
 
 func TestClientCancelMidFlight(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, Config{})
 	subj, clip := slowOperands(400)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/clip",

@@ -75,29 +75,6 @@ func TestTileEndpoint(t *testing.T) {
 	}
 }
 
-// TestTileEndpointNaiveAgrees: the naive knob serves the same tile keys.
-func TestTileEndpointNaiveAgrees(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	_, fastRaw := postTile(t, ts.URL, tileBody(t, nil))
-	_, naiveRaw := postTile(t, ts.URL, tileBody(t, map[string]any{"naive": true}))
-	var fast, naive TileResponse
-	if err := json.Unmarshal(fastRaw, &fast); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(naiveRaw, &naive); err != nil {
-		t.Fatal(err)
-	}
-	if fast.Count != naive.Count {
-		t.Fatalf("prepared served %d tiles, naive %d", fast.Count, naive.Count)
-	}
-	for i := range fast.Tiles {
-		a, b := fast.Tiles[i], naive.Tiles[i]
-		if a.Z != b.Z || a.X != b.X || a.Y != b.Y {
-			t.Fatalf("tile key %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
 func TestTileEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {

@@ -69,7 +69,7 @@ go test -race -run 'Adversarial|MatchesOrientOracle' ./internal/geom/
 echo "== go test -race"
 go test -race ./...
 
-echo "== serve layer under -race (batcher, admission control, fault sites)"
+echo "== serve layer under -race (admission control, drain, fault sites)"
 go test -race -count=1 ./internal/serve/
 
 echo "== chaos through the server (5s, fixed seed: 0 crashes, every shed = 503 + Retry-After)"
