@@ -3,7 +3,7 @@ FUZZ_TARGETS := FuzzParseWKT FuzzParseGeoJSON FuzzClipRoundTrip FuzzClipAllEngin
 CHAOS_SEED ?= 1
 CHAOS_CASES ?= 200
 COVER_FLOOR ?= 80
-COVER_PKGS := ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/ ./internal/geojson/
+COVER_PKGS := ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/ringstitch/ ./internal/shclip/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/ ./internal/geojson/
 # The tile-cutting fast paths carry a higher floor: a missed branch there is
 # a silently wrong tile, not a slow one.
 COVER_FLOOR_TILES ?= 85

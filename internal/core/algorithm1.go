@@ -22,7 +22,7 @@ type Alg1Report struct {
 	M      int   // scanbeams
 	K      int   // intersection pairs (the paper's k)
 	KPrime int   // scanbeam population (the paper's k')
-	Output int   // output vertices
+	Output int   // output vertices, O(n + k): Step 4 drops the k' virtual ones
 	Procs  int   // n + k + k': the paper's processor bound
 	Trapez int   // trapezoids emitted in Step 3
 	Work   int64 // total comparisons modelled (for the PRAM cost accounting)
@@ -113,7 +113,7 @@ func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op Op, rule eng
 		e := &edges[id]
 		return e.Seg, e.Owner, e.Delta
 	}
-	perBeam := make([][]vatti.Trapezoid, len(beams))
+	perBeam := make([][]scanbeam.Piece, len(beams))
 	par.ForEachItem(len(beams), p, func(bi int) {
 		if bi&63 == 0 && canceled(ctx) {
 			return
@@ -123,20 +123,21 @@ func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op Op, rule eng
 			return
 		}
 		scratch := scanbeam.Get()
-		var out []vatti.Trapezoid
+		var out []scanbeam.Piece
 		scanbeam.BeamTrapezoids(scratch, ids, ys[bi], ys[bi+1], op, rule, edgeAt, &out)
 		scanbeam.Put(scratch)
 		perBeam[bi] = out
 	})
 
-	var tzs []vatti.Trapezoid
+	var pieces []scanbeam.Piece
 	for _, t := range perBeam {
-		tzs = append(tzs, t...)
+		pieces = append(pieces, t...)
 	}
-	rep.Trapez = len(tzs)
+	rep.Trapez = len(pieces)
 
-	// Step 4: merge the per-beam partial polygons.
-	out := vatti.Assemble(tzs)
+	// Step 4: merge the per-beam partial polygons, beam by beam from the
+	// bottom, so each edge's per-beam sides join into one.
+	out := vatti.Assemble(pieces)
 	for _, r := range out {
 		rep.Output += len(r)
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"polyclip/internal/arrange"
+	"polyclip/internal/data"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
@@ -168,6 +170,31 @@ func TestAlgorithmOneReportOutputSensitive(t *testing.T) {
 	}
 	if repNear.Procs <= repFar.Procs-repFar.KPrime {
 		t.Log("processor accounting:", repNear.Procs, repFar.Procs)
+	}
+}
+
+// TestAlgorithmOneOutputIsNPlusK counts Algorithm 1's output vertices on
+// two high-crossing pairs under every op: the merge returns the resolved
+// arrangement's boundary, n + k vertices, so the output stays within 2x the
+// resolved pair's vertex count however many beams cut its sides (the k'
+// virtual vertices the merge drops).
+func TestAlgorithmOneOutputIsNPlusK(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pair func() (geom.Polygon, geom.Polygon)
+	}{
+		{"interleaved-512", func() (geom.Polygon, geom.Polygon) { return data.InterleavedPair(38, 512) }},
+		{"selfintersecting-401", func() (geom.Polygon, geom.Polygon) { return data.SelfIntersectingPair(3, 401) }},
+	} {
+		a, b := tc.pair()
+		ra, rb := arrange.ResolvePairRule(a, b, engine.EvenOdd)
+		resolved := ra.NumVertices() + rb.NumVertices()
+		for _, op := range []Op{Intersection, Union, Difference, Xor} {
+			_, rep := AlgorithmOne(a, b, op, 2)
+			if rep.Output > 2*resolved {
+				t.Errorf("%s %v: %d output vertices, resolved pair has %d (k' = %d)", tc.name, op, rep.Output, resolved, rep.KPrime)
+			}
+		}
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 // their rule-regions: a winding-aware union of each operand against
 // nothing. The result's point set is identical under every fill rule, so
 // the even-odd slab pipeline downstream computes the winding-rule answer
-// exactly. EvenOdd operands pass through untouched — the slab pipeline
-// handles them natively.
+// exactly, and the union's merge returns the region's own boundary — the
+// resolved operand's vertices, not the sides its beam lines cut — so the
+// slab host sweeps operands of the input's size. EvenOdd operands pass
+// through untouched — the slab pipeline handles them natively.
 //
 // The operands are first resolved jointly onto the pair's shared snap grid,
 // and each union sweep runs on that joint arrangement as it stands

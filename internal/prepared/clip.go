@@ -47,10 +47,16 @@ func (pp *Prepared) ClipRect(box geom.BBox) (out geom.Polygon, cls Class) {
 		// Single convex ring straddling an otherwise untouched window: the
 		// classic Sutherland–Hodgman case, one linear pass, single piece.
 		// With no ring around the window the ring is an outer, so CCW.
+		// A window side or corner on a ring vertex makes Sutherland–Hodgman
+		// emit that point twice; drop the repeats as the oriented pass does.
 		pp.convexClips.Add(1)
 		clipped := shclip.SutherlandHodgman(pp.poly[ri], geom.Rect(box.MinX, box.MinY, box.MaxX, box.MaxY))
-		if len(clipped) >= 3 && clipped.Area() > 0 {
-			out = geom.Polygon{clipped}
+		ring := clipped[:0]
+		for _, p := range clipped {
+			ring = appendDistinct(ring, p)
+		}
+		if ring = trimWrap(ring); len(ring) >= 3 && ring.Area() > 0 {
+			out = geom.Polygon{ring}
 		}
 		return out, cls
 	}
@@ -185,10 +191,7 @@ func (pp *Prepared) clipOriented(box geom.BBox, scr *scratch) geom.Polygon {
 			}
 		}
 		scr.ring = ring
-		for len(ring) > 1 && ring[len(ring)-1] == ring[0] {
-			ring = ring[:len(ring)-1]
-		}
-		if len(ring) >= 3 && ring.SignedArea() != 0 {
+		if ring = trimWrap(ring); len(ring) >= 3 && ring.SignedArea() != 0 {
 			out = append(out, ring.Clone())
 		}
 	}
@@ -349,6 +352,14 @@ func appendDistinct(r geom.Ring, p geom.Point) geom.Ring {
 		return r
 	}
 	return append(r, p)
+}
+
+// trimWrap drops the ring's last points while they repeat its first.
+func trimWrap(r geom.Ring) geom.Ring {
+	for len(r) > 1 && r[len(r)-1] == r[0] {
+		r = r[:len(r)-1]
+	}
+	return r
 }
 
 // SweepRect is the differential/rescue route: the same window clip computed

@@ -146,7 +146,9 @@ func Prepare(p geom.Polygon, rule engine.FillRule) *Prepared {
 // every engine runs. The sweep turns any rule's region into a simple even-odd
 // boundary with ringstitch's canonical orientations (CCW outers, CW holes) —
 // the invariant every fast path leans on — and the result is snapped onto
-// the power-of-two grid.
+// the power-of-two grid. The sweep's merge joins each edge's per-beam sides,
+// so the canonical form has the resolved layer's vertices and no more: a
+// convex ring stays one convex ring, which the convex straddle route serves.
 func Canonicalize(p geom.Polygon, rule engine.FillRule) geom.Polygon {
 	canon := vatti.ClipRule(p, nil, engine.Union, rule)
 	return geom.SnapPolygon(canon, geom.AutoSnapEps(canon, nil))

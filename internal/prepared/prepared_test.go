@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -199,6 +200,20 @@ func TestPreparedCanonicalRegion(t *testing.T) {
 		want := vatti.ClipRule(src, nil, engine.Union, rule)
 		if d := xorArea(pp.Polygon(), want); d > 1e-6 {
 			t.Errorf("%s: canonical form differs from rule region by area %g", rule, d)
+		}
+	}
+}
+
+// TestCanonicalizeIsOutputSensitive counts the canonical form's vertices:
+// the union sweep returns the layer's own boundary, not the sides the beam
+// lines cut it into, so a 32-ring tile layer stays within 2x its vertices
+// under every rule.
+func TestCanonicalizeIsOutputSensitive(t *testing.T) {
+	layer := data.TileLayer(data.TileLayerOptions{Rings: 32, Seed: 1})
+	n := layer.NumVertices()
+	for _, rule := range engine.Rules() {
+		if got := Canonicalize(layer, rule).NumVertices(); got > 2*n {
+			t.Errorf("%s: canonical form has %d vertices, the layer %d", rule, got, n)
 		}
 	}
 }
@@ -403,6 +418,43 @@ func TestClipRectDegenerateWindows(t *testing.T) {
 				t.Errorf("%s/%s: %d windows rescued by the sweep", lc.name, rule, st.Rescues)
 			}
 		}
+	}
+}
+
+// TestClipRectConvexRouteDistinctVertices clips a convex diamond to windows
+// with a side or corner on its vertices, the contacts where
+// Sutherland–Hodgman emits a point twice: the convex route must return each
+// ring without a repeated vertex, matching the naive sweep.
+func TestClipRectConvexRouteDistinctVertices(t *testing.T) {
+	diamond := geom.Polygon{{{X: 2, Y: 0}, {X: 4, Y: 2}, {X: 2, Y: 4}, {X: 0, Y: 2}}}
+	pp := FromCanonical(diamond, engine.EvenOdd)
+	box := geom.BBox{MinX: 1, MinY: 2, MaxX: 4, MaxY: 3}
+	got, cls := pp.ClipRect(box)
+	want := geom.Ring{{X: 1, Y: 2}, {X: 4, Y: 2}, {X: 3, Y: 3}, {X: 1, Y: 3}}
+	if cls != Straddle || pp.Stats().ConvexClips != 1 || len(got) != 1 || !slices.Equal(got[0], want) {
+		t.Fatalf("%+v: got %v (%v, stats %+v), want %v by the convex route", box, got, cls, pp.Stats(), want)
+	}
+	for i, box := range []geom.BBox{
+		{MinX: 2, MinY: 0, MaxX: 5, MaxY: 2},
+		{MinX: 1, MinY: 1, MaxX: 4, MaxY: 2},
+		{MinX: 0, MinY: 1, MaxX: 3, MaxY: 2},
+		{MinX: 2, MinY: 2, MaxX: 3, MaxY: 4},
+		{MinX: -1, MinY: 2, MaxX: 3, MaxY: 3},
+	} {
+		name := fmt.Sprintf("window %d %+v", i, box)
+		checkAgainstNaive(t, name, diamond, pp, box, engine.EvenOdd)
+		got, _ := pp.ClipRect(box)
+		for _, r := range got {
+			for j := range r {
+				if r[j] == r[(j+1)%len(r)] {
+					t.Errorf("%s: ring %v repeats vertex %v", name, r, r[j])
+				}
+			}
+		}
+	}
+	// checkAgainstNaive clips each window once more.
+	if st := pp.Stats(); st.ConvexClips != 11 {
+		t.Errorf("stats %+v: every clip should take the convex route", st)
 	}
 }
 

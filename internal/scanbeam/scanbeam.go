@@ -138,23 +138,34 @@ func SortByX(entries []Entry) {
 	})
 }
 
+// Piece is one trapezoid of a beam together with the edges that bound it:
+// Left and Right name the coincident group on each side by its smallest edge
+// id. The ids let the merge join an edge's per-beam sides (vatti.Assemble);
+// they stay inside the sweep, whose exported output is the bare Trapezoid.
+type Piece struct {
+	engine.Trapezoid
+	Left, Right int32
+}
+
 // BeamTrapezoids orders the beam's active edges on the beam midline and
-// appends the op-selected trapezoids of the beam [yb, yt] to out — the
-// shared Step 3 of the sequential sweep and the parallel Algorithm 1: walk
-// left to right accumulating each polygon's signed winding count (Lemma 1/3
-// generalized from parity to winding) and emit one trapezoid per maximal run
+// appends the op-selected pieces of the beam [yb, yt] to out — the shared
+// Step 3 of the sequential sweep and the parallel Algorithm 1: walk left to
+// right accumulating each polygon's signed winding count (Lemma 1/3
+// generalized from parity to winding) and emit one piece per maximal run
 // where the operation holds under the fill rule. edge returns the
 // (upward-oriented) segment, owner tag and winding delta of an id. For
-// EvenOdd the ±1 deltas both flip parity, so the walk is bit-identical to
-// the historical parity walk; the winding rules read the accumulated sign.
+// EvenOdd the ±1 deltas both flip parity; the winding rules read the
+// accumulated sign.
 //
-// Fully coincident edges (the only equal-x entries an arrange-resolved input
-// can place on a beam midline) may be visited in either order; any
-// transient strip between them has zero width, so the emitted trapezoid
-// degenerates to its caps and cancels during assembly — the canonical
-// shared-edge policy every engine inherits from this walk.
+// Each run of equal midline x is walked as one boundary: after arrange
+// resolution, equal x on the midline means the edges coincide within the
+// beam, so the walk applies all of the run's deltas before it evaluates the
+// op, and names the run by its smallest edge id. This is the canonical
+// shared-edge policy every engine inherits from this walk: no piece has zero
+// width, and a coincident group bounds with the same id in every beam it
+// spans, so the merge can join its per-beam sides.
 func BeamTrapezoids(scratch *Scratch, ids []int32, yb, yt float64, op engine.Op,
-	rule engine.FillRule, edge func(int32) (geom.Segment, uint8, int8), out *[]engine.Trapezoid) {
+	rule engine.FillRule, edge func(int32) (geom.Segment, uint8, int8), out *[]Piece) {
 	ymid := (yb + yt) / 2
 	order := scratch.Entries(len(ids))
 	for i, id := range ids {
@@ -166,26 +177,31 @@ func BeamTrapezoids(scratch *Scratch, ids []int32, yb, yt float64, op engine.Op,
 	var windSub, windClip int16
 	inOp := false
 	var left int32 = -1
-	for _, e := range order {
-		if e.Owner == 0 {
-			windSub += int16(e.Delta)
-		} else {
-			windClip += int16(e.Delta)
+	for i := 0; i < len(order); {
+		x, id := order[i].X, order[i].ID
+		for ; i < len(order) && order[i].X == x; i++ {
+			e := order[i]
+			if e.Owner == 0 {
+				windSub += int16(e.Delta)
+			} else {
+				windClip += int16(e.Delta)
+			}
+			id = min(id, e.ID)
 		}
 		now := op.Eval(rule.Inside(windSub), rule.Inside(windClip))
 		if now && !inOp {
-			left = e.ID
+			left = id
 		} else if !now && inOp {
 			l, _, _ := edge(left)
-			r, _, _ := edge(e.ID)
-			tz := engine.Trapezoid{
+			r, _, _ := edge(id)
+			p := Piece{Trapezoid: engine.Trapezoid{
 				L1: geom.Point{X: l.XAtY(yb), Y: yb},
 				R1: geom.Point{X: r.XAtY(yb), Y: yb},
 				L2: geom.Point{X: l.XAtY(yt), Y: yt},
 				R2: geom.Point{X: r.XAtY(yt), Y: yt},
-			}
-			ClampCorners(&tz)
-			*out = append(*out, tz)
+			}, Left: left, Right: id}
+			ClampCorners(&p.Trapezoid)
+			*out = append(*out, p)
 		}
 		inOp = now
 	}

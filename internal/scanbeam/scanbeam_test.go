@@ -2,6 +2,7 @@ package scanbeam
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"polyclip/internal/engine"
@@ -90,7 +91,7 @@ func TestBeamTrapezoidsUnion(t *testing.T) {
 	deltas := []int8{1, -1}
 	edgeAt := func(id int32) (geom.Segment, uint8, int8) { return edges[id], 0, deltas[id] }
 	var scratch Scratch
-	var out []engine.Trapezoid
+	var out []Piece
 	BeamTrapezoids(&scratch, []int32{0, 1}, 0, 1, engine.Union, engine.EvenOdd, edgeAt, &out)
 	if len(out) != 1 {
 		t.Fatalf("emitted %d trapezoids, want 1", len(out))
@@ -110,7 +111,7 @@ func TestBeamTrapezoidsIntersection(t *testing.T) {
 	deltas := []int8{1, -1, 1, -1}
 	edgeAt := func(id int32) (geom.Segment, uint8, int8) { return edges[id], owners[id], deltas[id] }
 	var scratch Scratch
-	var out []engine.Trapezoid
+	var out []Piece
 	BeamTrapezoids(&scratch, []int32{0, 1, 2, 3}, 0, 1, engine.Intersection, engine.EvenOdd, edgeAt, &out)
 	if len(out) != 1 {
 		t.Fatalf("emitted %d trapezoids, want 1", len(out))
@@ -124,6 +125,46 @@ func TestBeamTrapezoidsIntersection(t *testing.T) {
 	BeamTrapezoids(&scratch, []int32{0, 1, 2, 3}, 0, 1, engine.Xor, engine.EvenOdd, edgeAt, &out)
 	if len(out) != 2 {
 		t.Fatalf("xor emitted %d trapezoids, want 2", len(out))
+	}
+}
+
+func TestBeamTrapezoidsCoincidentGroup(t *testing.T) {
+	// Subject and clip are the same strip [0, 2], so edges 0 and 2 coincide
+	// on the left and 1 and 3 on the right, and clip edge 4 at x = 2 starts
+	// the strip [2, 3].
+	edges := []geom.Segment{
+		vertical(0, 0, 1), vertical(2, 0, 1), // subject
+		vertical(0, 0, 1), vertical(2, 0, 1), vertical(2, 0, 1), vertical(3, 0, 1), // clip
+	}
+	owners := []uint8{0, 0, 1, 1, 1, 1}
+	deltas := []int8{1, -1, 1, -1, 1, -1}
+	edgeAt := func(id int32) (geom.Segment, uint8, int8) { return edges[id], owners[id], deltas[id] }
+	var scratch Scratch
+	for _, tc := range []struct {
+		op   engine.Op
+		want []Piece
+	}{
+		// Each group is one boundary named by its smallest id; edges 1, 3
+		// and 4 at x = 2 leave the union inside, so it is one piece.
+		{engine.Intersection, []Piece{{Trapezoid: engine.Trapezoid{
+			L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1},
+		}, Left: 0, Right: 1}}},
+		{engine.Union, []Piece{{Trapezoid: engine.Trapezoid{
+			L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 3, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 3, Y: 1},
+		}, Left: 0, Right: 5}}},
+		// Xor is outside on both sides of the left group: no zero-width
+		// piece between edges 0 and 2.
+		{engine.Xor, []Piece{{Trapezoid: engine.Trapezoid{
+			L1: geom.Point{X: 2, Y: 0}, R1: geom.Point{X: 3, Y: 0}, L2: geom.Point{X: 2, Y: 1}, R2: geom.Point{X: 3, Y: 1},
+		}, Left: 1, Right: 5}}},
+	} {
+		for _, ids := range [][]int32{{0, 1, 2, 3, 4, 5}, {5, 4, 3, 2, 1, 0}} {
+			var out []Piece
+			BeamTrapezoids(&scratch, ids, 0, 1, tc.op, engine.EvenOdd, edgeAt, &out)
+			if !slices.Equal(out, tc.want) {
+				t.Errorf("%v, ids %v: pieces %+v, want %+v", tc.op, ids, out, tc.want)
+			}
+		}
 	}
 }
 
@@ -143,7 +184,7 @@ func TestBeamTrapezoidsWindingRules(t *testing.T) {
 	var scratch Scratch
 
 	area := func(rule engine.FillRule) float64 {
-		var out []engine.Trapezoid
+		var out []Piece
 		BeamTrapezoids(&scratch, ids, 0, 1, engine.Union, rule, edgeAt, &out)
 		var sum float64
 		for _, tz := range out {

@@ -7,10 +7,11 @@
 // alternates left/right bounds (Lemma 1); running even-odd parity over the
 // list classifies each strip of the beam as inside or outside each input
 // polygon (Lemmas 2–3), and the strips selected by the clipping operation
-// are emitted as trapezoids. Adjacent beams' trapezoids are merged by
-// cancelling the shared horizontal caps (the paper's virtual vertices k')
-// and stitching the remaining boundary into rings (the paper's Step 4 /
-// Fig. 6 merge).
+// are emitted as trapezoids. Adjacent beams' trapezoids are merged (the
+// paper's Step 4 / Fig. 6 merge): the shared horizontal caps cancel, each
+// edge's per-beam sides join into one side, dropping the virtual vertices k'
+// that the beam lines cut into it, and the remaining boundary stitches into
+// rings of n + k vertices.
 //
 // This is the sequential reference engine; package core parallelizes the
 // per-beam work (Algorithm 1) and the slab decomposition (Algorithm 2).
@@ -46,13 +47,13 @@ type Trapezoid = engine.Trapezoid
 
 // Clip computes `subject op clip` with the sequential scanbeam sweep.
 func Clip(subject, clip geom.Polygon, op Op) geom.Polygon {
-	return Assemble(Trapezoids(subject, clip, op))
+	return Assemble(sweep(subject, clip, op, engine.EvenOdd, false))
 }
 
 // ClipRule computes `subject op clip` under the given fill rule with the
 // sequential scanbeam sweep.
 func ClipRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Polygon {
-	return Assemble(TrapezoidsRule(subject, clip, op, rule))
+	return Assemble(sweep(subject, clip, op, rule, false))
 }
 
 // ClipRuleResolved is ClipRule for operands already put through the joint
@@ -60,7 +61,7 @@ func ClipRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Poly
 // engine.Options.PreResolved seam: the sweep runs directly on the given
 // geometry.
 func ClipRuleResolved(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Polygon {
-	return Assemble(trapezoidsRule(subject, clip, op, rule, true))
+	return Assemble(sweep(subject, clip, op, rule, true))
 }
 
 // Trapezoids computes the even-odd trapezoid decomposition of
@@ -80,12 +81,22 @@ func Trapezoids(subject, clip geom.Polygon, op Op) []Trapezoid {
 // regenerated exactly as trapezoid caps. This sidesteps the paper's §III-C
 // perturbation without changing the result.
 func TrapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) []Trapezoid {
-	return trapezoidsRule(subject, clip, op, rule, false)
+	pieces := sweep(subject, clip, op, rule, false)
+	if len(pieces) == 0 {
+		return nil
+	}
+	tzs := make([]Trapezoid, len(pieces))
+	for i, p := range pieces {
+		tzs[i] = p.Trapezoid
+	}
+	return tzs
 }
 
-// trapezoidsRule is TrapezoidsRule with the joint resolution pass skipped
-// when resolved promises the pair already went through it.
-func trapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule, resolved bool) []Trapezoid {
+// sweep runs the sequential scanbeam sweep and returns its pieces beam by
+// beam from the bottom, the order Assemble joins sides in. The joint
+// resolution pass is skipped when resolved promises the pair already went
+// through it.
+func sweep(subject, clip geom.Polygon, op Op, rule engine.FillRule, resolved bool) []scanbeam.Piece {
 	subject = dropDegenerate(subject)
 	clip = dropDegenerate(clip)
 
@@ -121,7 +132,7 @@ func trapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule, res
 	// Sweep schedule and per-beam winding walk both come from the shared
 	// scanbeam substrate; the sweep is sequential, so one stack scratch
 	// serves every beam with zero steady-state allocation.
-	sweep := scanbeam.NewSweep(ys, len(edges), func(i int32) (float64, float64) {
+	sched := scanbeam.NewSweep(ys, len(edges), func(i int32) (float64, float64) {
 		return edges[i].Seg.A.Y, edges[i].Seg.B.Y
 	})
 	edgeAt := func(id int32) (geom.Segment, uint8, int8) {
@@ -129,81 +140,130 @@ func trapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule, res
 		return e.Seg, e.Owner, e.Delta
 	}
 	var scratch scanbeam.Scratch
-	var tzs []Trapezoid
-	sweep.ForEachBeam(func(_ int, yb, yt float64, active []int32) {
+	var pieces []scanbeam.Piece
+	sched.ForEachBeam(func(_ int, yb, yt float64, active []int32) {
 		if len(active) >= 2 {
-			scanbeam.BeamTrapezoids(&scratch, active, yb, yt, op, rule, edgeAt, &tzs)
+			scanbeam.BeamTrapezoids(&scratch, active, yb, yt, op, rule, edgeAt, &pieces)
 		}
 	})
-	return tzs
+	return pieces
 }
 
-// Assemble merges a trapezoid decomposition into polygons: the shared
-// horizontal caps between vertically adjacent trapezoids cancel (after
-// splitting caps at each other's endpoints) and the remaining directed
-// boundary stitches into rings. This is the merge phase of the paper's
-// Algorithm 1 (Fig. 6), in its flat single-pass form.
-func Assemble(tzs []Trapezoid) geom.Polygon {
-	if len(tzs) == 0 {
+// Assemble merges the sweep's pieces into polygons — the merge phase of the
+// paper's Algorithm 1 (Fig. 6), in one flat pass. The shared horizontal caps
+// between vertically adjacent pieces cancel (after splitting caps at each
+// other's endpoints); each edge's consecutive per-beam sides join into one
+// side, so the output carries none of the virtual vertices k' that the beam
+// lines cut into the sides; the remaining directed boundary stitches into
+// rings. CancelOpposites and Stitch therefore sort O(n + k) edges, not
+// O(n + k + k').
+//
+// Pieces come beam by beam from the bottom, as BeamTrapezoids emits them: a
+// side joins the open side of its edge only where it starts at that side's
+// end, so an out-of-order or mismatched piece (a clamped corner, an unsplit
+// crossing) simply starts a side of its own.
+func Assemble(pieces []scanbeam.Piece) geom.Polygon {
+	if len(pieces) == 0 {
 		return nil
 	}
-	// Corners of adjacent trapezoids that represent the same arrangement
-	// vertex can differ by an ulp when computed through different edges
-	// (e.g. the two edges of a crossing). Cluster near-identical corners
-	// onto shared representatives so the edge graph balances exactly.
-	tzs = snapCorners(tzs)
+	// Corners of adjacent pieces that represent the same arrangement vertex
+	// can differ by an ulp when computed through different edges (e.g. the
+	// two edges of a crossing). Snap every corner onto a shared grid so the
+	// edge graph balances exactly.
+	eps, maxID := cornerGrid(pieces)
 	// Caps: +1 for bottom caps (interior above), -1 for top caps (interior
-	// below).
-	caps := make([]ringstitch.Cap, 0, 2*len(tzs))
-	sides := make([]ringstitch.Edge, 0, 2*len(tzs))
-	for _, tz := range tzs {
+	// below), in ascending y, each line's caps in piece order.
+	caps := make([]ringstitch.Cap, 0, 2*len(pieces))
+	for _, p := range pieces {
+		tz := snapCorners(p, eps)
 		if tz.R1.X > tz.L1.X {
 			caps = append(caps, ringstitch.Cap{Y: tz.L1.Y, X0: tz.L1.X, X1: tz.R1.X, Dir: +1})
 		}
 		if tz.R2.X > tz.L2.X {
 			caps = append(caps, ringstitch.Cap{Y: tz.L2.Y, X0: tz.L2.X, X1: tz.R2.X, Dir: -1})
 		}
-		// Right side up, left side down (interior on the left).
-		if tz.R1 != tz.R2 {
-			sides = append(sides, ringstitch.Edge{From: tz.R1, To: tz.R2})
-		}
-		if tz.L1 != tz.L2 {
-			sides = append(sides, ringstitch.Edge{From: tz.L2, To: tz.L1})
-		}
 	}
-	// Cap lines in ascending y, each line's caps in trapezoid order: the
-	// emission order decides where Stitch starts each output ring.
 	slices.SortStableFunc(caps, func(a, b ringstitch.Cap) int { return cmp.Compare(a.Y, b.Y) })
-	return ringstitch.Stitch(ringstitch.NetCaps(ringstitch.CancelOpposites(sides), caps))
+	// The net caps come first: a side must keep every joint where one ends.
+	edges := ringstitch.NetCaps(make([]ringstitch.Edge, 0, len(caps)+2*len(pieces)), caps)
+	edges = joinSides(edges, pieces, eps, maxID)
+	return ringstitch.Stitch(ringstitch.CancelOpposites(edges))
 }
 
-// snapCorners welds trapezoid corners that represent the same arrangement
-// vertex by quantizing every coordinate onto the geom.GridStep grid of the
-// data extent (geom.SnapPoint). Quantization is a pure function of the
-// coordinate value, so — unlike greedy nearest-neighbour clustering, whose
-// groups depend on scan order and can weld two corners while leaving a
-// third, equally close one apart — corners that must cancel downstream
-// always land on the identical representative.
-func snapCorners(tzs []Trapezoid) []Trapezoid {
-	box := geom.EmptyBBox()
-	for _, tz := range tzs {
-		box.Extend(tz.L1)
-		box.Extend(tz.R1)
-		box.Extend(tz.L2)
-		box.Extend(tz.R2)
-	}
-	eps := geom.GridStep(box)
-	if eps == 0 {
-		return tzs
-	}
-	out := make([]Trapezoid, len(tzs))
-	for i, tz := range tzs {
-		out[i] = Trapezoid{
-			L1: geom.SnapPoint(tz.L1, eps), R1: geom.SnapPoint(tz.R1, eps),
-			L2: geom.SnapPoint(tz.L2, eps), R2: geom.SnapPoint(tz.R2, eps),
+// joinSides appends the sides of the pieces to dst, whose first len(dst)
+// edges are the net caps, with the region interior on the left: right sides
+// run up, left sides down. A piece's side extends the open side of the same
+// edge id and side when it starts where that side ends, unless a net cap
+// ends at the joint — the joint is then a vertex of the output.
+func joinSides(dst []ringstitch.Edge, pieces []scanbeam.Piece, eps float64, maxID int32) []ringstitch.Edge {
+	net := dst[:len(dst):len(dst)]
+	// open[2*id] and open[2*id+1] hold 1 + the index in dst of the edge's
+	// open left and right side; 0 while it has none.
+	open := make([]int32, 2*int(maxID)+2)
+	for _, p := range pieces {
+		tz := snapCorners(p, eps)
+		if tz.R1 != tz.R2 {
+			if k := open[2*p.Right+1] - 1; k >= 0 && dst[k].To == tz.R1 && !capEndsAt(net, tz.R1) {
+				dst[k].To = tz.R2
+			} else {
+				dst = append(dst, ringstitch.Edge{From: tz.R1, To: tz.R2})
+				open[2*p.Right+1] = int32(len(dst))
+			}
+		}
+		if tz.L1 != tz.L2 {
+			if k := open[2*p.Left] - 1; k >= 0 && dst[k].From == tz.L1 && !capEndsAt(net, tz.L1) {
+				dst[k].From = tz.L2
+			} else {
+				dst = append(dst, ringstitch.Edge{From: tz.L2, To: tz.L1})
+				open[2*p.Left] = int32(len(dst))
+			}
 		}
 	}
-	return out
+	return dst
+}
+
+// capEndsAt reports whether a net cap ends at p. net is NetCaps output:
+// lines by ascending y, each line's pieces by ascending x, so the first
+// piece whose right end is not left of p is the only one that can end there.
+func capEndsAt(net []ringstitch.Edge, p geom.Point) bool {
+	i, _ := slices.BinarySearchFunc(net, p, func(e ringstitch.Edge, p geom.Point) int {
+		if c := cmp.Compare(e.From.Y, p.Y); c != 0 {
+			return c
+		}
+		return cmp.Compare(max(e.From.X, e.To.X), p.X)
+	})
+	return i < len(net) && net[i].From.Y == p.Y && (net[i].From.X == p.X || net[i].To.X == p.X)
+}
+
+// cornerGrid returns the snapping grid of the pieces — the geom.GridStep of
+// their corners' extent — and their largest edge id.
+func cornerGrid(pieces []scanbeam.Piece) (eps float64, maxID int32) {
+	box := geom.EmptyBBox()
+	for _, p := range pieces {
+		box.Extend(p.L1)
+		box.Extend(p.R1)
+		box.Extend(p.L2)
+		box.Extend(p.R2)
+		maxID = max(maxID, p.Left, p.Right)
+	}
+	return geom.GridStep(box), maxID
+}
+
+// snapCorners welds the piece's corners that represent the same arrangement
+// vertex as another piece's by quantizing every coordinate onto the eps grid
+// (geom.SnapPoint); eps 0 leaves them as they are. Quantization is a pure
+// function of the coordinate value, so — unlike greedy nearest-neighbour
+// clustering, whose groups depend on scan order and can weld two corners
+// while leaving a third, equally close one apart — corners that must cancel
+// or join downstream always land on the identical representative.
+func snapCorners(p scanbeam.Piece, eps float64) Trapezoid {
+	if eps == 0 {
+		return p.Trapezoid
+	}
+	return Trapezoid{
+		L1: geom.SnapPoint(p.L1, eps), R1: geom.SnapPoint(p.R1, eps),
+		L2: geom.SnapPoint(p.L2, eps), R2: geom.SnapPoint(p.R2, eps),
+	}
 }
 
 func dropDegenerate(p geom.Polygon) geom.Polygon {

@@ -3,11 +3,14 @@ package vatti
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"polyclip/internal/data"
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
+	"polyclip/internal/scanbeam"
 )
 
 func checkArea(t *testing.T, name string, subj, clip geom.Polygon, op Op, want float64) geom.Polygon {
@@ -128,40 +131,64 @@ func TestAssembleSingleTrapezoid(t *testing.T) {
 		L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0},
 		L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1},
 	}
-	got := Assemble([]Trapezoid{tz})
+	got := Assemble([]scanbeam.Piece{{Trapezoid: tz, Left: 0, Right: 1}})
 	if len(got) != 1 || math.Abs(got[0].Area()-2) > 1e-12 {
 		t.Errorf("got %v", got)
 	}
 }
 
 func TestAssembleStackedTrapezoidsFuse(t *testing.T) {
-	tzs := []Trapezoid{
-		{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1}},
-		{L1: geom.Point{X: 0, Y: 1}, R1: geom.Point{X: 2, Y: 1}, L2: geom.Point{X: 0, Y: 2}, R2: geom.Point{X: 2, Y: 2}},
+	pieces := []scanbeam.Piece{
+		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1}}, Left: 0, Right: 1},
+		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 1}, R1: geom.Point{X: 2, Y: 1}, L2: geom.Point{X: 0, Y: 2}, R2: geom.Point{X: 2, Y: 2}}, Left: 0, Right: 1},
 	}
-	got := Assemble(tzs)
+	got := Assemble(pieces)
 	if len(got) != 1 {
 		t.Fatalf("rings = %d, want 1 (caps must cancel)", len(got))
 	}
 	if math.Abs(got[0].Area()-4) > 1e-12 {
 		t.Errorf("area = %v", got[0].Area())
 	}
+	// The sides of edges 0 and 1 join across the cancelled seam at y = 1.
+	if len(got[0]) != 4 {
+		t.Errorf("ring %v has %d vertices, want 4 (no virtual vertex at y = 1)", got[0], len(got[0]))
+	}
 }
 
 func TestAssemblePartialCapOverlap(t *testing.T) {
 	// Upper trapezoid narrower than lower: caps cancel only on the shared
 	// x-range.
-	tzs := []Trapezoid{
-		{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 4, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 4, Y: 1}},
-		{L1: geom.Point{X: 1, Y: 1}, R1: geom.Point{X: 3, Y: 1}, L2: geom.Point{X: 1, Y: 2}, R2: geom.Point{X: 3, Y: 2}},
+	pieces := []scanbeam.Piece{
+		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 4, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 4, Y: 1}}, Left: 0, Right: 1},
+		{Trapezoid: Trapezoid{L1: geom.Point{X: 1, Y: 1}, R1: geom.Point{X: 3, Y: 1}, L2: geom.Point{X: 1, Y: 2}, R2: geom.Point{X: 3, Y: 2}}, Left: 2, Right: 3},
 	}
-	got := Assemble(tzs)
+	got := Assemble(pieces)
 	area := 0.0
 	for _, r := range got {
 		area += math.Abs(r.SignedArea())
 	}
 	if math.Abs(area-6) > 1e-12 {
 		t.Errorf("area = %v, want 6 (rings=%d)", area, len(got))
+	}
+}
+
+func TestAssembleKeepsJointWhereNetCapEnds(t *testing.T) {
+	// Edge 0 bounds A on the left in the lower beam and B in the upper one;
+	// C's right side, edge 4, coincides with edge 0 in the lower beam, and
+	// C's top cap ends at (0,1). Joining edge 0's sides across (0,1) would
+	// leave C's right side nothing to cancel against and the cap a dangling
+	// end: the joint must stay a vertex.
+	pieces := []scanbeam.Piece{
+		{Trapezoid: Trapezoid{L1: geom.Point{X: -2, Y: 0}, R1: geom.Point{X: 0, Y: 0}, L2: geom.Point{X: -2, Y: 1}, R2: geom.Point{X: 0, Y: 1}}, Left: 3, Right: 4},
+		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1}}, Left: 0, Right: 1},
+		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 1}, R1: geom.Point{X: 1, Y: 1}, L2: geom.Point{X: 0, Y: 2}, R2: geom.Point{X: 1, Y: 2}}, Left: 0, Right: 2},
+	}
+	got := Assemble(pieces)
+	if len(got) != 1 || math.Abs(got.Area()-5) > 1e-12 || math.Abs(got[0].SignedArea()-5) > 1e-12 {
+		t.Fatalf("got %v (area %g), want one CCW ring of area 5", got, got.Area())
+	}
+	if !slices.Contains(got[0], geom.Point{X: 0, Y: 1}) {
+		t.Errorf("ring %v lost the joint (0,1)", got[0])
 	}
 }
 
@@ -217,28 +244,28 @@ func TestTriStripTriangleDegeneration(t *testing.T) {
 // pin merge: the difference of two hexagons (a 12-edge pair clip, 8
 // trapezoids) and the union of two 2048-edge polygons.
 func assembleInputs() []struct {
-	name string
-	tzs  []Trapezoid
+	name   string
+	pieces []scanbeam.Piece
 } {
 	hexA := geom.Polygon{geom.RegularPolygon(geom.Point{}, 10, 6, 0)}
 	hexB := geom.Polygon{geom.RegularPolygon(geom.Point{X: 5, Y: 3}, 10, 6, 0.3)}
 	a, b := data.SyntheticPair(1, 2048, 2048)
 	return []struct {
-		name string
-		tzs  []Trapezoid
+		name   string
+		pieces []scanbeam.Piece
 	}{
-		{"pair=12", Trapezoids(hexA, hexB, Difference)},
-		{"union=4096", Trapezoids(a, b, Union)},
+		{"pair=12", sweep(hexA, hexB, Difference, engine.EvenOdd, false)},
+		{"union=4096", sweep(a, b, Union, engine.EvenOdd, false)},
 	}
 }
 
 func TestAssembleAllocs(t *testing.T) {
 	in := assembleInputs()[0]
-	if len(in.tzs) != 8 {
-		t.Fatalf("%s: %d trapezoids, want 8", in.name, len(in.tzs))
+	if len(in.pieces) != 8 {
+		t.Fatalf("%s: %d trapezoids, want 8", in.name, len(in.pieces))
 	}
-	if got := testing.AllocsPerRun(50, func() { Assemble(in.tzs) }); got != 16 {
-		t.Errorf("%s: Assemble allocates %v objects/op, pinned at 16", in.name, got)
+	if got := testing.AllocsPerRun(50, func() { Assemble(in.pieces) }); got != 15 {
+		t.Errorf("%s: Assemble allocates %v objects/op, pinned at 15", in.name, got)
 	}
 }
 
@@ -247,7 +274,7 @@ func BenchmarkAssemble(b *testing.B) {
 		b.Run(in.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Assemble(in.tzs)
+				Assemble(in.pieces)
 			}
 		})
 	}
