@@ -17,7 +17,7 @@ import (
 // overlayPin is the sha256 of pinMatrix's outputs. A change that alters any
 // batch output bit fails TestOverlayOutputPin; such a change must update the
 // pin and say which cases changed and why.
-const overlayPin = "e44e35db739662e64c9cbba030e9bff757a79509d91755cd2b826c3e09835061"
+const overlayPin = "d8b882674af9a764c95129ec1cf7afb238fd53cf6e60ffc02b4884a74bb0c6a8"
 
 // pinMatrix overlays 300×300-feature layers for seeds 1–2, RepeatFrac 0 and
 // 0.5, every op and every rule at the given thread count, and hashes each
