@@ -210,7 +210,7 @@ func isReducedRing(r, w geom.Ring, count map[geom.Point]int, tol float64) bool {
 	}
 	removable := func(skipped []geom.Point, a, b geom.Point) bool {
 		for _, q := range skipped {
-			if count[q] != 1 || segmentDistance(q, a, b) > tol {
+			if count[q] != 1 || (geom.Segment{A: a, B: b}).DistToPoint(q) > tol {
 				return false
 			}
 		}
@@ -238,14 +238,4 @@ func isReducedRing(r, w geom.Ring, count map[geom.Point]int, tol float64) bool {
 		}
 	}
 	return false
-}
-
-// segmentDistance is the distance from q to the segment ab.
-func segmentDistance(q, a, b geom.Point) float64 {
-	d := b.Sub(a)
-	t := 0.0
-	if l := d.X*d.X + d.Y*d.Y; l > 0 {
-		t = max(0, min(1, (q.Sub(a).X*d.X+q.Sub(a).Y*d.Y)/l))
-	}
-	return math.Hypot(q.X-(a.X+t*d.X), q.Y-(a.Y+t*d.Y))
 }
