@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -247,6 +248,19 @@ func TestSlabBoundaries(t *testing.T) {
 	}
 }
 
+// foldWith is ReduceTree over raw overlay clips of one op, the combine the
+// MergeUnionTree ablation uses for unions.
+func foldWith(t *testing.T, polys []geom.Polygon, op Op) geom.Polygon {
+	t.Helper()
+	out, err := ReduceTree(polys, 4, func(a, b geom.Polygon) (geom.Polygon, error) {
+		return overlay.Clip(a, b, op, overlay.Options{Parallelism: 1}), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestUnionAllGrid(t *testing.T) {
 	// 4x4 grid of unit squares sharing edges dissolves into one 4x4 square.
 	var polys []geom.Polygon
@@ -255,7 +269,7 @@ func TestUnionAllGrid(t *testing.T) {
 			polys = append(polys, geom.RectPolygon(float64(i), float64(j), float64(i+1), float64(j+1)))
 		}
 	}
-	got := UnionAll(polys, 4)
+	got := foldWith(t, polys, Union)
 	if math.Abs(got.Area()-16) > 1e-6 {
 		t.Errorf("dissolved area = %v, want 16", got.Area())
 	}
@@ -264,32 +278,46 @@ func TestUnionAllGrid(t *testing.T) {
 	}
 }
 
+// TestUnionAllEmptyAndSingle: nil folds to nil, and a lone item comes back
+// as it is, with combine never called.
 func TestUnionAllEmptyAndSingle(t *testing.T) {
-	if got := UnionAll(nil, 2); got != nil {
-		t.Errorf("UnionAll(nil) = %v", got)
+	if got := foldWith(t, nil, Union); got != nil {
+		t.Errorf("fold of nil = %v", got)
 	}
-	single := []geom.Polygon{geom.RectPolygon(0, 0, 1, 1)}
-	if got := UnionAll(single, 2); math.Abs(got.Area()-1) > 1e-12 {
-		t.Errorf("single = %v", got.Area())
+	single := geom.RectPolygon(0, 0, 1, 1)
+	got, err := ReduceTree([]geom.Polygon{single}, 2, func(a, b geom.Polygon) (geom.Polygon, error) {
+		t.Fatal("combine called for a single item")
+		return nil, nil
+	})
+	if err != nil || len(got) != 1 || &got[0][0] != &single[0][0] {
+		t.Errorf("single = %v, %v; want the item itself", got, err)
 	}
 }
 
+// TestIntersectAll: the common region of the set, and the first error of a
+// level, in item order, ends the fold.
 func TestIntersectAll(t *testing.T) {
 	polys := []geom.Polygon{
 		geom.RectPolygon(0, 0, 10, 10),
 		geom.RectPolygon(2, 0, 12, 10),
 		geom.RectPolygon(4, 0, 14, 10),
 	}
-	got := IntersectAll(polys, 2)
-	if math.Abs(got.Area()-60) > 1e-6 {
+	if got := foldWith(t, polys, Intersection); math.Abs(got.Area()-60) > 1e-6 {
 		t.Errorf("common area = %v, want 60", got.Area())
 	}
 	// Disjoint operand empties the result.
 	polys = append(polys, geom.RectPolygon(100, 100, 101, 101))
-	if got := IntersectAll(polys, 2); got.Area() > 1e-9 {
-		t.Errorf("disjoint IntersectAll = %v", got.Area())
+	if got := foldWith(t, polys, Intersection); got.Area() > 1e-9 {
+		t.Errorf("disjoint intersection = %v", got.Area())
 	}
-	if got := IntersectAll(nil, 2); got != nil {
-		t.Errorf("IntersectAll(nil) = %v", got)
+	errs := []error{errors.New("pair 0"), errors.New("pair 1")}
+	_, err := ReduceTree(polys, 2, func(a, b geom.Polygon) (geom.Polygon, error) {
+		if a[0][0].X == 0 {
+			return nil, errs[0]
+		}
+		return nil, errs[1]
+	})
+	if !errors.Is(err, errs[0]) {
+		t.Errorf("err = %v, want the first pair's", err)
 	}
 }

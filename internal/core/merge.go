@@ -17,7 +17,10 @@ func mergePartials(partial []geom.Polygon, bounds []float64, mode MergeMode, sna
 		}
 		return out
 	case MergeUnionTree:
-		return mergeUnionTree(partial, p)
+		out, _ := ReduceTree(partial, p, func(a, b geom.Polygon) (geom.Polygon, error) {
+			return overlay.Clip(a, b, overlay.Union, overlay.Options{Parallelism: 1}), nil
+		})
+		return out
 	default:
 		return mergeStitch(partial, bounds, snapEps, p)
 	}
@@ -83,25 +86,33 @@ func mergeStitch(partial []geom.Polygon, bounds []float64, snapEps float64, p in
 	return ringstitch.Stitch(rest)
 }
 
-// mergeUnionTree performs the literal Fig. 6 reduction: adjacent partial
-// outputs are pairwise unioned, log(slabs) rounds, each round's unions
-// running concurrently.
-func mergeUnionTree(partial []geom.Polygon, p int) geom.Polygon {
-	cur := make([]geom.Polygon, len(partial))
-	copy(cur, partial)
+// ReduceTree folds items with combine by the paper's Fig. 6 reduction tree:
+// the items sit at the leaves of a complete binary tree, each internal node
+// combines its two children, and every level's combines run concurrently
+// with parallelism p — O(log n) rounds. An odd item out rides up a level
+// unchanged. The first error of a level, in item order, ends the fold. nil
+// in gives nil out; one item comes back as it is.
+func ReduceTree(items []geom.Polygon, p int, combine func(a, b geom.Polygon) (geom.Polygon, error)) (geom.Polygon, error) {
+	if len(items) == 0 {
+		return nil, nil
+	}
+	cur := items
 	for len(cur) > 1 {
 		next := make([]geom.Polygon, (len(cur)+1)/2)
+		errs := make([]error, len(next))
 		par.ForEachItem(len(next), p, func(i int) {
 			if 2*i+1 < len(cur) {
-				next[i] = overlay.Clip(cur[2*i], cur[2*i+1], overlay.Union, overlay.Options{Parallelism: 1})
+				next[i], errs[i] = combine(cur[2*i], cur[2*i+1])
 			} else {
 				next[i] = cur[2*i]
 			}
 		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
 		cur = next
 	}
-	if len(cur) == 0 {
-		return nil
-	}
-	return cur[0]
+	return cur[0], nil
 }

@@ -4,10 +4,12 @@
 // crashes and pathological geometry.
 //
 // Degenerate inputs are the common case in real GIS workloads (Foster &
-// Overfelt; the paper's §III-C degeneracy handling), so every public entry
-// point of the library routes its operands through Validate and Repair
-// before any engine sees them, and audits engine output before returning
-// it. The fault hooks let tests drive the rarely-exercised failure paths —
+// Overfelt; the paper's §III-C degeneracy handling), so every exported
+// function of package polyclip that clips routes its operands through
+// Validate and Repair before any engine sees them. ClipCtx's fallback
+// chain, which ClipAllCtx and OverlayLayersMergedCtx run too, audits engine
+// output before returning it; the batch overlay rescues a panicking pair
+// with a second engine instead. The fault hooks let tests drive the rarely-exercised failure paths —
 // a panic in one slab worker, a corrupted engine result — without
 // depending on finding real inputs that trigger them.
 package guard

@@ -25,9 +25,15 @@
 //	b := polyclip.Polygon{{{2, 2}, {6, 2}, {6, 6}, {2, 6}}}
 //	out := polyclip.Clip(a, b, polyclip.Intersection)
 //
-// Layers of polygon features (GIS overlay) are clipped pair by pair through
-// OverlayBatchCtx and OverlayBatchLayersCtx, and as two fused regions
-// through OverlayLayersMerged; WKT I/O goes through ParseWKT and FormatWKT.
+// Every entry point that clips runs the hardened pipeline of ClipCtx:
+// operands are validated and repaired, and engines run inside the
+// differential-fallback chain. Clip and ClipWith are ClipCtx without the
+// error. Layers of polygon features (GIS overlay) are clipped pair by pair
+// through OverlayBatchCtx and OverlayBatchLayersCtx, and as two fused
+// regions through OverlayLayersMerged(Ctx); a whole set of polygons is
+// dissolved, intersected or xored by ClipAllCtx's reduction tree (the
+// paper's Fig. 6). WKT I/O goes through ParseWKT and FormatWKT, GeoJSON
+// through ParseGeoJSON and FormatGeoJSON.
 package polyclip
 
 import (
@@ -37,7 +43,6 @@ import (
 	"polyclip/internal/engine"
 	"polyclip/internal/geojson"
 	"polyclip/internal/geom"
-	"polyclip/internal/vatti"
 	"polyclip/internal/wkt"
 )
 
@@ -54,8 +59,6 @@ type (
 	BBox = geom.BBox
 	// Layer is a set of polygon features (a GIS layer).
 	Layer = core.Layer
-	// Trapezoid is one scanbeam-bounded piece of a clipped region.
-	Trapezoid = engine.Trapezoid
 )
 
 // Op is a boolean clipping operation (canonical type: internal/engine).
@@ -161,16 +164,11 @@ func ClipWith(subject, clip Polygon, op Op, opt Options) (Polygon, *Stats) {
 	return out, st
 }
 
-// Trapezoids returns the trapezoid decomposition of `subject op clip` — the
-// raw scanbeam-sweep output before ring assembly (useful for rendering
-// pipelines that rasterize trapezoids directly).
-func Trapezoids(subject, clip Polygon, op Op) []Trapezoid {
-	return vatti.Trapezoids(subject, clip, op)
-}
-
 // OverlayLayersMerged fuses each layer into one even-odd region and clips
-// the regions — supports whole-layer union/difference. It never returns an
-// error; use OverlayLayersMergedCtx for error reporting and cancellation.
+// the regions — supports whole-layer union/difference. Like
+// OverlayLayersMergedCtx it always runs AlgoSlabs and ignores
+// Options.Algorithm. It never returns an error; use OverlayLayersMergedCtx
+// for error reporting and cancellation.
 func OverlayLayersMerged(a, b Layer, op Op, opt Options) (Polygon, *Stats) {
 	out, st, _ := OverlayLayersMergedCtx(context.Background(), a, b, op, opt)
 	return out, st
@@ -185,18 +183,6 @@ func FormatWKT(p Polygon) string { return wkt.Marshal(p) }
 // Area returns the even-odd area of a polygon whose rings follow the
 // library's output convention (counter-clockwise outers, clockwise holes).
 func Area(p Polygon) float64 { return p.Area() }
-
-// UnionAll dissolves a set of polygons into their union with a parallel
-// reduction tree (the paper's Fig. 6 merge) — the GIS "dissolve" operation.
-func UnionAll(polys []Polygon, opt Options) Polygon {
-	return core.UnionAll(polys, opt.Threads)
-}
-
-// IntersectAll returns the common region of all the polygons via the same
-// reduction tree.
-func IntersectAll(polys []Polygon, opt Options) Polygon {
-	return core.IntersectAll(polys, opt.Threads)
-}
 
 // ParseGeoJSON parses a GeoJSON Polygon, MultiPolygon, or Feature.
 func ParseGeoJSON(data []byte) (Polygon, error) { return geojson.Unmarshal(data) }

@@ -44,19 +44,6 @@ func TestClipWithStatsFromSlabs(t *testing.T) {
 	}
 }
 
-func TestTrapezoids(t *testing.T) {
-	a := rect(0, 0, 4, 4)
-	b := rect(2, 2, 6, 6)
-	tzs := Trapezoids(a, b, Intersection)
-	var sum float64
-	for _, tz := range tzs {
-		sum += tz.Area()
-	}
-	if math.Abs(sum-4) > 1e-6 {
-		t.Errorf("trapezoid area = %v", sum)
-	}
-}
-
 func TestOverlayLayers(t *testing.T) {
 	la := Layer{rect(0, 0, 2, 2), rect(4, 0, 6, 2)}
 	lb := Layer{rect(1, 1, 5, 3)}
@@ -102,25 +89,6 @@ func TestQuickstartDocExample(t *testing.T) {
 	out := Clip(a, b, Intersection)
 	if math.Abs(Area(out)-4) > 1e-6 {
 		t.Errorf("doc example area = %v", Area(out))
-	}
-}
-
-func TestUnionAllAndIntersectAll(t *testing.T) {
-	tiles := []Polygon{
-		rect(0, 0, 2, 2), rect(1, 0, 3, 2), rect(2, 0, 4, 2),
-	}
-	u := UnionAll(tiles, Options{Threads: 2})
-	if math.Abs(Area(u)-8) > 1e-6 {
-		t.Errorf("dissolve area = %v, want 8", Area(u))
-	}
-	i := IntersectAll(tiles, Options{Threads: 2})
-	if Area(i) > 1e-9 {
-		t.Errorf("3-way intersection = %v, want 0", Area(i))
-	}
-	over := []Polygon{rect(0, 0, 4, 4), rect(1, 1, 5, 5), rect(2, 2, 6, 6)}
-	i2 := IntersectAll(over, Options{Threads: 2})
-	if math.Abs(Area(i2)-4) > 1e-6 {
-		t.Errorf("3-way overlap = %v, want 4", Area(i2))
 	}
 }
 

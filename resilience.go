@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"polyclip/internal/core"
 	"polyclip/internal/engine"
@@ -104,7 +105,36 @@ func ClipCtx(ctx context.Context, subject, clip Polygon, op Op, opt Options) (Po
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var res core.Resilience
+	if err := checkOptions(opt); err != nil {
+		return nil, &Stats{}, err
+	}
+	if err := guard.Validate(subject); err != nil {
+		return nil, &Stats{}, fmt.Errorf("subject: %w", err)
+	}
+	if err := guard.Validate(clip); err != nil {
+		return nil, &Stats{}, fmt.Errorf("clip: %w", err)
+	}
+	var repS, repC guard.RepairReport
+	subject, repS = guard.Repair(subject)
+	clip, repC = guard.Repair(clip)
+	return clipChain(ctx, subject, clip, op, opt, repS.Changed() || repC.Changed())
+}
+
+// checkOptions rejects an Algorithm or fill rule that is not one of the
+// declared constants, before any operand is looked at.
+func checkOptions(opt Options) error {
+	if _, ok := chains[opt.Algorithm]; !ok {
+		return fmt.Errorf("algorithm %d: %w", opt.Algorithm, ErrUnsupported)
+	}
+	return engine.CheckRule(opt.Rule)
+}
+
+// clipChain runs steps 2 and 3 of ClipCtx — the differential-fallback chain
+// with its audit — on operands that already passed validation and repair;
+// repaired is recorded in Stats.Resilience.Repaired. opt must have passed
+// checkOptions.
+func clipChain(ctx context.Context, subject, clip Polygon, op Op, opt Options, repaired bool) (Polygon, *Stats, error) {
+	res := core.Resilience{Repaired: repaired}
 	fin := func(st *Stats) *Stats {
 		if st == nil {
 			st = &Stats{}
@@ -112,23 +142,6 @@ func ClipCtx(ctx context.Context, subject, clip Polygon, op Op, opt Options) (Po
 		st.Resilience = res
 		return st
 	}
-
-	if _, ok := chains[opt.Algorithm]; !ok {
-		return nil, fin(nil), fmt.Errorf("algorithm %d: %w", opt.Algorithm, ErrUnsupported)
-	}
-	if err := engine.CheckRule(opt.Rule); err != nil {
-		return nil, fin(nil), err
-	}
-	if err := guard.Validate(subject); err != nil {
-		return nil, fin(nil), fmt.Errorf("subject: %w", err)
-	}
-	if err := guard.Validate(clip); err != nil {
-		return nil, fin(nil), fmt.Errorf("clip: %w", err)
-	}
-	var repS, repC guard.RepairReport
-	subject, repS = guard.Repair(subject)
-	clip, repC = guard.Repair(clip)
-	res.Repaired = repS.Changed() || repC.Changed()
 
 	// Audit references are sound measure bounds, not shoelace areas: the
 	// ring-sum area of a self-intersecting input under-states its even-odd
@@ -281,10 +294,82 @@ func attemptChain(subject, clip Polygon, op Op, opt Options) []attempt {
 	return out
 }
 
+// ClipAllCtx computes op over every polygon of polys — Union is the GIS
+// dissolve; Intersection and Xor, being associative too, also fold a set —
+// with the paper's Fig. 6 reduction tree: the operands sit at the leaves of
+// a complete binary tree, each internal node clips its two children, and
+// every level's clips run concurrently, O(log n) rounds in all. Each
+// operand is validated (an error wrapping ErrInvalidInput names its index)
+// and repaired once, and every pair clip runs ClipCtx's fallback chain with
+// the same Options. Difference is not associative and returns an error
+// wrapping ErrUnsupported. nil in gives nil out.
+//
+// Engine output is canonical (counter-clockwise outers, clockwise holes),
+// which EvenOdd, NonZero and Positive all read as its own region, so the
+// upper levels clip under the caller's rule. Negative reads a
+// counter-clockwise ring as outside; it is Positive on reversed rings, so
+// under Negative every operand is reversed once and the tree runs under
+// Positive.
+//
+// A pair whose chain fails returns its error, a cancelled ctx returns
+// ctx.Err(), and a panic outside the pair clips returns a *ClipError naming
+// the "clip-all" stage.
+func ClipAllCtx(ctx context.Context, polys []Polygon, op Op, opt Options) (out Polygon, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if op == Difference {
+		return nil, fmt.Errorf("difference of a polygon set: %w", ErrUnsupported)
+	}
+	if err := checkOptions(opt); err != nil {
+		return nil, err
+	}
+	ops := make([]Polygon, len(polys))
+	for i, p := range polys {
+		if err := guard.Validate(p); err != nil {
+			return nil, fmt.Errorf("operand %d: %w", i, err)
+		}
+		ops[i], _ = guard.Repair(p)
+		if opt.Rule == Negative {
+			ops[i] = reversed(ops[i])
+		}
+	}
+	if opt.Rule == Negative {
+		opt.Rule = Positive
+	}
+	if len(ops) == 1 {
+		// A lone operand's region is its union with nothing: the chain
+		// returns it in canonical form, as every larger set comes back.
+		ops, op = append(ops, nil), Union
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, guard.FromPanic("clip-all", -1, guard.NoPair, r)
+		}
+	}()
+	return core.ReduceTree(ops, opt.Threads, func(a, b Polygon) (Polygon, error) {
+		out, _, err := clipChain(ctx, a, b, op, opt, false)
+		return out, err
+	})
+}
+
+// reversed returns p with the direction of every ring reversed, leaving p
+// untouched.
+func reversed(p Polygon) Polygon {
+	out := make(Polygon, len(p))
+	for i, r := range p {
+		out[i] = slices.Clone(r)
+		out[i].Reverse()
+	}
+	return out
+}
+
 // OverlayLayersMergedCtx is OverlayLayersMerged through the hardened
 // pipeline (see ClipCtx): each layer is fused into one even-odd region and
 // the regions are clipped with validation, repair, panic isolation,
-// cancellation and the differential-fallback chain.
+// cancellation and the differential-fallback chain. It always runs
+// AlgoSlabs, the paper's splitting variant, whatever Options.Algorithm
+// says.
 func OverlayLayersMergedCtx(ctx context.Context, a, b Layer, op Op, opt Options) (Polygon, *Stats, error) {
 	opt.Algorithm = AlgoSlabs
 	return ClipCtx(ctx, flattenLayer(a), flattenLayer(b), op, opt)
