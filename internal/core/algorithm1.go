@@ -16,14 +16,16 @@ import (
 // Alg1Report carries the size quantities of the paper's output-sensitive
 // analysis: n input vertices, m scanbeams, k edge intersections and k'
 // virtual vertices (the total scanbeam population, i.e. the per-beam edge
-// slots allocated by the segment tree).
+// slots allocated by the segment tree). K, and Procs with it, is filled in
+// only by AlgorithmOne: no clip needs the count, so the engine path
+// (AlgorithmOneRuleCtx) does not pay for it.
 type Alg1Report struct {
 	N      int   // input vertices
 	M      int   // scanbeams
-	K      int   // intersection pairs (the paper's k)
+	K      int   // intersection pairs of the raw input (the paper's k); AlgorithmOne only
 	KPrime int   // scanbeam population (the paper's k')
 	Output int   // output vertices, O(n + k): Step 4 drops the k' virtual ones
-	Procs  int   // n + k + k': the paper's processor bound
+	Procs  int   // n + k + k': the paper's processor bound; AlgorithmOne only
 	Trapez int   // trapezoids emitted in Step 3
 	Work   int64 // total comparisons modelled (for the PRAM cost accounting)
 }
@@ -31,24 +33,29 @@ type Alg1Report struct {
 // AlgorithmOne clips two polygons with the multicore realization of the
 // paper's Algorithm 1: the whole pipeline runs in parallel over scanbeams
 // with parallelism p, using the segment tree for Step 2 and the
-// scanbeam-inversion finder for Step 3.2. Returns the result and the
+// scanbeam-inversion finder for Step 3.2. Returns the result and the full
 // output-sensitivity report.
 func AlgorithmOne(a, b geom.Polygon, op Op, p int) (geom.Polygon, Alg1Report) {
-	return AlgorithmOneCtx(context.Background(), a, b, op, p)
+	out, rep := AlgorithmOneRuleCtx(context.Background(), a, b, op, engine.EvenOdd, p)
+	// Step 3.2 (Lemma 4): the paper's k is a property of the raw input, so
+	// count the inversion crossings of the unresolved edges.
+	rawEdges := scanbeam.CollectEdges(a, b)
+	rawSegs := make([]geom.Segment, len(rawEdges))
+	for i, e := range rawEdges {
+		rawSegs[i] = e.Seg
+	}
+	rep.K = int(isect.CountCrossings(rawSegs, p))
+	rep.Procs = rep.N + rep.K + rep.KPrime
+	return out, rep
 }
 
-// AlgorithmOneCtx is AlgorithmOne with cooperative cancellation: the
-// per-beam classification loop polls ctx and stops early. On a cancelled
-// ctx the returned polygon is nil; callers observe the cancellation via
-// ctx.Err().
-func AlgorithmOneCtx(ctx context.Context, a, b geom.Polygon, op Op, p int) (geom.Polygon, Alg1Report) {
-	return AlgorithmOneRuleCtx(ctx, a, b, op, engine.EvenOdd, p)
-}
-
-// AlgorithmOneRuleCtx is AlgorithmOneCtx under an explicit fill rule: the
-// shared scanbeam walk accumulates signed winding counts, so EvenOdd,
-// NonZero, Positive and Negative all run through the same parallel beam
-// pipeline.
+// AlgorithmOneRuleCtx is AlgorithmOne's pipeline under an explicit fill
+// rule, with cooperative cancellation: the shared scanbeam walk accumulates
+// signed winding counts, so EvenOdd, NonZero, Positive and Negative all run
+// through the same parallel beam pipeline, and the per-beam classification
+// loop polls ctx and stops early. On a cancelled ctx the returned polygon
+// is nil; callers observe the cancellation via ctx.Err(). The report leaves
+// K and Procs zero.
 func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op Op, rule engine.FillRule, p int) (geom.Polygon, Alg1Report) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -58,21 +65,6 @@ func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op Op, rule eng
 	}
 	var rep Alg1Report
 	rep.N = a.NumVertices() + b.NumVertices()
-
-	// Step 3.2 (Lemma 4): the paper's k is a property of the raw input, so
-	// count the inversion crossings before resolution.
-	rawEdges := scanbeam.CollectEdges(a, b)
-	if len(rawEdges) == 0 {
-		return nil, rep
-	}
-	rawSegs := make([]geom.Segment, len(rawEdges))
-	for i, e := range rawEdges {
-		rawSegs[i] = e.Seg
-	}
-	rep.K = int(isect.CountCrossings(rawSegs, p))
-	if canceled(ctx) {
-		return nil, rep
-	}
 
 	// Pre-resolve the arrangement (see internal/arrange): crossings become
 	// shared welded vertices, so the event schedule below needs only the
@@ -104,7 +96,6 @@ func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op Op, rule eng
 	}, p)
 	beams, kprime := tree.AllBeams(p)
 	rep.KPrime = kprime
-	rep.Procs = rep.N + rep.K + rep.KPrime
 
 	// Step 3: per-beam classification and trapezoid emission, in parallel.
 	// The ordering buffers come from the shared scanbeam pool: the beam loop

@@ -56,7 +56,7 @@ func (slabsEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, op
 }
 
 // scanbeamEngine adapts the CREW PRAM Algorithm 1 realization
-// (AlgorithmOneCtx) to the engine registry.
+// (AlgorithmOneRuleCtx) to the engine registry.
 type scanbeamEngine struct{}
 
 func (scanbeamEngine) Name() string { return "scanbeam" }
