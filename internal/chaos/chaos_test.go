@@ -28,8 +28,11 @@ func TestFaultedRunAbsorbsEveryFault(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("faulted chaos run failed:\n%s", rep.Summary())
 	}
-	if rep.FaultsInjected != 24 {
-		t.Fatalf("want 24 faults injected, got %d", rep.FaultsInjected)
+	if rep.FaultsArmed != 24 {
+		t.Fatalf("want 24 faults armed, got %d", rep.FaultsArmed)
+	}
+	if rep.FaultsFired <= 0 || rep.FaultsFired > rep.FaultsArmed {
+		t.Fatalf("%d of %d armed faults fired, want 0 < fired <= armed", rep.FaultsFired, rep.FaultsArmed)
 	}
 	// The injected panics must be visible somewhere in the resilience
 	// record: rescued in-stage, absorbed by the fallback chain, or caught
@@ -47,11 +50,12 @@ func TestBudgetedRunBoundsHangs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hang faults sleep for real time")
 	}
-	// 12 cases = one full fault-plan cycle, including both hang plans.
-	rep := Run(Config{Seed: 3, Cases: 12, Faults: true, Budget: 500 * time.Millisecond, Log: t.Logf})
+	// One full fault-plan cycle, so every hang plan is armed once.
+	rep := Run(Config{Seed: 3, Cases: len(faultPlans), Faults: true, Budget: 500 * time.Millisecond, Log: t.Logf})
 	if rep.Failed() {
 		t.Fatalf("budgeted chaos run failed:\n%s", rep.Summary())
 	}
+	t.Logf("%d of %d armed faults fired", rep.FaultsFired, rep.FaultsArmed)
 }
 
 // TestDegenerateFamilyRun is the tier-1 slice of the degeneracy acceptance
