@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -46,43 +47,6 @@ func TestForEachItemEdges(t *testing.T) {
 	}
 }
 
-func TestReduceEdges(t *testing.T) {
-	sum := func(a, b int) int { return a + b }
-	for _, d := range edgeDims {
-		xs := make([]int, d.n)
-		want := 0
-		for i := range xs {
-			xs[i] = i + 1
-			want += i + 1
-		}
-		if got := Reduce(xs, 0, sum, d.p); got != want {
-			t.Errorf("n=%d p=%d: Reduce = %d, want %d", d.n, d.p, got, want)
-		}
-	}
-	if got := Reduce(nil, 42, sum, 4); got != 42 {
-		t.Errorf("Reduce(nil) = %d, want identity 42", got)
-	}
-}
-
-func TestPackEdges(t *testing.T) {
-	for _, d := range edgeDims {
-		xs := make([]int, d.n)
-		keep := make([]bool, d.n)
-		var want []int
-		for i := range xs {
-			xs[i] = i
-			keep[i] = i%2 == 0
-			if keep[i] {
-				want = append(want, i)
-			}
-		}
-		got := Pack(xs, keep, d.p)
-		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Errorf("n=%d p=%d: Pack = %v, want %v", d.n, d.p, got, want)
-		}
-	}
-}
-
 func TestSortEdges(t *testing.T) {
 	less := func(a, b int) bool { return a < b }
 	for _, d := range edgeDims {
@@ -91,7 +55,7 @@ func TestSortEdges(t *testing.T) {
 			xs[i] = d.n - i
 		}
 		Sort(xs, less, d.p)
-		if !IsSorted(xs, less) {
+		if !slices.IsSorted(xs) {
 			t.Errorf("n=%d p=%d: not sorted: %v", d.n, d.p, xs)
 		}
 	}
@@ -233,23 +197,5 @@ func TestForEachCtxCancelSemantics(t *testing.T) {
 	cancel2()
 	if !errors.As(err, &stall) {
 		t.Errorf("mid-flight cancel: err = %v, want *StallError", err)
-	}
-}
-
-func TestParallelPrefixSumEdges(t *testing.T) {
-	for _, d := range edgeDims {
-		xs := make([]int, d.n)
-		ys := make([]int, d.n)
-		for i := range xs {
-			xs[i] = i*3 + 1
-			ys[i] = xs[i]
-		}
-		wantTotal := PrefixSum(ys)
-		if got := ParallelPrefixSum(xs, d.p); got != wantTotal {
-			t.Errorf("n=%d p=%d: total %d, want %d", d.n, d.p, got, wantTotal)
-		}
-		if d.n > 0 && !reflect.DeepEqual(xs, ys) {
-			t.Errorf("n=%d p=%d: scan %v, want %v", d.n, d.p, xs, ys)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package par
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -131,41 +130,6 @@ func countMerge(a, b, dst []int) int64 {
 	return inv
 }
 
-// ParallelCountInversions counts inversions with parallelism p: the two
-// halves are counted concurrently (recursively), cross inversions during the
-// final merges sequentially per node. Work O(n log n), depth O(log² n).
-func ParallelCountInversions(xs []int, p int) int64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	p = normalize(p)
-	s := invPool.Get().(*invScratch)
-	defer invPool.Put(s)
-	work, buf := s.ints(n)
-	copy(work, xs)
-	return countRecPar(work, buf, depthFor(p))
-}
-
-func countRecPar(xs, buf []int, depth int) int64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	if depth == 0 || n <= sortSerialCutoff {
-		return countRec(xs, buf)
-	}
-	mid := n / 2
-	var left, right int64
-	join2(
-		func() { left = countRecPar(xs[:mid], buf[:mid], depth-1) },
-		func() { right = countRecPar(xs[mid:], buf[mid:], depth-1) },
-	)
-	inv := left + right + countMerge(xs[:mid], xs[mid:], buf)
-	copy(xs, buf)
-	return inv
-}
-
 // ReportInversions returns every inversion of xs as an (i, j) position pair
 // with i < j and xs[i] > xs[j]. Following the paper's two-phase,
 // output-sensitive scheme, it first counts the inversions, allocates exactly
@@ -229,75 +193,6 @@ func ReportInversions(xs []int) []InvPair {
 	}
 	rec(work, buf)
 	return out
-}
-
-// ParallelReportInversions reports all inversions with parallelism p. Each
-// recursive half is processed concurrently into its own buffer; results are
-// concatenated. The pair set is identical to ReportInversions up to order.
-func ParallelReportInversions(xs []int, p int) []InvPair {
-	n := len(xs)
-	if n < 2 {
-		return nil
-	}
-	p = normalize(p)
-	s := invPool.Get().(*invScratch)
-	defer invPool.Put(s)
-	work, buf := s.elemBufs(n)
-	for i, v := range xs {
-		work[i] = invElem{v, i}
-	}
-
-	var rec func(w, b []invElem, depth int) []InvPair
-	rec = func(w, b []invElem, depth int) []InvPair {
-		if len(w) < 2 {
-			return nil
-		}
-		mid := len(w) / 2
-		var left []InvPair
-		if depth > 0 && len(w) > sortSerialCutoff {
-			var right []InvPair
-			join2(
-				func() { left = rec(w[:mid], b[:mid], depth-1) },
-				func() { right = rec(w[mid:], b[mid:], depth-1) },
-			)
-			left = append(left, right...)
-		} else {
-			left = rec(w[:mid], b[:mid], 0)
-			left = append(left, rec(w[mid:], b[mid:], 0)...)
-		}
-		a, r := w[:mid], w[mid:]
-		i, j, k := 0, 0, 0
-		for i < len(a) && j < len(r) {
-			if r[j].v < a[i].v {
-				for t := i; t < len(a); t++ {
-					pi, pj := a[t].pos, r[j].pos
-					if pi > pj {
-						pi, pj = pj, pi
-					}
-					left = append(left, InvPair{pi, pj})
-				}
-				b[k] = r[j]
-				j++
-			} else {
-				b[k] = a[i]
-				i++
-			}
-			k++
-		}
-		for i < len(a) {
-			b[k] = a[i]
-			i++
-			k++
-		}
-		for j < len(r) {
-			b[k] = r[j]
-			j++
-			k++
-		}
-		copy(w, b)
-		return left
-	}
-	return rec(work, buf, depthFor(p))
 }
 
 // MergeStep is one time step of merging two sorted sublists in an internal
@@ -364,21 +259,4 @@ func BruteForceInversions(xs []int) int64 {
 		}
 	}
 	return inv
-}
-
-// RanksOf returns, for each value in order, its rank (position) in the
-// sorted order of values. Values must be distinct. Inversions of the rank
-// sequence of list B relative to list A equal the pairs whose relative order
-// differs between A and B — the bottom/top scanline orders of Fig. 4.
-func RanksOf(values []int) []int {
-	idx := make([]int, len(values))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return values[idx[a]] < values[idx[b]] })
-	ranks := make([]int, len(values))
-	for r, i := range idx {
-		ranks[i] = r
-	}
-	return ranks
 }

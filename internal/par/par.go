@@ -1,8 +1,10 @@
-// Package par provides the parallel primitives the paper builds its PRAM
-// algorithm from: parallel-for over index ranges, prefix sums, parallel
-// mergesort, and — the paper's key tool (Lemma 4, Table I) — inversion
-// counting and reporting via an extended mergesort, which is how pairs of
-// intersecting segments are detected inside a scanbeam.
+// Package par provides the parallel primitives the pipeline builds on:
+// parallel-for over index ranges, the exclusive prefix sum used for slot
+// allocation, parallel mergesort, and — the paper's key tool (Lemma 4,
+// Table I) — inversion counting and reporting via an extended mergesort,
+// which is how pairs of intersecting segments are detected inside a
+// scanbeam. The PRAM versions of the scan, sort and inversion count, with
+// their round and work accounting, are modelled in internal/pram.
 package par
 
 import (
@@ -237,18 +239,6 @@ func ForEachItemGrain(n, p, grain int, fn func(i int)) {
 	})
 }
 
-// PrefixSum computes the inclusive prefix sums of xs in place and returns
-// the total. It is the sequential building block behind Lemma 3's parity
-// test.
-func PrefixSum(xs []int) int {
-	sum := 0
-	for i, v := range xs {
-		sum += v
-		xs[i] = sum
-	}
-	return sum
-}
-
 // ExclusivePrefixSum rewrites xs so xs[i] holds the sum of the original
 // xs[0:i], returning the grand total. This is the "scan" used for
 // output-sensitive processor/slot allocation throughout the repository:
@@ -261,117 +251,4 @@ func ExclusivePrefixSum(xs []int) int {
 		sum += v
 	}
 	return sum
-}
-
-// ParallelPrefixSum computes inclusive prefix sums of xs in place using the
-// classic two-pass block algorithm (each of the p blocks is scanned, block
-// totals are scanned sequentially, then block offsets are added back in
-// parallel). Returns the total. Work O(n), depth O(n/p + p).
-func ParallelPrefixSum(xs []int, p int) int {
-	guard.Hit("par.prefixsum")
-	n := len(xs)
-	p = normalize(p)
-	if p == 1 || n < 2048 {
-		return PrefixSum(xs)
-	}
-	if p > n {
-		p = n
-	}
-	chunk := (n + p - 1) / p
-	nblocks := (n + chunk - 1) / chunk
-	totals := make([]int, nblocks)
-
-	ForEachItem(nblocks, p, func(b int) {
-		lo, hi := b*chunk, (b+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		sum := 0
-		for i := lo; i < hi; i++ {
-			sum += xs[i]
-			xs[i] = sum
-		}
-		totals[b] = sum
-	})
-
-	grand := ExclusivePrefixSum(totals)
-
-	ForEachItem(nblocks, p, func(b int) {
-		off := totals[b]
-		if off == 0 {
-			return
-		}
-		lo, hi := b*chunk, (b+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			xs[i] += off
-		}
-	})
-	return grand
-}
-
-// Reduce folds xs with the associative op in parallel, returning identity
-// for an empty slice.
-func Reduce[T any](xs []T, identity T, op func(a, b T) T, p int) T {
-	n := len(xs)
-	if n == 0 {
-		return identity
-	}
-	p = normalize(p)
-	if p == 1 || n < 4096 {
-		acc := identity
-		for _, v := range xs {
-			acc = op(acc, v)
-		}
-		return acc
-	}
-	if p > n {
-		p = n
-	}
-	partial := make([]T, p)
-	chunk := (n + p - 1) / p
-	nb := (n + chunk - 1) / chunk
-	ForEachItem(nb, p, func(b int) {
-		lo, hi := b*chunk, (b+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		acc := identity
-		for i := lo; i < hi; i++ {
-			acc = op(acc, xs[i])
-		}
-		partial[b] = acc
-	})
-	acc := identity
-	for b := 0; b < nb; b++ {
-		acc = op(acc, partial[b])
-	}
-	return acc
-}
-
-// Pack compacts the elements of xs for which keep is true, preserving
-// order, using a prefix-sum over 0/1 flags to compute destinations — the
-// "array packing" primitive of the paper's Step 3.4. Runs with parallelism
-// p; the scan is the only synchronization point.
-func Pack[T any](xs []T, keep []bool, p int) []T {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	flags := make([]int, n)
-	ForEachItemGrain(n, p, 2048, func(i int) {
-		if keep[i] {
-			flags[i] = 1
-		}
-	})
-	total := ParallelPrefixSum(flags, p)
-	out := make([]T, total)
-	ForEachItemGrain(n, p, 2048, func(i int) {
-		if keep[i] {
-			out[flags[i]-1] = xs[i]
-		}
-	})
-	return out
 }

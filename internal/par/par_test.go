@@ -34,16 +34,6 @@ func TestForEachItemEachOnce(t *testing.T) {
 	}
 }
 
-func TestPrefixSum(t *testing.T) {
-	xs := []int{1, 2, 3, 4}
-	if total := PrefixSum(xs); total != 10 {
-		t.Errorf("total = %d", total)
-	}
-	if !reflect.DeepEqual(xs, []int{1, 3, 6, 10}) {
-		t.Errorf("xs = %v", xs)
-	}
-}
-
 func TestExclusivePrefixSum(t *testing.T) {
 	xs := []int{1, 2, 3, 4}
 	if total := ExclusivePrefixSum(xs); total != 10 {
@@ -54,34 +44,15 @@ func TestExclusivePrefixSum(t *testing.T) {
 	}
 }
 
-func TestParallelPrefixSumMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{0, 1, 100, 2047, 2048, 10000, 100003} {
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = rng.Intn(100) - 50
-		}
-		want := make([]int, n)
-		copy(want, xs)
-		wantTotal := PrefixSum(want)
-		gotTotal := ParallelPrefixSum(xs, 8)
-		if gotTotal != wantTotal {
-			t.Errorf("n=%d total=%d want %d", n, gotTotal, wantTotal)
-		}
-		if !reflect.DeepEqual(xs, want) {
-			t.Errorf("n=%d prefix sums differ", n)
-		}
-	}
-}
-
 func TestPrefixSumParityIsLemma3(t *testing.T) {
 	// Lemma 3: labels 0/1 per edge; a vertex is contributing iff the prefix
 	// sum at its position is odd.
 	labels := []int{0, 1, 0, 1, 1, 0} // clip edges marked 1
-	PrefixSum(labels)
+	sums := append([]int(nil), labels...)
+	ExclusivePrefixSum(sums)
 	odd := []bool{false, true, true, false, true, true}
 	for i, want := range odd {
-		if got := labels[i]%2 == 1; got != want {
+		if got := (sums[i]+labels[i])%2 == 1; got != want {
 			t.Errorf("pos %d parity=%v want %v", i, got, want)
 		}
 	}
@@ -119,15 +90,6 @@ func TestSortStability(t *testing.T) {
 		if xs[i-1].k == xs[i].k && xs[i-1].seq > xs[i].seq {
 			t.Fatalf("stability violated at %d", i)
 		}
-	}
-}
-
-func TestIsSorted(t *testing.T) {
-	if !IsSorted([]int{1, 2, 2, 3}, func(a, b int) bool { return a < b }) {
-		t.Error("sorted slice reported unsorted")
-	}
-	if IsSorted([]int{2, 1}, func(a, b int) bool { return a < b }) {
-		t.Error("unsorted slice reported sorted")
 	}
 }
 
@@ -170,19 +132,6 @@ func TestCountInversionsMatchesBruteForce(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParallelCountInversionsMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 10, 1000, 20000} {
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = rng.Intn(500)
-		}
-		if got, want := ParallelCountInversions(xs, 8), CountInversions(xs); got != want {
-			t.Errorf("n=%d parallel=%d sequential=%d", n, got, want)
-		}
 	}
 }
 
@@ -232,21 +181,6 @@ func TestReportInversionsMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestParallelReportMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	xs := make([]int, 5000)
-	for i := range xs {
-		xs[i] = rng.Intn(5000)
-	}
-	got := ParallelReportInversions(xs, 8)
-	want := ReportInversions(xs)
-	sortPairs(got)
-	sortPairs(want)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parallel %d pairs, sequential %d", len(got), len(want))
-	}
-}
-
 func TestMergeTraceTableI(t *testing.T) {
 	// Table I: A_l = {5,6,7,9}, A_r = {1,2,3,4}. Every cross pair is an
 	// inversion (16 total), reported in 4 batches of 4 while the right
@@ -281,13 +215,6 @@ func TestMergeTraceTableI(t *testing.T) {
 	}
 }
 
-func TestRanksOf(t *testing.T) {
-	ranks := RanksOf([]int{30, 10, 40, 20})
-	if !reflect.DeepEqual(ranks, []int{2, 0, 3, 1}) {
-		t.Errorf("ranks = %v", ranks)
-	}
-}
-
 func TestRanksInversionsDetectCrossings(t *testing.T) {
 	// Edges ordered 1,2,3 at the bottom scanline and 2,1,3 at the top:
 	// exactly the pair (1,2) crossed.
@@ -307,64 +234,6 @@ func TestRanksInversionsDetectCrossings(t *testing.T) {
 	pairs := ReportInversions(seq)
 	if len(pairs) != 1 || bottomIDs[pairs[0].I] != 1 || bottomIDs[pairs[0].J] != 2 {
 		t.Errorf("pairs = %v", pairs)
-	}
-}
-
-func TestReduce(t *testing.T) {
-	xs := make([]int, 10000)
-	for i := range xs {
-		xs[i] = i
-	}
-	sum := Reduce(xs, 0, func(a, b int) int { return a + b }, 4)
-	if sum != 10000*9999/2 {
-		t.Errorf("sum = %d", sum)
-	}
-	if got := Reduce(nil, 42, func(a, b int) int { return a + b }, 4); got != 42 {
-		t.Errorf("empty reduce = %d", got)
-	}
-	maxVal := Reduce(xs, -1, func(a, b int) int {
-		if a > b {
-			return a
-		}
-		return b
-	}, 8)
-	if maxVal != 9999 {
-		t.Errorf("max = %d", maxVal)
-	}
-}
-
-func TestPack(t *testing.T) {
-	xs := []int{10, 11, 12, 13, 14, 15}
-	keep := []bool{true, false, true, false, false, true}
-	got := Pack(xs, keep, 4)
-	if !reflect.DeepEqual(got, []int{10, 12, 15}) {
-		t.Errorf("Pack = %v", got)
-	}
-	if got := Pack([]int{}, nil, 2); got != nil {
-		t.Errorf("empty Pack = %v", got)
-	}
-	none := Pack(xs, make([]bool, 6), 2)
-	if len(none) != 0 {
-		t.Errorf("none kept = %v", none)
-	}
-}
-
-func TestPackLargeMatchesFilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	n := 50000
-	xs := make([]int, n)
-	keep := make([]bool, n)
-	var want []int
-	for i := range xs {
-		xs[i] = rng.Int()
-		keep[i] = rng.Intn(3) == 0
-		if keep[i] {
-			want = append(want, xs[i])
-		}
-	}
-	got := Pack(xs, keep, 8)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Pack mismatch on large input")
 	}
 }
 

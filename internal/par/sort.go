@@ -93,13 +93,3 @@ func merge[T any](a, b, dst []T, less func(x, y T) bool) {
 		k++
 	}
 }
-
-// IsSorted reports whether xs is sorted by less.
-func IsSorted[T any](xs []T, less func(a, b T) bool) bool {
-	for i := 1; i < len(xs); i++ {
-		if less(xs[i], xs[i-1]) {
-			return false
-		}
-	}
-	return true
-}

@@ -19,7 +19,6 @@ package vatti
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"polyclip/internal/arrange"
@@ -271,48 +270,6 @@ func dropDegenerate(p geom.Polygon) geom.Polygon {
 	for _, r := range p {
 		if len(r) >= 3 {
 			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// TriStrip is a triangle strip: vertices v0 v1 v2 ... where every
-// consecutive triple forms a triangle (GPC's tristrip output format for
-// rendering pipelines).
-type TriStrip []geom.Point
-
-// Area returns the total area of the strip's triangles.
-func (ts TriStrip) Area() float64 {
-	var sum float64
-	for i := 0; i+2 < len(ts); i++ {
-		sum += math.Abs(ts[i+1].Sub(ts[i]).Cross(ts[i+2].Sub(ts[i]))) / 2
-	}
-	return sum
-}
-
-// TriStrips converts a trapezoid decomposition into triangle strips, one
-// per trapezoid: (L1, R1, L2, R2), degenerating naturally for triangles.
-// Together with Trapezoids this reproduces GPC's polygon-to-tristrip
-// conversion: vatti.TriStrips(vatti.Trapezoids(a, b, op)).
-func TriStrips(tzs []Trapezoid) []TriStrip {
-	out := make([]TriStrip, 0, len(tzs))
-	for _, tz := range tzs {
-		strip := TriStrip{tz.L1, tz.R1, tz.L2, tz.R2}
-		// Drop duplicated corners (triangle cases).
-		dedup := strip[:0]
-		for _, p := range strip {
-			found := false
-			for _, q := range dedup {
-				if p == q {
-					found = true
-				}
-			}
-			if !found {
-				dedup = append(dedup, p)
-			}
-		}
-		if len(dedup) >= 3 {
-			out = append(out, dedup)
 		}
 	}
 	return out

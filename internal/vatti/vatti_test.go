@@ -212,34 +212,6 @@ func TestMultiPolygonOutput(t *testing.T) {
 	}
 }
 
-func TestTriStrips(t *testing.T) {
-	a := geom.RectPolygon(0, 0, 4, 4)
-	b := geom.RectPolygon(2, 2, 6, 6)
-	tzs := Trapezoids(a, b, Intersection)
-	strips := TriStrips(tzs)
-	var sum float64
-	for _, s := range strips {
-		sum += s.Area()
-	}
-	if math.Abs(sum-4) > 1e-6 {
-		t.Errorf("tristrip area = %v, want 4", sum)
-	}
-}
-
-func TestTriStripTriangleDegeneration(t *testing.T) {
-	tri := Trapezoid{
-		L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0},
-		L2: geom.Point{X: 1, Y: 2}, R2: geom.Point{X: 1, Y: 2},
-	}
-	strips := TriStrips([]Trapezoid{tri})
-	if len(strips) != 1 || len(strips[0]) != 3 {
-		t.Fatalf("strips = %v", strips)
-	}
-	if math.Abs(strips[0].Area()-2) > 1e-12 {
-		t.Errorf("area = %v", strips[0].Area())
-	}
-}
-
 // assembleInputs are the trapezoids BenchmarkAssemble and the allocation
 // pin merge: the difference of two hexagons (a 12-edge pair clip, 8
 // trapezoids) and the union of two 2048-edge polygons.
