@@ -30,9 +30,9 @@ echo "== benchmark module: vet + test (its own go.mod, so the root's go test nev
 go -C benchmark vet ./...
 go -C benchmark test ./...
 
-echo "== coverage floor (vatti, arrange, engine, scanbeam, ringstitch, shclip, serve, core, overlay, pool, par, batch, acache, geojson >= ${COVER_FLOOR:-80}%)"
+echo "== coverage floor (root API, vatti, arrange, engine, scanbeam, ringstitch, shclip, serve, core, overlay, pool, par, batch, acache, geojson >= ${COVER_FLOOR:-80}%)"
 COVER_FLOOR="${COVER_FLOOR:-80}"
-for pkg in ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/ringstitch/ ./internal/shclip/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/ ./internal/geojson/; do
+for pkg in . ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/ringstitch/ ./internal/shclip/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/ ./internal/geojson/; do
 	pct=$(go test -cover "$pkg" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
 	if [ -z "$pct" ]; then
 		echo "could not parse coverage for $pkg" >&2
