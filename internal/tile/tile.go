@@ -1,12 +1,14 @@
 // Package tile cuts a polygon layer into a z/x/y pyramid of square vector
 // tiles — the output-sensitive workload the prepared-geometry pipeline was
 // built for. One internal/prepared.Prepared of the layer serves every zoom
-// level; each zoom is cut by quadtree descent over the tile grid, so whole
-// subtrees of the pyramid are settled by one O(lg N) classification:
+// level, and one quadtree descent cuts them all, visiting each node once:
+// above MinZoom a node is classified, from MinZoom on it is clipped (the clip
+// reports the same class), so whole subtrees of the pyramid are settled by
+// one O(lg N) classification:
 //
-//   - an Outside node prunes every descendant tile without touching them;
-//   - an Inside node emits every descendant as a full tile rectangle;
-//   - a Straddle node recurses, and at the leaf zoom runs the real clip.
+//   - an Outside node prunes its descendant tiles at every deeper zoom;
+//   - an Inside node emits them as full tile rectangles;
+//   - a Straddle node recurses, down to MaxZoom.
 //
 // The work done is proportional to the layer's boundary length per zoom
 // (the tiles the boundary actually crosses), not to the 4^z tiles of the
@@ -14,7 +16,7 @@
 // algorithm, lifted from one polygon to a pyramid.
 //
 // Cutting is parallelized over internal/par's pooled scheduler by splitting
-// each zoom at a frontier level sized to the worker count; because every
+// the descent at a frontier level sized to the worker count; because every
 // tile's content is a pure function of its (z, x, y) key against the
 // immutable Prepared, the final (z, x, y) sort makes the output bit-identical
 // at any thread count.
@@ -127,7 +129,7 @@ type Stats struct {
 	Leaves   int64          `json:"leaves"`      // leaf tiles that ran a clip
 	Filled   int64          `json:"filledTiles"` // tiles emitted wholesale from Inside nodes
 	Pruned   int64          `json:"prunedTiles"` // tiles skipped wholesale from Outside nodes
-	Nodes    int64          `json:"nodes"`       // pyramid nodes classified
+	Nodes    int64          `json:"nodes"`       // pyramid nodes classified or clipped
 	Prepared prepared.Stats `json:"prepared"`    // leaf clip route counters (zero when naive)
 }
 
@@ -158,12 +160,9 @@ func Cut(ctx context.Context, layer geom.Polygon, spec Spec, opt Options) ([]Til
 			return prepared.Canonicalize(layer, opt.Rule)
 		})
 		pp := prepared.FromCanonical(canon, opt.Rule)
-		for z := spec.MinZoom; z <= spec.MaxZoom; z++ {
-			zt, err := cutZoomPrepared(ctx, pp, spec, z, threads, &st)
-			if err != nil {
-				return nil, st, err
-			}
-			tiles = append(tiles, zt...)
+		var err error
+		if tiles, err = cutPrepared(ctx, pp, spec, threads, &st); err != nil {
+			return nil, st, err
 		}
 		st.Prepared = pp.Stats()
 	}
@@ -182,37 +181,20 @@ func Cut(ctx context.Context, layer geom.Polygon, spec Spec, opt Options) ([]Til
 	return tiles, st, nil
 }
 
-// node is one pyramid cell above (or at) the leaf zoom.
+// node is one pyramid cell.
 type node struct {
 	level int
 	x, y  int32
 }
 
-// cutZoomPrepared cuts one zoom level by quadtree descent: a serial descent
-// to the frontier level settles the cheap upper pyramid (and whole Inside /
-// Outside subtrees), then the surviving Straddle frontier nodes fan out over
-// the pooled scheduler.
-func cutZoomPrepared(ctx context.Context, pp *prepared.Prepared, spec Spec, z, threads int, st *Stats) ([]Tile, error) {
-	frontier := frontierLevel(z, threads)
-
+// cutPrepared cuts every zoom in one descent: a serial descent to the
+// frontier level settles the cheap upper pyramid (and whole Inside / Outside
+// subtrees), then the surviving Straddle frontier nodes' subtrees fan out
+// over the pooled scheduler.
+func cutPrepared(ctx context.Context, pp *prepared.Prepared, spec Spec, threads int, st *Stats) ([]Tile, error) {
 	var out []Tile
 	var work []node
-	var walk func(n node)
-	walk = func(n node) {
-		cls := classifyNode(pp, spec, z, n, st, &out)
-		if cls != prepared.Straddle {
-			return
-		}
-		if n.level == frontier {
-			work = append(work, n)
-			return
-		}
-		for _, c := range children(n) {
-			walk(c)
-		}
-	}
-	walk(node{level: 0})
-
+	walk(pp, spec, node{}, frontierLevel(spec.MaxZoom, threads), st, &out, &work)
 	if len(work) == 0 {
 		return out, nil
 	}
@@ -220,7 +202,9 @@ func cutZoomPrepared(ctx context.Context, pp *prepared.Prepared, spec Spec, z, t
 	stats := make([]Stats, len(work))
 	err := par.ForEachCtx(ctx, len(work), threads, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			results[i] = descend(pp, spec, z, work[i], &stats[i])
+			for _, c := range children(work[i]) {
+				walk(pp, spec, c, -1, &stats[i], &results[i], nil)
+			}
 		}
 	})
 	if err != nil {
@@ -236,60 +220,51 @@ func cutZoomPrepared(ctx context.Context, pp *prepared.Prepared, spec Spec, z, t
 	return out, nil
 }
 
-// descend recursively cuts the subtree under n down to the leaf zoom.
-func descend(pp *prepared.Prepared, spec Spec, z int, n node, st *Stats) []Tile {
-	var out []Tile
-	var walk func(n node)
-	walk = func(n node) {
-		if classifyNode(pp, spec, z, n, st, &out) != prepared.Straddle {
-			return
-		}
-		for _, c := range children(n) {
-			walk(c)
-		}
+// walk settles n and, while it straddles, its subtree down to MaxZoom; a
+// straddling node at level stop is queued on work instead of descended.
+func walk(pp *prepared.Prepared, spec Spec, n node, stop int, st *Stats, out *[]Tile, work *[]node) {
+	if visit(pp, spec, n, st, out) != prepared.Straddle || n.level == spec.MaxZoom {
+		return
 	}
-	if n.level == z {
-		// Frontier at the leaf zoom: the node was already classified
-		// Straddle by the serial walk; clip it directly.
-		clipLeaf(pp, spec, z, n, st, &out)
-		return out
+	if n.level == stop {
+		*work = append(*work, n)
+		return
 	}
 	for _, c := range children(n) {
-		walk(c)
-	}
-	return out
-}
-
-// classifyNode settles one pyramid node: prune, fill, clip (at the leaf), or
-// report Straddle for the caller to recurse.
-func classifyNode(pp *prepared.Prepared, spec Spec, z int, n node, st *Stats, out *[]Tile) prepared.Class {
-	if n.level == z {
-		clipLeaf(pp, spec, z, n, st, out)
-		return prepared.Outside // leaf handled; never recurse
-	}
-	st.Nodes++
-	sub := int64(1) << uint(2*(z-n.level)) // descendant leaf count
-	switch cls := pp.ClassifyRect(spec.Box(n.level, n.x, n.y)); cls {
-	case prepared.Outside:
-		st.Pruned += sub
-		return cls
-	case prepared.Inside:
-		st.Filled += sub
-		fill(spec, z, n, out)
-		return cls
-	default:
-		return prepared.Straddle
+		walk(pp, spec, c, stop, st, out, work)
 	}
 }
 
-// clipLeaf runs the real clip for one leaf tile and emits it if non-empty.
-func clipLeaf(pp *prepared.Prepared, spec Spec, z int, n node, st *Stats, out *[]Tile) {
+// visit settles one pyramid node. Above MinZoom it is classified; from
+// MinZoom on it is clipped, and its tile emitted when non-empty. An Outside
+// node prunes, and an Inside node fills, its descendant tiles at every
+// deeper zoom; a Straddle node is left for the caller to descend.
+func visit(pp *prepared.Prepared, spec Spec, n node, st *Stats, out *[]Tile) prepared.Class {
 	st.Nodes++
-	st.Leaves++
-	poly, _ := pp.ClipRect(spec.Box(z, n.x, n.y))
-	if len(poly) > 0 {
-		*out = append(*out, Tile{Z: z, X: n.x, Y: n.y, Poly: poly})
+	box := spec.Box(n.level, n.x, n.y)
+	var cls prepared.Class
+	if n.level < spec.MinZoom {
+		cls = pp.ClassifyRect(box)
+	} else {
+		st.Leaves++
+		var poly geom.Polygon
+		if poly, cls = pp.ClipRect(box); len(poly) > 0 {
+			*out = append(*out, Tile{Z: n.level, X: n.x, Y: n.y, Poly: poly})
+		}
 	}
+	if cls == prepared.Straddle {
+		return cls
+	}
+	for z := max(n.level+1, spec.MinZoom); z <= spec.MaxZoom; z++ {
+		sub := int64(1) << uint(2*(z-n.level)) // descendant tiles at zoom z
+		if cls == prepared.Outside {
+			st.Pruned += sub
+		} else {
+			st.Filled += sub
+			fill(spec, z, n, out)
+		}
+	}
+	return cls
 }
 
 // fill emits every leaf tile under the Inside node n as a full rectangle.
@@ -313,10 +288,10 @@ func children(n node) [4]node {
 	}
 }
 
-// frontierLevel picks the serial-descent depth for a zoom: deep enough that
-// the frontier can feed every worker several nodes (4^level >= 8*threads),
-// shallow enough to keep the serial prefix trivial, and never past the leaf
-// zoom.
+// frontierLevel picks the serial-descent depth for a pyramid of z zooms:
+// deep enough that the frontier can feed every worker several nodes
+// (4^level >= 8*threads), shallow enough to keep the serial prefix trivial,
+// and never past the deepest zoom.
 func frontierLevel(z, threads int) int {
 	level := 0
 	for level < z && level < 6 && 1<<uint(2*level) < 8*threads {
