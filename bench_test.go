@@ -54,7 +54,7 @@ func BenchmarkTableIIScanbeamTable(b *testing.B) {
 	subject, clip := data.SyntheticPair(1, 2000, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vatti.Trapezoids(subject, clip, vatti.Intersection)
+		vatti.Trapezoids(subject, clip, engine.Intersection, engine.EvenOdd)
 	}
 }
 
@@ -75,7 +75,7 @@ func BenchmarkFig7SequentialClip(b *testing.B) {
 		subject, clip := data.SyntheticPair(2, n, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				overlay.Clip(subject, clip, overlay.Intersection, overlay.Options{Parallelism: 1})
+				overlay.Clip(context.Background(), subject, clip, engine.Intersection, engine.Options{Threads: 1})
 			}
 		})
 	}
@@ -86,7 +86,7 @@ func BenchmarkFig7VattiEngine(b *testing.B) {
 		subject, clip := data.SyntheticPair(2, n, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				vatti.Clip(subject, clip, vatti.Intersection)
+				vatti.Clip(subject, clip, engine.Intersection, engine.Options{})
 			}
 		})
 	}
@@ -99,7 +99,7 @@ func BenchmarkFig8SlabClipPair(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ClipPair(subject, clip, core.Intersection, core.Options{Threads: p})
+				core.ClipPairCtx(context.Background(), subject, clip, engine.Intersection, core.Options{Threads: p})
 			}
 		})
 	}
@@ -111,7 +111,7 @@ func BenchmarkFig9Partition(b *testing.B) {
 	subject, clip := data.SyntheticPair(4, 8000, 8000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st := core.ClipPair(subject, clip, core.Intersection, core.Options{Threads: 8})
+		_, st, _ := core.ClipPairCtx(context.Background(), subject, clip, engine.Intersection, core.Options{Threads: 8})
 		_ = st.Partition
 	}
 }
@@ -121,7 +121,7 @@ func BenchmarkFig9MergeStitch(b *testing.B) {
 	for _, merge := range []core.MergeMode{core.MergeStitch, core.MergeConcat} {
 		b.Run(fmt.Sprintf("merge=%d", merge), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ClipPair(subject, clip, core.Union, core.Options{Threads: 8, Merge: merge})
+				core.ClipPairCtx(context.Background(), subject, clip, engine.Union, core.Options{Threads: 8, Merge: merge})
 			}
 		})
 	}
@@ -237,7 +237,7 @@ func BenchmarkAblationMerge(b *testing.B) {
 	for name, mode := range modes {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ClipPair(subject, clip, core.Intersection, core.Options{Threads: 8, Merge: mode})
+				core.ClipPairCtx(context.Background(), subject, clip, engine.Intersection, core.Options{Threads: 8, Merge: mode})
 			}
 		})
 	}
@@ -251,7 +251,7 @@ func BenchmarkAblationEngines(b *testing.B) {
 		eng := engine.MustGet(name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ClipPair(subject, clip, core.Intersection, core.Options{Threads: 4, Engine: eng})
+				core.ClipPairCtx(context.Background(), subject, clip, engine.Intersection, core.Options{Threads: 4, Engine: eng})
 			}
 		})
 	}
@@ -265,7 +265,7 @@ func BenchmarkAlgorithmOne(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.AlgorithmOne(subject, clip, core.Intersection, p)
+				core.AlgorithmOne(subject, clip, engine.Intersection, p)
 			}
 		})
 	}

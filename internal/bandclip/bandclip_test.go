@@ -1,10 +1,12 @@
 package bandclip
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
 	"polyclip/internal/vatti"
@@ -17,7 +19,8 @@ func oracle(p geom.Polygon, lo, hi float64) geom.Polygon {
 		return nil
 	}
 	rect := geom.RectPolygon(box.MinX-10, lo, box.MaxX+10, hi)
-	return overlay.Clip(p, rect, overlay.Intersection, overlay.Options{})
+	out, _ := overlay.Clip(context.Background(), p, rect, engine.Intersection, engine.Options{})
+	return out
 }
 
 func checkBand(t *testing.T, name string, p geom.Polygon, lo, hi float64) {
@@ -31,7 +34,8 @@ func checkBand(t *testing.T, name string, p geom.Polygon, lo, hi float64) {
 	if len(got) > 0 {
 		box := got.BBox()
 		big := geom.RectPolygon(box.MinX-1, box.MinY-1, box.MaxX+1, box.MaxY+1)
-		gotArea = overlay.Clip(got, big, overlay.Intersection, overlay.Options{}).Area()
+		norm, _ := overlay.Clip(context.Background(), got, big, engine.Intersection, engine.Options{})
+		gotArea = norm.Area()
 	}
 	if math.Abs(gotArea-want.Area()) > 1e-6*(1+want.Area()) {
 		t.Errorf("%s: band [%v,%v]: area=%v want %v (rings=%d)", name, lo, hi, gotArea, want.Area(), len(got))
@@ -179,7 +183,7 @@ func TestBandClipAgainstVattiEngine(t *testing.T) {
 		// vatti.Clip against the band rectangle.
 		box := p.BBox()
 		rect := geom.RectPolygon(box.MinX-1, lo, box.MaxX+1, hi)
-		want := vatti.Clip(p, rect, vatti.Intersection)
+		want := vatti.Clip(p, rect, engine.Intersection, engine.Options{})
 		ga, wa := got.Area(), want.Area()
 		if math.Abs(ga-wa) > 1e-6*(1+wa) {
 			t.Errorf("trial %d band [%v,%v]: bandclip=%v vatti=%v", trial, lo, hi, ga, wa)

@@ -25,7 +25,7 @@ import (
 // and caps go to the stitcher as they are, so each beam line leaves a
 // virtual vertex on every side it cuts. It is the oracle vatti.Assemble is
 // held to: the same rings, less those vertices.
-func assemblePerBeam(tzs []vatti.Trapezoid) geom.Polygon {
+func assemblePerBeam(tzs []eng.Trapezoid) geom.Polygon {
 	if len(tzs) == 0 {
 		return nil
 	}
@@ -62,7 +62,7 @@ func assemblePerBeam(tzs []vatti.Trapezoid) geom.Polygon {
 // snapPerBeam welds trapezoid corners that represent the same arrangement
 // vertex by quantizing every coordinate onto the geom.GridStep grid of the
 // data extent (geom.SnapPoint).
-func snapPerBeam(tzs []vatti.Trapezoid) []vatti.Trapezoid {
+func snapPerBeam(tzs []eng.Trapezoid) []eng.Trapezoid {
 	box := geom.EmptyBBox()
 	for _, tz := range tzs {
 		box.Extend(tz.L1)
@@ -74,9 +74,9 @@ func snapPerBeam(tzs []vatti.Trapezoid) []vatti.Trapezoid {
 	if eps == 0 {
 		return tzs
 	}
-	out := make([]vatti.Trapezoid, len(tzs))
+	out := make([]eng.Trapezoid, len(tzs))
 	for i, tz := range tzs {
-		out[i] = vatti.Trapezoid{
+		out[i] = eng.Trapezoid{
 			L1: geom.SnapPoint(tz.L1, eps), R1: geom.SnapPoint(tz.R1, eps),
 			L2: geom.SnapPoint(tz.L2, eps), R2: geom.SnapPoint(tz.R2, eps),
 		}
@@ -145,13 +145,13 @@ func TestMergeMatchesPerBeamOracle(t *testing.T) {
 		scale := guard.MeasureBound(pr.a) + guard.MeasureBound(pr.b)
 		for _, op := range eng.Ops() {
 			for _, rule := range eng.Rules() {
-				want := assemblePerBeam(vatti.TrapezoidsRule(pr.a, pr.b, op, rule))
+				want := assemblePerBeam(vatti.Trapezoids(pr.a, pr.b, op, rule))
 				alg1, _ := core.AlgorithmOneRuleCtx(context.Background(), pr.a, pr.b, op, rule, 2)
 				for _, got := range []struct {
 					engine string
 					poly   geom.Polygon
 				}{
-					{"vatti", vatti.ClipRule(pr.a, pr.b, op, rule)},
+					{"vatti", vatti.Clip(pr.a, pr.b, op, eng.Options{Rule: rule})},
 					{"algorithm1", alg1},
 				} {
 					name := fmt.Sprintf("%s %s %v %v", pr.name, got.engine, op, rule)

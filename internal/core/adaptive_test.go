@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -13,7 +14,7 @@ import (
 func TestClipLayersMergedCtx(t *testing.T) {
 	la := Layer{geom.RectPolygon(0, 0, 2, 2), geom.RectPolygon(4, 0, 6, 2)}
 	lb := Layer{geom.RectPolygon(1, 1, 5, 3)}
-	got, _, err := ClipPairCtx(context.Background(), fuse(la), fuse(lb), Intersection, Options{Threads: 2})
+	got, _, err := ClipPairCtx(context.Background(), fuse(la), fuse(lb), engine.Intersection, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestAdaptiveSlabCount(t *testing.T) {
 func TestAdaptiveSlabsDefault(t *testing.T) {
 	a := geom.Polygon{geom.Star(geom.Point{X: 0.5, Y: 0.5}, 5, 2, 64, 0.3)}
 	b := geom.Polygon{geom.Star(geom.Point{X: 0.7, Y: 0.4}, 5, 2, 64, 0.6)}
-	for _, op := range []Op{Intersection, Union} {
+	for _, op := range []engine.Op{engine.Intersection, engine.Union} {
 		got, st, err := ClipPairCtx(context.Background(), a, b, op, Options{Threads: 4})
 		if err != nil {
 			t.Fatalf("op=%v: %v", op, err)
@@ -73,7 +74,7 @@ func TestAdaptiveSlabsDefault(t *testing.T) {
 	// heuristic at a single slab, skipping partition and merge.
 	a = geom.RectPolygon(0, 0, 1, 1)
 	b = geom.RectPolygon(5, 5, 6, 6)
-	_, st, err := ClipPairCtx(context.Background(), a, b, Intersection, Options{Threads: 4})
+	_, st, err := ClipPairCtx(context.Background(), a, b, engine.Intersection, Options{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +86,10 @@ func TestAdaptiveSlabsDefault(t *testing.T) {
 	}
 
 	// An explicit Slabs pin still wins over the heuristic.
-	_, st = ClipPair(geom.RectPolygon(0, 0, 4, 4), geom.RectPolygon(2, 2, 6, 6), Intersection,
+	_, st = clipPair(t, geom.RectPolygon(0, 0, 4, 4), geom.RectPolygon(2, 2, 6, 6), engine.Intersection,
 		Options{Threads: 4, Slabs: 3})
 	if st.Slabs != 3 {
 		t.Errorf("pinned slabs: got %d, want 3", st.Slabs)
 	}
 }
+

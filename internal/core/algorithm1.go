@@ -35,7 +35,7 @@ type Alg1Report struct {
 // with parallelism p, using the segment tree for Step 2 and the
 // scanbeam-inversion finder for Step 3.2. Returns the result and the full
 // output-sensitivity report.
-func AlgorithmOne(a, b geom.Polygon, op Op, p int) (geom.Polygon, Alg1Report) {
+func AlgorithmOne(a, b geom.Polygon, op engine.Op, p int) (geom.Polygon, Alg1Report) {
 	out, rep := AlgorithmOneRuleCtx(context.Background(), a, b, op, engine.EvenOdd, p)
 	// Step 3.2 (Lemma 4): the paper's k is a property of the raw input, so
 	// count the inversion crossings of the unresolved edges.
@@ -56,7 +56,7 @@ func AlgorithmOne(a, b geom.Polygon, op Op, p int) (geom.Polygon, Alg1Report) {
 // loop polls ctx and stops early. On a cancelled ctx the returned polygon
 // is nil; callers observe the cancellation via ctx.Err(). The report leaves
 // K and Procs zero.
-func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op Op, rule engine.FillRule, p int) (geom.Polygon, Alg1Report) {
+func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, rule engine.FillRule, p int) (geom.Polygon, Alg1Report) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -8,7 +8,7 @@
 //     Lemmas 1–3) with intersections from the inversion method (Lemma 4),
 //     and a parallel merge of the partial results (Step 4, Fig. 6).
 //
-//   - ClipPair — the multi-threaded Algorithm 2 (§IV): the input is
+//   - ClipPairCtx — the multi-threaded Algorithm 2 (§IV): the input is
 //     partitioned into p horizontal slabs balanced by event count, each slab
 //     is clipped independently by a sequential engine after
 //     rectangle-clipping both operands to the slab, and the partial outputs
@@ -38,17 +38,6 @@ import (
 	// core can resolve the slab hosts (overlay, vatti) by name.
 	_ "polyclip/internal/overlay"
 	_ "polyclip/internal/vatti"
-)
-
-// Op re-exports the canonical operation type (see internal/engine).
-type Op = engine.Op
-
-// Supported operations.
-const (
-	Intersection = engine.Intersection
-	Union        = engine.Union
-	Difference   = engine.Difference
-	Xor          = engine.Xor
 )
 
 // MergeMode selects how per-slab partial outputs are combined.
@@ -96,14 +85,6 @@ type Options struct {
 	NoFallback bool
 }
 
-// Stats reports where the time went, for the paper's figures. It aliases the
-// canonical engine-facing type (see internal/engine).
-type Stats = engine.Stats
-
-// Resilience is the record of the hardened pipeline's interventions for one
-// clipping run (see internal/engine).
-type Resilience = engine.Resilience
-
 // slabEngine resolves the per-slab sequential engine: the configured one, or
 // overlay when unset.
 func slabEngine(opt Options) engine.Engine {
@@ -120,7 +101,7 @@ func slabEngine(opt Options) engine.Engine {
 // (engine.Options.PreResolved), so the host only sweeps. A cancelled ctx
 // makes cancellable engines bail early; the surrounding loops detect the
 // cancellation and discard the partial output.
-func slabClip(ctx context.Context, e engine.Engine, a, b geom.Polygon, op Op, snapEps float64, resolved bool) geom.Polygon {
+func slabClip(ctx context.Context, e engine.Engine, a, b geom.Polygon, op engine.Op, snapEps float64, resolved bool) geom.Polygon {
 	res, _ := e.Clip(ctx, a, b, op, engine.Options{Threads: 1, SnapEps: snapEps, PreResolved: resolved})
 	return res.Polygon
 }
@@ -165,7 +146,7 @@ const stageRetryBackoff = 2 * time.Millisecond
 // attempt receives the stage context and the parallelism to use, and must
 // return a *par.StallError if the stage context expired mid-stage (so the
 // watchdog outcome is attributed to the stage, not the run).
-func runStage(ctx context.Context, st *Stats, name string, frac float64, p int, noRetry bool, attempt func(sctx context.Context, p int) error) error {
+func runStage(ctx context.Context, st *engine.Stats, name string, frac float64, p int, noRetry bool, attempt func(sctx context.Context, p int) error) error {
 	run := func(pp int, share float64) (err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -235,18 +216,6 @@ func stallIfExpired(sctx context.Context) error {
 	return nil
 }
 
-// ClipPair clips two polygons with the multi-threaded Algorithm 2. A worker
-// panic propagates as a panic on the calling goroutine (recoverable); the
-// hardened public API uses ClipPairCtx instead, which returns it as an
-// error.
-func ClipPair(a, b geom.Polygon, op Op, opt Options) (geom.Polygon, *Stats) {
-	out, st, err := ClipPairCtx(context.Background(), a, b, op, opt)
-	if err != nil {
-		panic(err)
-	}
-	return out, st
-}
-
 // ClipPairCtx clips two polygons with the multi-threaded Algorithm 2,
 // cooperatively honoring ctx: the slab loop polls cancellation before each
 // slab, so after ctx is done no further slab is clipped and ctx.Err() is
@@ -263,7 +232,7 @@ func ClipPair(a, b geom.Polygon, op Op, opt Options) (geom.Polygon, *Stats) {
 // surface, feeding the caller's degradation ladder. The run therefore
 // returns within a small factor of the configured deadline even when a
 // worker hangs outright.
-func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (geom.Polygon, *Stats, error) {
+func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, opt Options) (geom.Polygon, *engine.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -272,7 +241,7 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (ge
 		p = par.DefaultParallelism()
 	}
 	nslabs := opt.Slabs
-	st := &Stats{}
+	st := &engine.Stats{}
 	snapEps := geom.AutoSnapEps(a, b)
 	// Decompose the resolved, snapped pair — the same pre-pass every other
 	// engine's sweep starts from — not the raw operands. Two alignments

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -13,16 +14,27 @@ import (
 	"polyclip/internal/overlay"
 )
 
-func seqArea(a, b geom.Polygon, op Op) float64 {
-	return overlay.Clip(a, b, op, overlay.Options{Parallelism: 1}).Area()
+func seqArea(a, b geom.Polygon, op engine.Op) float64 {
+	out, _ := overlay.Clip(context.Background(), a, b, op, engine.Options{Threads: 1})
+	return out.Area()
+}
+
+// clipPair is ClipPairCtx without a deadline; an error fails the test.
+func clipPair(t *testing.T, a, b geom.Polygon, op engine.Op, opt Options) (geom.Polygon, *engine.Stats) {
+	t.Helper()
+	out, st, err := ClipPairCtx(context.Background(), a, b, op, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, st
 }
 
 func TestClipPairMatchesSequentialRects(t *testing.T) {
 	a := geom.RectPolygon(0, 0, 4, 4)
 	b := geom.RectPolygon(2, 2, 6, 6)
-	for _, op := range []Op{Intersection, Union, Difference, Xor} {
+	for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
 		for _, threads := range []int{1, 2, 4, 7} {
-			got, st := ClipPair(a, b, op, Options{Threads: threads})
+			got, st := clipPair(t, a, b, op, Options{Threads: threads})
 			want := seqArea(a, b, op)
 			if math.Abs(got.Area()-want) > 1e-6*(1+want) {
 				t.Errorf("op=%v threads=%d: got %v want %v (slabs=%d)", op, threads, got.Area(), want, st.Slabs)
@@ -36,12 +48,12 @@ func TestClipPairStars(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		a := geom.Polygon{geom.Star(geom.Point{X: rng.Float64(), Y: rng.Float64()}, 5, 2, 8+rng.Intn(20), rng.Float64())}
 		b := geom.Polygon{geom.Star(geom.Point{X: 1 + rng.Float64(), Y: rng.Float64() - 1}, 5, 2, 8+rng.Intn(20), rng.Float64())}
-		for _, op := range []Op{Intersection, Union, Difference, Xor} {
+		for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
 			want := seqArea(a, b, op)
 			// 0 lets the adaptive count pick; 5 forces event-balanced cuts
 			// through these small stars.
 			for _, slabs := range []int{0, 5} {
-				got, _ := ClipPair(a, b, op, Options{Threads: 4, Slabs: slabs})
+				got, _ := clipPair(t, a, b, op, Options{Threads: 4, Slabs: slabs})
 				if math.Abs(got.Area()-want) > 1e-6*(1+want) {
 					t.Errorf("trial %d op=%v slabs=%d: got %v want %v", trial, op, slabs, got.Area(), want)
 				}
@@ -53,9 +65,9 @@ func TestClipPairStars(t *testing.T) {
 func TestClipPairEngines(t *testing.T) {
 	a := geom.Polygon{geom.Star(geom.Point{X: 0, Y: 0}, 5, 2, 12, 0.3)}
 	b := geom.Polygon{geom.Star(geom.Point{X: 1, Y: 1}, 5, 2, 10, 0.7)}
-	want := seqArea(a, b, Intersection)
+	want := seqArea(a, b, engine.Intersection)
 	for _, name := range []string{"overlay", "vatti"} {
-		got, _ := ClipPair(a, b, Intersection, Options{Threads: 4, Engine: engine.MustGet(name)})
+		got, _ := clipPair(t, a, b, engine.Intersection, Options{Threads: 4, Engine: engine.MustGet(name)})
 		if math.Abs(got.Area()-want) > 1e-6*(1+want) {
 			t.Errorf("engine=%s: got %v want %v", name, got.Area(), want)
 		}
@@ -65,18 +77,19 @@ func TestClipPairEngines(t *testing.T) {
 func TestClipPairMergeModes(t *testing.T) {
 	a := geom.Polygon{geom.RegularPolygon(geom.Point{X: 0, Y: 0}, 5, 24, 0.1)}
 	b := geom.Polygon{geom.RegularPolygon(geom.Point{X: 2, Y: 1}, 5, 18, 0.4)}
-	want := seqArea(a, b, Union)
+	want := seqArea(a, b, engine.Union)
 	for _, mode := range []MergeMode{MergeStitch, MergeConcat, MergeUnionTree} {
 		// Slabs pinned: these small inputs collapse to one slab under the
 		// adaptive count, and the merge modes only run across slab seams.
-		got, _ := ClipPair(a, b, Union, Options{Threads: 4, Slabs: 4, Merge: mode})
+		got, _ := clipPair(t, a, b, engine.Union, Options{Threads: 4, Slabs: 4, Merge: mode})
 		// MergeConcat leaves seams: even-odd area preserved; rings may
 		// include seam edges, so normalize via the overlay engine.
 		area := got.Area()
 		if mode == MergeConcat {
 			box := got.BBox()
 			big := geom.RectPolygon(box.MinX-1, box.MinY-1, box.MaxX+1, box.MaxY+1)
-			area = overlay.Clip(got, big, overlay.Intersection, overlay.Options{}).Area()
+			norm, _ := overlay.Clip(context.Background(), got, big, engine.Intersection, engine.Options{})
+			area = norm.Area()
 		}
 		if math.Abs(area-want) > 1e-6*(1+want) {
 			t.Errorf("merge=%d: got %v want %v", mode, area, want)
@@ -87,7 +100,7 @@ func TestClipPairMergeModes(t *testing.T) {
 func TestClipPairMergeStitchRemovesSeams(t *testing.T) {
 	a := geom.Polygon{geom.RegularPolygon(geom.Point{X: 0, Y: 0}, 5, 32, 0.1)}
 	b := geom.Polygon{geom.RegularPolygon(geom.Point{X: 1, Y: 1}, 5, 32, 0.2)}
-	got, st := ClipPair(a, b, Intersection, Options{Threads: 4, Slabs: 4, Merge: MergeStitch})
+	got, st := clipPair(t, a, b, engine.Intersection, Options{Threads: 4, Slabs: 4, Merge: MergeStitch})
 	if st.Slabs < 2 {
 		t.Skip("partitioning produced a single slab")
 	}
@@ -102,8 +115,8 @@ func TestClipPairPartitionModes(t *testing.T) {
 	// most sensitive to a seam counted twice or dropped.
 	a := geom.Polygon{geom.Star(geom.Point{X: 0, Y: 0}, 5, 2, 16, 0.3)}
 	b := geom.Polygon{geom.Star(geom.Point{X: 1, Y: 0}, 5, 2, 14, 0.9)}
-	want := seqArea(a, b, Xor)
-	got, st := ClipPair(a, b, Xor, Options{Threads: 5, Slabs: 5})
+	want := seqArea(a, b, engine.Xor)
+	got, st := clipPair(t, a, b, engine.Xor, Options{Threads: 5, Slabs: 5})
 	if st.Slabs < 2 {
 		t.Errorf("slabs = %d, want the pinned count to cut the stars", st.Slabs)
 	}
@@ -114,10 +127,10 @@ func TestClipPairPartitionModes(t *testing.T) {
 
 func TestClipPairEmptyInputs(t *testing.T) {
 	a := geom.RectPolygon(0, 0, 1, 1)
-	if got, _ := ClipPair(nil, a, Intersection, Options{Threads: 4}); got.Area() != 0 {
+	if got, _ := clipPair(t, nil, a, engine.Intersection, Options{Threads: 4}); got.Area() != 0 {
 		t.Errorf("∅∩a = %v", got)
 	}
-	if got, _ := ClipPair(a, nil, Union, Options{Threads: 4}); math.Abs(got.Area()-1) > 1e-9 {
+	if got, _ := clipPair(t, a, nil, engine.Union, Options{Threads: 4}); math.Abs(got.Area()-1) > 1e-9 {
 		t.Errorf("a∪∅ = %v", got.Area())
 	}
 }
@@ -125,7 +138,7 @@ func TestClipPairEmptyInputs(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	a := geom.Polygon{geom.RegularPolygon(geom.Point{X: 0, Y: 0}, 5, 64, 0.1)}
 	b := geom.Polygon{geom.RegularPolygon(geom.Point{X: 1, Y: 1}, 5, 64, 0.2)}
-	_, st := ClipPair(a, b, Intersection, Options{Threads: 4})
+	_, st := clipPair(t, a, b, engine.Intersection, Options{Threads: 4})
 	if st.Slabs < 1 || len(st.PerThread) != st.Slabs {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -143,7 +156,7 @@ func TestAlgorithmOneMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		a := geom.Polygon{geom.Star(geom.Point{X: rng.Float64(), Y: rng.Float64()}, 4, 1.5, 6+rng.Intn(10), rng.Float64())}
 		b := geom.Polygon{geom.Star(geom.Point{X: 0.5 + rng.Float64(), Y: rng.Float64() - 0.5}, 4, 1.5, 6+rng.Intn(10), rng.Float64())}
-		for _, op := range []Op{Intersection, Union, Difference, Xor} {
+		for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
 			got, rep := AlgorithmOne(a, b, op, 4)
 			want := seqArea(a, b, op)
 			if math.Abs(got.Area()-want) > 1e-6*(1+want) {
@@ -161,8 +174,8 @@ func TestAlgorithmOneReportOutputSensitive(t *testing.T) {
 	a := geom.Polygon{geom.RegularPolygon(geom.Point{X: 0, Y: 0}, 5, 40, 0.01)}
 	bFar := geom.Polygon{geom.RegularPolygon(geom.Point{X: 20, Y: 0}, 5, 40, 0.02)}
 	bNear := geom.Polygon{geom.RegularPolygon(geom.Point{X: 0.5, Y: 0.2}, 5, 40, 0.02)}
-	_, repFar := AlgorithmOne(a, bFar, Intersection, 2)
-	_, repNear := AlgorithmOne(a, bNear, Intersection, 2)
+	_, repFar := AlgorithmOne(a, bFar, engine.Intersection, 2)
+	_, repNear := AlgorithmOne(a, bNear, engine.Intersection, 2)
 	if repFar.K != 0 {
 		t.Errorf("disjoint polygons: k = %d, want 0", repFar.K)
 	}
@@ -190,7 +203,7 @@ func TestAlgorithmOneOutputIsNPlusK(t *testing.T) {
 		a, b := tc.pair()
 		ra, rb := arrange.ResolvePairRule(a, b, engine.EvenOdd)
 		resolved := ra.NumVertices() + rb.NumVertices()
-		for _, op := range []Op{Intersection, Union, Difference, Xor} {
+		for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
 			_, rep := AlgorithmOne(a, b, op, 2)
 			if rep.Output > 2*resolved {
 				t.Errorf("%s %v: %d output vertices, resolved pair has %d (k' = %d)", tc.name, op, rep.Output, resolved, rep.KPrime)
@@ -205,8 +218,8 @@ func TestAlgorithmOneOutputIsNPlusK(t *testing.T) {
 func TestClipLayersMergedUnion(t *testing.T) {
 	la := Layer{geom.RectPolygon(0, 0, 2, 2), geom.RectPolygon(4, 0, 6, 2)}
 	lb := Layer{geom.RectPolygon(1, 1, 5, 3)}
-	got, _ := ClipPair(fuse(la), fuse(lb), Union, Options{Threads: 3})
-	want := seqArea(fuse(la), fuse(lb), Union)
+	got, _ := clipPair(t, fuse(la), fuse(lb), engine.Union, Options{Threads: 3})
+	want := seqArea(fuse(la), fuse(lb), engine.Union)
 	if math.Abs(got.Area()-want) > 1e-6 {
 		t.Errorf("merged union = %v, want %v", got.Area(), want)
 	}
@@ -250,10 +263,10 @@ func TestSlabBoundaries(t *testing.T) {
 
 // foldWith is ReduceTree over raw overlay clips of one op, the combine the
 // MergeUnionTree ablation uses for unions.
-func foldWith(t *testing.T, polys []geom.Polygon, op Op) geom.Polygon {
+func foldWith(t *testing.T, polys []geom.Polygon, op engine.Op) geom.Polygon {
 	t.Helper()
 	out, err := ReduceTree(polys, 4, func(a, b geom.Polygon) (geom.Polygon, error) {
-		return overlay.Clip(a, b, op, overlay.Options{Parallelism: 1}), nil
+		return overlay.Clip(context.Background(), a, b, op, engine.Options{Threads: 1})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +282,7 @@ func TestUnionAllGrid(t *testing.T) {
 			polys = append(polys, geom.RectPolygon(float64(i), float64(j), float64(i+1), float64(j+1)))
 		}
 	}
-	got := foldWith(t, polys, Union)
+	got := foldWith(t, polys, engine.Union)
 	if math.Abs(got.Area()-16) > 1e-6 {
 		t.Errorf("dissolved area = %v, want 16", got.Area())
 	}
@@ -281,7 +294,7 @@ func TestUnionAllGrid(t *testing.T) {
 // TestUnionAllEmptyAndSingle: nil folds to nil, and a lone item comes back
 // as it is, with combine never called.
 func TestUnionAllEmptyAndSingle(t *testing.T) {
-	if got := foldWith(t, nil, Union); got != nil {
+	if got := foldWith(t, nil, engine.Union); got != nil {
 		t.Errorf("fold of nil = %v", got)
 	}
 	single := geom.RectPolygon(0, 0, 1, 1)
@@ -302,12 +315,12 @@ func TestIntersectAll(t *testing.T) {
 		geom.RectPolygon(2, 0, 12, 10),
 		geom.RectPolygon(4, 0, 14, 10),
 	}
-	if got := foldWith(t, polys, Intersection); math.Abs(got.Area()-60) > 1e-6 {
+	if got := foldWith(t, polys, engine.Intersection); math.Abs(got.Area()-60) > 1e-6 {
 		t.Errorf("common area = %v, want 60", got.Area())
 	}
 	// Disjoint operand empties the result.
 	polys = append(polys, geom.RectPolygon(100, 100, 101, 101))
-	if got := foldWith(t, polys, Intersection); got.Area() > 1e-9 {
+	if got := foldWith(t, polys, engine.Intersection); got.Area() > 1e-9 {
 		t.Errorf("disjoint intersection = %v", got.Area())
 	}
 	errs := []error{errors.New("pair 0"), errors.New("pair 1")}

@@ -47,7 +47,7 @@ func TestSlabsSubEpsEventY(t *testing.T) {
 	tri := geom.Polygon{{{X: 0, Y: 0}, {X: 2e12, Y: 0}, {X: 0, Y: 10}}}
 	want := 1e13 // the triangle: the sliver has zero area
 	for _, threads := range []int{1, 2, 4} {
-		out, _, err := ClipPairCtx(context.Background(), sliver, tri, Union,
+		out, _, err := ClipPairCtx(context.Background(), sliver, tri, engine.Union,
 			Options{Threads: threads, NoFallback: true})
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
@@ -71,7 +71,7 @@ func TestSlabsWindingMixedExtent(t *testing.T) {
 	}
 	sliver := geom.Polygon{{{X: 0, Y: 0}, {X: 2e12, Y: 0}, {X: 0, Y: 1e-10}}}
 	for _, rule := range []engine.FillRule{engine.NonZero, engine.Positive, engine.Negative} {
-		for _, op := range []Op{Intersection, Union, Difference, Xor} {
+		for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
 			var slabs, overlay float64
 			for _, e := range engine.All() {
 				res, err := e.Clip(context.Background(), cells, sliver, op,

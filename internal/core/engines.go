@@ -20,7 +20,7 @@ import (
 //
 // The operands are first resolved jointly onto the pair's shared snap grid,
 // and each union sweep runs on that joint arrangement as it stands
-// (vatti.ClipRuleResolved). Resolving each operand in isolation would pick a
+// (vatti.Clip with PreResolved). Resolving each operand in isolation would pick a
 // grid from that operand's own extent; when the extents differ by many
 // orders of magnitude the lone-operand arrangement diverges from the pair
 // arrangement every other engine sweeps, and the slab result drifts
@@ -30,7 +30,8 @@ func normalizePairRule(a, b geom.Polygon, rule engine.FillRule) (geom.Polygon, g
 		return a, b
 	}
 	ra, rb := arrange.ResolvePairRule(a, b, rule)
-	return vatti.ClipRuleResolved(ra, nil, engine.Union, rule), vatti.ClipRuleResolved(rb, nil, engine.Union, rule)
+	opt := engine.Options{Rule: rule, PreResolved: true}
+	return vatti.Clip(ra, nil, engine.Union, opt), vatti.Clip(rb, nil, engine.Union, opt)
 }
 
 // slabsEngine adapts the multi-threaded Algorithm 2 slab decomposition

@@ -49,7 +49,7 @@ func TestClipPairHostHandOff(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			h := &recordingHost{}
-			got, st, err := ClipPairCtx(context.Background(), c.a, c.b, Xor, Options{Threads: 4, Slabs: c.slabs, Engine: h})
+			got, st, err := ClipPairCtx(context.Background(), c.a, c.b, engine.Xor, Options{Threads: 4, Slabs: c.slabs, Engine: h})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestClipPairHostHandOff(t *testing.T) {
 					t.Errorf("host call %d: PreResolved = %v, want %v", i, f, c.preResolved)
 				}
 			}
-			if want := seqArea(c.a, c.b, Xor); math.Abs(got.Area()-want) > 1e-6*(1+want) {
+			if want := seqArea(c.a, c.b, engine.Xor); math.Abs(got.Area()-want) > 1e-6*(1+want) {
 				t.Errorf("area = %v, want %v", got.Area(), want)
 			}
 		})

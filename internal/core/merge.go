@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
 	"polyclip/internal/par"
@@ -18,7 +21,7 @@ func mergePartials(partial []geom.Polygon, bounds []float64, mode MergeMode, sna
 		return out
 	case MergeUnionTree:
 		out, _ := ReduceTree(partial, p, func(a, b geom.Polygon) (geom.Polygon, error) {
-			return overlay.Clip(a, b, overlay.Union, overlay.Options{Parallelism: 1}), nil
+			return overlay.Clip(context.Background(), a, b, engine.Union, engine.Options{Threads: 1})
 		})
 		return out
 	default:

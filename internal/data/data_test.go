@@ -1,10 +1,12 @@
 package data
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
 )
@@ -44,7 +46,7 @@ func TestSyntheticPairOverlaps(t *testing.T) {
 	if subject.NumVertices() != 500 || clip.NumVertices() != 300 {
 		t.Errorf("sizes: %d %d", subject.NumVertices(), clip.NumVertices())
 	}
-	inter := overlay.Clip(subject, clip, overlay.Intersection, overlay.Options{})
+	inter, _ := overlay.Clip(context.Background(), subject, clip, engine.Intersection, engine.Options{})
 	if inter.Area() <= 0 {
 		t.Error("synthetic pair does not overlap")
 	}

@@ -15,17 +15,8 @@
 package gh
 
 import (
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
-)
-
-// Op is the clipping operation for this engine.
-type Op uint8
-
-// Supported operations.
-const (
-	Intersection Op = iota
-	Union
-	Difference
 )
 
 // node is a vertex in the circular doubly linked polygon list.
@@ -76,13 +67,14 @@ func insertSorted(a *node, in *node) {
 
 // Clip computes `subject op clip` for two simple rings in general position.
 // Returns the result contours. When the boundaries do not intersect, the
-// containment cases are resolved with point-in-polygon tests.
-func Clip(subject, clip geom.Ring, op Op) geom.Polygon {
+// containment cases are resolved with point-in-polygon tests. Xor is outside
+// the algorithm's contract and runs as Difference.
+func Clip(subject, clip geom.Ring, op engine.Op) geom.Polygon {
 	if len(subject) < 3 || len(clip) < 3 {
 		switch op {
-		case Intersection:
+		case engine.Intersection:
 			return nil
-		case Union:
+		case engine.Union:
 			out := geom.Polygon{}
 			if len(subject) >= 3 {
 				out = append(out, subject.Clone())
@@ -120,10 +112,10 @@ func Clip(subject, clip geom.Ring, op Op) geom.Polygon {
 	sEntry := !sInside
 	cEntry := !cInside
 	switch op {
-	case Union:
+	case engine.Union:
 		sEntry = !sEntry
 		cEntry = !cEntry
-	case Difference:
+	case engine.Difference:
 		sEntry = !sEntry
 	}
 	markEntryExit(sList, sEntry)
@@ -267,11 +259,11 @@ func dedupRing(r geom.Ring) geom.Ring {
 }
 
 // noIntersectionCase resolves operations when boundaries do not cross.
-func noIntersectionCase(subject, clip geom.Ring, op Op) geom.Polygon {
+func noIntersectionCase(subject, clip geom.Ring, op engine.Op) geom.Polygon {
 	sInC := geom.Polygon{clip}.ContainsPoint(subject[0])
 	cInS := geom.Polygon{subject}.ContainsPoint(clip[0])
 	switch op {
-	case Intersection:
+	case engine.Intersection:
 		if sInC {
 			return geom.Polygon{subject.Clone()}
 		}
@@ -279,7 +271,7 @@ func noIntersectionCase(subject, clip geom.Ring, op Op) geom.Polygon {
 			return geom.Polygon{clip.Clone()}
 		}
 		return nil
-	case Union:
+	case engine.Union:
 		if sInC {
 			return geom.Polygon{clip.Clone()}
 		}

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -167,17 +168,8 @@ func cleanRing(r geom.Ring, rep *RepairReport) geom.Ring {
 	return st
 }
 
-// OpKind mirrors the overlay engine's operation codes for the audit (guard
-// cannot import the engine packages: they call into guard's fault hooks).
-type OpKind uint8
-
-// Operation kinds, value-compatible with overlay.Op.
-const (
-	OpIntersection OpKind = iota
-	OpUnion
-	OpDifference
-	OpXor
-)
+// OpKind is the audited operation, kept as a name for engine.Op.
+type OpKind = engine.Op
 
 // MeasureBound returns a cheap sound upper bound on the even-odd measure
 // of a polygon: the sum of its rings' bounding-box areas. Unlike the
@@ -200,7 +192,7 @@ func MeasureBound(p geom.Polygon) float64 {
 // Only upper bounds are checked — lower bounds are unreliable for
 // self-intersecting inputs — so a failed audit means the result is
 // certainly damaged, while a passing one is merely plausible.
-func Audit(result geom.Polygon, areaSubject, areaClip float64, op OpKind) error {
+func Audit(result geom.Polygon, areaSubject, areaClip float64, op engine.Op) error {
 	for ri, r := range result {
 		if len(r) < 3 {
 			return fmt.Errorf("audit: ring %d has %d vertices", ri, len(r))
@@ -212,9 +204,9 @@ func Audit(result geom.Polygon, areaSubject, areaClip float64, op OpKind) error 
 	areaR := result.Area()
 	var bound float64
 	switch op {
-	case OpIntersection:
+	case engine.Intersection:
 		bound = math.Min(areaSubject, areaClip)
-	case OpDifference:
+	case engine.Difference:
 		bound = areaSubject
 	default: // Union, Xor
 		bound = areaSubject + areaClip
@@ -250,22 +242,6 @@ func AuditDifferential(result geom.Polygon, refArea, scale float64) error {
 	}
 	return fmt.Errorf("differential audit: result area %g disagrees with reference engine area %g (scale %g)",
 		got, refArea, scale)
-}
-
-// String names the operation kind.
-func (op OpKind) String() string {
-	switch op {
-	case OpIntersection:
-		return "intersection"
-	case OpUnion:
-		return "union"
-	case OpDifference:
-		return "difference"
-	case OpXor:
-		return "xor"
-	default:
-		return "unknown"
-	}
 }
 
 // NoPair is the Pair value of a ClipError that is not pair-attributable.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -91,28 +92,28 @@ func TestRepair(t *testing.T) {
 
 func TestAudit(t *testing.T) {
 	r := rect(0, 0, 2, 2) // area 4
-	if err := Audit(r, 4, 16, OpIntersection); err != nil {
+	if err := Audit(r, 4, 16, engine.Intersection); err != nil {
 		t.Fatalf("valid intersection flagged: %v", err)
 	}
 	// Intersection result cannot exceed the smaller input area.
-	if err := Audit(rect(0, 0, 10, 10), 4, 16, OpIntersection); err == nil {
+	if err := Audit(rect(0, 0, 10, 10), 4, 16, engine.Intersection); err == nil {
 		t.Fatal("oversized intersection passed audit")
 	}
 	// Difference result cannot exceed the subject area.
-	if err := Audit(rect(0, 0, 10, 10), 4, 16, OpDifference); err == nil {
+	if err := Audit(rect(0, 0, 10, 10), 4, 16, engine.Difference); err == nil {
 		t.Fatal("oversized difference passed audit")
 	}
 	// Union may reach the sum of the inputs.
-	if err := Audit(rect(0, 0, 4, 5), 4, 16, OpUnion); err != nil {
+	if err := Audit(rect(0, 0, 4, 5), 4, 16, engine.Union); err != nil {
 		t.Fatalf("valid union flagged: %v", err)
 	}
 	// Non-finite result coordinates fail regardless of area.
 	bad := geom.Polygon{{{X: 0, Y: 0}, {X: math.NaN(), Y: 0}, {X: 1, Y: 1}}}
-	if err := Audit(bad, 4, 16, OpUnion); err == nil {
+	if err := Audit(bad, 4, 16, engine.Union); err == nil {
 		t.Fatal("non-finite result passed audit")
 	}
 	// A ring below three vertices fails.
-	if err := Audit(geom.Polygon{{{X: 0, Y: 0}, {X: 1, Y: 1}}}, 4, 16, OpUnion); err == nil {
+	if err := Audit(geom.Polygon{{{X: 0, Y: 0}, {X: 1, Y: 1}}}, 4, 16, engine.Union); err == nil {
 		t.Fatal("two-vertex ring passed audit")
 	}
 }

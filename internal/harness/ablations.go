@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"context"
 	"time"
 
 	"polyclip/internal/bandclip"
 	"polyclip/internal/core"
 	"polyclip/internal/data"
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/gh"
 	"polyclip/internal/isect"
@@ -48,7 +50,7 @@ func Ablations(seed int64) Result {
 		mode := m.mode
 		rows = append(rows, row("merge", m.name,
 			ms(timeIt(2, func() {
-				core.ClipPair(subject, clip, core.Intersection, core.Options{Threads: 8, Merge: mode})
+				core.ClipPairCtx(context.Background(), subject, clip, engine.Intersection, core.Options{Threads: 8, Merge: mode})
 			})), "Fig. 6 variants"))
 	}
 
@@ -67,7 +69,7 @@ func Ablations(seed int64) Result {
 				box := f.BBox()
 				rect := geom.Rect(box.MinX-1, band[0], box.MaxX+1, band[1])
 				for _, ring := range f {
-					gh.Clip(ring, rect, gh.Intersection)
+					gh.Clip(ring, rect, engine.Intersection)
 				}
 			}
 		})), "paper's Steps 4-5 choice"),

@@ -104,7 +104,7 @@ func fig2Polygons() (subject, clip geom.Polygon) {
 // output polygons (trapezoid corner sequences) of the intersection.
 func TableII() Result {
 	subject, clip := fig2Polygons()
-	tzs := vatti.Trapezoids(subject, clip, vatti.Intersection)
+	tzs := vatti.Trapezoids(subject, clip, engine.Intersection, engine.EvenOdd)
 	header := []string{"Scanbeam", "Partial polygon (L1 R1 R2 L2)"}
 	var rows [][]string
 	for _, tz := range tzs {
@@ -149,9 +149,8 @@ func Fig7(sizes []int, seed int64) Result {
 	for _, n := range sizes {
 		subject, clip := data.SyntheticPair(seed, n, n)
 		t0 := time.Now()
-		out := overlay.Clip(subject, clip, overlay.Intersection, overlay.Options{Parallelism: 1})
+		overlay.Clip(context.Background(), subject, clip, engine.Intersection, engine.Options{Threads: 1})
 		el := time.Since(t0)
-		_ = out
 		rows = append(rows, row(fmt.Sprint(n), ms(el),
 			fmt.Sprintf("%.3f", float64(el.Microseconds())/float64(2*n))))
 	}
@@ -175,14 +174,11 @@ func Fig8(sizes []int, threads []int, seed int64) Result {
 	for _, n := range sizes {
 		subject, clip := data.SyntheticPair(seed, n, n)
 		t0 := time.Now()
-		overlay.Clip(subject, clip, overlay.Intersection, overlay.Options{Parallelism: 1})
+		overlay.Clip(context.Background(), subject, clip, engine.Intersection, engine.Options{Threads: 1})
 		seq := time.Since(t0)
 		cells := []string{fmt.Sprint(n), ms(seq)}
 		for _, p := range threads {
-			// Slabs: p, workers: 1 — true per-slab costs, parallel time
-			// modelled by scheduling them onto p workers (see package doc).
-			_, st := core.ClipPair(subject, clip, core.Intersection, core.Options{Threads: 1, Slabs: p})
-			model := st.ModelledParallel(p)
+			model := slabStats(subject, clip, p).ModelledParallel(p)
 			cells = append(cells, fmt.Sprintf("%.2f", float64(seq)/float64(model)))
 		}
 		rows = append(rows, cells)
@@ -200,7 +196,7 @@ func Fig9(threads []int, sizes []int, seed int64) Result {
 	for si, n := range sizes {
 		subject, clip := data.SyntheticPair(seed+int64(si), n, n)
 		for _, p := range threads {
-			_, st := core.ClipPair(subject, clip, core.Intersection, core.Options{Threads: 1, Slabs: p})
+			st := slabStats(subject, clip, p)
 			rows = append(rows, row(
 				fmt.Sprintf("%s(n=%d)", string(rune('I'+si)), n), fmt.Sprint(p),
 				ms(st.Partition), ms(st.CriticalPath()), ms(st.Merge)))
@@ -220,13 +216,25 @@ func datasetLayers(scale float64, seed int64) [][]geom.Polygon {
 	return out
 }
 
+// slabStats intersects the pair the way Figures 8 and 9 time it: Algorithm 2
+// on p slabs with one worker, so each slab's time is its true cost and
+// Stats.ModelledParallel schedules the slabs onto p workers (see package
+// doc).
+func slabStats(subject, clip geom.Polygon, p int) *engine.Stats {
+	_, st, err := core.ClipPairCtx(context.Background(), subject, clip, engine.Intersection, core.Options{Threads: 1, Slabs: p})
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
 // layerOverlay overlays two layers the way Figures 10–12 time them:
 // batch.Overlay on the overlay engine with every slab clipped on one thread,
 // so each slab's time is CPU-attributable; slabs <= 0 is the one-slab
 // sequential run. Hashing and indexing become the sequential phase and the
 // slab times the per-thread work, so Stats.ModelledParallel schedules the
 // slabs onto p workers.
-func layerOverlay(a, b []geom.Polygon, op core.Op, slabs int) *engine.Stats {
+func layerOverlay(a, b []geom.Polygon, op engine.Op, slabs int) *engine.Stats {
 	_, st, err := batch.Overlay(context.Background(), a, b, op,
 		batch.Options{Engine: "overlay", Threads: 1, Slabs: slabs})
 	if err != nil {
@@ -244,12 +252,12 @@ func Fig10(threads []int, scale float64, seed int64) Result {
 	workloads := []struct {
 		name string
 		a, b core.Layer
-		op   core.Op
+		op   engine.Op
 	}{
-		{"Intersect(1,2)", layers[0], layers[1], core.Intersection},
-		{"Union(1,2)", layers[0], layers[1], core.Union},
-		{"Intersect(3,4)", layers[2], layers[3], core.Intersection},
-		{"Union(3,4)", layers[2], layers[3], core.Union},
+		{"Intersect(1,2)", layers[0], layers[1], engine.Intersection},
+		{"Union(1,2)", layers[0], layers[1], engine.Union},
+		{"Intersect(3,4)", layers[2], layers[3], engine.Intersection},
+		{"Union(3,4)", layers[2], layers[3], engine.Union},
 	}
 	header := append([]string{"Workload", "Seq (ms)"}, func() []string {
 		var h []string
@@ -280,7 +288,7 @@ func Fig10(threads []int, scale float64, seed int64) Result {
 // scalability.
 func Fig11(threads int, scale float64, seed int64) Result {
 	layers := datasetLayers(scale, seed)
-	st := layerOverlay(layers[0], layers[1], core.Intersection, threads)
+	st := layerOverlay(layers[0], layers[1], engine.Intersection, threads)
 	header := []string{"Thread", "Clip time (ms)", "Share of max"}
 	maxT := st.CriticalPath()
 	var rows [][]string
@@ -309,11 +317,11 @@ func Fig12(threads int, scale float64, seed int64) Result {
 	workloads := []struct {
 		name string
 		a, b core.Layer
-		op   core.Op
+		op   engine.Op
 	}{
-		{"Intersect(1,2)", layers[0], layers[1], core.Intersection},
-		{"Intersect(3,4)", layers[2], layers[3], core.Intersection},
-		{"Union(3,4)", layers[2], layers[3], core.Union},
+		{"Intersect(1,2)", layers[0], layers[1], engine.Intersection},
+		{"Intersect(3,4)", layers[2], layers[3], engine.Intersection},
+		{"Union(3,4)", layers[2], layers[3], engine.Union},
 	}
 	header := []string{"Workload", "Seq GPC-like (ms)", "Modelled ArcGIS (ms)", "Parallel p=" + fmt.Sprint(threads) + " (ms)", "Abs speedup"}
 	var rows [][]string
@@ -339,7 +347,7 @@ func PramValidation(sizes []int, seed int64) Result {
 	var rows [][]string
 	for _, n := range sizes {
 		subject, clip := data.InterleavedPair(seed, n)
-		_, rep := core.AlgorithmOne(subject, clip, core.Intersection, 0)
+		_, rep := core.AlgorithmOne(subject, clip, engine.Intersection, 0)
 
 		m := pram.New()
 		xs := make([]int, 2*n)

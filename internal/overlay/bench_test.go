@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"polyclip/internal/data"
+	"polyclip/internal/engine"
 )
 
 // BenchmarkClip intersects the paper's synthetic pair at 4096 edges each,
@@ -15,7 +16,7 @@ func BenchmarkClip(b *testing.B) {
 		b.Run(fmt.Sprintf("parallelism=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Clip(subject, clip, Intersection, Options{Parallelism: p})
+				clipPoly(subject, clip, engine.Intersection, engine.Options{Threads: p})
 			}
 		})
 	}
@@ -28,7 +29,7 @@ func TestClipAllocsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		subject, clip := data.SyntheticPair(1, n, n)
 		return testing.AllocsPerRun(5, func() {
-			Clip(subject, clip, Intersection, Options{Parallelism: 1})
+			clipPoly(subject, clip, engine.Intersection, engine.Options{Threads: 1})
 		})
 	}
 	small, large := allocs(64), allocs(1024)

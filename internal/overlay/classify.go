@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/par"
 	"polyclip/internal/scanbeam"
@@ -120,7 +121,7 @@ type dirEdge struct {
 // value differs between its two sides. The edge is directed so the result
 // interior is on its left (Lo->Hi exactly when the left side is interior),
 // which makes stitched outer rings counter-clockwise and holes clockwise.
-func selectEdges(segs []useg, op Op, rule FillRule, p int) []dirEdge {
+func selectEdges(segs []useg, op engine.Op, rule engine.FillRule, p int) []dirEdge {
 	keep := make([]int32, 0, len(segs))
 	marks := make([]bool, len(segs))
 	par.ForEachItemGrain(len(segs), p, 512, func(i int) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -23,7 +24,7 @@ func TestClipCtxCancelledReturnsError(t *testing.T) {
 	cancel()
 	a := manyGon(0, 0, 10, 512)
 	b := manyGon(1, 1, 10, 512)
-	out, err := ClipCtx(ctx, a, b, Intersection, Options{})
+	out, err := Clip(ctx, a, b, engine.Intersection, engine.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
 	}
@@ -35,11 +36,11 @@ func TestClipCtxCancelledReturnsError(t *testing.T) {
 func TestClipCtxNilContext(t *testing.T) {
 	a := manyGon(0, 0, 10, 64)
 	b := manyGon(1, 1, 10, 64)
-	out, err := ClipCtx(nil, a, b, Intersection, Options{}) //nolint:staticcheck // nil ctx tolerance is part of the contract
+	out, err := Clip(nil, a, b, engine.Intersection, engine.Options{}) //nolint:staticcheck // nil ctx tolerance is part of the contract
 	if err != nil {
 		t.Fatalf("nil ctx: %v", err)
 	}
-	want := Clip(a, b, Intersection, Options{}).Area()
+	want := clipPoly(a, b, engine.Intersection, engine.Options{}).Area()
 	if got := out.Area(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("area %g, want %g", got, want)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -15,7 +16,7 @@ func TestDegenerateDuplicateVertices(t *testing.T) {
 		{X: 0, Y: 0}, {X: 0, Y: 0}, {X: 4, Y: 0}, {X: 4, Y: 4}, {X: 4, Y: 4}, {X: 0, Y: 4},
 	}}
 	b := geom.RectPolygon(2, 2, 6, 6)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if math.Abs(got.Area()-4) > 1e-6 {
 		t.Errorf("area = %v, want 4", got.Area())
 	}
@@ -26,7 +27,7 @@ func TestDegenerateCollinearVertices(t *testing.T) {
 		{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 4, Y: 0}, {X: 4, Y: 2}, {X: 4, Y: 4}, {X: 0, Y: 4},
 	}}
 	b := geom.RectPolygon(1, 1, 3, 3)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if math.Abs(got.Area()-4) > 1e-6 {
 		t.Errorf("area = %v, want 4", got.Area())
 	}
@@ -38,7 +39,7 @@ func TestDegenerateTinyRing(t *testing.T) {
 		geom.Rect(10, 10, 10.000000001, 10.000000001), // sliver far away
 	}
 	b := geom.RectPolygon(2, 2, 6, 6)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if math.Abs(got.Area()-4) > 1e-6 {
 		t.Errorf("area = %v, want 4", got.Area())
 	}
@@ -50,7 +51,7 @@ func TestDegenerateTwoVertexRing(t *testing.T) {
 		geom.Ring{{X: 9, Y: 9}, {X: 10, Y: 10}}, // not a polygon: dropped
 	}
 	b := geom.RectPolygon(2, 2, 6, 6)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if math.Abs(got.Area()-4) > 1e-6 {
 		t.Errorf("area = %v, want 4", got.Area())
 	}
@@ -63,7 +64,7 @@ func TestDegenerateSpike(t *testing.T) {
 		{X: 4, Y: 4}, {X: 0, Y: 4},
 	}}
 	b := geom.RectPolygon(-1, -1, 5, 5)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if math.Abs(got.Area()-16) > 1e-6 {
 		t.Errorf("area = %v, want 16 (spike cancels)", got.Area())
 	}
@@ -73,12 +74,12 @@ func TestDegenerateVertexOnEdge(t *testing.T) {
 	// b has a vertex exactly on a's edge.
 	a := geom.RectPolygon(0, 0, 4, 4)
 	b := geom.Polygon{geom.Ring{{X: 4, Y: 2}, {X: 6, Y: 0}, {X: 8, Y: 2}, {X: 6, Y: 4}}}
-	got := Clip(a, b, Union, Options{})
+	got := clipPoly(a, b, engine.Union, engine.Options{})
 	want := 16.0 + 8.0 // square + diamond, touching at one point
 	if math.Abs(got.Area()-want) > 1e-6 {
 		t.Errorf("area = %v, want %v", got.Area(), want)
 	}
-	gotI := Clip(a, b, Intersection, Options{})
+	gotI := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if gotI.Area() > 1e-9 {
 		t.Errorf("touch intersection area = %v", gotI.Area())
 	}
@@ -90,8 +91,8 @@ func TestDegenerateEdgeThroughVertexFan(t *testing.T) {
 		{X: 2, Y: 0}, {X: 4, Y: -2}, {X: 6, Y: 0}, {X: 4, Y: 6},
 	}}
 	b := geom.RectPolygon(0, 0, 8, 4)
-	got := Clip(a, b, Intersection, Options{})
-	oracle := Clip(b, a, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
+	oracle := clipPoly(b, a, engine.Intersection, engine.Options{})
 	if math.Abs(got.Area()-oracle.Area()) > 1e-6 {
 		t.Errorf("asymmetry: %v vs %v", got.Area(), oracle.Area())
 	}
@@ -101,11 +102,11 @@ func TestDegenerateSharedEdgeSegments(t *testing.T) {
 	// Subject and clip share a partial edge (collinear overlap).
 	a := geom.RectPolygon(0, 0, 4, 4)
 	b := geom.RectPolygon(1, 4, 3, 8) // b's bottom lies inside a's top edge
-	got := Clip(a, b, Union, Options{})
+	got := clipPoly(a, b, engine.Union, engine.Options{})
 	if math.Abs(got.Area()-24) > 1e-6 {
 		t.Errorf("area = %v, want 24", got.Area())
 	}
-	gotX := Clip(a, b, Xor, Options{})
+	gotX := clipPoly(a, b, engine.Xor, engine.Options{})
 	if math.Abs(gotX.Area()-24) > 1e-6 {
 		t.Errorf("xor area = %v, want 24", gotX.Area())
 	}
@@ -116,7 +117,7 @@ func TestDegenerateIdenticalRingTwiceInOneOperand(t *testing.T) {
 	r := geom.Rect(0, 0, 4, 4)
 	a := geom.Polygon{r, r.Clone()}
 	b := geom.RectPolygon(-1, -1, 5, 5)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if got.Area() > 1e-9 {
 		t.Errorf("double ring should cancel, area = %v", got.Area())
 	}
@@ -128,7 +129,7 @@ func TestDegenerateNeedleQuad(t *testing.T) {
 		{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 1e-7}, {X: 0, Y: 1e-7},
 	}}
 	b := geom.RectPolygon(2, -1, 8, 1)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	want := 6 * 1e-7
 	if math.Abs(got.Area()-want) > want*1e-3 {
 		t.Errorf("needle area = %v, want %v", got.Area(), want)
@@ -139,7 +140,7 @@ func TestDegenerateHugeCoordinates(t *testing.T) {
 	const M = 1e9
 	a := geom.RectPolygon(M, M, M+4, M+4)
 	b := geom.RectPolygon(M+2, M+2, M+6, M+6)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if math.Abs(got.Area()-4) > 1e-3 {
 		t.Errorf("huge-coordinate area = %v, want 4", got.Area())
 	}
@@ -148,7 +149,7 @@ func TestDegenerateHugeCoordinates(t *testing.T) {
 func TestDegenerateNegativeCoordinates(t *testing.T) {
 	a := geom.RectPolygon(-8, -8, -4, -4)
 	b := geom.RectPolygon(-6, -6, -2, -2)
-	got := Clip(a, b, Intersection, Options{})
+	got := clipPoly(a, b, engine.Intersection, engine.Options{})
 	if math.Abs(got.Area()-4) > 1e-6 {
 		t.Errorf("area = %v, want 4", got.Area())
 	}
@@ -157,7 +158,7 @@ func TestDegenerateNegativeCoordinates(t *testing.T) {
 func TestDegenerateAllRingsDegenerate(t *testing.T) {
 	a := geom.Polygon{geom.Ring{{X: 0, Y: 0}, {X: 1, Y: 1}}}
 	b := geom.RectPolygon(0, 0, 2, 2)
-	got := Clip(a, b, Union, Options{})
+	got := clipPoly(a, b, engine.Union, engine.Options{})
 	if math.Abs(got.Area()-4) > 1e-9 {
 		t.Errorf("area = %v, want 4 (degenerate subject ignored)", got.Area())
 	}
@@ -171,11 +172,11 @@ func TestDegenerateCrossShapedSelfOverlap(t *testing.T) {
 		geom.Rect(0, 2, 6, 4),
 	}
 	big := geom.RectPolygon(-1, -1, 7, 7)
-	got := Clip(cross, big, Intersection, Options{})
+	got := clipPoly(cross, big, engine.Intersection, engine.Options{})
 	// Even-odd: two bars overlap in the middle square (2..4)² which cancels:
 	// 12 + 12 - 2*4 = 16.
 	if math.Abs(got.Area()-16) > 1e-6 {
 		t.Errorf("cross area = %v, want 16", got.Area())
 	}
-	checkParity(t, "cross", cross, big, got, Intersection, 2000, 991)
+	checkParity(t, "cross", cross, big, got, engine.Intersection, 2000, 991)
 }

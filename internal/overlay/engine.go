@@ -18,11 +18,7 @@ func (clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt
 	if err := engine.CheckRule(opt.Rule); err != nil {
 		return engine.Result{}, err
 	}
-	out, err := clipCtx(ctx, a, b, op, Options{
-		Parallelism: opt.Threads,
-		Rule:        opt.Rule,
-		SnapEps:     opt.SnapEps,
-	}, opt.PreResolved)
+	out, err := Clip(ctx, a, b, op, opt)
 	return engine.Result{Polygon: out}, err
 }
 

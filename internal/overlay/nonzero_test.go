@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -12,8 +13,8 @@ func TestNonZeroPentagramIsFilled(t *testing.T) {
 	// under EvenOdd it is a hole.
 	star := geom.Polygon{geom.SelfIntersectingStar(geom.Point{X: 0, Y: 0}, 5, 5, 0.3)}
 	big := geom.RectPolygon(-6, -6, 6, 6)
-	eo := Clip(star, big, Intersection, Options{Rule: EvenOdd})
-	nz := Clip(star, big, Intersection, Options{Rule: NonZero})
+	eo := clipPoly(star, big, engine.Intersection, engine.Options{Rule: engine.EvenOdd})
+	nz := clipPoly(star, big, engine.Intersection, engine.Options{Rule: engine.NonZero})
 	if nz.Area() <= eo.Area() {
 		t.Errorf("nonzero area %v should exceed even-odd area %v", nz.Area(), eo.Area())
 	}
@@ -31,11 +32,11 @@ func TestNonZeroOverlappingSameDirectionRings(t *testing.T) {
 	// (winding >= 1 everywhere covered); under EvenOdd the overlap cancels.
 	p := geom.Polygon{geom.Rect(0, 0, 4, 4), geom.Rect(2, 2, 6, 6)}
 	big := geom.RectPolygon(-1, -1, 7, 7)
-	nz := Clip(p, big, Intersection, Options{Rule: NonZero})
+	nz := clipPoly(p, big, engine.Intersection, engine.Options{Rule: engine.NonZero})
 	if math.Abs(nz.Area()-28) > 1e-6 {
 		t.Errorf("nonzero area = %v, want 28 (union of rings)", nz.Area())
 	}
-	eo := Clip(p, big, Intersection, Options{Rule: EvenOdd})
+	eo := clipPoly(p, big, engine.Intersection, engine.Options{Rule: engine.EvenOdd})
 	if math.Abs(eo.Area()-24) > 1e-6 {
 		t.Errorf("even-odd area = %v, want 24 (overlap cancels)", eo.Area())
 	}
@@ -47,19 +48,19 @@ func TestNonZeroHoleNeedsOppositeOrientation(t *testing.T) {
 	holeCW.Reverse()
 	withHole := geom.Polygon{outer, holeCW}
 	big := geom.RectPolygon(-1, -1, 11, 11)
-	nz := Clip(withHole, big, Intersection, Options{Rule: NonZero})
+	nz := clipPoly(withHole, big, engine.Intersection, engine.Options{Rule: engine.NonZero})
 	if math.Abs(nz.Area()-84) > 1e-6 {
 		t.Errorf("CW hole under nonzero: area = %v, want 84", nz.Area())
 	}
 	// Same-direction inner ring is NOT a hole under NonZero.
 	holeCCW := geom.Rect(3, 3, 7, 7)
 	noHole := geom.Polygon{outer, holeCCW}
-	nz2 := Clip(noHole, big, Intersection, Options{Rule: NonZero})
+	nz2 := clipPoly(noHole, big, engine.Intersection, engine.Options{Rule: engine.NonZero})
 	if math.Abs(nz2.Area()-100) > 1e-6 {
 		t.Errorf("CCW inner ring under nonzero: area = %v, want 100", nz2.Area())
 	}
 	// Under EvenOdd both orientations punch a hole.
-	eo := Clip(noHole, big, Intersection, Options{Rule: EvenOdd})
+	eo := clipPoly(noHole, big, engine.Intersection, engine.Options{Rule: engine.EvenOdd})
 	if math.Abs(eo.Area()-84) > 1e-6 {
 		t.Errorf("even-odd area = %v, want 84", eo.Area())
 	}
@@ -70,9 +71,9 @@ func TestNonZeroAllOpsAgreeOnSimpleInputs(t *testing.T) {
 	// rules agree on every operation.
 	a := geom.Polygon{geom.Star(geom.Point{X: 0, Y: 0}, 4, 1.5, 7, 0.2)}
 	b := geom.Polygon{geom.Star(geom.Point{X: 1, Y: 1}, 4, 1.5, 6, 0.5)}
-	for _, op := range []Op{Intersection, Union, Difference, Xor} {
-		eo := Clip(a, b, op, Options{Rule: EvenOdd}).Area()
-		nz := Clip(a, b, op, Options{Rule: NonZero}).Area()
+	for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
+		eo := clipPoly(a, b, op, engine.Options{Rule: engine.EvenOdd}).Area()
+		nz := clipPoly(a, b, op, engine.Options{Rule: engine.NonZero}).Area()
 		if math.Abs(eo-nz) > 1e-6*(1+eo) {
 			t.Errorf("%v: even-odd %v vs nonzero %v", op, eo, nz)
 		}
@@ -81,12 +82,12 @@ func TestNonZeroAllOpsAgreeOnSimpleInputs(t *testing.T) {
 
 func TestFillRuleInside(t *testing.T) {
 	cases := []struct {
-		rule FillRule
+		rule engine.FillRule
 		w    int16
 		want bool
 	}{
-		{EvenOdd, 0, false}, {EvenOdd, 1, true}, {EvenOdd, 2, false}, {EvenOdd, -1, true}, {EvenOdd, 3, true},
-		{NonZero, 0, false}, {NonZero, 1, true}, {NonZero, 2, true}, {NonZero, -1, true}, {NonZero, -2, true},
+		{engine.EvenOdd, 0, false}, {engine.EvenOdd, 1, true}, {engine.EvenOdd, 2, false}, {engine.EvenOdd, -1, true}, {engine.EvenOdd, 3, true},
+		{engine.NonZero, 0, false}, {engine.NonZero, 1, true}, {engine.NonZero, 2, true}, {engine.NonZero, -1, true}, {engine.NonZero, -2, true},
 	}
 	for _, c := range cases {
 		if got := c.rule.Inside(c.w); got != c.want {

@@ -36,67 +36,20 @@ import (
 	"polyclip/internal/par"
 )
 
-// Op aliases the canonical operation type (see internal/engine).
-type Op = engine.Op
-
-// Supported clipping operations.
-const (
-	Intersection = engine.Intersection // subject ∩ clip
-	Union        = engine.Union        // subject ∪ clip
-	Difference   = engine.Difference   // subject − clip
-	Xor          = engine.Xor          // symmetric difference
-)
-
-// FillRule aliases the canonical fill-rule type (see internal/engine).
-type FillRule = engine.FillRule
-
-// Supported fill rules.
-const (
-	// EvenOdd (default): a point is inside when its crossing parity is odd
-	// — the rule of GPC and of the paper's self-intersection handling.
-	EvenOdd = engine.EvenOdd
-	// NonZero: a point is inside when its winding number is nonzero — the
-	// rule of most vector graphics models.
-	NonZero = engine.NonZero
-)
-
-// Options configures a clipping run.
-type Options struct {
-	// Parallelism is the number of concurrent workers; <= 0 means
-	// GOMAXPROCS.
-	Parallelism int
-	// SnapEps is the vertex-identification tolerance; <= 0 means geom.Eps
-	// scaled to the input magnitude.
-	SnapEps float64
-	// Rule is the fill rule for interpreting both operands and the result.
-	Rule FillRule
-}
-
-// Clip computes `subject op clip` and returns the result polygon. The
-// result's outer rings are counter-clockwise and its holes clockwise; an
-// empty polygon is returned when the result is empty.
-func Clip(subject, clip geom.Polygon, op Op, opt Options) geom.Polygon {
-	out, _ := ClipCtx(context.Background(), subject, clip, op, opt)
-	return out
-}
-
-// ClipCtx is Clip with cooperative cancellation: the subdivision and
-// classification stages poll ctx and stop early, and a non-nil error
-// (ctx.Err()) is returned instead of a partial result. With an
-// already-satisfied context it behaves exactly like Clip.
-func ClipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options) (geom.Polygon, error) {
-	return clipCtx(ctx, subject, clip, op, opt, false)
-}
-
-// clipCtx is ClipCtx with the joint arrangement resolution skipped when
-// resolved promises the pair already went through it
-// (engine.Options.PreResolved).
-func clipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options, resolved bool) (geom.Polygon, error) {
+// Clip computes `subject op clip` under opt.Rule: outer rings
+// counter-clockwise, holes clockwise, nil when the result is empty. Pair
+// finding, splitting and edge selection run on opt.Threads workers (<= 0
+// means GOMAXPROCS); every vertex is snapped onto the opt.SnapEps grid (<= 0
+// derives it from the input magnitude, geom.AutoSnapEps); opt.PreResolved
+// skips the joint arrangement resolution. The subdivision and
+// classification stages poll ctx, and a cancelled run returns ctx.Err()
+// instead of a partial result.
+func Clip(ctx context.Context, subject, clip geom.Polygon, op engine.Op, opt engine.Options) (geom.Polygon, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	guard.Hit("overlay.clip")
-	p := opt.Parallelism
+	p := opt.Threads
 	if p <= 0 {
 		p = par.DefaultParallelism()
 	}
@@ -114,7 +67,7 @@ func clipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 	// even for self-intersecting inputs.
 	if subject.NumVertices() == 0 {
 		switch op {
-		case Union, Xor:
+		case engine.Union, engine.Xor:
 			return finish(ctx, resolveSelf(ctx, clip, eps, opt.Rule, p))
 		default:
 			return nil, ctx.Err()
@@ -122,7 +75,7 @@ func clipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 	}
 	if clip.NumVertices() == 0 {
 		switch op {
-		case Intersection:
+		case engine.Intersection:
 			return nil, ctx.Err()
 		default:
 			return finish(ctx, resolveSelf(ctx, subject, eps, opt.Rule, p))
@@ -131,9 +84,9 @@ func clipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 	// Disjoint bounding boxes: no geometry interacts.
 	if !subject.BBox().Intersects(clip.BBox()) {
 		switch op {
-		case Intersection:
+		case engine.Intersection:
 			return nil, ctx.Err()
-		case Difference:
+		case engine.Difference:
 			return finish(ctx, resolveSelf(ctx, subject, eps, opt.Rule, p))
 		default:
 			out := resolveSelf(ctx, subject, eps, opt.Rule, p)
@@ -166,7 +119,7 @@ func clipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 	// self-crossings, the joint resolve matters when the snap grid is coarse
 	// relative to one operand (mixed-extent pairs): sub-eps slivers collapse
 	// here exactly as they do in every other engine's pair arrangement.
-	if !resolved {
+	if !opt.PreResolved {
 		subject, clip = arrange.ResolvePairRule(subject, clip, opt.Rule)
 	}
 
@@ -218,7 +171,7 @@ func canceled(ctx context.Context) bool {
 // resolveSelf runs a single polygon through the pipeline (as subject with
 // an empty clip under Xor, whose value is simply "inside subject"),
 // resolving self-intersections and normalizing ring orientations.
-func resolveSelf(ctx context.Context, poly geom.Polygon, eps float64, rule FillRule, p int) geom.Polygon {
+func resolveSelf(ctx context.Context, poly geom.Polygon, eps float64, rule engine.FillRule, p int) geom.Polygon {
 	if poly.NumVertices() == 0 {
 		return nil
 	}
@@ -227,7 +180,7 @@ func resolveSelf(ctx context.Context, poly geom.Polygon, eps float64, rule FillR
 	pairs := isect.GridPairs(edges, p)
 	segs := subdivide(ctx, edges, owners, pairs, eps, p)
 	classify(ctx, segs)
-	dirs := selectEdges(segs, Xor, rule, p)
+	dirs := selectEdges(segs, engine.Xor, rule, p)
 	return stitch(dirs)
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -39,11 +40,11 @@ func TestPropertyInclusionExclusion(t *testing.T) {
 		a, b := randomPolygon(sa), randomPolygon(sb)
 		// Even-odd area of each operand, normalized through the engine.
 		big := geom.RectPolygon(-20, -20, 20, 20)
-		areaA := area(Clip(a, big, Intersection, Options{}))
-		areaB := area(Clip(b, big, Intersection, Options{}))
-		inter := area(Clip(a, b, Intersection, Options{}))
-		union := area(Clip(a, b, Union, Options{}))
-		xor := area(Clip(a, b, Xor, Options{}))
+		areaA := area(clipPoly(a, big, engine.Intersection, engine.Options{}))
+		areaB := area(clipPoly(b, big, engine.Intersection, engine.Options{}))
+		inter := area(clipPoly(a, b, engine.Intersection, engine.Options{}))
+		union := area(clipPoly(a, b, engine.Union, engine.Options{}))
+		xor := area(clipPoly(a, b, engine.Xor, engine.Options{}))
 		return close2(union, areaA+areaB-inter) && close2(xor, union-inter)
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(101))}
@@ -58,11 +59,11 @@ func TestPropertyDifference(t *testing.T) {
 	f := func(sa, sb int64) bool {
 		a, b := randomPolygon(sa), randomPolygon(sb)
 		big := geom.RectPolygon(-20, -20, 20, 20)
-		areaA := area(Clip(a, big, Intersection, Options{}))
-		inter := area(Clip(a, b, Intersection, Options{}))
-		dAB := area(Clip(a, b, Difference, Options{}))
-		dBA := area(Clip(b, a, Difference, Options{}))
-		xor := area(Clip(a, b, Xor, Options{}))
+		areaA := area(clipPoly(a, big, engine.Intersection, engine.Options{}))
+		inter := area(clipPoly(a, b, engine.Intersection, engine.Options{}))
+		dAB := area(clipPoly(a, b, engine.Difference, engine.Options{}))
+		dBA := area(clipPoly(b, a, engine.Difference, engine.Options{}))
+		xor := area(clipPoly(a, b, engine.Xor, engine.Options{}))
 		return close2(dAB, areaA-inter) && close2(dAB+dBA, xor)
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(103))}
@@ -75,8 +76,8 @@ func TestPropertyDifference(t *testing.T) {
 func TestPropertyCommutativity(t *testing.T) {
 	f := func(sa, sb int64) bool {
 		a, b := randomPolygon(sa), randomPolygon(sb)
-		for _, op := range []Op{Intersection, Union, Xor} {
-			if !close2(area(Clip(a, b, op, Options{})), area(Clip(b, a, op, Options{}))) {
+		for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Xor} {
+			if !close2(area(clipPoly(a, b, op, engine.Options{})), area(clipPoly(b, a, op, engine.Options{}))) {
 				return false
 			}
 		}
@@ -94,11 +95,11 @@ func TestPropertyIdempotence(t *testing.T) {
 	f := func(sa int64) bool {
 		a := randomPolygon(sa)
 		big := geom.RectPolygon(-20, -20, 20, 20)
-		areaA := area(Clip(a, big, Intersection, Options{}))
-		return close2(area(Clip(a, a.Clone(), Intersection, Options{})), areaA) &&
-			close2(area(Clip(a, a.Clone(), Union, Options{})), areaA) &&
-			area(Clip(a, a.Clone(), Difference, Options{})) <= relTol &&
-			area(Clip(a, a.Clone(), Xor, Options{})) <= relTol
+		areaA := area(clipPoly(a, big, engine.Intersection, engine.Options{}))
+		return close2(area(clipPoly(a, a.Clone(), engine.Intersection, engine.Options{})), areaA) &&
+			close2(area(clipPoly(a, a.Clone(), engine.Union, engine.Options{})), areaA) &&
+			area(clipPoly(a, a.Clone(), engine.Difference, engine.Options{})) <= relTol &&
+			area(clipPoly(a, a.Clone(), engine.Xor, engine.Options{})) <= relTol
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(109))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -111,8 +112,8 @@ func TestPropertyIdempotence(t *testing.T) {
 func TestPropertyContainment(t *testing.T) {
 	f := func(sa, sb int64) bool {
 		a, b := randomPolygon(sa), randomPolygon(sb)
-		inter := Clip(a, b, Intersection, Options{})
-		union := Clip(a, b, Union, Options{})
+		inter := clipPoly(a, b, engine.Intersection, engine.Options{})
+		union := clipPoly(a, b, engine.Union, engine.Options{})
 		rng := rand.New(rand.NewSource(sa ^ sb))
 		box := a.BBox().Union(b.BBox())
 		minDist := math.Max(box.Width(), box.Height()) * 1e-5
@@ -154,10 +155,10 @@ func TestPropertyDeMorgan(t *testing.T) {
 	f := func(sa, sb int64) bool {
 		a, b := randomPolygon(sa), randomPolygon(sb)
 		frame := geom.RectPolygon(-20, -20, 20, 20)
-		lhs := Clip(frame, Clip(a, b, Union, Options{}), Difference, Options{})
-		fa := Clip(frame, a, Difference, Options{})
-		fb := Clip(frame, b, Difference, Options{})
-		rhs := Clip(fa, fb, Intersection, Options{})
+		lhs := clipPoly(frame, clipPoly(a, b, engine.Union, engine.Options{}), engine.Difference, engine.Options{})
+		fa := clipPoly(frame, a, engine.Difference, engine.Options{})
+		fb := clipPoly(frame, b, engine.Difference, engine.Options{})
+		rhs := clipPoly(fa, fb, engine.Intersection, engine.Options{})
 		return close2(area(lhs), area(rhs))
 	}
 	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(127))}
@@ -172,13 +173,13 @@ func TestPropertyDeMorgan(t *testing.T) {
 func TestPropertyOutputStability(t *testing.T) {
 	f := func(sa, sb int64) bool {
 		a, b := randomPolygon(sa), randomPolygon(sb)
-		out := Clip(a, b, Intersection, Options{})
+		out := clipPoly(a, b, engine.Intersection, engine.Options{})
 		if len(out) == 0 {
 			return true
 		}
 		box := out.BBox()
 		frame := geom.RectPolygon(box.MinX-1, box.MinY-1, box.MaxX+1, box.MaxY+1)
-		again := Clip(out, frame, Intersection, Options{})
+		again := clipPoly(out, frame, engine.Intersection, engine.Options{})
 		return close2(area(out), area(again))
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(131))}
@@ -193,8 +194,8 @@ func TestPropertyTranslationEquivariance(t *testing.T) {
 	f := func(sa, sb int64, dxRaw, dyRaw int16) bool {
 		a, b := randomPolygon(sa), randomPolygon(sb)
 		dx, dy := float64(dxRaw)/100, float64(dyRaw)/100
-		base := area(Clip(a, b, Intersection, Options{}))
-		moved := area(Clip(a.Translate(dx, dy), b.Translate(dx, dy), Intersection, Options{}))
+		base := area(clipPoly(a, b, engine.Intersection, engine.Options{}))
+		moved := area(clipPoly(a.Translate(dx, dy), b.Translate(dx, dy), engine.Intersection, engine.Options{}))
 		return close2(base, moved)
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(137))}

@@ -363,11 +363,11 @@ func trimWrap(r geom.Ring) geom.Ring {
 }
 
 // SweepRect is the differential/rescue route: the same window clip computed
-// by the full scanbeam sweep (vatti.ClipRule) of the canonical layer against
+// by the full scanbeam sweep (vatti.Clip) of the canonical layer against
 // the window rectangle.
 func (pp *Prepared) SweepRect(box geom.BBox) geom.Polygon {
 	rect := geom.RectPolygon(box.MinX, box.MinY, box.MaxX, box.MaxY)
-	return vatti.ClipRule(pp.poly, rect, engine.Intersection, engine.EvenOdd)
+	return vatti.Clip(pp.poly, rect, engine.Intersection, engine.Options{Rule: engine.EvenOdd})
 }
 
 // NaiveClipRect is the baseline that tile's TestPreparedBeatsNaive holds
@@ -382,5 +382,5 @@ func NaiveClipRect(src geom.Polygon, box geom.BBox, rule engine.FillRule) geom.P
 	if rule == engine.Negative {
 		rect[0].Reverse()
 	}
-	return vatti.ClipRule(src, rect, engine.Intersection, rule)
+	return vatti.Clip(src, rect, engine.Intersection, engine.Options{Rule: rule})
 }

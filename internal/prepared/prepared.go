@@ -6,7 +6,7 @@
 // O(lg N) window reject for line clipping, lifted to the whole layer).
 //
 // Preparation canonicalizes the subject once: a union-with-empty sweep under
-// the requested fill rule (vatti.ClipRule, whose arrangement resolution runs
+// the requested fill rule (vatti.Clip, whose arrangement resolution runs
 // once on the lone layer), snapped onto the power-of-two grid
 // (geom.SnapPolygon at geom.AutoSnapEps). The result is a simple even-odd
 // boundary — CCW outers, CW holes, edges meeting only at shared exact
@@ -150,7 +150,7 @@ func Prepare(p geom.Polygon, rule engine.FillRule) *Prepared {
 // so the canonical form has the resolved layer's vertices and no more: a
 // convex ring stays one convex ring, which the convex straddle route serves.
 func Canonicalize(p geom.Polygon, rule engine.FillRule) geom.Polygon {
-	canon := vatti.ClipRule(p, nil, engine.Union, rule)
+	canon := vatti.Clip(p, nil, engine.Union, engine.Options{Rule: rule})
 	return geom.SnapPolygon(canon, geom.AutoSnapEps(canon, nil))
 }
 

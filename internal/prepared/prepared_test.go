@@ -59,7 +59,7 @@ func TestClassifyRectTable(t *testing.T) {
 // xorArea measures the symmetric difference of two polygons — the robust
 // "same region" check the differential tests use.
 func xorArea(a, b geom.Polygon) float64 {
-	return vatti.ClipRule(a, b, engine.Xor, engine.EvenOdd).Area()
+	return vatti.Clip(a, b, engine.Xor, engine.Options{Rule: engine.EvenOdd}).Area()
 }
 
 // checkAgainstNaive clips the window three ways — fast path, prepared sweep,
@@ -197,7 +197,7 @@ func TestPreparedCanonicalRegion(t *testing.T) {
 	src := randomLayer(rng, 2)
 	for _, rule := range engine.Rules() {
 		pp := Prepare(src, rule)
-		want := vatti.ClipRule(src, nil, engine.Union, rule)
+		want := vatti.Clip(src, nil, engine.Union, engine.Options{Rule: rule})
 		if d := xorArea(pp.Polygon(), want); d > 1e-6 {
 			t.Errorf("%s: canonical form differs from rule region by area %g", rule, d)
 		}

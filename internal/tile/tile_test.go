@@ -68,7 +68,7 @@ func TestCutMatchesNaive(t *testing.T) {
 			}
 			b := spec.Box(tl.Z, tl.X, tl.Y)
 			tol := 1e-9 * b.Width() * b.Height()
-			if d := vatti.ClipRule(tl.Poly, want, engine.Xor, engine.EvenOdd).Area(); d > tol {
+			if d := vatti.Clip(tl.Poly, want, engine.Xor, engine.Options{Rule: engine.EvenOdd}).Area(); d > tol {
 				t.Errorf("%v: tile %d/%d/%d differs from naive by area %g", rule, tl.Z, tl.X, tl.Y, d)
 			}
 		}

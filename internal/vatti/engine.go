@@ -23,7 +23,7 @@ func (clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt
 			return engine.Result{}, err
 		}
 	}
-	return engine.Result{Polygon: Assemble(sweep(a, b, op, opt.Rule, opt.PreResolved))}, nil
+	return engine.Result{Polygon: Clip(a, b, op, opt)}, nil
 }
 
 func init() { engine.Register(clipEngine{}) }

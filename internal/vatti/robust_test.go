@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -44,9 +45,9 @@ func fanPair(n int, j float64) (a, b geom.Polygon) {
 
 // checkAreaRel is checkArea with a purely relative tolerance, required when
 // coordinate scales make the absolute `1+want` floor meaningless.
-func checkAreaRel(t *testing.T, name string, subj, clip geom.Polygon, op Op, want float64) geom.Polygon {
+func checkAreaRel(t *testing.T, name string, subj, clip geom.Polygon, op engine.Op, want float64) geom.Polygon {
 	t.Helper()
-	got := Clip(subj, clip, op)
+	got := Clip(subj, clip, op, engine.Options{})
 	if a := got.Area(); math.Abs(a-want) > 1e-6*want {
 		t.Errorf("%s: area = %v, want %v (rings=%d)", name, a, want, len(got))
 	}
@@ -61,10 +62,10 @@ func TestNearCollinearFans(t *testing.T) {
 	// 1e-6·(1+want) tolerance.
 	for _, n := range []int{10, 25, 40} {
 		a, b := fanPair(n, 1e-8)
-		checkArea(t, "fan ∩", a, b, Intersection, 50)
-		checkArea(t, "fan ∪", a, b, Union, 110)
-		checkArea(t, "fan −", a, b, Difference, 30)
-		checkArea(t, "fan ⊕", a, b, Xor, 60)
+		checkArea(t, "fan ∩", a, b, engine.Intersection, 50)
+		checkArea(t, "fan ∪", a, b, engine.Union, 110)
+		checkArea(t, "fan −", a, b, engine.Difference, 30)
+		checkArea(t, "fan ⊕", a, b, engine.Xor, 60)
 	}
 }
 
@@ -74,11 +75,11 @@ func TestBowtieUnion(t *testing.T) {
 	}}
 	// The even-odd region of the bowtie is its two lobe triangles, each of
 	// area ½·2·1 = 1; the union with itself is that same region.
-	got := checkArea(t, "bowtie ∪ bowtie", bt, bt, Union, 2)
+	got := checkArea(t, "bowtie ∪ bowtie", bt, bt, engine.Union, 2)
 	if len(got) != 2 {
 		t.Errorf("bowtie union has %d rings, want 2 (one per lobe)", len(got))
 	}
-	checkArea(t, "bowtie − bowtie", bt, bt, Difference, 0)
+	checkArea(t, "bowtie − bowtie", bt, bt, engine.Difference, 0)
 }
 
 func TestPentagramSelfIntersection(t *testing.T) {
@@ -94,7 +95,7 @@ func TestPentagramSelfIntersection(t *testing.T) {
 	p := geom.Polygon{ring}
 	ri := r * math.Cos(2*math.Pi/5) / math.Cos(math.Pi/5)
 	want := 5*r*ri*math.Sin(math.Pi/5) - (5.0/2)*ri*ri*math.Sin(2*math.Pi/5)
-	got := checkAreaRel(t, "pentagram ∩ pentagram", p, p, Intersection, want)
+	got := checkAreaRel(t, "pentagram ∩ pentagram", p, p, engine.Intersection, want)
 	if len(got) != 5 {
 		t.Errorf("pentagram resolves to %d rings, want 5 (one per tip)", len(got))
 	}
@@ -119,12 +120,12 @@ func TestSharedVertexCheckerboard(t *testing.T) {
 			}
 		}
 	}
-	if got := Clip(a, b, Intersection); got.Area() != 0 {
+	if got := Clip(a, b, engine.Intersection, engine.Options{}); got.Area() != 0 {
 		t.Errorf("checkerboard ∩ area = %v, want 0", got.Area())
 	}
-	checkArea(t, "checkerboard ∪", a, b, Union, 9)
-	checkArea(t, "checkerboard −", a, b, Difference, 5)
-	checkArea(t, "checkerboard ⊕", a, b, Xor, 9)
+	checkArea(t, "checkerboard ∪", a, b, engine.Union, 9)
+	checkArea(t, "checkerboard −", a, b, engine.Difference, 5)
+	checkArea(t, "checkerboard ⊕", a, b, engine.Xor, 9)
 }
 
 func TestExtremeCoordinateScales(t *testing.T) {
@@ -134,9 +135,9 @@ func TestExtremeCoordinateScales(t *testing.T) {
 	for _, s := range []float64{math.Ldexp(1, 332), 1, math.Ldexp(1, -332)} {
 		a := geom.RectPolygon(0, 0, 4*s, 4*s)
 		b := geom.RectPolygon(2*s, 2*s, 6*s, 6*s)
-		checkAreaRel(t, "scaled ∩", a, b, Intersection, 4*s*s)
-		checkAreaRel(t, "scaled ∪", a, b, Union, 28*s*s)
-		checkAreaRel(t, "scaled −", a, b, Difference, 12*s*s)
-		checkAreaRel(t, "scaled ⊕", a, b, Xor, 24*s*s)
+		checkAreaRel(t, "scaled ∩", a, b, engine.Intersection, 4*s*s)
+		checkAreaRel(t, "scaled ∪", a, b, engine.Union, 28*s*s)
+		checkAreaRel(t, "scaled −", a, b, engine.Difference, 12*s*s)
+		checkAreaRel(t, "scaled ⊕", a, b, engine.Xor, 24*s*s)
 	}
 }

@@ -29,73 +29,44 @@ import (
 	"polyclip/internal/segtree"
 )
 
-// Op aliases the canonical operation type so all engines share one
-// vocabulary (see internal/engine).
-type Op = engine.Op
-
-// Re-exported operations.
-const (
-	Intersection = engine.Intersection
-	Union        = engine.Union
-	Difference   = engine.Difference
-	Xor          = engine.Xor
-)
-
-// Trapezoid aliases the canonical scanbeam-piece type (see internal/engine).
-type Trapezoid = engine.Trapezoid
-
-// Clip computes `subject op clip` with the sequential scanbeam sweep.
-func Clip(subject, clip geom.Polygon, op Op) geom.Polygon {
-	return Assemble(sweep(subject, clip, op, engine.EvenOdd, false))
+// Clip computes `subject op clip` under opt.Rule with the sequential
+// scanbeam sweep. opt.PreResolved promises the pair already went through the
+// joint arrangement resolution for the rule (arrange.ResolvePairRule), and
+// the sweep then runs directly on the given geometry. Every other field is
+// ignored: the sweep is sequential and snaps its output corners onto the
+// grid of the output's own extent.
+func Clip(subject, clip geom.Polygon, op engine.Op, opt engine.Options) geom.Polygon {
+	return Assemble(sweep(subject, clip, op, opt))
 }
 
-// ClipRule computes `subject op clip` under the given fill rule with the
-// sequential scanbeam sweep.
-func ClipRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Polygon {
-	return Assemble(sweep(subject, clip, op, rule, false))
-}
-
-// ClipRuleResolved is ClipRule for operands already put through the joint
-// arrangement resolution for the rule (arrange.ResolvePairRule) — the
-// engine.Options.PreResolved seam: the sweep runs directly on the given
-// geometry.
-func ClipRuleResolved(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Polygon {
-	return Assemble(sweep(subject, clip, op, rule, true))
-}
-
-// Trapezoids computes the even-odd trapezoid decomposition of
-// `subject op clip` — the raw per-scanbeam output of the sweep, before
-// merging (GPC's tristrip analogue).
-func Trapezoids(subject, clip geom.Polygon, op Op) []Trapezoid {
-	return TrapezoidsRule(subject, clip, op, engine.EvenOdd)
-}
-
-// TrapezoidsRule is Trapezoids under an explicit fill rule: the sweep walks
-// signed winding counts, so EvenOdd, NonZero, Positive and Negative all run
-// through the same beam schedule.
+// Trapezoids computes the trapezoid decomposition of `subject op clip`
+// under the rule — the raw per-scanbeam output of the sweep, before merging
+// (GPC's tristrip analogue). The sweep walks signed winding counts, so
+// EvenOdd, NonZero, Positive and Negative all run through the same beam
+// schedule.
 //
 // Horizontal input edges are dropped outright rather than perturbed: the
 // winding of any scanline strictly inside a beam is unaffected by edges
 // lying on beam boundaries, and the boundary pieces they contribute are
 // regenerated exactly as trapezoid caps. This sidesteps the paper's §III-C
 // perturbation without changing the result.
-func TrapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) []Trapezoid {
-	pieces := sweep(subject, clip, op, rule, false)
+func Trapezoids(subject, clip geom.Polygon, op engine.Op, rule engine.FillRule) []engine.Trapezoid {
+	pieces := sweep(subject, clip, op, engine.Options{Rule: rule})
 	if len(pieces) == 0 {
 		return nil
 	}
-	tzs := make([]Trapezoid, len(pieces))
+	tzs := make([]engine.Trapezoid, len(pieces))
 	for i, p := range pieces {
 		tzs[i] = p.Trapezoid
 	}
 	return tzs
 }
 
-// sweep runs the sequential scanbeam sweep and returns its pieces beam by
-// beam from the bottom, the order Assemble joins sides in. The joint
-// resolution pass is skipped when resolved promises the pair already went
-// through it.
-func sweep(subject, clip geom.Polygon, op Op, rule engine.FillRule, resolved bool) []scanbeam.Piece {
+// sweep runs the sequential scanbeam sweep under opt.Rule and returns its
+// pieces beam by beam from the bottom, the order Assemble joins sides in.
+// The joint resolution pass is skipped when opt.PreResolved promises the
+// pair already went through it.
+func sweep(subject, clip geom.Polygon, op engine.Op, opt engine.Options) []scanbeam.Piece {
 	subject = dropDegenerate(subject)
 	clip = dropDegenerate(clip)
 
@@ -108,8 +79,8 @@ func sweep(subject, clip geom.Polygon, op Op, rule engine.FillRule, resolved boo
 	// are additionally rewritten as simple even-odd rings; the winding rules
 	// keep the split rings directed as given, because the signed-count walk
 	// needs the original winding multiplicities.
-	if !resolved {
-		subject, clip = arrange.ResolvePairRule(subject, clip, rule)
+	if !opt.PreResolved {
+		subject, clip = arrange.ResolvePairRule(subject, clip, opt.Rule)
 	}
 
 	edges := scanbeam.CollectEdges(subject, clip)
@@ -142,7 +113,7 @@ func sweep(subject, clip geom.Polygon, op Op, rule engine.FillRule, resolved boo
 	var pieces []scanbeam.Piece
 	sched.ForEachBeam(func(_ int, yb, yt float64, active []int32) {
 		if len(active) >= 2 {
-			scanbeam.BeamTrapezoids(&scratch, active, yb, yt, op, rule, edgeAt, &pieces)
+			scanbeam.BeamTrapezoids(&scratch, active, yb, yt, op, opt.Rule, edgeAt, &pieces)
 		}
 	})
 	return pieces
@@ -255,11 +226,11 @@ func cornerGrid(pieces []scanbeam.Piece) (eps float64, maxID int32) {
 // clustering, whose groups depend on scan order and can weld two corners
 // while leaving a third, equally close one apart — corners that must cancel
 // or join downstream always land on the identical representative.
-func snapCorners(p scanbeam.Piece, eps float64) Trapezoid {
+func snapCorners(p scanbeam.Piece, eps float64) engine.Trapezoid {
 	if eps == 0 {
 		return p.Trapezoid
 	}
-	return Trapezoid{
+	return engine.Trapezoid{
 		L1: geom.SnapPoint(p.L1, eps), R1: geom.SnapPoint(p.R1, eps),
 		L2: geom.SnapPoint(p.L2, eps), R2: geom.SnapPoint(p.R2, eps),
 	}

@@ -1,6 +1,7 @@
 package vatti
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -13,9 +14,9 @@ import (
 	"polyclip/internal/scanbeam"
 )
 
-func checkArea(t *testing.T, name string, subj, clip geom.Polygon, op Op, want float64) geom.Polygon {
+func checkArea(t *testing.T, name string, subj, clip geom.Polygon, op engine.Op, want float64) geom.Polygon {
 	t.Helper()
-	got := Clip(subj, clip, op)
+	got := Clip(subj, clip, op, engine.Options{})
 	if a := got.Area(); math.Abs(a-want) > 1e-6*(1+want) {
 		t.Errorf("%s: area = %v, want %v (rings=%d)", name, a, want, len(got))
 	}
@@ -25,16 +26,16 @@ func checkArea(t *testing.T, name string, subj, clip geom.Polygon, op Op, want f
 func TestRectRectAllOps(t *testing.T) {
 	a := geom.RectPolygon(0, 0, 4, 4)
 	b := geom.RectPolygon(2, 2, 6, 6)
-	checkArea(t, "∩", a, b, Intersection, 4)
-	checkArea(t, "∪", a, b, Union, 28)
-	checkArea(t, "−", a, b, Difference, 12)
-	checkArea(t, "⊕", a, b, Xor, 24)
+	checkArea(t, "∩", a, b, engine.Intersection, 4)
+	checkArea(t, "∪", a, b, engine.Union, 28)
+	checkArea(t, "−", a, b, engine.Difference, 12)
+	checkArea(t, "⊕", a, b, engine.Xor, 24)
 }
 
 func TestTrapezoidDecompositionAreas(t *testing.T) {
 	a := geom.RectPolygon(0, 0, 4, 4)
 	b := geom.RectPolygon(2, 2, 6, 6)
-	tzs := Trapezoids(a, b, Intersection)
+	tzs := Trapezoids(a, b, engine.Intersection, engine.EvenOdd)
 	var sum float64
 	for _, tz := range tzs {
 		sum += tz.Area()
@@ -45,7 +46,7 @@ func TestTrapezoidDecompositionAreas(t *testing.T) {
 }
 
 func TestTrapezoidRing(t *testing.T) {
-	tz := Trapezoid{
+	tz := engine.Trapezoid{
 		L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 4, Y: 0},
 		L2: geom.Point{X: 1, Y: 2}, R2: geom.Point{X: 3, Y: 2},
 	}
@@ -60,7 +61,7 @@ func TestTrapezoidRing(t *testing.T) {
 		t.Errorf("area = %v, want 6", tz.Area())
 	}
 	// Degenerate to triangle.
-	tri := Trapezoid{
+	tri := engine.Trapezoid{
 		L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0},
 		L2: geom.Point{X: 1, Y: 2}, R2: geom.Point{X: 1, Y: 2},
 	}
@@ -72,7 +73,7 @@ func TestTrapezoidRing(t *testing.T) {
 func TestHoleOutput(t *testing.T) {
 	outer := geom.RectPolygon(0, 0, 10, 10)
 	inner := geom.RectPolygon(3, 3, 7, 7)
-	got := checkArea(t, "hole", outer, inner, Difference, 84)
+	got := checkArea(t, "hole", outer, inner, engine.Difference, 84)
 	if len(got) != 2 {
 		t.Errorf("rings = %d, want 2", len(got))
 	}
@@ -81,11 +82,11 @@ func TestHoleOutput(t *testing.T) {
 func TestEmptyAndDisjoint(t *testing.T) {
 	a := geom.RectPolygon(0, 0, 1, 1)
 	b := geom.RectPolygon(5, 5, 6, 6)
-	if got := Clip(a, b, Intersection); got.Area() != 0 {
+	if got := Clip(a, b, engine.Intersection, engine.Options{}); got.Area() != 0 {
 		t.Errorf("disjoint ∩ = %v", got)
 	}
-	checkArea(t, "disjoint ∪", a, b, Union, 2)
-	if got := Clip(nil, nil, Union); got != nil {
+	checkArea(t, "disjoint ∪", a, b, engine.Union, 2)
+	if got := Clip(nil, nil, engine.Union, engine.Options{}); got != nil {
 		t.Errorf("∅∪∅ = %v", got)
 	}
 }
@@ -93,7 +94,7 @@ func TestEmptyAndDisjoint(t *testing.T) {
 func TestSelfIntersecting(t *testing.T) {
 	bt := geom.Polygon{geom.BowTie(0, 0, 2, 2)}
 	big := geom.RectPolygon(-1, -1, 3, 3)
-	checkArea(t, "bowtie∩big", bt, big, Intersection, 2)
+	checkArea(t, "bowtie∩big", bt, big, engine.Intersection, 2)
 }
 
 func TestAgainstOverlayEngineRandom(t *testing.T) {
@@ -101,9 +102,10 @@ func TestAgainstOverlayEngineRandom(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		a := geom.Polygon{geom.Star(geom.Point{X: rng.Float64() * 3, Y: rng.Float64() * 3}, 4, 1.5, 4+rng.Intn(7), rng.Float64())}
 		b := geom.Polygon{geom.Star(geom.Point{X: rng.Float64() * 3, Y: rng.Float64() * 3}, 4, 1.5, 4+rng.Intn(7), rng.Float64())}
-		for _, op := range []Op{Intersection, Union, Difference, Xor} {
-			va := Clip(a, b, op).Area()
-			oa := overlay.Clip(a, b, op, overlay.Options{}).Area()
+		for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
+			va := Clip(a, b, op, engine.Options{}).Area()
+			o, _ := overlay.Clip(context.Background(), a, b, op, engine.Options{})
+			oa := o.Area()
 			if math.Abs(va-oa) > 1e-6*(1+oa) {
 				t.Errorf("trial %d %v: vatti=%v overlay=%v", trial, op, va, oa)
 			}
@@ -116,9 +118,10 @@ func TestAgainstOverlaySelfIntersecting(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		a := geom.Polygon{geom.SelfIntersectingStar(geom.Point{X: rng.Float64(), Y: rng.Float64()}, 5, 5, rng.Float64())}
 		b := geom.Polygon{geom.SelfIntersectingStar(geom.Point{X: 1 + rng.Float64(), Y: rng.Float64()}, 5, 7, rng.Float64())}
-		for _, op := range []Op{Intersection, Union, Difference, Xor} {
-			va := Clip(a, b, op).Area()
-			oa := overlay.Clip(a, b, op, overlay.Options{}).Area()
+		for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
+			va := Clip(a, b, op, engine.Options{}).Area()
+			o, _ := overlay.Clip(context.Background(), a, b, op, engine.Options{})
+			oa := o.Area()
 			if math.Abs(va-oa) > 1e-6*(1+oa) {
 				t.Errorf("trial %d %v: vatti=%v overlay=%v", trial, op, va, oa)
 			}
@@ -127,7 +130,7 @@ func TestAgainstOverlaySelfIntersecting(t *testing.T) {
 }
 
 func TestAssembleSingleTrapezoid(t *testing.T) {
-	tz := Trapezoid{
+	tz := engine.Trapezoid{
 		L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0},
 		L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1},
 	}
@@ -139,8 +142,8 @@ func TestAssembleSingleTrapezoid(t *testing.T) {
 
 func TestAssembleStackedTrapezoidsFuse(t *testing.T) {
 	pieces := []scanbeam.Piece{
-		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1}}, Left: 0, Right: 1},
-		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 1}, R1: geom.Point{X: 2, Y: 1}, L2: geom.Point{X: 0, Y: 2}, R2: geom.Point{X: 2, Y: 2}}, Left: 0, Right: 1},
+		{Trapezoid: engine.Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1}}, Left: 0, Right: 1},
+		{Trapezoid: engine.Trapezoid{L1: geom.Point{X: 0, Y: 1}, R1: geom.Point{X: 2, Y: 1}, L2: geom.Point{X: 0, Y: 2}, R2: geom.Point{X: 2, Y: 2}}, Left: 0, Right: 1},
 	}
 	got := Assemble(pieces)
 	if len(got) != 1 {
@@ -159,8 +162,8 @@ func TestAssemblePartialCapOverlap(t *testing.T) {
 	// Upper trapezoid narrower than lower: caps cancel only on the shared
 	// x-range.
 	pieces := []scanbeam.Piece{
-		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 4, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 4, Y: 1}}, Left: 0, Right: 1},
-		{Trapezoid: Trapezoid{L1: geom.Point{X: 1, Y: 1}, R1: geom.Point{X: 3, Y: 1}, L2: geom.Point{X: 1, Y: 2}, R2: geom.Point{X: 3, Y: 2}}, Left: 2, Right: 3},
+		{Trapezoid: engine.Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 4, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 4, Y: 1}}, Left: 0, Right: 1},
+		{Trapezoid: engine.Trapezoid{L1: geom.Point{X: 1, Y: 1}, R1: geom.Point{X: 3, Y: 1}, L2: geom.Point{X: 1, Y: 2}, R2: geom.Point{X: 3, Y: 2}}, Left: 2, Right: 3},
 	}
 	got := Assemble(pieces)
 	area := 0.0
@@ -179,9 +182,9 @@ func TestAssembleKeepsJointWhereNetCapEnds(t *testing.T) {
 	// leave C's right side nothing to cancel against and the cap a dangling
 	// end: the joint must stay a vertex.
 	pieces := []scanbeam.Piece{
-		{Trapezoid: Trapezoid{L1: geom.Point{X: -2, Y: 0}, R1: geom.Point{X: 0, Y: 0}, L2: geom.Point{X: -2, Y: 1}, R2: geom.Point{X: 0, Y: 1}}, Left: 3, Right: 4},
-		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1}}, Left: 0, Right: 1},
-		{Trapezoid: Trapezoid{L1: geom.Point{X: 0, Y: 1}, R1: geom.Point{X: 1, Y: 1}, L2: geom.Point{X: 0, Y: 2}, R2: geom.Point{X: 1, Y: 2}}, Left: 0, Right: 2},
+		{Trapezoid: engine.Trapezoid{L1: geom.Point{X: -2, Y: 0}, R1: geom.Point{X: 0, Y: 0}, L2: geom.Point{X: -2, Y: 1}, R2: geom.Point{X: 0, Y: 1}}, Left: 3, Right: 4},
+		{Trapezoid: engine.Trapezoid{L1: geom.Point{X: 0, Y: 0}, R1: geom.Point{X: 2, Y: 0}, L2: geom.Point{X: 0, Y: 1}, R2: geom.Point{X: 2, Y: 1}}, Left: 0, Right: 1},
+		{Trapezoid: engine.Trapezoid{L1: geom.Point{X: 0, Y: 1}, R1: geom.Point{X: 1, Y: 1}, L2: geom.Point{X: 0, Y: 2}, R2: geom.Point{X: 1, Y: 2}}, Left: 0, Right: 2},
 	}
 	got := Assemble(pieces)
 	if len(got) != 1 || math.Abs(got.Area()-5) > 1e-12 || math.Abs(got[0].SignedArea()-5) > 1e-12 {
@@ -198,15 +201,15 @@ func TestConcaveViaVatti(t *testing.T) {
 		{X: 4, Y: 2}, {X: 2, Y: 2}, {X: 2, Y: 5}, {X: 0, Y: 5},
 	}}
 	r := geom.RectPolygon(1, 1, 5, 4)
-	checkArea(t, "u∩r", u, r, Intersection, 8)
-	checkArea(t, "u∪r", u, r, Union, u.Area()+12-8)
+	checkArea(t, "u∩r", u, r, engine.Intersection, 8)
+	checkArea(t, "u∪r", u, r, engine.Union, u.Area()+12-8)
 }
 
 func TestMultiPolygonOutput(t *testing.T) {
 	// H-shaped clip against a horizontal band gives two separate rectangles.
 	a := geom.Polygon{geom.Rect(0, 0, 1, 3), geom.Rect(2, 0, 3, 3)}
 	band := geom.RectPolygon(-1, 1, 4, 2)
-	got := checkArea(t, "band∩bars", band, a, Intersection, 2)
+	got := checkArea(t, "band∩bars", band, a, engine.Intersection, 2)
 	if len(got) != 2 {
 		t.Errorf("rings = %d, want 2", len(got))
 	}
@@ -226,8 +229,8 @@ func assembleInputs() []struct {
 		name   string
 		pieces []scanbeam.Piece
 	}{
-		{"pair=12", sweep(hexA, hexB, Difference, engine.EvenOdd, false)},
-		{"union=4096", sweep(a, b, Union, engine.EvenOdd, false)},
+		{"pair=12", sweep(hexA, hexB, engine.Difference, engine.Options{})},
+		{"union=4096", sweep(a, b, engine.Union, engine.Options{})},
 	}
 }
 

@@ -28,14 +28,6 @@ var ErrInvalidInput = guard.ErrInvalidInput
 // near-degenerate incidences that defeat the default grid.
 const coarseFactor = 1024
 
-// attempt is one step of the differential-fallback chain bound to one
-// clip's operands and engine options.
-type attempt struct {
-	name   string // attempt label recorded in Stats.Resilience.Attempts
-	engine string // registry name of the engine behind the attempt
-	run    func(ctx context.Context) (Polygon, *Stats, error)
-}
-
 // chainStep is one entry of the differential-fallback chain: a registry
 // engine and the snap grid it runs on.
 type chainStep struct {
@@ -134,7 +126,7 @@ func checkOptions(opt Options) error {
 // repaired is recorded in Stats.Resilience.Repaired. opt must have passed
 // checkOptions.
 func clipChain(ctx context.Context, subject, clip Polygon, op Op, opt Options, repaired bool) (Polygon, *Stats, error) {
-	res := core.Resilience{Repaired: repaired}
+	res := engine.Resilience{Repaired: repaired}
 	fin := func(st *Stats) *Stats {
 		if st == nil {
 			st = &Stats{}
@@ -148,9 +140,10 @@ func clipChain(ctx context.Context, subject, clip Polygon, op Op, opt Options, r
 	// measure (a bowtie sums to ~0), which made the audit reject correct
 	// results and drag every such clip through the fallback chain.
 	areaS, areaC := guard.MeasureBound(subject), guard.MeasureBound(clip)
-	chain := attemptChain(subject, clip, op, opt)
-	if opt.NoFallback {
-		chain = chain[:1]
+	chain := chainFor(opt)
+	eopt := engine.Options{Threads: opt.Threads, Slabs: opt.Slabs, Rule: opt.Rule, NoFallback: opt.NoFallback}
+	if opt.Degraded {
+		eopt.Threads = 1
 	}
 
 	var out Polygon
@@ -160,8 +153,12 @@ func clipChain(ctx context.Context, subject, clip Polygon, op Op, opt Options, r
 		if err := ctx.Err(); err != nil {
 			return nil, fin(st), err
 		}
+		sopt := eopt
+		if at.coarse {
+			sopt.SnapEps = geom.AutoSnapEps(subject, clip) * coarseFactor
+		}
 		var err error
-		out, st, err = runAttempt(ctx, at)
+		out, st, err = runEngine(ctx, engine.MustGet(at.engine), subject, clip, op, sopt)
 		if st != nil {
 			// Keep the stage-level counters (watchdog timeouts, retries,
 			// in-stage recoveries) an attempt accumulated even when the
@@ -186,7 +183,7 @@ func clipChain(ctx context.Context, subject, clip Polygon, op Op, opt Options, r
 			sf.Engine = at.engine
 			return out, sf, nil
 		}
-		if aerr := guard.Audit(out, areaS, areaC, guard.OpKind(op)); aerr != nil {
+		if aerr := guard.Audit(out, areaS, areaC, op); aerr != nil {
 			res.InvariantFailures++
 			// The heuristic bound cannot distinguish a damaged result from a
 			// legitimate one on inputs that defeat the area estimate, so
@@ -215,6 +212,20 @@ func clipChain(ctx context.Context, subject, clip Polygon, op Op, opt Options, r
 	return nil, fin(st), lastErr
 }
 
+// chainFor returns the steps a clip under opt runs: the Algorithm's full
+// chain, its degraded chain with opt.Degraded, and only the first step with
+// opt.NoFallback. opt.Algorithm must be a key of chains.
+func chainFor(opt Options) []chainStep {
+	c := chains[opt.Algorithm].full
+	if opt.Degraded {
+		c = chains[opt.Algorithm].degraded
+	}
+	if opt.NoFallback {
+		c = c[:1]
+	}
+	return c
+}
+
 // failureKind labels a failed engine attempt for the Attempts record:
 // watchdog-abandoned stages are timeouts, everything else surfaced as a
 // recovered panic.
@@ -232,66 +243,30 @@ func failureKind(err error) string {
 
 // crossCheckArea computes the measure of `subject op clip` with an engine
 // structurally different from the attempt under audit, engine.Reference (the
-// sequential Vatti sweep, or overlay when auditing vatti). Panic-isolated; ok
-// is false when the reference fails too, leaving the caller to the heuristic
-// verdict.
+// sequential Vatti sweep, or overlay when auditing vatti). ok is false when
+// the reference fails too, leaving the caller to the heuristic verdict.
 func crossCheckArea(ctx context.Context, subject, clip Polygon, op Op, attemptEngine string, rule FillRule) (area float64, ok bool) {
-	defer func() {
-		if recover() != nil {
-			area, ok = 0, false
-		}
-	}()
 	ref, found := engine.Reference(attemptEngine, rule)
 	if !found {
 		return 0, false
 	}
-	res, err := ref.Clip(ctx, subject, clip, op, engine.Options{Threads: 1, Rule: rule})
+	out, _, err := runEngine(ctx, ref, subject, clip, op, engine.Options{Threads: 1, Rule: rule})
 	if err != nil {
 		return 0, false
 	}
-	return res.Polygon.Area(), true
+	return out.Area(), true
 }
 
-// runAttempt runs one engine attempt with panic isolation.
-func runAttempt(ctx context.Context, at attempt) (out Polygon, st *Stats, err error) {
+// runEngine runs one engine with panic isolation: a panic comes back as a
+// *ClipError of the "clip" stage.
+func runEngine(ctx context.Context, e engine.Engine, subject, clip Polygon, op Op, opt engine.Options) (out Polygon, st *Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out, st = nil, nil
-			err = guard.FromPanic("clip", -1, guard.NoPair, r)
+			out, st, err = nil, nil, guard.FromPanic("clip", -1, guard.NoPair, r)
 		}
 	}()
-	return at.run(ctx)
-}
-
-// attemptChain binds the Algorithm's chain — the degraded one with
-// opt.Degraded, every step then single-threaded — to the operands and
-// options of one clip. opt.Algorithm must be a key of chains.
-func attemptChain(subject, clip Polygon, op Op, opt Options) []attempt {
-	steps := chains[opt.Algorithm].full
-	if opt.Degraded {
-		steps = chains[opt.Algorithm].degraded
-	}
-	coarse := geom.AutoSnapEps(subject, clip) * coarseFactor
-	out := make([]attempt, len(steps))
-	for i, stp := range steps {
-		e := engine.MustGet(stp.engine)
-		eopt := engine.Options{
-			Threads: opt.Threads, Slabs: opt.Slabs,
-			Rule: opt.Rule, NoFallback: opt.NoFallback,
-		}
-		if opt.Degraded {
-			eopt.Threads = 1
-		}
-		if stp.coarse {
-			eopt.SnapEps = coarse
-		}
-		run := func(ctx context.Context) (Polygon, *Stats, error) {
-			res, err := e.Clip(ctx, subject, clip, op, eopt)
-			return res.Polygon, res.Stats, err
-		}
-		out[i] = attempt{name: stp.name, engine: stp.engine, run: run}
-	}
-	return out
+	res, err := e.Clip(ctx, subject, clip, op, opt)
+	return res.Polygon, res.Stats, err
 }
 
 // ClipAllCtx computes op over every polygon of polys — Union is the GIS

@@ -341,7 +341,6 @@ func TestScanbeamAndSequentialChains(t *testing.T) {
 // every engine serves every fill rule. The serve layer's degraded mode
 // budgets on this depth.
 func TestChainTableDepth(t *testing.T) {
-	sq := rect(0, 0, 4, 4)
 	chainsByAlgo := map[Algorithm][]string{
 		AlgoOverlay:    {"overlay", "overlay-coarse", "vatti"},
 		AlgoSlabs:      {"slabs", "overlay-coarse", "vatti"},
@@ -350,7 +349,7 @@ func TestChainTableDepth(t *testing.T) {
 	}
 	for algo, names := range chainsByAlgo {
 		for _, rule := range []FillRule{EvenOdd, NonZero, Positive, Negative} {
-			chain := attemptChain(sq, sq, Intersection, Options{Algorithm: algo, Rule: rule})
+			chain := chainFor(Options{Algorithm: algo, Rule: rule})
 			if len(chain) != 3 {
 				t.Errorf("algo %d rule %v: chain depth %d, want 3", algo, rule, len(chain))
 			}
@@ -369,7 +368,6 @@ func TestChainTableDepth(t *testing.T) {
 // TestChainTableDegraded pins the degraded-mode chains: only the
 // coarse-grid and sequential steps, under every fill rule.
 func TestChainTableDegraded(t *testing.T) {
-	sq := rect(0, 0, 4, 4)
 	cases := []struct {
 		algo  Algorithm
 		rule  FillRule
@@ -384,7 +382,7 @@ func TestChainTableDegraded(t *testing.T) {
 		{AlgoSlabs, Negative, []string{"overlay-coarse", "vatti", "overlay-seq"}},
 	}
 	for _, tc := range cases {
-		chain := attemptChain(sq, sq, Intersection, Options{Algorithm: tc.algo, Rule: tc.rule, Degraded: true})
+		chain := chainFor(Options{Algorithm: tc.algo, Rule: tc.rule, Degraded: true})
 		var names []string
 		for _, at := range chain {
 			names = append(names, at.name)
