@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"polyclip/internal/data"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
@@ -93,3 +94,23 @@ func TestAdaptiveSlabsDefault(t *testing.T) {
 	}
 }
 
+// TestOneSlabSkipsSort: when the slab count is one before any event is
+// sorted — Slabs 1, or Slabs unset at one thread — the host gets the whole
+// pair and the sort stage never runs; the output matches the sorted path's.
+func TestOneSlabSkipsSort(t *testing.T) {
+	a, b := data.SyntheticPair(5, 512, 512)
+	want := seqArea(a, b, engine.Xor)
+	for _, opt := range []Options{{Threads: 1}, {Threads: 4, Slabs: 1}} {
+		got, st := clipPair(t, a, b, engine.Xor, opt)
+		if st.Sort != 0 || st.Slabs != 1 {
+			t.Errorf("%+v: sort %v over %d slabs, want no sort and one slab", opt, st.Sort, st.Slabs)
+		}
+		if math.Abs(got.Area()-want) > 1e-6*(1+want) {
+			t.Errorf("%+v: area %v, want %v", opt, got.Area(), want)
+		}
+	}
+	// Threads 2 with Slabs unset still sorts, to count the events.
+	if _, st := clipPair(t, a, b, engine.Xor, Options{Threads: 2}); st.Sort == 0 {
+		t.Errorf("Threads 2: sort stage did not run")
+	}
+}

@@ -267,33 +267,38 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, opt Optio
 	st.CrossingEstimate = crossings
 	eng := slabEngine(opt)
 
-	// Step 1–2: event schedule.
-	t0 := time.Now()
-	var ys []float64
-	err := runStage(ctx, st, "sort", fracSort, p, opt.NoFallback, func(sctx context.Context, pp int) error {
-		var out []float64
-		if err := par.Run(sctx, func() { out = eventYs(a, b, pp) }); err != nil {
-			return err
+	// Step 1–2: event schedule, which only places slab cuts. adaptiveSlabCount
+	// picks one slab at one thread, so an unset count there, like a count of
+	// one, hands the host the whole pair unsorted.
+	if nslabs <= 0 && p <= 1 {
+		nslabs = 1
+	}
+	var bounds []float64
+	if nslabs != 1 {
+		t0 := time.Now()
+		var ys []float64
+		err := runStage(ctx, st, "sort", fracSort, p, opt.NoFallback, func(sctx context.Context, pp int) error {
+			var out []float64
+			if err := par.Run(sctx, func() { out = eventYs(a, b, pp) }); err != nil {
+				return err
+			}
+			ys = out
+			return nil
+		})
+		st.Sort = time.Since(t0)
+		if err != nil {
+			return nil, st, err
 		}
-		ys = out
-		return nil
-	})
-	st.Sort = time.Since(t0)
-	if err != nil {
-		return nil, st, err
+		if len(ys) > 0 {
+			if nslabs <= 0 {
+				nslabs = adaptiveSlabCount(p, len(ys), crossings)
+			}
+			bounds = pruneThinSlabs(SlabBoundaries(ys, nslabs), snapEps)
+		}
 	}
-	if len(ys) == 0 {
-		out := slabClip(ctx, eng, a, b, op, snapEps, true)
-		return out, st, ctx.Err()
-	}
-
-	if nslabs <= 0 {
-		nslabs = adaptiveSlabCount(p, len(ys), crossings)
-	}
-	bounds := pruneThinSlabs(SlabBoundaries(ys, nslabs), snapEps)
-	ns := len(bounds) - 1
+	ns := max(len(bounds)-1, 1)
 	st.Slabs = ns
-	if ns <= 1 {
+	if ns == 1 {
 		t1 := time.Now()
 		var out geom.Polygon
 		err := runStage(ctx, st, "clip", fracClip, p, opt.NoFallback, func(sctx context.Context, _ int) error {
@@ -318,7 +323,7 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, opt Optio
 	// Steps 4–5: rectangle-clip both operands into each slab.
 	t1 := time.Now()
 	var subA, subB []geom.Polygon
-	err = runStage(ctx, st, "partition", fracPartition, p, opt.NoFallback, func(sctx context.Context, pp int) error {
+	err := runStage(ctx, st, "partition", fracPartition, p, opt.NoFallback, func(sctx context.Context, pp int) error {
 		sa := make([]geom.Polygon, ns)
 		sb := make([]geom.Polygon, ns)
 		err := par.ForEachCtx(sctx, ns, pp, func(lo, hi int) {
