@@ -143,6 +143,22 @@ type engine struct {
 // internally parallel), so a failing case is immediately reproducible by
 // seed and index.
 func Run(cfg Config) *Report {
+	e := newEngine(cfg)
+	if len(e.gens) == 0 {
+		// A typo'd filter must not report a spotless run over zero cases.
+		e.rep.InvariantFailures++
+		e.record(0, "config", "unknown-family",
+			fmt.Sprintf("family %q matches no generator (groups: %v)", cfg.Family, Families()))
+		return e.rep
+	}
+	for i := 0; i < e.cfg.Cases; i++ {
+		e.runCase(i)
+	}
+	return e.rep
+}
+
+// newEngine fills in cfg's defaults and selects its generator cycle.
+func newEngine(cfg Config) *engine {
 	if cfg.Cases <= 0 {
 		cfg.Cases = 100
 	}
@@ -155,18 +171,7 @@ func Run(cfg Config) *Report {
 	if cfg.MaxFailures <= 0 {
 		cfg.MaxFailures = 20
 	}
-	e := &engine{cfg: cfg, gens: generatorsFor(cfg.Family), rep: &Report{Seed: cfg.Seed, Cases: cfg.Cases, Family: cfg.Family}}
-	if len(e.gens) == 0 {
-		// A typo'd filter must not report a spotless run over zero cases.
-		e.rep.InvariantFailures++
-		e.record(0, "config", "unknown-family",
-			fmt.Sprintf("family %q matches no generator (groups: %v)", cfg.Family, Families()))
-		return e.rep
-	}
-	for i := 0; i < cfg.Cases; i++ {
-		e.runCase(i)
-	}
-	return e.rep
+	return &engine{cfg: cfg, gens: generatorsFor(cfg.Family), rep: &Report{Seed: cfg.Seed, Cases: cfg.Cases, Family: cfg.Family}}
 }
 
 func (e *engine) runCase(i int) {
@@ -291,13 +296,16 @@ const (
 	kindCorrupt                  // result polygon replaced with garbage
 )
 
+// faultPlan is one injected fault: a guard site and how it misbehaves.
+type faultPlan struct {
+	site string
+	kind faultKind
+}
+
 // faultPlans is the deterministic cycle of injected faults: every guard
 // site in the pipeline, panics everywhere, plus a result corruption (to
 // exercise the audit) and a hang (to exercise the watchdog).
-var faultPlans = []struct {
-	site string
-	kind faultKind
-}{
+var faultPlans = []faultPlan{
 	{"par.worker", kindPanic},
 	{"par.sort", kindPanic},
 	// Scheduler sites: crash a pooled worker at submission, inside a task,
@@ -326,13 +334,20 @@ var faultPlans = []struct {
 	{"core.slab-clip", kindHang},
 }
 
+// plan returns case i's fault. The plan advances one extra step each time
+// the generator cycle wraps, so a plan does not meet the same family on
+// every pass when the two cycles have a common length.
+func (e *engine) plan(i int) faultPlan {
+	return faultPlans[(i+i/len(e.gens))%len(faultPlans)]
+}
+
 // armFault registers case i's fault. Every fault is one-shot: the first
 // clip that reaches the site takes the hit, later clips (including the
 // pipeline's own retries) run clean — which is exactly the transient-fault
 // model the retry ladder is built for. fired is set when the fault fires,
 // on whatever worker goroutine reaches the site.
 func (e *engine) armFault(i int, w workload, fired *atomic.Bool) {
-	plan := faultPlans[i%len(faultPlans)]
+	plan := e.plan(i)
 	if plan.kind == kindHang && e.cfg.Budget <= 0 {
 		// A hang with no deadline would block the join forever by design;
 		// fall back to a panic at the same site.

@@ -45,17 +45,30 @@ func TestFaultedRunAbsorbsEveryFault(t *testing.T) {
 
 // TestBudgetedRunBoundsHangs arms hang faults under a per-clip deadline:
 // the engine's own budget-overrun invariant fails the run if any clip
-// exceeds twice the budget.
+// exceeds twice the budget, and every hang plan must fire.
 func TestBudgetedRunBoundsHangs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hang faults sleep for real time")
 	}
-	// One full fault-plan cycle, so every hang plan is armed once.
-	rep := Run(Config{Seed: 3, Cases: len(faultPlans), Faults: true, Budget: 500 * time.Millisecond, Log: t.Logf})
-	if rep.Failed() {
-		t.Fatalf("budgeted chaos run failed:\n%s", rep.Summary())
+	// The adversarial family's 7 generators are pair workloads, and 15
+	// cases arm every hang plan once.
+	e := newEngine(Config{Seed: 3, Cases: len(faultPlans), Family: FamilyAdversarial, Faults: true,
+		Budget: 500 * time.Millisecond, Log: t.Logf})
+	for i := 0; i < e.cfg.Cases; i++ {
+		fired := e.rep.FaultsFired
+		e.runCase(i)
+		if p := e.plan(i); p.kind == kindHang {
+			if e.rep.FaultsFired == fired {
+				t.Errorf("case %d: %s hang armed but never fired", i, p.site)
+			} else {
+				t.Logf("case %d: %s hang fired", i, p.site)
+			}
+		}
 	}
-	t.Logf("%d of %d armed faults fired", rep.FaultsFired, rep.FaultsArmed)
+	if e.rep.Failed() {
+		t.Fatalf("budgeted chaos run failed:\n%s", e.rep.Summary())
+	}
+	t.Logf("%d of %d armed faults fired", e.rep.FaultsFired, e.rep.FaultsArmed)
 }
 
 // TestDegenerateFamilyRun is the tier-1 slice of the degeneracy acceptance

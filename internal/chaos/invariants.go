@@ -107,7 +107,10 @@ func (e *engine) checkCase(ci int, w workload) {
 	// Vatti sweep (no fallback, so a disagreement cannot be papered over by
 	// the rescue chain) and against the slab decomposition. All families are
 	// in scope — the arrangement pre-resolution (internal/arrange) made the
-	// Vatti sweep robust on self-intersecting and near-collinear inputs.
+	// Vatti sweep robust on self-intersecting and near-collinear inputs. The
+	// adaptive slab count leaves these small pairs in one slab, so a pinned
+	// three-slab run covers Algorithm 2's band clip and seam merge; it runs
+	// through the chain, where a slab fault exercises the stage re-run.
 	if okBase {
 		seq := polyclip.Options{Algorithm: polyclip.AlgoSequential, Threads: 1, NoFallback: true}
 		if vArea, ok := e.areaOf(ci, w, w.a, w.b, w.op, seq); ok {
@@ -116,6 +119,10 @@ func (e *engine) checkCase(ci int, w workload) {
 		slabs := polyclip.Options{Algorithm: polyclip.AlgoSlabs, Threads: e.cfg.Threads}
 		if sArea, ok := e.areaOf(ci, w, w.a, w.b, w.op, slabs); ok {
 			e.check(ci, w, "cross-engine-slabs", sArea, base, scale)
+		}
+		slabs.Slabs = 3
+		if sArea, ok := e.areaOf(ci, w, w.a, w.b, w.op, slabs); ok {
+			e.check(ci, w, "cross-engine-slabs-cut", sArea, base, scale)
 		}
 		scanbeam := polyclip.Options{Algorithm: polyclip.AlgoScanbeam, Threads: e.cfg.Threads}
 		if sArea, ok := e.areaOf(ci, w, w.a, w.b, w.op, scanbeam); ok {
@@ -141,6 +148,7 @@ func (e *engine) checkCase(ci int, w workload) {
 		}{
 			{"vatti", polyclip.Options{Algorithm: polyclip.AlgoSequential, Threads: 1, Rule: rule, NoFallback: true}},
 			{"slabs", polyclip.Options{Algorithm: polyclip.AlgoSlabs, Threads: e.cfg.Threads, Rule: rule}},
+			{"slabs-cut", polyclip.Options{Algorithm: polyclip.AlgoSlabs, Threads: e.cfg.Threads, Rule: rule, Slabs: 3}},
 			{"scanbeam", polyclip.Options{Algorithm: polyclip.AlgoScanbeam, Threads: e.cfg.Threads, Rule: rule}},
 		}
 		for _, alt := range alts {
