@@ -390,13 +390,3 @@ func Once(fn func()) func() {
 		}
 	}
 }
-
-// Times wraps fn so that only the first n calls fire.
-func Times(n int, fn func()) func() {
-	var c atomic.Int32
-	return func() {
-		if c.Add(1) <= int32(n) {
-			fn()
-		}
-	}
-}

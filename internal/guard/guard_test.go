@@ -179,16 +179,6 @@ func TestFaultInjection(t *testing.T) {
 			t.Fatalf("Once fired %d times", n)
 		}
 	})
-	t.Run("times", func(t *testing.T) {
-		n := 0
-		f := Times(3, func() { n++ })
-		for i := 0; i < 10; i++ {
-			f()
-		}
-		if n != 3 {
-			t.Fatalf("Times(3) fired %d times", n)
-		}
-	})
 }
 
 func TestWithFault(t *testing.T) {

@@ -556,35 +556,3 @@ func CountCrossings(edges []geom.Segment, p int) int64 {
 	}
 	return total
 }
-
-// Points returns the distinct intersection points for the given verified
-// pairs, including both endpoints of collinear overlaps.
-func Points(edges []geom.Segment, pairs []Pair) []geom.Point {
-	var pts []geom.Point
-	for _, pr := range pairs {
-		kind, p0, p1 := geom.SegIntersection(edges[pr.I], edges[pr.J])
-		switch kind {
-		case geom.Crossing:
-			pts = append(pts, p0)
-		case geom.Overlapping:
-			pts = append(pts, p0, p1)
-		}
-	}
-	slices.SortFunc(pts, func(a, b geom.Point) int {
-		switch {
-		case a.Less(b):
-			return -1
-		case b.Less(a):
-			return 1
-		default:
-			return 0
-		}
-	})
-	out := pts[:0]
-	for i, p := range pts {
-		if i == 0 || p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
-}

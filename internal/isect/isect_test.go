@@ -144,33 +144,6 @@ func TestCountCrossingsMatchesProperCrossings(t *testing.T) {
 	}
 }
 
-func TestPoints(t *testing.T) {
-	edges := []geom.Segment{
-		{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 2, Y: 2}},
-		{A: geom.Point{X: 0, Y: 2}, B: geom.Point{X: 2, Y: 0}},
-		{A: geom.Point{X: 0, Y: 1}, B: geom.Point{X: 2, Y: 1}},
-	}
-	pairs := BruteForcePairs(edges)
-	pts := Points(edges, pairs)
-	if len(pts) != 1 {
-		t.Fatalf("points = %v, want single (1,1)", pts)
-	}
-	if !pts[0].Near(geom.Point{X: 1, Y: 1}, 1e-12) {
-		t.Errorf("point = %v", pts[0])
-	}
-}
-
-func TestPointsOverlap(t *testing.T) {
-	edges := []geom.Segment{
-		{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 0, Y: 3}},
-		{A: geom.Point{X: 0, Y: 1}, B: geom.Point{X: 0, Y: 5}},
-	}
-	pts := Points(edges, []Pair{{0, 1}})
-	if len(pts) != 2 {
-		t.Fatalf("overlap points = %v", pts)
-	}
-}
-
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	edges := randomEdges(rng, 300, 100)

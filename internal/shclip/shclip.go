@@ -59,13 +59,6 @@ func lineSegIntersect(a, b, p, q geom.Point) geom.Point {
 	return geom.Point{X: p.X + t*e.X, Y: p.Y + t*e.Y}
 }
 
-// ClipToRect clips a ring to an axis-aligned rectangle with
-// Sutherland–Hodgman.
-func ClipToRect(subject geom.Ring, box geom.BBox) geom.Ring {
-	clip := geom.Rect(box.MinX, box.MinY, box.MaxX, box.MaxY)
-	return SutherlandHodgman(subject, clip)
-}
-
 // LiangBarsky clips the segment to an axis-aligned rectangle. It returns the
 // clipped segment and true, or false when the segment lies entirely outside.
 func LiangBarsky(s geom.Segment, box geom.BBox) (geom.Segment, bool) {

@@ -68,7 +68,7 @@ func TestSHConcaveSubjectArea(t *testing.T) {
 func TestClipToRect(t *testing.T) {
 	subj := geom.RegularPolygon(geom.Point{X: 0, Y: 0}, 10, 16, 0.1)
 	box := geom.BBox{MinX: -3, MinY: -3, MaxX: 3, MaxY: 3}
-	got := ClipToRect(subj, box)
+	got := SutherlandHodgman(subj, geom.Rect(box.MinX, box.MinY, box.MaxX, box.MaxY))
 	// Fully covering polygon clipped to box = box itself.
 	if math.Abs(got.Area()-36) > 1e-9 {
 		t.Errorf("area = %v, want 36", got.Area())
