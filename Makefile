@@ -3,7 +3,7 @@ FUZZ_TARGETS := FuzzParseWKT FuzzParseGeoJSON FuzzClipRoundTrip FuzzClipAllEngin
 CHAOS_SEED ?= 1
 CHAOS_CASES ?= 200
 COVER_FLOOR ?= 80
-COVER_PKGS := . ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/ringstitch/ ./internal/shclip/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/ ./internal/geojson/
+COVER_PKGS := . ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/ringstitch/ ./internal/shclip/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/ ./internal/geojson/ ./internal/isect/ ./internal/geom/ ./internal/bandclip/ ./internal/segtree/ ./internal/rtree/ ./internal/wkt/
 # The tile-cutting fast paths carry a higher floor: a missed branch there is
 # a silently wrong tile, not a slow one.
 COVER_FLOOR_TILES ?= 85
@@ -36,8 +36,10 @@ benchmark-module:
 	go -C benchmark test ./...
 
 # Per-package statement-coverage floor for the public API (the root package:
-# ClipCtx, the fallback chain, ClipAllCtx) and the engine packages whose
-# correctness the differential oracles lean on.
+# ClipCtx, the fallback chain, ClipAllCtx), the engine packages whose
+# correctness the differential oracles lean on, and the kernels every engine
+# runs on (intersection finding, geometry, band clipping, the segment and
+# R-trees, WKT).
 cover:
 	@for pkg in $(COVER_PKGS); do \
 		pct=$$(go test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
