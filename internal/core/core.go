@@ -267,9 +267,9 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, opt Optio
 	st.CrossingEstimate = crossings
 	eng := slabEngine(opt)
 
-	// Step 1–2: event schedule, which only places slab cuts. adaptiveSlabCount
-	// picks one slab at one thread, so an unset count there, like a count of
-	// one, hands the host the whole pair unsorted.
+	// Step 1–2: event schedule. It only places slab cuts, so with one slab
+	// known up front — Slabs 1, or Slabs unset at one thread, where
+	// adaptiveSlabCount always picks one — the host gets the pair unsorted.
 	if nslabs <= 0 && p <= 1 {
 		nslabs = 1
 	}

@@ -6,19 +6,23 @@
 // overlay (or a configured engine) per slab, and the differential audit
 // cross-checks against Reference.
 //
-// It is also the canonical home of the vocabulary shared by every layer —
-// the boolean operation Op, the FillRule, and the engine-facing Stats — so
-// the implementation packages (overlay, vatti, core) alias these types
-// instead of re-declaring them.
+// It is also the home of the vocabulary every layer shares — the boolean
+// operation Op, the FillRule, the run Options and the engine-facing Stats.
+// Overlay, vatti, core, guard and gh take these types as they are; only the
+// public package polyclip re-exports them, and guard keeps OpKind as another
+// name for Op.
 //
 // The layer stack, top to bottom:
 //
 //	public API (polyclip.Clip/ClipWith/ClipCtx)
-//	  -> resilience chain (written down per Algorithm)
+//	  -> guard validation and repair, then the fallback chain (one per
+//	     Algorithm), whose results guard audits
 //	    -> engine registry (this package)
-//	      -> engines (overlay, vatti, slabs, scanbeam)
-//	        -> scanbeam substrate (internal/scanbeam)
-//	          -> par / geom kernels
+//	      -> engines: overlay and vatti (sequential), slabs (Algorithm 2,
+//	         a sequential engine hosted per slab) and scanbeam (Algorithm 1)
+//	        -> arrange (the joint pair resolution every engine starts from)
+//	          -> scanbeam substrate (internal/scanbeam)
+//	            -> par / pool / geom kernels
 package engine
 
 import (
@@ -148,19 +152,22 @@ func ParseRule(name string) (FillRule, bool) {
 func Rules() []FillRule { return []FillRule{EvenOdd, NonZero, Positive, Negative} }
 
 // Options configures one engine run. Engines ignore fields they have no use
-// for (a sequential engine ignores Threads; engines without slab
-// decomposition ignore Slabs).
+// for.
 type Options struct {
-	// Threads bounds the parallelism; <= 0 means all available CPUs.
+	// Threads bounds the parallelism; <= 0 means all available CPUs. The
+	// sequential vatti sweep ignores it.
 	Threads int
-	// Slabs is the slab count for slab-decomposition engines; 0 means one
-	// per thread.
+	// Slabs is the slabs engine's slab count. 0 derives it from the input:
+	// the arrangement pre-scan's events and crossings buy slabs up to twice
+	// Threads, and one thread or a small input means one slab.
 	Slabs int
 	// Rule is the fill rule; engines reject a value outside the four rules
 	// with ErrUnsupported (CheckRule).
 	Rule FillRule
 	// SnapEps is the vertex grid shared by every worker of one run; <= 0
-	// means derived from the input magnitude (geom.AutoSnapEps).
+	// means derived from the input magnitude (geom.AutoSnapEps). Only
+	// overlay honors it: the slabs and scanbeam engines derive their own
+	// grid, and vatti snaps its output on the grid of the output's extent.
 	SnapEps float64
 	// NoFallback disables an engine's internal rescue paths (stage retries,
 	// per-pair engine swaps), surfacing the first failure directly.
@@ -168,9 +175,9 @@ type Options struct {
 	// PreResolved promises that a and b have already been through the joint
 	// arrangement resolution for Rule (arrange.ResolvePairRule) — the slab
 	// decomposition sets it when it hands its resolved, snapped pair to the
-	// slab host whole. The sequential engines that run inside slabs (overlay
-	// and vatti) honor it by skipping their own resolution pass, so each clip
-	// resolves its pair once.
+	// slab host whole. Overlay and vatti, the engines that run inside slabs,
+	// honor it by skipping their own resolution pass, so each clip resolves
+	// its pair once; slabs and scanbeam always resolve.
 	PreResolved bool
 }
 

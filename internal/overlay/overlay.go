@@ -1,6 +1,8 @@
 // Package overlay implements general polygon clipping — intersection, union,
 // difference and symmetric difference of arbitrary (concave,
-// multi-contour, self-intersecting) polygons under the even-odd fill rule.
+// multi-contour, self-intersecting) polygons under any of the four fill
+// rules. Clip is its one entry point; it takes engine.Options, and the
+// registry's "overlay" engine calls it.
 //
 // The engine is the practical realization of the paper's Algorithm 1:
 //
@@ -21,8 +23,8 @@
 //     (Step 3.4/Step 4's merge).
 //
 // Pair finding, the split-point computation and edge selection run in
-// parallel with configurable parallelism; the fold, the classifying sweep
-// and stitching are sequential.
+// parallel on engine.Options.Threads workers; the fold, the classifying
+// sweep and stitching are sequential.
 package overlay
 
 import (

@@ -288,10 +288,10 @@ func children(n node) [4]node {
 	}
 }
 
-// frontierLevel picks the serial-descent depth for a pyramid of z zooms:
-// deep enough that the frontier can feed every worker several nodes
-// (4^level >= 8*threads), shallow enough to keep the serial prefix trivial,
-// and never past the deepest zoom.
+// frontierLevel picks the serial-descent depth for a pyramid whose deepest
+// zoom is z: deep enough that the frontier can feed every worker several
+// nodes (4^level >= 8*threads), shallow enough to keep the serial prefix
+// trivial, and never past z.
 func frontierLevel(z, threads int) int {
 	level := 0
 	for level < z && level < 6 && 1<<uint(2*level) < 8*threads {
