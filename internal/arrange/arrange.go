@@ -22,7 +22,6 @@ package arrange
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
@@ -44,18 +43,18 @@ func ResolvePair(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
 	return a, b
 }
 
-// ResolvePairEstimate is ResolvePair returning, in addition, the number of
-// non-disjoint candidate pairs the fused pre-scan evaluated — an estimate of
-// the arrangement's intersection count k, available for free because the
-// pre-scan already computes every candidate's exact intersection. It is the
-// output-size signal the paper's output-sensitive processor allocation keys
-// on: internal/core derives its slab count from it instead of from a fixed
-// multiple of the thread count. The count is an estimate, not an exact k —
-// candidates spanning several grid cells are streamed (and so counted) more
-// than once, and endpoint touches count alongside genuine crossings, so
-// consecutive ring edges floor it at roughly the edge count even for
-// disjoint operands — but it grows with arrangement density, which is all a
-// slab heuristic needs.
+// ResolvePairEstimate is ResolvePair returning, in addition, an estimate of
+// the arrangement's intersection count k, free because the pre-scan already
+// computes every candidate's exact intersection. It is the output-size
+// signal the paper's output-sensitive processor allocation keys on:
+// internal/core derives its slab count from it. The count is the number of
+// candidate visits (isect.VisitCandidatePairs: edge pairs with overlapping
+// boxes) whose two edges meet, touching at an endpoint or crossing. Below
+// the candidate source's cutoff of 32 edges each pair is visited once; from
+// it up, once per grid cell the two edges share. Consecutive ring edges
+// touch, so the count is at least about the edge count even for disjoint
+// operands, but it grows with arrangement density, which is all a slab
+// heuristic needs.
 func ResolvePairEstimate(a, b geom.Polygon) (geom.Polygon, geom.Polygon, int) {
 	return resolve(a, b, false)
 }
@@ -90,56 +89,40 @@ func ResolvePairRule(a, b geom.Polygon, rule engine.FillRule) (geom.Polygon, geo
 // splitting or re-extraction the originals come back and no allocation is
 // retained.
 func resolve(a, b geom.Polygon, winding bool) (geom.Polygon, geom.Polygon, int) {
-	ops := [2]geom.Polygon{a, b}
-
-	// Flatten every ring of every operand into one edge soup, remembering
-	// which operand each edge belongs to so self-intersection is detected
-	// per operand.
-	var segs []geom.Segment
-	var owners []int
-	for oi, p := range ops {
-		for _, r := range p {
-			if len(r) < 3 {
-				continue
-			}
-			n := len(r)
-			for i := 0; i < n; i++ {
-				j := i + 1
-				if j == n {
-					j = 0
-				}
-				if r[i] == r[j] {
-					continue
-				}
-				segs = append(segs, geom.Segment{A: r[i], B: r[j]})
-				owners = append(owners, oi)
-			}
-		}
-	}
+	// Flatten every ring of both operands into one edge soup, a's edges
+	// first: an edge belongs to b when its index reaches split, so
+	// self-intersection is detected per operand.
+	segs := appendEdges(make([]geom.Segment, 0, a.NumVertices()+b.NumVertices()), a)
+	split := int32(len(segs))
+	segs = appendEdges(segs, b)
 	if len(segs) < 2 {
 		return a, b, 0
 	}
 
-	// Fast-path pre-scan fused with cut collection: stream the grid finder's
-	// candidate pairs (self and cross-operand alike; the grid handles
-	// horizontal edges, which the scanbeam finder must not see) and evaluate
-	// each candidate's intersection exactly once. Cut points per edge: every
-	// intersection point strictly inside an edge splits it there.
+	// Fast-path pre-scan fused with cut collection: stream the candidate
+	// pairs (self and cross-operand alike; the candidate source handles
+	// horizontal edges, which the scanbeam finder must not see) and
+	// evaluate each candidate's intersection exactly once. Every
+	// intersection point strictly inside an edge cuts it there.
 	// SegIntersection snaps near-endpoint crossings onto the endpoint
 	// exactly, so a point distinct from both endpoints is a genuine interior
 	// split. An operand needs even-odd re-extraction when two of its own
 	// edges meet anywhere beyond a shared endpoint.
 	//
-	// The per-edge cut table is allocated lazily, on the first genuine split:
-	// operands that only touch at shared vertices — the common clean
-	// GIS-style case — complete the scan without materializing a pair list,
-	// per-pair verification callbacks, or any per-edge state, and return
-	// unchanged. Candidates sharing several grid cells are streamed more than
-	// once; the logic below is idempotent under revisits (duplicate cut
-	// points collapse in the rebuild's push dedup, the booleans are sticky).
-	var cuts [][]geom.Point
+	// The cut list is allocated on the first genuine split, with room for
+	// one cut per edge: operands that only touch at shared vertices — the
+	// common clean GIS-style case — return unchanged without it. A grid
+	// streams a candidate once per shared cell; the logic below is
+	// idempotent under revisits (duplicate cuts collapse in the rebuild's
+	// push dedup, the booleans are sticky).
+	var cuts []cut
+	addCut := func(e int32, s geom.Segment, p geom.Point) {
+		if cuts == nil {
+			cuts = make([]cut, 0, len(segs))
+		}
+		cuts = append(cuts, cut{e, p.Sub(s.A).Dot(s.B.Sub(s.A)), p})
+	}
 	var selfX [2]bool
-	anySelf := false
 	crossings := 0
 	isect.VisitCandidatePairs(segs, func(i, j int32) bool {
 		si, sj := segs[i], segs[j]
@@ -154,90 +137,97 @@ func resolve(a, b geom.Polygon, winding bool) (geom.Polygon, geom.Polygon, int) 
 			npts = 2
 		}
 		interior := kind == geom.Overlapping
-		for k := 0; k < npts; k++ {
-			pt := pts[k]
+		for _, pt := range pts[:npts] {
 			if pt != si.A && pt != si.B {
-				if cuts == nil {
-					cuts = make([][]geom.Point, len(segs))
-				}
-				cuts[i] = append(cuts[i], pt)
+				addCut(i, si, pt)
 				interior = true
 			}
 			if pt != sj.A && pt != sj.B {
-				if cuts == nil {
-					cuts = make([][]geom.Point, len(segs))
-				}
-				cuts[j] = append(cuts[j], pt)
+				addCut(j, sj, pt)
 				interior = true
 			}
 		}
-		if interior && owners[i] == owners[j] {
-			selfX[owners[i]] = true
-			anySelf = true
+		if interior && (i < split) == (j < split) {
+			if i < split {
+				selfX[0] = true
+			} else {
+				selfX[1] = true
+			}
 		}
 		return true
 	})
-	if cuts == nil && !anySelf {
+	if len(cuts) == 0 && !selfX[0] && !selfX[1] {
 		return a, b, crossings
 	}
-	if cuts == nil {
-		// Collinear same-owner overlaps with no interior split still force
-		// the re-extraction path; the rebuild below indexes the cut table.
-		cuts = make([][]geom.Point, len(segs))
+	// Each edge's cuts in order along it; the point breaks ties, so the
+	// rebuilt rings depend on the set of cuts, not on the visit order.
+	slices.SortFunc(cuts, func(x, y cut) int {
+		if x.e != y.e {
+			return cmp.Compare(x.e, y.e)
+		}
+		return cmp.Or(cmp.Compare(x.pos, y.pos), x.p.Compare(y.p))
+	})
+
+	// The weld: geom.SnapPoint onto the geom.GridStep grid of the edges'
+	// extent. Quantization is a pure function of the coordinate, so the
+	// same arrangement vertex reached through different edges always lands
+	// on the identical representative. A zero or non-finite extent welds
+	// nothing.
+	box := geom.EmptyBBox()
+	for _, s := range segs {
+		box.Extend(s.A)
+		box.Extend(s.B)
 	}
+	eps := geom.GridStep(box)
 
-	weld := weldFunc(segs)
-
-	// Rebuild every ring with its split vertices inserted in order along
-	// each edge, everything welded, consecutive duplicates dropped. The
-	// iteration mirrors the flattening loop above so the cut lists line up.
+	// Rebuild every ring with its cuts inserted in order along each edge,
+	// everything welded, consecutive duplicates dropped. The iteration
+	// mirrors appendEdges so edge indices line up. Every edge pushes its
+	// start and its cuts, so one buffer holds every ring; each ring is a
+	// full slice expression of it, and a dropped ring gives its points back.
+	buf := make([]geom.Point, 0, len(segs)+len(cuts))
 	var out [2]geom.Polygon
-	ei := 0
-	for oi, p := range ops {
+	ei, ci := int32(0), 0
+	for oi, p := range [2]geom.Polygon{a, b} {
 		var np geom.Polygon
 		for _, r := range p {
 			if len(r) < 3 {
 				continue
 			}
-			var nr geom.Ring
+			start := len(buf)
 			push := func(pt geom.Point) {
-				if len(nr) == 0 || nr[len(nr)-1] != pt {
-					nr = append(nr, pt)
+				if eps != 0 {
+					pt = geom.SnapPoint(pt, eps)
+				}
+				if len(buf) == start || buf[len(buf)-1] != pt {
+					buf = append(buf, pt)
 				}
 			}
 			n := len(r)
 			for i := 0; i < n; i++ {
-				j := i + 1
-				if j == n {
-					j = 0
-				}
-				if r[i] == r[j] {
+				if r[i] == r[(i+1)%n] {
 					continue
 				}
-				seg := segs[ei]
-				push(weld(seg.A))
-				cs := cuts[ei]
-				if len(cs) > 1 {
-					d := seg.B.Sub(seg.A)
-					sort.Slice(cs, func(x, y int) bool {
-						return cs[x].Sub(seg.A).Dot(d) < cs[y].Sub(seg.A).Dot(d)
-					})
-				}
-				for _, c := range cs {
-					push(weld(c))
+				push(segs[ei].A)
+				for ; ci < len(cuts) && cuts[ci].e == ei; ci++ {
+					push(cuts[ci].p)
 				}
 				ei++
 			}
-			for len(nr) > 1 && nr[len(nr)-1] == nr[0] {
-				nr = nr[:len(nr)-1]
+			end := len(buf)
+			for end-start > 1 && buf[end-1] == buf[start] {
+				end--
 			}
 			// Welding can flatten a ring whose true extent is below the grid
 			// step onto a single line (an extreme-aspect sliver next to a much
 			// larger operand). Such a ring covers no area under any fill rule,
 			// but its coincident edges poison the sweep's parity walk, so it
 			// is dropped rather than passed on.
-			if len(nr) >= 3 && !ringCollinear(nr) {
+			if nr := geom.Ring(buf[start:end:end]); len(nr) >= 3 && !ringCollinear(nr) {
 				np = append(np, nr)
+				buf = buf[:end]
+			} else {
+				buf = buf[:start]
 			}
 		}
 		out[oi] = np
@@ -258,6 +248,31 @@ func resolve(a, b geom.Polygon, winding bool) (geom.Polygon, geom.Polygon, int) 
 	return out[0], out[1], crossings
 }
 
+// cut is one split point p strictly inside edge e, at position pos along
+// it: the dot product of p - A with the edge's direction B - A.
+type cut struct {
+	e   int32
+	pos float64
+	p   geom.Point
+}
+
+// appendEdges appends the edges of p's rings to segs: every ring of at
+// least three vertices, closed, less its zero-length edges.
+func appendEdges(segs []geom.Segment, p geom.Polygon) []geom.Segment {
+	for _, r := range p {
+		if len(r) < 3 {
+			continue
+		}
+		n := len(r)
+		for i := 0; i < n; i++ {
+			if j := (i + 1) % n; r[i] != r[j] {
+				segs = append(segs, geom.Segment{A: r[i], B: r[j]})
+			}
+		}
+	}
+	return segs
+}
+
 // ringCollinear reports whether every vertex of r lies on one line (the
 // first edge's supporting line; consecutive duplicates are already removed,
 // so r[0] != r[1]).
@@ -268,24 +283,6 @@ func ringCollinear(r geom.Ring) bool {
 		}
 	}
 	return true
-}
-
-// weldFunc returns the vertex weld for the given edge soup: geom.SnapPoint
-// onto the geom.GridStep grid of its extent. Quantization is a pure function
-// of the coordinate, so the same arrangement vertex reached through different
-// edges always lands on the identical representative. A zero or non-finite
-// extent welds nothing.
-func weldFunc(segs []geom.Segment) func(geom.Point) geom.Point {
-	box := geom.EmptyBBox()
-	for _, s := range segs {
-		box.Extend(s.A)
-		box.Extend(s.B)
-	}
-	eps := geom.GridStep(box)
-	if eps == 0 {
-		return func(p geom.Point) geom.Point { return p }
-	}
-	return func(p geom.Point) geom.Point { return geom.SnapPoint(p, eps) }
 }
 
 // extractEvenOdd recovers the simple boundary of the even-odd region covered

@@ -233,7 +233,7 @@ func TestResolveDegenerateInputs(t *testing.T) {
 // geom.Orient's big.Rat fallback, which allocates on every evaluation.
 func TestResolvePairPentagramAllocs(t *testing.T) {
 	p := geom.Polygon{pentagram(0, 0, 10)}
-	if got := testing.AllocsPerRun(50, func() { ResolvePair(p, nil) }); got != 64 {
-		t.Errorf("ResolvePair(pentagram) allocates %v objects/op, pinned at 64", got)
+	if got := testing.AllocsPerRun(50, func() { ResolvePair(p, nil) }); got != 24 {
+		t.Errorf("ResolvePair(pentagram) allocates %v objects/op, pinned at 24", got)
 	}
 }

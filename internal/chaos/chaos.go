@@ -67,6 +67,7 @@ type ResilienceTotals struct {
 	StageTimeouts  int // stages abandoned by their deadline watchdog
 	Retries        int // stage-level sequential retries
 	AuditFailures  int // audit rejections inside the fallback chain
+	BatchRescued   int // batch overlay pairs rescued on the reference engine (BatchStats.Rescued)
 }
 
 // Report is the outcome of a chaos run.
@@ -124,13 +125,13 @@ func (r *Report) Summary() string {
 			"  invariants: %d checked, %d failed\n"+
 			"  errors: %d structured, %d unstructured, %d crashes\n"+
 			"  faults: %d armed, %d fired, %d surfaced as errors\n"+
-			"  resilience: repaired=%d fallback-steps=%d recovered=%d stage-timeouts=%d retries=%d audit-failures=%d",
+			"  resilience: repaired=%d fallback-steps=%d recovered=%d stage-timeouts=%d retries=%d audit-failures=%d batch-rescued=%d",
 		verdict, r.Seed, r.Cases, r.Clips, scope,
 		r.InvariantChecks, r.InvariantFailures,
 		r.StructuredErrors, r.UnstructuredErrors, r.Crashes,
 		r.FaultsArmed, r.FaultsFired, r.FaultsSurfaced,
 		r.Resilience.RepairedInputs, r.Resilience.FallbackSteps, r.Resilience.Recovered,
-		r.Resilience.StageTimeouts, r.Resilience.Retries, r.Resilience.AuditFailures)
+		r.Resilience.StageTimeouts, r.Resilience.Retries, r.Resilience.AuditFailures, r.Resilience.BatchRescued)
 }
 
 type engine struct {
@@ -203,6 +204,37 @@ func (e *engine) runCase(i int) {
 // clip runs one clip through the hardened pipeline under the configured
 // budget, absorbing its resilience counters and classifying any error.
 func (e *engine) clip(ci int, w workload, a, b polyclip.Polygon, op polyclip.Op, opt polyclip.Options) (out polyclip.Polygon, err error) {
+	err = e.run(ci, w, func(ctx context.Context) (err error) {
+		var st *polyclip.Stats
+		out, st, err = polyclip.ClipCtx(ctx, a, b, op, opt)
+		e.absorb(st)
+		return err
+	})
+	return out, err
+}
+
+// batchArea runs the batch overlay of the one-feature layers {A} and {B}
+// under rule and returns the summed area of its outputs; ok is false on an
+// error, which run classifies as it classifies a clip's.
+func (e *engine) batchArea(ci int, w workload, rule polyclip.FillRule) (area float64, ok bool) {
+	err := e.run(ci, w, func(ctx context.Context) error {
+		outs, st, err := polyclip.OverlayBatchLayersCtx(ctx, polyclip.Layer{w.a}, polyclip.Layer{w.b},
+			polyclip.Intersection, polyclip.BatchOptions{Threads: e.cfg.Threads, Rule: rule})
+		if st != nil {
+			e.rep.Resilience.BatchRescued += st.Rescued
+		}
+		for _, o := range outs {
+			area += polyclip.Area(o.Poly)
+		}
+		return err
+	})
+	return area, err == nil
+}
+
+// run runs one pipeline call under the configured budget: a panic escaping
+// it counts as a crash, an overrun of the budget as an invariant failure,
+// and a returned error as structured or not.
+func (e *engine) run(ci int, w workload, call func(ctx context.Context) error) (err error) {
 	e.rep.Clips++
 	ctx := context.Background()
 	if e.cfg.Budget > 0 {
@@ -215,7 +247,7 @@ func (e *engine) clip(ci int, w workload, a, b polyclip.Polygon, op polyclip.Op,
 		if r := recover(); r != nil {
 			e.rep.Crashes++
 			e.record(ci, w.name, "panic-escaped", fmt.Sprint(r))
-			out, err = nil, fmt.Errorf("chaos: panic escaped the pipeline: %v", r)
+			err = fmt.Errorf("chaos: panic escaped the pipeline: %v", r)
 			return
 		}
 		// A budgeted clip must return promptly even when a worker hangs:
@@ -229,9 +261,7 @@ func (e *engine) clip(ci int, w workload, a, b polyclip.Polygon, op polyclip.Op,
 			}
 		}
 	}()
-	out, st, err := polyclip.ClipCtx(ctx, a, b, op, opt)
-	e.absorb(st)
-	if err != nil {
+	if err = call(ctx); err != nil {
 		if structuredErr(err) {
 			e.rep.StructuredErrors++
 		} else {
@@ -239,7 +269,7 @@ func (e *engine) clip(ci int, w workload, a, b polyclip.Polygon, op polyclip.Op,
 			e.record(ci, w.name, "unstructured-error", err.Error())
 		}
 	}
-	return out, err
+	return err
 }
 
 // absorb folds one clip's resilience record into the run totals.

@@ -157,6 +157,16 @@ func (e *engine) checkCase(ci int, w workload) {
 			}
 		}
 	}
+
+	// The batch overlay of the one-feature layers {A} and {B} must give the
+	// chain's intersection area under every rule. Its pair clips are the
+	// only path to the batch.pair-clip fault site.
+	for _, rule := range []polyclip.FillRule{polyclip.EvenOdd, polyclip.NonZero, polyclip.Positive, polyclip.Negative} {
+		want, ok := e.areaOf(ci, w, w.a, w.b, polyclip.Intersection, polyclip.Options{Threads: e.cfg.Threads, Rule: rule})
+		if got, okBatch := e.batchArea(ci, w, rule); ok && okBatch {
+			e.check(ci, w, "cross-engine-batch-"+rule.String(), got, want, scale)
+		}
+	}
 }
 
 // check records one invariant comparison: |got-want| within RelTol of the

@@ -3,7 +3,9 @@
 //
 //   - BruteForcePairs: O(n²) oracle used by tests.
 //   - GridPairs: uniform-grid candidate filter (the practical engine's
-//     default for irregular GIS data).
+//     default for irregular GIS data). Below 32 edges (smallSet) there is
+//     no grid: every pair whose boxes overlap is a candidate, visited once
+//     by VisitCandidatePairs, where the grid visits it once per shared cell.
 //   - ScanbeamPairs: the paper's output-sensitive method — decompose the
 //     y-range into scanbeams with a segment tree, order the edges of each
 //     beam along the bottom and top scanlines, and report the inversions
@@ -183,9 +185,13 @@ type edgeGrid struct {
 }
 
 // buildGrid bins the edges. Cell size aims for the average edge extent,
-// bounded so the grid stays O(n) cells.
-func buildGrid(edges []geom.Segment) *edgeGrid {
+// bounded so the grid stays O(n) cells. Below smallSet edges the grid is one
+// cell holding every edge, with no bins (see candidates).
+func buildGrid(edges []geom.Segment) edgeGrid {
 	n := len(edges)
+	if n < smallSet {
+		return edgeGrid{nx: 1, ny: 1}
+	}
 	box := geom.EmptyBBox()
 	var totalLen float64
 	for _, e := range edges {
@@ -208,7 +214,7 @@ func buildGrid(edges []geom.Segment) *edgeGrid {
 	for int(w/cell+1)*int(h/cell+1) > maxCells {
 		cell *= 1.5
 	}
-	g := &edgeGrid{
+	g := edgeGrid{
 		minX: box.MinX, minY: box.MinY,
 		cell: cell,
 		nx:   int(w/cell) + 1,
@@ -280,84 +286,90 @@ func bboxOverlap(ei, ej geom.Segment) bool {
 	return hiy1 >= loy2 && hiy2 >= loy1
 }
 
-// GridPairs returns every intersecting pair using a uniform grid candidate
-// filter with parallelism p. Each edge is binned into the grid cells its
-// bounding box covers; edges sharing a cell are candidates.
-func GridPairs(edges []geom.Segment, p int) []Pair {
-	guard.Hit("isect.pairs")
-	n := len(edges)
-	if n < 2 {
-		return nil
-	}
-	g := buildGrid(edges)
+// smallSet is the edge count below which candidates come from direct box
+// tests of all n(n-1)/2 pairs instead of a grid. The grid's fixed cost —
+// the extent pass, the cell-size loop, three CSR allocations and a pair
+// revisited in every cell it shares — outweighs the box tests on a dozen
+// edges. Crossover, timed as the resolve pre-scan (candidates plus one
+// SegIntersection each) over 8–128 edges on one pinned CPU, in two runs:
+// the grid first kept up at 28 and 32 edges on MBR-overlapping
+// data.Features pairs (and stayed ahead from 64), at 36 and 40 on the
+// shared-vertex-grid chaos family, and at 64 to beyond 128 on the
+// crossing-dense chaos families. 32 is the low end: no set below it ran
+// faster on the grid.
+const smallSet = 32
 
-	// Candidate pairs per cell, verified, with bbox prefilter; collected
-	// per-goroutine and merged.
-	ncells := g.nx * g.ny
-	results := make([][]Pair, par.DefaultParallelism())
-	if p > 0 {
-		results = make([][]Pair, p)
-	}
-	var mu sync.Mutex
-	next := 0
-	par.ForEach(ncells, p, func(lo, hi int) {
-		mu.Lock()
-		slot := next
-		next++
-		mu.Unlock()
-		var local []Pair
-		for c := lo; c < hi; c++ {
-			ids := g.binIDs[g.binStart[c]:g.binStart[c+1]]
-			for a := 0; a < len(ids); a++ {
-				for b := a + 1; b < len(ids); b++ {
-					i, j := ids[a], ids[b]
-					if !bboxOverlap(edges[i], edges[j]) {
-						continue
-					}
-					if verify(edges, i, j) {
-						local = append(local, canon(i, j))
-					}
+// candidates is the one candidate source of GridPairs and
+// VisitCandidatePairs: it streams the pairs of edges that share a cell in
+// [lo, hi) and whose bounding boxes overlap, each as (i, j) with i < j, to
+// fn until fn returns false. In the one cell of a set below smallSet edges
+// every pair is box-tested once; on a grid a pair is visited once for every
+// cell its two edges share. Overlapping boxes always share a cell (cellOf is
+// monotone), so both give the same candidate set.
+func (g *edgeGrid) candidates(edges []geom.Segment, lo, hi int, fn func(i, j int32) bool) {
+	if g.binStart == nil {
+		for i := int32(0); i < int32(len(edges)); i++ {
+			for j := i + 1; j < int32(len(edges)); j++ {
+				if bboxOverlap(edges[i], edges[j]) && !fn(i, j) {
+					return
 				}
 			}
 		}
-		results[slot] = local
-	})
-	var all []Pair
-	for _, r := range results {
-		all = append(all, r...)
-	}
-	return dedupPairs(all)
-}
-
-// VisitCandidatePairs streams every grid candidate pair — two edges sharing
-// a grid cell whose bounding boxes overlap, exactly the candidate set
-// GridPairs verifies — to visit, sequentially, stopping early when visit
-// returns false. Candidates are NOT verified (callers run their own
-// predicate) and a pair spanning several shared cells is visited once per
-// cell; callers must be idempotent. This is the counting/pre-scan mode of
-// the grid finder: the arrangement fast path uses it to detect "no
-// resolution needed" without materializing, verifying, or deduplicating a
-// pair list.
-func VisitCandidatePairs(edges []geom.Segment, visit func(i, j int32) bool) {
-	if len(edges) < 2 {
 		return
 	}
-	g := buildGrid(edges)
-	ncells := g.nx * g.ny
-	for c := 0; c < ncells; c++ {
-		ids := g.binIDs[g.binStart[c]:g.binStart[c+1]]
-		for a := 0; a < len(ids); a++ {
-			for b := a + 1; b < len(ids); b++ {
-				i, j := ids[a], ids[b]
-				if !bboxOverlap(edges[i], edges[j]) {
-					continue
-				}
-				if !visit(i, j) {
+	for cell := lo; cell < hi; cell++ {
+		ids := g.binIDs[g.binStart[cell]:g.binStart[cell+1]]
+		for a, i := range ids {
+			for _, j := range ids[a+1:] {
+				if bboxOverlap(edges[i], edges[j]) && !fn(i, j) {
 					return
 				}
 			}
 		}
 	}
+}
+
+// GridPairs returns every intersecting pair using a uniform grid candidate
+// filter with parallelism p. Each edge is binned into the grid cells its
+// bounding box covers; edges sharing a cell are candidates. Below smallSet
+// edges there is no grid: every pair whose boxes overlap is a candidate.
+func GridPairs(edges []geom.Segment, p int) []Pair {
+	guard.Hit("isect.pairs")
+	if len(edges) < 2 {
+		return nil
+	}
+	// Candidates are verified per chunk of cells and merged under a lock;
+	// the sort in dedupPairs makes the merge order irrelevant.
+	g := buildGrid(edges)
+	var mu sync.Mutex
+	var all []Pair
+	par.ForEach(g.nx*g.ny, p, func(lo, hi int) {
+		var local []Pair
+		g.candidates(edges, lo, hi, func(i, j int32) bool {
+			if verify(edges, i, j) {
+				local = append(local, Pair{i, j})
+			}
+			return true
+		})
+		mu.Lock()
+		all = append(all, local...)
+		mu.Unlock()
+	})
+	return dedupPairs(all)
+}
+
+// VisitCandidatePairs streams every candidate pair — two edges whose
+// bounding boxes overlap, exactly the candidate set GridPairs verifies — to
+// visit, sequentially, stopping early when visit returns false. Candidates
+// are NOT verified (callers run their own predicate). Below smallSet edges
+// each pair is visited once; from smallSet up a pair spanning several
+// shared grid cells is visited once per cell, so callers must be
+// idempotent. This is the counting/pre-scan mode of the grid finder: the
+// arrangement fast path uses it to detect "no resolution needed" without
+// materializing, verifying, or deduplicating a pair list.
+func VisitCandidatePairs(edges []geom.Segment, visit func(i, j int32) bool) {
+	g := buildGrid(edges)
+	g.candidates(edges, 0, g.nx*g.ny, visit)
 }
 
 // ScanbeamPairs returns every intersecting pair using the paper's

@@ -53,7 +53,7 @@ type Edge struct {
 // directed downward (Hi to Lo) adds +1 when crossed left to right, an
 // upward one adds -1, so a counter-clockwise ring winds its interior +1.
 func CollectEdges(subject, clip geom.Polygon) []Edge {
-	var out []Edge
+	out := make([]Edge, 0, subject.NumVertices()+clip.NumVertices())
 	add := func(p geom.Polygon, owner uint8) {
 		for _, r := range p {
 			n := len(r)

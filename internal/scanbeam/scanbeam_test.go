@@ -308,3 +308,14 @@ func TestSweepEmptyBeams(t *testing.T) {
 		t.Errorf("active sizes = %v, want [1 0 1]", sizes)
 	}
 }
+
+// TestNewSweepAllocs pins the schedule at two allocations: the Sweep and
+// the one buffer its slices and temporaries are carved from.
+func TestNewSweepAllocs(t *testing.T) {
+	ys := []float64{0, 1, 2, 3, 4}
+	spans := [][2]float64{{0, 2}, {1, 3}, {0, 4}, {2, 4}, {3, 4}}
+	span := func(i int32) (float64, float64) { return spans[i][0], spans[i][1] }
+	if got := testing.AllocsPerRun(50, func() { NewSweep(ys, len(spans), span) }); got != 2 {
+		t.Errorf("NewSweep allocates %v objects/op, pinned at 2", got)
+	}
+}

@@ -4,12 +4,13 @@ import "sort"
 
 // Sweep is the sequential bottom-to-top scanbeam sweep schedule over sorted
 // distinct boundary ys: per-boundary start buckets in compressed (CSR) form
-// — a counting pass, a prefix sum and a fill, so the schedule costs three
-// flat allocations instead of one slice per boundary — plus the per-beam
-// active-edge list, maintained by inserting each edge once at its start
-// boundary and sweeping it out with one linear compaction per beam when its
-// end boundary is reached. That is the same per-beam cost as iterating a
-// hash set, without the hashing or the iteration-order churn.
+// — a counting pass, a prefix sum and a fill, so the schedule and its
+// temporaries are carved from one flat allocation instead of one slice per
+// boundary — plus the per-beam active-edge list, maintained by inserting
+// each edge once at its start boundary and sweeping it out with one linear
+// compaction per beam when its end boundary is reached. That is the same
+// per-beam cost as iterating a hash set, without the hashing or the
+// iteration-order churn.
 type Sweep struct {
 	ys       []float64
 	endAt    []int32
@@ -23,14 +24,17 @@ type Sweep struct {
 // resolution, whose event schedule is exactly the endpoint ys).
 func NewSweep(ys []float64, n int, span func(int32) (lo, hi float64)) *Sweep {
 	m := len(ys) - 1
-	s := &Sweep{
-		ys:       ys,
-		endAt:    make([]int32, n),
-		startOff: make([]int32, m+2),
-		startIDs: make([]int32, n),
-		active:   make([]int32, 0, 64),
+	// One buffer holds every slice: endAt, startOff, startIDs, active (a
+	// capacity of n, since an edge is active at most once) and the
+	// temporaries startAt and fill.
+	buf := make([]int32, 4*n+2*m+3)
+	carve := func(k int) []int32 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
 	}
-	startAt := make([]int32, n)
+	s := &Sweep{ys: ys, endAt: carve(n), startOff: carve(m + 2), startIDs: carve(n), active: carve(n)[:0]}
+	startAt, fill := carve(n), carve(m+1)
 	for i := 0; i < n; i++ {
 		lo, hi := span(int32(i))
 		b := int32(sort.SearchFloat64s(ys, lo))
@@ -41,7 +45,6 @@ func NewSweep(ys []float64, n int, span func(int32) (lo, hi float64)) *Sweep {
 	for b := 1; b < len(s.startOff); b++ {
 		s.startOff[b] += s.startOff[b-1]
 	}
-	fill := make([]int32, m+1)
 	for i := 0; i < n; i++ {
 		b := startAt[i]
 		s.startIDs[s.startOff[b]+fill[b]] = int32(i)

@@ -67,9 +67,6 @@ func Trapezoids(subject, clip geom.Polygon, op engine.Op, rule engine.FillRule) 
 // The joint resolution pass is skipped when opt.PreResolved promises the
 // pair already went through it.
 func sweep(subject, clip geom.Polygon, op engine.Op, opt engine.Options) []scanbeam.Piece {
-	subject = dropDegenerate(subject)
-	clip = dropDegenerate(clip)
-
 	// Pre-resolve the arrangement: every crossing or overlap between any
 	// two edges — within an operand or across them — becomes a shared
 	// welded vertex. Scheduling intersection ys on unsplit edges is not
@@ -234,14 +231,4 @@ func snapCorners(p scanbeam.Piece, eps float64) engine.Trapezoid {
 		L1: geom.SnapPoint(p.L1, eps), R1: geom.SnapPoint(p.R1, eps),
 		L2: geom.SnapPoint(p.L2, eps), R2: geom.SnapPoint(p.R2, eps),
 	}
-}
-
-func dropDegenerate(p geom.Polygon) geom.Polygon {
-	var out geom.Polygon
-	for _, r := range p {
-		if len(r) >= 3 {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -215,6 +215,13 @@ func TestMultiPolygonOutput(t *testing.T) {
 	}
 }
 
+// hexPair is a 12-edge pair clip: two overlapping hexagons, the size of a
+// batch overlay's feature pair.
+func hexPair() (hexA, hexB geom.Polygon) {
+	return geom.Polygon{geom.RegularPolygon(geom.Point{}, 10, 6, 0)},
+		geom.Polygon{geom.RegularPolygon(geom.Point{X: 5, Y: 3}, 10, 6, 0.3)}
+}
+
 // assembleInputs are the trapezoids BenchmarkAssemble and the allocation
 // pin merge: the difference of two hexagons (a 12-edge pair clip, 8
 // trapezoids) and the union of two 2048-edge polygons.
@@ -222,8 +229,7 @@ func assembleInputs() []struct {
 	name   string
 	pieces []scanbeam.Piece
 } {
-	hexA := geom.Polygon{geom.RegularPolygon(geom.Point{}, 10, 6, 0)}
-	hexB := geom.Polygon{geom.RegularPolygon(geom.Point{X: 5, Y: 3}, 10, 6, 0.3)}
+	hexA, hexB := hexPair()
 	a, b := data.SyntheticPair(1, 2048, 2048)
 	return []struct {
 		name   string
@@ -241,6 +247,22 @@ func TestAssembleAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(50, func() { Assemble(in.pieces) }); got != 15 {
 		t.Errorf("%s: Assemble allocates %v objects/op, pinned at 15", in.name, got)
+	}
+}
+
+// TestPairClipAllocs pins the allocations of a whole 12-edge pair clip —
+// resolve, sweep schedule, beam walk and merge — under every op.
+func TestPairClipAllocs(t *testing.T) {
+	hexA, hexB := hexPair()
+	for _, c := range []struct {
+		op   engine.Op
+		want float64
+	}{
+		{engine.Intersection, 30}, {engine.Union, 31}, {engine.Difference, 30}, {engine.Xor, 32},
+	} {
+		if got := testing.AllocsPerRun(50, func() { Clip(hexA, hexB, c.op, engine.Options{}) }); got != c.want {
+			t.Errorf("%v: Clip allocates %v objects/op, pinned at %v", c.op, got, c.want)
+		}
 	}
 }
 
