@@ -56,8 +56,8 @@ func OverlayBatchCtx(ctx context.Context, a, b io.Reader, op Op, opt BatchOption
 // validated (a non-finite or overflowing coordinate returns an error
 // wrapping ErrInvalidInput that names the layer and the feature) and
 // repaired first. Candidate pairs come from a streaming R-tree MBR join and
-// are handed to event-balanced horizontal slabs fanned out over the
-// work-stealing pool; a repeated operand pair is clipped once and its result
+// are handed to event-balanced horizontal slabs fanned out over internal/par's
+// per-call fork; a repeated operand pair is clipped once and its result
 // shared. The clip loop honors ctx; a panicking pair is rescued once by a
 // structurally different engine (counted in BatchStats.Rescued) before a
 // *ClipError naming the pair surfaces, and any other worker panic surfaces

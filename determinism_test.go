@@ -6,14 +6,14 @@ import (
 )
 
 // TestDeterminismAcrossThreadCounts pins the scheduler-independence
-// contract the work-stealing pool must preserve: for a fixed slab
+// contract every parallel stage must preserve: for a fixed slab
 // decomposition, the clip output is a pure function of the input — the same
 // rings, the same vertices, in the same order — no matter how many workers
-// ran the slabs or which worker stole which task. Every parallel stage
-// writes into index-addressed slots and every merge walks slab order, so
-// nothing downstream of the scheduler may observe completion order; a
-// result that varies with Threads means a stage leaked scheduling order
-// into its output.
+// ran the slabs or in which order their goroutines finished. Every
+// parallel stage writes into index-addressed slots and every merge walks
+// slab order, so nothing downstream of the scheduler may observe
+// completion order; a result that varies with Threads means a stage leaked
+// scheduling order into its output.
 //
 // Slabs is pinned (not left to the adaptive default) because the adaptive
 // count is itself derived from Threads: the decomposition is allowed to

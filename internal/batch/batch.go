@@ -7,7 +7,7 @@
 //	    -> bulk-load MBRs, streaming MBR join internal/rtree (JoinVisit)
 //	      -> digest-pair groups of the call   geom.Hash of each operand
 //	        -> event-balanced slabs           core.SlabBoundaries over MBR y-extents
-//	          -> parallel per-slab clips      internal/par work-stealing pool
+//	          -> parallel per-slab clips      internal/par (internal/pool fork)
 //	            -> engine registry per pair   internal/engine
 //
 // The MBR join is the paper's Algorithm 2 candidate filter applied at the
@@ -56,7 +56,7 @@ type Options struct {
 	Threads int
 	// Slabs is the number of event-balanced horizontal slabs the pairs are
 	// handed to; <= 0 means one slab at one thread and 4 per thread
-	// otherwise (enough slack for the work-stealing pool to balance skewed
+	// otherwise (the slab loop hands each of its p chunks four consecutive
 	// slabs). The paper's figures set it to time p slabs on one thread.
 	Slabs int
 	// NoFallback disables the per-pair engine rescue, surfacing the first
@@ -225,7 +225,7 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 	st.CandidatePairs = len(cands)
 	st.Index = time.Since(t1)
 
-	// Fan the slabs out over the work-stealing pool. Each group's first
+	// Fan the slabs out over p forked chunks. Each group's first
 	// pair clips single-threaded into the group's own slot; outputs are
 	// canonically sorted afterwards, so scheduling leaves no trace.
 	stage = "batch-clip"

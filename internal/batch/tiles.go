@@ -50,7 +50,7 @@ type TileStats struct {
 
 // CutTiles cuts every feature of the layer into the pyramid and returns the
 // non-empty tiles in canonical (feature, z, x, y) order. Features are cut
-// sequentially — each Cut parallelizes internally over the pooled scheduler,
+// sequentially — each Cut parallelizes internally over internal/par's fork,
 // and per-feature tile content is independent of every other feature — so
 // the output is bit-identical at any thread count.
 func CutTiles(ctx context.Context, features []geom.Polygon, opt TileOptions) ([]TileOutput, *TileStats, error) {

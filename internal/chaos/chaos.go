@@ -334,22 +334,10 @@ type faultPlan struct {
 
 // faultPlans is the deterministic cycle of injected faults: every guard
 // site in the pipeline, panics everywhere, plus a result corruption (to
-// exercise the audit) and a hang (to exercise the watchdog).
+// exercise the audit) and two hangs (to exercise the watchdog).
 var faultPlans = []faultPlan{
 	{"par.worker", kindPanic},
 	{"par.sort", kindPanic},
-	// Scheduler sites: crash a pooled worker at submission, inside a task,
-	// and on a cross-deque steal, plus hang a pooled task. The pool must
-	// capture each on the owning batch and route it up the same resilience
-	// chain as the par.* sites — a dead persistent worker (unlike the old
-	// per-call goroutines) would poison every later clip in the process.
-	// The steal site is reached only when a second worker claims from a
-	// loaded deque, which a 1-core host may never do; an unfired one-shot
-	// fault is an accepted outcome of the run, like any unreached site.
-	{"pool.submit", kindPanic},
-	{"pool.run", kindPanic},
-	{"pool.steal", kindPanic},
-	{"pool.run", kindHang},
 	{"segtree.build", kindPanic},
 	{"isect.pairs", kindPanic},
 	{"ringstitch.stitch", kindPanic},

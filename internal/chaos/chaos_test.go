@@ -50,7 +50,7 @@ func TestBudgetedRunBoundsHangs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hang faults sleep for real time")
 	}
-	// The adversarial family's 7 generators are pair workloads, and 15
+	// The adversarial family's 7 generators are pair workloads, and 11
 	// cases arm every hang plan once.
 	e := newEngine(Config{Seed: 3, Cases: len(faultPlans), Family: FamilyAdversarial, Faults: true,
 		Budget: 500 * time.Millisecond, Log: t.Logf})

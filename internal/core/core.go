@@ -454,9 +454,8 @@ const minSlabWork = 256
 // pre-scan's crossing estimate standing in for k. work = events + crossings
 // buys one slab per minSlabWork units, clamped to [1, 2p]: small inputs
 // collapse to a single slab (skipping partition and merge entirely), dense
-// inputs oversubscribe to 2p slabs so stealing can rebalance skewed slabs,
-// and p == 1 always means one slab, keeping the sequential path identical
-// to the pre-pool pipeline.
+// inputs get up to 2p slabs, at most two to each of the slab loop's p
+// chunks, and p == 1 always means one slab.
 func adaptiveSlabCount(p, events, crossings int) int {
 	if p <= 1 {
 		return 1

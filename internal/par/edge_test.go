@@ -64,14 +64,14 @@ func TestSortEdges(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Metamorphic equivalence: every ForEach* variant must compute exactly what
 // the plain sequential loop computes — same cells written, each exactly
-// once, regardless of parallelism degree, grain, or which pool worker ran
+// once, regardless of parallelism degree, grain, or which goroutine ran
 // the chunk. The grid deliberately includes n=0, n=1, p<=0 (defaulted),
 // p>n, and grain>n, and the whole file runs under -race in scripts/check.sh,
-// so a chunking or stealing bug shows up as a torn cell, a wrong value, or
+// so a chunking or fork bug shows up as a torn cell, a wrong value, or
 // a detector report.
 
 // metamorphicDims extends edgeDims with sizes big enough to fan out across
-// several pool workers and survive multi-level chunk splits.
+// several forked goroutines and survive multi-level chunk splits.
 var metamorphicDims = []struct{ n, p int }{
 	{0, 1}, {0, 0}, {0, -3},
 	{1, 1}, {1, 0}, {1, -1}, {1, 8},
@@ -163,7 +163,7 @@ func TestMetamorphicForEachItemGrain(t *testing.T) {
 }
 
 // TestForEachCtxCancelSemantics pins the cancellation contract: a done
-// context is always reported as a *StallError for n > 0 (the pool may have
+// context is always reported as a *StallError for n > 0 (the fork may have
 // skipped unstarted chunks, so a nil return must guarantee full coverage),
 // and n <= 0 degenerates to ctx.Err().
 func TestForEachCtxCancelSemantics(t *testing.T) {

@@ -73,26 +73,25 @@ func normalize(p int) int {
 }
 
 // ForEach splits [0, n) into at most p contiguous chunks and runs fn on each
-// chunk concurrently on the process-wide work-stealing pool (internal/pool):
-// the chunks are forked as pool tasks and the calling goroutine helps run
-// them while it waits, so no goroutines are spawned per call and idle
-// workers steal chunks from loaded ones. fn receives the half-open range
-// [lo, hi). ForEach returns when all chunks are done. With p == 1 (or n
-// small) it degenerates to a direct call, touching no scheduler state.
+// chunk concurrently through one pool.Fork: the calling goroutine runs the
+// first chunk and every other chunk gets a goroutine of its own. fn
+// receives the half-open range [lo, hi). ForEach returns when all chunks
+// are done. With p == 1 (or n small) it degenerates to a direct call and
+// starts no goroutine.
 //
-// A panic in a worker does not crash the process: the pool captures the
+// A panic in a worker does not crash the process: the fork captures the
 // first one and ForEach re-raises it on the calling goroutine as a
 // *PanicError after all chunks finish, where callers (or the hardened
 // public API) can recover it.
 func ForEach(n, p int, fn func(lo, hi int)) {
-	forEachPooled(nil, n, p, fn)
+	forEachChunked(nil, n, p, fn)
 }
 
-// forEachPooled is the shared chunking front of ForEach/ForEachCtx. A
+// forEachChunked is the shared chunking front of ForEach/ForEachCtx. A
 // non-nil ctx makes chunks that have not started when ctx is done be
-// skipped by the pool (running chunks poll ctx themselves, per the
-// pipeline convention), so an abandoned stage stops consuming workers.
-func forEachPooled(ctx context.Context, n, p int, fn func(lo, hi int)) {
+// skipped by the fork (running chunks poll ctx themselves, per the
+// pipeline convention), so an abandoned stage stops starting work.
+func forEachChunked(ctx context.Context, n, p int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -118,7 +117,7 @@ func forEachPooled(ctx context.Context, n, p int, fn func(lo, hi int)) {
 	}))
 }
 
-// raise re-raises a pool-captured panic as a *PanicError on the calling
+// raise re-raises a fork-captured panic as a *PanicError on the calling
 // goroutine, passing an already-wrapped nested PanicError through unchanged
 // so the deepest capture keeps its original stack.
 func raise(pe *pool.Panic) {
@@ -176,18 +175,18 @@ func Run(ctx context.Context, fn func()) error {
 // see Run for the buffer-reuse contract. Unlike ForEach, even p == 1 runs on
 // a separate goroutine so a sequential retry remains abandonable.
 //
-// The pooled loop additionally passes ctx into the fork, so chunks that
+// The chunked loop additionally passes ctx into the fork, so chunks that
 // have not started when ctx fires are skipped instead of executed — an
-// abandoned stage frees its pool workers promptly instead of wedging them
-// on doomed work. Because skipping can complete the batch with only part
-// of the range visited, a done ctx is always reported as a *StallError
-// even when the fork itself finished, keeping the contract that a nil
-// return means every index ran.
+// abandoned stage stops promptly instead of spending CPU on doomed work.
+// Because skipping can complete the fork with only part of the range
+// visited, a done ctx is always reported as a *StallError even when the
+// fork itself finished, keeping the contract that a nil return means every
+// index ran.
 func ForEachCtx(ctx context.Context, n, p int, fn func(lo, hi int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if err := Run(ctx, func() { forEachPooled(ctx, n, p, fn) }); err != nil {
+	if err := Run(ctx, func() { forEachChunked(ctx, n, p, fn) }); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
@@ -196,10 +195,10 @@ func ForEachCtx(ctx context.Context, n, p int, fn func(lo, hi int)) error {
 	return nil
 }
 
-// join2 runs left and right as a two-task pool batch — the binary fork-join
-// node of the parallel mergesorts. The caller helps run the batch (popping
-// its own deque first), so recursion nests without consuming workers, and a
-// panic in either side is re-raised here as a *PanicError.
+// join2 runs left and right as a two-task pool.Fork — the binary fork-join
+// node of the parallel mergesort: left runs on the caller's goroutine and
+// right on a fresh one, and a panic in either side is re-raised here as a
+// *PanicError.
 func join2(left, right func()) {
 	raise(pool.Join2(left, right))
 }

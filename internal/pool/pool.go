@@ -1,501 +1,107 @@
-// Package pool is the persistent work-stealing scheduler underneath every
-// parallel primitive in the repository (see internal/par). The paper's
-// speedups come from keeping p workers busy across irregular per-slab and
-// per-beam work; the previous design — a fresh goroutine fan-out per call
-// with static uniform chunking — pays a spawn/join per loop and cannot
-// rebalance when one chunk is 10x the others. This package replaces it with
-// the design ParGeo uses for its parallel primitives: one process-wide set
-// of worker goroutines, a bounded deque per worker, and random stealing.
+// Package pool is the fork-join underneath every parallel primitive of
+// internal/par. Fork runs task 0 on the caller's goroutine and each other
+// task on a fresh goroutine, then waits for all of them, so nested forks
+// cannot deadlock at any GOMAXPROCS. No scheduler persists between calls:
+// par forks at most p flat chunks per loop (par.Sort's joins nest about
+// log2(2p) deep), and Go's runtime already balances that many goroutines
+// across processors.
 //
-// Contract highlights:
-//
-//   - Lazy start: no goroutine exists until the first Fork; the pool sizes
-//     itself to GOMAXPROCS at that moment (override with SetSize).
-//   - Reentrant: a task may Fork subtasks and wait for them. Waiters never
-//     idle while claimable work exists — they pop their own deque, then
-//     steal — so nested submission cannot deadlock even on a 1-worker pool.
-//   - Cooperative cancellation: a batch forked with a context skips tasks
-//     that have not started once the context is done (running tasks are
-//     expected to poll the context themselves, as the clipping loops do).
-//   - Panic isolation: a panicking task never kills a worker or the
-//     process; the first panic of a batch is captured with its stack and
-//     returned to the forker, which re-raises it (internal/par wraps it in
-//     *par.PanicError so the resilience chain in resilience.go keeps
-//     working).
-//   - Fault sites: pool.submit, pool.steal and pool.run route through
-//     internal/guard, so the chaos engine can crash or hang a pooled
-//     worker at will.
+// A task that has not started when the fork's context is done is skipped
+// and counted; running tasks poll the context themselves. A panicking task
+// never kills the process: the first panic of a fork is captured with its
+// stack and returned to the forker after every task has finished, and
+// internal/par re-raises it as a *par.PanicError.
 package pool
 
 import (
 	"context"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"polyclip/internal/guard"
 )
 
-// Panic is the first panic captured inside a forked batch: the recovered
-// value and the stack of the panicking task's goroutine.
+// Panic is the first panic captured inside a fork: the recovered value and
+// the stack of the panicking task's goroutine.
 type Panic struct {
 	Value any
 	Stack []byte
 }
 
-// task is one unit of pooled work: index i of its batch's function.
-type task struct {
-	b *batch
-	i int
-}
-
-// batch is one Fork call: n tasks sharing a function, a countdown to a
-// closed channel, and the first captured panic.
-type batch struct {
-	fn      func(i int)
-	ctx     context.Context // nil = never cancelled
-	pending atomic.Int32
-	done    chan struct{}
-	pan     atomic.Pointer[Panic]
-}
-
-// worker is one persistent pool goroutine and its deque. The owner pushes
-// and pops at the tail (LIFO, for locality and bounded nesting); thieves
-// steal from the head (FIFO, so the oldest — typically largest — subtree
-// migrates).
-type worker struct {
-	pool *Pool
-	mu   sync.Mutex
-	dq   []task
-	rng  uint64 // xorshift state for victim selection
-	goid uint64
-}
-
-func (w *worker) push(t task) {
-	w.mu.Lock()
-	w.dq = append(w.dq, t)
-	w.mu.Unlock()
-}
-
-func (w *worker) pop() (task, bool) {
-	w.mu.Lock()
-	n := len(w.dq)
-	if n == 0 {
-		w.mu.Unlock()
-		return task{}, false
-	}
-	t := w.dq[n-1]
-	w.dq[n-1] = task{}
-	w.dq = w.dq[:n-1]
-	w.mu.Unlock()
-	return t, true
-}
-
-func (w *worker) stealFrom() (task, bool) {
-	w.mu.Lock()
-	if len(w.dq) == 0 {
-		w.mu.Unlock()
-		return task{}, false
-	}
-	t := w.dq[0]
-	copy(w.dq, w.dq[1:])
-	w.dq[len(w.dq)-1] = task{}
-	w.dq = w.dq[:len(w.dq)-1]
-	w.mu.Unlock()
-	return t, true
-}
-
-// Stats is a snapshot of the pool's lifetime counters.
+// Stats is a snapshot of the lifetime task counters of every Fork.
 type Stats struct {
 	Submitted int64 // tasks forked
 	Executed  int64 // tasks whose function ran to completion or panic
-	Stolen    int64 // tasks claimed from another worker's deque
-	Skipped   int64 // tasks skipped because their batch context was done
-	Panics    int64 // panics captured in tasks
+	// Stolen is always 0: no task waits in a queue that another goroutine
+	// could claim. benchmark/clip.go still reads it for pool.steal_ratio.
+	Stolen  int64
+	Skipped int64 // tasks skipped because their context was done
+	Panics  int64 // panics captured in tasks
 }
 
-// Pool is a work-stealing scheduler instance. The zero value is ready to
-// use; most callers want the process-wide Default pool via the package
-// functions. Independent instances exist for the scheduler test battery.
-type Pool struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	started  bool
-	stopping bool
-	size     int // configured size; <= 0 means GOMAXPROCS at start
-	idle     int
-	wg       sync.WaitGroup
-	workers  atomic.Pointer[[]*worker]
-
-	gmu    sync.Mutex
-	global []task
-
-	queued   atomic.Int64 // claimable (queued, unclaimed) tasks
-	inflight atomic.Int64 // submitted, not yet finished tasks
-
-	submitted atomic.Int64
-	executed  atomic.Int64
-	stolen    atomic.Int64
-	skipped   atomic.Int64
-	panics    atomic.Int64
-
-	seed atomic.Uint64 // rng seed sequence for workers and waiters
+// Counters holds the process-wide task counts that Stats snapshots.
+type Counters struct {
+	submitted, executed, skipped, panics atomic.Int64
 }
 
-// New returns an isolated pool that will start size workers on first use
-// (size <= 0 means GOMAXPROCS at start time).
-func New(size int) *Pool {
-	return &Pool{size: size}
-}
+var counters Counters
 
-var defaultPool Pool
+// Default returns the process-wide counters of every Fork.
+func Default() *Counters { return &counters }
 
-// Default returns the process-wide pool shared by internal/par.
-func Default() *Pool { return &defaultPool }
-
-// SetSize quiesces the pool and configures the worker count for its next
-// lazy start; n <= 0 restores the GOMAXPROCS default. Test hook: callers
-// must ensure no forks are in flight.
-func (p *Pool) SetSize(n int) {
-	p.Quiesce()
-	p.mu.Lock()
-	p.size = n
-	p.mu.Unlock()
-}
-
-// Size reports the number of workers the pool runs (or would start) with.
-func (p *Pool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sizeLocked()
-}
-
-func (p *Pool) sizeLocked() int {
-	if p.size > 0 {
-		return p.size
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Stats snapshots the lifetime counters.
-func (p *Pool) Stats() Stats {
+// Stats snapshots the counters.
+func (c *Counters) Stats() Stats {
 	return Stats{
-		Submitted: p.submitted.Load(),
-		Executed:  p.executed.Load(),
-		Stolen:    p.stolen.Load(),
-		Skipped:   p.skipped.Load(),
-		Panics:    p.panics.Load(),
+		Submitted: c.submitted.Load(),
+		Executed:  c.executed.Load(),
+		Skipped:   c.skipped.Load(),
+		Panics:    c.panics.Load(),
 	}
 }
 
-// ensureStarted spawns the workers on first use (and after a Quiesce).
-func (p *Pool) ensureStarted() {
-	p.mu.Lock()
-	if p.started {
-		p.mu.Unlock()
-		return
-	}
-	if p.cond == nil {
-		p.cond = sync.NewCond(&p.mu)
-	}
-	n := p.sizeLocked()
-	ws := make([]*worker, n)
-	for i := range ws {
-		ws[i] = &worker{pool: p, rng: p.nextSeed()}
-	}
-	p.workers.Store(&ws)
-	p.started = true
-	p.wg.Add(n)
-	for _, w := range ws {
-		go p.workerLoop(w)
-	}
-	p.mu.Unlock()
-}
-
-func (p *Pool) nextSeed() uint64 {
-	return p.seed.Add(0x9e3779b97f4a7c15) | 1
-}
-
-// Quiesce waits for every forked task to finish, then stops and joins all
-// workers, returning the pool to its never-started state (the next Fork
-// lazily restarts it). Test hook for the idle-worker leak check; callers
-// must not fork concurrently.
-func (p *Pool) Quiesce() {
-	for p.inflight.Load() != 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	p.mu.Lock()
-	if !p.started {
-		p.mu.Unlock()
-		return
-	}
-	p.stopping = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.wg.Wait()
-	p.mu.Lock()
-	p.started = false
-	p.stopping = false
-	p.workers.Store(nil)
-	p.mu.Unlock()
-}
-
-// Fork runs fn(0..n-1) as n pool tasks and waits for all of them, helping
-// to run claimable tasks while it waits (its own deque first when called
-// from a worker, then stealing). It returns the first panic captured in the
-// batch, or nil. A non-nil ctx makes tasks that have not started when ctx
-// is done be skipped (counted, never run); tasks already running are
-// expected to poll ctx themselves.
-//
-// n == 1 runs fn inline — the pool adds nothing for a single task — but
-// still with panic capture, so callers handle one code path.
-func (p *Pool) Fork(ctx context.Context, n int, fn func(i int)) *Panic {
+// Fork runs fn(0..n-1) and waits for all of them: task 0 on the caller's
+// goroutine, tasks 1..n-1 on one fresh goroutine each. It returns the first
+// panic captured in any task, or nil. A non-nil ctx makes tasks that have
+// not started when ctx is done be skipped (counted, never run).
+func Fork(ctx context.Context, n int, fn func(i int)) *Panic {
 	if n <= 0 {
 		return nil
 	}
-	guard.Hit("pool.submit")
-	p.submitted.Add(int64(n))
-	if n == 1 {
-		return p.runInline(ctx, fn)
+	counters.submitted.Add(int64(n))
+	var first atomic.Pointer[Panic]
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			run(ctx, i, fn, &first)
+		}()
 	}
-	p.ensureStarted()
-	b := &batch{fn: fn, ctx: ctx, done: make(chan struct{})}
-	b.pending.Store(int32(n))
-	p.inflight.Add(int64(n))
-	self := p.currentWorker()
-	if self != nil {
-		for i := n - 1; i >= 0; i-- { // LIFO pop order = ascending i
-			self.push(task{b, i})
-		}
-	} else {
-		p.gmu.Lock()
-		for i := 0; i < n; i++ {
-			p.global = append(p.global, task{b, i})
-		}
-		p.gmu.Unlock()
-	}
-	p.queued.Add(int64(n))
-	p.wake()
-	p.wait(b, self)
-	return b.pan.Load()
+	run(ctx, 0, fn, &first)
+	wg.Wait()
+	return first.Load()
 }
 
-// runInline executes one task on the caller's goroutine with the same
-// capture/skip semantics as pooled execution.
-func (p *Pool) runInline(ctx context.Context, fn func(i int)) (pan *Panic) {
+// run executes task i with the cancellation skip, and records a panic in
+// first unless an earlier task already did.
+func run(ctx context.Context, i int, fn func(i int), first *atomic.Pointer[Panic]) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.panics.Add(1)
-			pan = &Panic{Value: r, Stack: debug.Stack()}
+			counters.panics.Add(1)
+			first.CompareAndSwap(nil, &Panic{Value: r, Stack: debug.Stack()})
 		}
 	}()
 	if ctx != nil && ctx.Err() != nil {
-		p.skipped.Add(1)
-		return nil
-	}
-	guard.Hit("pool.run")
-	p.executed.Add(1)
-	fn(0)
-	return nil
-}
-
-// wake signals parked workers that claimable work exists.
-func (p *Pool) wake() {
-	p.mu.Lock()
-	if p.idle > 0 {
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
-}
-
-// wait blocks until b completes, running claimable tasks while any exist.
-// Once nothing is claimable the remaining tasks of b are running on other
-// goroutines, so parking on the done channel is deadlock-free: every
-// runner either finishes or forks subtasks it then helps to run itself.
-func (p *Pool) wait(b *batch, self *worker) {
-	rng := p.nextSeed()
-	spins := 0
-	for {
-		select {
-		case <-b.done:
-			return
-		default:
-		}
-		if t, stolen, ok := p.grab(self, &rng); ok {
-			p.exec(t, stolen)
-			spins = 0
-			continue
-		}
-		if spins++; spins < 3 {
-			runtime.Gosched()
-			continue
-		}
-		<-b.done
+		counters.skipped.Add(1)
 		return
 	}
+	counters.executed.Add(1)
+	fn(i)
 }
 
-// grab claims one task: the caller's own deque first (when a worker), then
-// the global injector queue, then a random sweep over the other workers'
-// deques. stolen reports a claim from another worker's deque (the
-// pool.steal fault site).
-func (p *Pool) grab(self *worker, rng *uint64) (t task, stolen, ok bool) {
-	if self != nil {
-		if t, ok := self.pop(); ok {
-			p.queued.Add(-1)
-			return t, false, true
-		}
-	}
-	p.gmu.Lock()
-	if len(p.global) > 0 {
-		t := p.global[0]
-		copy(p.global, p.global[1:])
-		p.global[len(p.global)-1] = task{}
-		p.global = p.global[:len(p.global)-1]
-		p.gmu.Unlock()
-		p.queued.Add(-1)
-		return t, false, true
-	}
-	p.gmu.Unlock()
-	wsp := p.workers.Load()
-	if wsp == nil {
-		return task{}, false, false
-	}
-	ws := *wsp
-	n := len(ws)
-	if n == 0 {
-		return task{}, false, false
-	}
-	// xorshift64* victim order: start at a random worker, sweep all.
-	*rng ^= *rng << 13
-	*rng ^= *rng >> 7
-	*rng ^= *rng << 17
-	start := int(*rng % uint64(n))
-	for k := 0; k < n; k++ {
-		v := ws[(start+k)%n]
-		if v == self {
-			continue
-		}
-		if t, ok := v.stealFrom(); ok {
-			p.queued.Add(-1)
-			p.stolen.Add(1)
-			return t, true, true
-		}
-	}
-	return task{}, false, false
-}
-
-// exec runs one claimed task with panic capture and cancellation skip,
-// then counts it off its batch. The recover here is what keeps a panicking
-// task from killing a persistent worker goroutine — the panic is recorded
-// on the batch and re-raised by the forker instead.
-func (p *Pool) exec(t task, stolen bool) {
-	b := t.b
-	defer func() {
-		if r := recover(); r != nil {
-			p.panics.Add(1)
-			b.pan.CompareAndSwap(nil, &Panic{Value: r, Stack: debug.Stack()})
-		}
-		p.inflight.Add(-1)
-		if b.pending.Add(-1) == 0 {
-			close(b.done)
-		}
-	}()
-	if b.ctx != nil && b.ctx.Err() != nil {
-		p.skipped.Add(1)
-		return
-	}
-	if stolen {
-		guard.Hit("pool.steal")
-	}
-	guard.Hit("pool.run")
-	p.executed.Add(1)
-	b.fn(t.i)
-}
-
-// workerLoop is the body of one persistent worker: claim, run, park.
-func (p *Pool) workerLoop(w *worker) {
-	defer p.wg.Done()
-	w.goid = goid()
-	registerWorker(w)
-	defer unregisterWorker(w)
-	for {
-		if t, stolen, ok := p.grab(w, &w.rng); ok {
-			p.exec(t, stolen)
-			continue
-		}
-		p.mu.Lock()
-		for p.queued.Load() == 0 && !p.stopping {
-			p.idle++
-			p.cond.Wait()
-			p.idle--
-		}
-		stop := p.stopping
-		p.mu.Unlock()
-		if stop {
-			return
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Worker identification. Nested Fork calls must push to the submitting
-// worker's own deque (locality, and the LIFO discipline that bounds
-// memory), which requires knowing whether the current goroutine is a pool
-// worker. Go has no goroutine-local storage, so workers register their
-// goroutine id — parsed once from the runtime.Stack header at spawn — in a
-// shared table; Fork parses the caller's id and looks it up. The parse
-// costs ~1µs, paid once per Fork (not per task), which is noise next to
-// the work a batch carries.
-
-var workerTable sync.Map // goid -> *worker
-
-func registerWorker(w *worker)   { workerTable.Store(w.goid, w) }
-func unregisterWorker(w *worker) { workerTable.Delete(w.goid) }
-
-func (p *Pool) currentWorker() *worker {
-	v, ok := workerTable.Load(goid())
-	if !ok {
-		return nil
-	}
-	w := v.(*worker)
-	if w.pool != p {
-		return nil // a worker of another pool instance counts as external
-	}
-	return w
-}
-
-// goid parses the current goroutine's id from the "goroutine N [...]:"
-// header of runtime.Stack.
-func goid() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	// Skip "goroutine " (10 bytes), read digits.
-	var id uint64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// ---------------------------------------------------------------------------
-// Package-level convenience over the Default pool.
-
-// Fork runs fn(0..n-1) on the process-wide pool; see (*Pool).Fork.
-func Fork(ctx context.Context, n int, fn func(i int)) *Panic {
-	return defaultPool.Fork(ctx, n, fn)
-}
-
-// Join2 runs left and right as a two-task batch on the process-wide pool —
-// the binary fork-join used by the parallel mergesorts — and returns the
-// first captured panic.
+// Join2 runs left and right as a two-task Fork — the binary fork-join used
+// by the parallel mergesort — and returns the first captured panic.
 func Join2(left, right func()) *Panic {
-	return defaultPool.Fork(nil, 2, func(i int) {
+	return Fork(nil, 2, func(i int) {
 		if i == 0 {
 			left()
 		} else {

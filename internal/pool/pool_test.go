@@ -8,14 +8,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"polyclip/internal/guard"
 )
 
-// The scheduler test battery. A work-stealing pool is exactly the kind of
-// code that "works" until the race detector and adversarial schedules say
-// otherwise, so these tests are written to run under -race (scripts/check.sh
-// wires them in early) and to fail by deadlock timeout rather than hang CI.
+// The fork's test battery. Fork/join code "works" until the race detector
+// and adversarial schedules say otherwise, so these tests are written to
+// run under -race at GOMAXPROCS 1, 2 and 4 (scripts/check.sh and make race
+// run them with -cpu 1,2,4) and to fail by deadlock timeout rather than
+// hang CI.
 
 // waitDone runs fn on its own goroutine and fails the test if it does not
 // return within d — the deadlock oracle for the reentrancy tests.
@@ -34,35 +33,29 @@ func waitDone(t *testing.T, d time.Duration, name string, fn func()) {
 }
 
 func TestForkCoversAllIndices(t *testing.T) {
-	for _, size := range []int{1, 2, 4} {
-		for _, n := range []int{0, 1, 2, 3, 17, 256} {
-			p := New(size)
-			marks := make([]int32, n)
-			if pan := p.Fork(nil, n, func(i int) { atomic.AddInt32(&marks[i], 1) }); pan != nil {
-				t.Fatalf("size=%d n=%d: unexpected panic %v", size, n, pan.Value)
+	for _, n := range []int{0, 1, 2, 3, 17, 256} {
+		marks := make([]int32, n)
+		if pan := Fork(nil, n, func(i int) { atomic.AddInt32(&marks[i], 1) }); pan != nil {
+			t.Fatalf("n=%d: unexpected panic %v", n, pan.Value)
+		}
+		for i, m := range marks {
+			if m != 1 {
+				t.Errorf("n=%d: index %d ran %d times", n, i, m)
 			}
-			for i, m := range marks {
-				if m != 1 {
-					t.Errorf("size=%d n=%d: index %d ran %d times", size, n, i, m)
-				}
-			}
-			p.Quiesce()
 		}
 	}
 }
 
-// TestNestedForkSingleWorker is the reentrancy contract: a task executing
-// on the pool's only worker forks subtasks and waits for them. A scheduler
-// whose waiters park without helping deadlocks here; the test fails by
-// timeout instead of hanging.
+// TestNestedForkSingleWorker is the reentrancy contract: a task forks
+// subtasks and waits for them, three levels deep. A fork whose waiters
+// hold the only processor without letting the subtasks run deadlocks at
+// -cpu 1; the test fails by timeout instead of hanging.
 func TestNestedForkSingleWorker(t *testing.T) {
-	p := New(1)
-	defer p.Quiesce()
-	waitDone(t, 20*time.Second, "nested fork on 1 worker", func() {
+	waitDone(t, 20*time.Second, "nested fork", func() {
 		var total atomic.Int64
-		pan := p.Fork(nil, 2, func(i int) {
-			p.Fork(nil, 3, func(j int) {
-				p.Fork(nil, 2, func(k int) { total.Add(1) })
+		pan := Fork(nil, 2, func(i int) {
+			Fork(nil, 3, func(j int) {
+				Fork(nil, 2, func(k int) { total.Add(1) })
 			})
 		})
 		if pan != nil {
@@ -75,11 +68,8 @@ func TestNestedForkSingleWorker(t *testing.T) {
 }
 
 // TestDeepNestingSingleWorker drives recursive fork-join well past the
-// worker count: depth-16 binary recursion on one worker must complete via
-// help-running, not fresh goroutines.
+// processor count: depth-10 binary recursion must complete at -cpu 1.
 func TestDeepNestingSingleWorker(t *testing.T) {
-	p := New(1)
-	defer p.Quiesce()
 	waitDone(t, 20*time.Second, "deep nesting", func() {
 		var leaves atomic.Int64
 		var rec func(depth int)
@@ -88,7 +78,7 @@ func TestDeepNestingSingleWorker(t *testing.T) {
 				leaves.Add(1)
 				return
 			}
-			p.Fork(nil, 2, func(i int) { rec(depth - 1) })
+			Fork(nil, 2, func(i int) { rec(depth - 1) })
 		}
 		rec(10)
 		if leaves.Load() != 1024 {
@@ -98,11 +88,10 @@ func TestDeepNestingSingleWorker(t *testing.T) {
 }
 
 // TestExternalWaitersShareOneWorker models the serving layer: many request
-// goroutines forking onto a small pool concurrently. Waiters must help run
-// their own work, so throughput cannot collapse onto the single worker.
+// goroutines forking nested work concurrently. Every fork must complete
+// and run each of its tasks once, even when all of them share one
+// processor.
 func TestExternalWaitersShareOneWorker(t *testing.T) {
-	p := New(1)
-	defer p.Quiesce()
 	waitDone(t, 30*time.Second, "concurrent external forks", func() {
 		var wg sync.WaitGroup
 		var total atomic.Int64
@@ -111,8 +100,8 @@ func TestExternalWaitersShareOneWorker(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for iter := 0; iter < 20; iter++ {
-					p.Fork(nil, 4, func(i int) {
-						p.Fork(nil, 2, func(j int) { total.Add(1) })
+					Fork(nil, 4, func(i int) {
+						Fork(nil, 2, func(j int) { total.Add(1) })
 					})
 				}
 			}()
@@ -124,12 +113,11 @@ func TestExternalWaitersShareOneWorker(t *testing.T) {
 	})
 }
 
-// TestRaceStress hammers submit/steal/cancel/panic from many goroutines at
-// once; its assertions are weak on purpose — under -race the detector is
-// the real oracle.
+// TestRaceStress hammers fork/cancel/panic from many goroutines at once;
+// its assertions are weak on purpose — under -race the detector is the
+// real oracle.
 func TestRaceStress(t *testing.T) {
-	p := New(4)
-	defer p.Quiesce()
+	before := Default().Stats().Panics
 	waitDone(t, 60*time.Second, "race stress", func() {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -140,19 +128,19 @@ func TestRaceStress(t *testing.T) {
 					switch (g + iter) % 3 {
 					case 0: // plain nested work
 						var sum atomic.Int64
-						p.Fork(nil, 8, func(i int) {
-							p.Fork(nil, 2, func(j int) { sum.Add(int64(i + j)) })
+						Fork(nil, 8, func(i int) {
+							Fork(nil, 2, func(j int) { sum.Add(int64(i + j)) })
 						})
 					case 1: // cancellation racing execution
 						ctx, cancel := context.WithCancel(context.Background())
-						p.Fork(ctx, 16, func(i int) {
+						Fork(ctx, 16, func(i int) {
 							if i == 3 {
 								cancel()
 							}
 						})
 						cancel()
 					case 2: // panics racing everything else
-						pan := p.Fork(nil, 4, func(i int) {
+						pan := Fork(nil, 4, func(i int) {
 							if i == 2 {
 								panic(fmt.Sprintf("stress %d/%d", g, iter))
 							}
@@ -166,16 +154,13 @@ func TestRaceStress(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	st := p.Stats()
-	if st.Panics == 0 {
+	if Default().Stats().Panics == before {
 		t.Error("no panics captured by the stress run")
 	}
 }
 
 func TestPanicCaptureAndWorkerSurvival(t *testing.T) {
-	p := New(2)
-	defer p.Quiesce()
-	pan := p.Fork(nil, 4, func(i int) {
+	pan := Fork(nil, 4, func(i int) {
 		if i == 1 {
 			panic("boom")
 		}
@@ -186,10 +171,10 @@ func TestPanicCaptureAndWorkerSurvival(t *testing.T) {
 	if len(pan.Stack) == 0 {
 		t.Error("no stack captured")
 	}
-	// The workers survived the panic: the pool still runs batches.
+	// The panic stayed inside its fork: the next fork runs every task.
 	var ran atomic.Int64
-	if pan := p.Fork(nil, 8, func(i int) { ran.Add(1) }); pan != nil {
-		t.Fatalf("pool unusable after panic: %v", pan.Value)
+	if pan := Fork(nil, 8, func(i int) { ran.Add(1) }); pan != nil {
+		t.Fatalf("fork unusable after panic: %v", pan.Value)
 	}
 	if ran.Load() != 8 {
 		t.Errorf("post-panic batch ran %d/8 tasks", ran.Load())
@@ -197,34 +182,30 @@ func TestPanicCaptureAndWorkerSurvival(t *testing.T) {
 }
 
 func TestCancelledContextSkipsTasks(t *testing.T) {
-	p := New(2)
-	defer p.Quiesce()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	before := p.Stats().Skipped
-	if pan := p.Fork(ctx, 16, func(i int) { ran.Add(1) }); pan != nil {
+	before := Default().Stats().Skipped
+	if pan := Fork(ctx, 16, func(i int) { ran.Add(1) }); pan != nil {
 		t.Fatalf("panic: %v", pan.Value)
 	}
 	if ran.Load() != 0 {
 		t.Errorf("%d tasks ran under a pre-cancelled context", ran.Load())
 	}
-	if got := p.Stats().Skipped - before; got != 16 {
+	if got := Default().Stats().Skipped - before; got != 16 {
 		t.Errorf("skipped %d tasks, want 16", got)
 	}
-	// Inline single-task path honours the same contract.
-	if pan := p.Fork(ctx, 1, func(i int) { ran.Add(1) }); pan != nil || ran.Load() != 0 {
+	// A single task, run on the caller's goroutine, honours the same contract.
+	if pan := Fork(ctx, 1, func(i int) { ran.Add(1) }); pan != nil || ran.Load() != 0 {
 		t.Errorf("inline task ran under a cancelled context (pan=%v)", pan)
 	}
 }
 
 func TestCancelMidBatchStillCompletes(t *testing.T) {
-	p := New(1)
-	defer p.Quiesce()
 	waitDone(t, 20*time.Second, "cancel mid-batch", func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		p.Fork(ctx, 64, func(i int) {
+		Fork(ctx, 64, func(i int) {
 			if i == 0 {
 				cancel()
 			}
@@ -232,17 +213,15 @@ func TestCancelMidBatchStillCompletes(t *testing.T) {
 	})
 }
 
-// TestQuiesceNoGoroutineLeak is the idle-worker leak check: after Quiesce
-// the pool's goroutines are joined and the process goroutine count returns
-// to its baseline.
+// TestQuiesceNoGoroutineLeak is the leak check: once the forks have
+// returned, every goroutine they started has exited and the process
+// goroutine count returns to its baseline.
 func TestQuiesceNoGoroutineLeak(t *testing.T) {
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
-	p := New(4)
 	for round := 0; round < 10; round++ {
-		p.Fork(nil, 32, func(i int) {})
+		Fork(nil, 32, func(i int) {})
 	}
-	p.Quiesce()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= baseline {
@@ -253,147 +232,13 @@ func TestQuiesceNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// Lazy restart after quiesce: the pool is still usable.
-	var ran atomic.Int64
-	p.Fork(nil, 4, func(i int) { ran.Add(1) })
-	if ran.Load() != 4 {
-		t.Errorf("post-quiesce batch ran %d/4 tasks", ran.Load())
-	}
-	p.Quiesce()
-}
-
-// stealRound runs one forced-steal topology on p and returns the outer
-// batch's panic (nil normally). The external waiter helps run its own
-// batch and always claims the global queue's head first, so task 0 is a
-// decoy that blocks until task 1 — the nesting task — has started; that
-// forces the nesting task onto a pool worker. The nesting task pushes an
-// inner pair onto that worker's own deque and barriers both inner tasks,
-// so the second inner task can only start via a cross-deque steal. Every
-// wait has a fallback timeout because the round is probabilistic (a worker
-// may grab the decoy first, leaving the nesting task to the external
-// waiter and the inner pair to the global queue) — callers loop on
-// Stats.Stolen instead of trusting a single round.
-func stealRound(p *Pool) *Panic {
-	nestStarted := make(chan struct{})
-	var started atomic.Int32
-	bothIn := make(chan struct{})
-	return p.Fork(nil, 2, func(outer int) {
-		if outer == 0 { // decoy: pin this claimant until the nesting task runs
-			select {
-			case <-nestStarted:
-			case <-time.After(100 * time.Millisecond):
-			}
-			return
-		}
-		close(nestStarted)
-		inner := p.Fork(nil, 2, func(int) {
-			if started.Add(1) == 2 {
-				close(bothIn)
-			}
-			select {
-			case <-bothIn:
-			case <-time.After(20 * time.Millisecond):
-			}
-		})
-		if inner != nil {
-			panic(inner.Value)
-		}
-	})
-}
-
-// TestStealObserved pins the distributed part of the scheduler: tasks
-// pushed to one worker's deque get claimed by another claimant, and the
-// pool counts the steal. Rounds repeat until a steal is seen; a scheduler
-// that never steals fails by exhausting the rounds, not by hanging.
-func TestStealObserved(t *testing.T) {
-	p := New(2)
-	defer p.Quiesce()
-	before := p.Stats().Stolen
-	waitDone(t, 30*time.Second, "forced steal", func() {
-		for round := 0; round < 200; round++ {
-			if pan := stealRound(p); pan != nil {
-				t.Fatalf("unexpected panic: %v", pan.Value)
-			}
-			if p.Stats().Stolen > before {
-				return
-			}
-		}
-		t.Error("no steal recorded by Stats in 200 forced rounds")
-	})
-}
-
-func TestSetSizeQuiesceRestart(t *testing.T) {
-	p := New(0)
-	p.SetSize(3)
-	if got := p.Size(); got != 3 {
-		t.Fatalf("Size = %d after SetSize(3)", got)
-	}
-	var ran atomic.Int64
-	p.Fork(nil, 6, func(i int) { ran.Add(1) })
-	if ran.Load() != 6 {
-		t.Errorf("ran %d/6", ran.Load())
-	}
-	p.SetSize(0)
-	if got := p.Size(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("Size = %d, want GOMAXPROCS default %d", got, runtime.GOMAXPROCS(0))
-	}
-	p.Quiesce()
-}
-
-// TestGuardSites proves the chaos engine can reach the scheduler: a fault
-// at each pool site lands as a captured batch panic (run/steal) or a
-// caller-visible panic (submit), never a dead worker or a wedged pool.
-func TestGuardSites(t *testing.T) {
-	t.Run("run", func(t *testing.T) {
-		p := New(2)
-		defer p.Quiesce()
-		guard.WithFault(t, "pool.run", guard.Once(func() { panic("injected run fault") }))
-		pan := p.Fork(nil, 4, func(i int) {})
-		if pan == nil || pan.Value != "injected run fault" {
-			t.Fatalf("pan = %+v, want injected run fault", pan)
-		}
-		if again := p.Fork(nil, 4, func(i int) {}); again != nil {
-			t.Fatalf("pool did not recover from run fault: %v", again.Value)
-		}
-	})
-	t.Run("submit", func(t *testing.T) {
-		p := New(2)
-		defer p.Quiesce()
-		guard.WithFault(t, "pool.submit", guard.Once(func() { panic("injected submit fault") }))
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("submit fault did not propagate to the caller")
-			}
-		}()
-		p.Fork(nil, 4, func(i int) {})
-	})
-	t.Run("steal", func(t *testing.T) {
-		p := New(2)
-		defer p.Quiesce()
-		guard.WithFault(t, "pool.steal", guard.Once(func() { panic("injected steal fault") }))
-		// Same forced-steal topology as TestStealObserved: the injected
-		// panic fires on the thief and must surface as the batch's panic.
-		waitDone(t, 30*time.Second, "steal fault", func() {
-			for round := 0; round < 200; round++ {
-				if pan := stealRound(p); pan != nil {
-					if pan.Value != "injected steal fault" {
-						t.Fatalf("unexpected panic: %v", pan.Value)
-					}
-					return
-				}
-			}
-			t.Error("steal fault never surfaced as a batch panic in 200 rounds")
-		})
-	})
 }
 
 func TestStatsCounters(t *testing.T) {
-	p := New(2)
-	defer p.Quiesce()
-	before := p.Stats()
-	p.Fork(nil, 8, func(i int) {})
-	p.Fork(nil, 1, func(i int) {})
-	st := p.Stats()
+	before := Default().Stats()
+	Fork(nil, 8, func(i int) {})
+	Fork(nil, 1, func(i int) {})
+	st := Default().Stats()
 	if got := st.Submitted - before.Submitted; got != 9 {
 		t.Errorf("Submitted delta = %d, want 9", got)
 	}
@@ -403,12 +248,10 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestForkZeroAndNegative(t *testing.T) {
-	p := New(1)
-	defer p.Quiesce()
-	if pan := p.Fork(nil, 0, func(i int) { t.Error("ran") }); pan != nil {
+	if pan := Fork(nil, 0, func(i int) { t.Error("ran") }); pan != nil {
 		t.Errorf("n=0: %v", pan.Value)
 	}
-	if pan := p.Fork(nil, -3, func(i int) { t.Error("ran") }); pan != nil {
+	if pan := Fork(nil, -3, func(i int) { t.Error("ran") }); pan != nil {
 		t.Errorf("n=-3: %v", pan.Value)
 	}
 }
@@ -424,8 +267,5 @@ func TestDefaultPoolAndJoin2(t *testing.T) {
 	var ran atomic.Int64
 	if pan := Fork(nil, 4, func(i int) { ran.Add(1) }); pan != nil || ran.Load() != 4 {
 		t.Errorf("default Fork ran %d/4 (pan=%v)", ran.Load(), pan)
-	}
-	if Default().Size() <= 0 {
-		t.Error("default pool has no workers configured")
 	}
 }

@@ -15,7 +15,7 @@
 // grid — the same output-sensitivity argument as the paper's clipping
 // algorithm, lifted from one polygon to a pyramid.
 //
-// Cutting is parallelized over internal/par's pooled scheduler by splitting
+// Cutting is parallelized over internal/par's per-call fork by splitting
 // the descent at a frontier level sized to the worker count; because every
 // tile's content is a pure function of its (z, x, y) key against the
 // immutable Prepared, the final (z, x, y) sort makes the output bit-identical
@@ -190,7 +190,7 @@ type node struct {
 // cutPrepared cuts every zoom in one descent: a serial descent to the
 // frontier level settles the cheap upper pyramid (and whole Inside / Outside
 // subtrees), then the surviving Straddle frontier nodes' subtrees fan out
-// over the pooled scheduler.
+// over internal/par's fork.
 func cutPrepared(ctx context.Context, pp *prepared.Prepared, spec Spec, threads int, st *Stats) ([]Tile, error) {
 	var out []Tile
 	var work []node
