@@ -1,6 +1,7 @@
 package par
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -286,4 +287,48 @@ func TestForEachItemPanicPropagates(t *testing.T) {
 		}
 	})
 	t.Fatal("unreachable: panic expected")
+}
+
+// TestSortPanicPropagates sorts 4·sortSerialCutoff items at p 4, so join2
+// nests two deep, with a less that panics on one value in the last serial
+// leaf. The caller must get one *PanicError that holds the original value
+// (raise passes the inner join2's *PanicError through, not wrapped again)
+// and the stack of the goroutine where less panicked.
+func TestSortPanicPropagates(t *testing.T) {
+	n := 4 * sortSerialCutoff
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = i * 7919 % n // a permutation: 7919 is odd and n a power of two
+	}
+	bad := xs[3*sortSerialCutoff+5]
+	var fired atomic.Int32
+	var pe *PanicError
+	func() {
+		defer func() {
+			r := recover()
+			var ok bool
+			if pe, ok = r.(*PanicError); !ok {
+				t.Fatalf("Sort re-raised %T (%v), want *PanicError", r, r)
+			}
+		}()
+		Sort(xs, func(a, b int) bool {
+			if a == bad || b == bad {
+				fired.Add(1)
+				panic("less boom")
+			}
+			return a < b
+		}, 4)
+	}()
+	if got := fired.Load(); got != 1 {
+		t.Errorf("less panicked %d times, want 1", got)
+	}
+	if inner, nested := pe.Value.(*PanicError); nested {
+		t.Fatalf("panic value is a nested *PanicError (%v)", inner)
+	}
+	if pe.Value != "less boom" {
+		t.Fatalf("panic value %v, want less boom", pe.Value)
+	}
+	if !bytes.Contains(pe.Stack, []byte("TestSortPanicPropagates")) {
+		t.Fatalf("captured stack does not reach the panicking less:\n%s", pe.Stack)
+	}
 }
