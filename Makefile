@@ -58,7 +58,10 @@ cover:
 		echo "$$pkg: $$pct%"; \
 	done
 
+# The fork battery first, at GOMAXPROCS 1 and oversubscribed, then every
+# package under the race detector.
 race:
+	go test -race -cpu 1,2,4 ./internal/pool/ ./internal/par/
 	go test -race ./...
 
 # The golden-file differential corpus must agree across all engines
@@ -135,7 +138,7 @@ layers-smoke:
 	echo "layers: $$n results, WKT and ndjson identical; gisoverlay: $$g results"
 
 # Short scaling smoke: one iteration of the two scaling benchmarks at 1 and
-# 2 workers — enough to catch a pool regression (deadlock, lost task, gross
+# 2 workers — enough to catch a fork regression (deadlock, lost task, gross
 # slowdown) in CI without paying for a statistically meaningful run.
 bench:
 	go test -run='^$$' -bench='Fig8SlabClipPair|AlgorithmOne' -benchtime=1x -cpu 1,2 .

@@ -60,8 +60,8 @@ for pkg in ./internal/prepared/ ./internal/tile/; do
 	echo "$pkg: ${pct}%"
 done
 
-echo "== go test -race ./internal/pool ./internal/par (scheduler battery + fan-out edges first: fast signal)"
-go test -race ./internal/pool/ ./internal/par/
+echo "== go test -race -cpu 1,2,4 ./internal/pool ./internal/par (scheduler battery + fan-out edges first, at GOMAXPROCS 1 and oversubscribed: fast signal)"
+go test -race -cpu 1,2,4 ./internal/pool/ ./internal/par/
 
 echo "== adversarial predicates vs exact oracle under -race"
 go test -race -run 'Adversarial|MatchesOrientOracle' ./internal/geom/
