@@ -28,7 +28,7 @@ func main() {
 	family := flag.String("family", "", "restrict workloads to one family group (adversarial, degenerate, tiles) or one family name; empty = all")
 	faults := flag.Bool("faults", false, "inject one fault per case (panics, hangs, result corruption)")
 	budget := flag.Duration("budget", 0, "per-clip deadline (0 = none); enables hang faults with -faults")
-	threads := flag.Int("threads", 0, "clip parallelism (0 = all CPUs)")
+	threads := flag.Int("threads", 0, "clip parallelism (0 = 4, not the CPU count, so that a one-core host still forks)")
 	reltol := flag.Float64("reltol", 0, "relative area tolerance (0 = default 1e-6)")
 	verbose := flag.Bool("v", false, "log each failure as it happens")
 	flag.Parse()

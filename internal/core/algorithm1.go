@@ -32,9 +32,11 @@ type Alg1Report struct {
 
 // AlgorithmOne clips two polygons with the multicore realization of the
 // paper's Algorithm 1: the whole pipeline runs in parallel over scanbeams
-// with parallelism p, using the segment tree for Step 2 and the
-// scanbeam-inversion finder for Step 3.2. Returns the result and the full
-// output-sensitivity report.
+// with parallelism p, using the segment tree for Step 2. The pipeline
+// resolves crossings before Step 1 with arrange's grid pre-scan, so no two
+// active edges cross inside a beam; the scanbeam-inversion count of Step
+// 3.2 (isect.CountCrossings) runs only to fill the report's K. Returns the
+// result and the full output-sensitivity report.
 func AlgorithmOne(a, b geom.Polygon, op engine.Op, p int) (geom.Polygon, Alg1Report) {
 	out, rep := AlgorithmOneRuleCtx(context.Background(), a, b, op, engine.EvenOdd, p)
 	// Step 3.2 (Lemma 4): the paper's k is a property of the raw input, so
