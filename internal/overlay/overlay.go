@@ -17,6 +17,8 @@
 //  3. Sweep the scanbeams bottom to top once and classify every sub-edge,
 //     in the beam where it starts, with the prefix sums of Lemmas 1–3:
 //     which polygons is the region immediately left of the edge inside of?
+//     The sweep is scanbeam.Classify, the one side-labelling kernel, which
+//     internal/arrange's even-odd re-extraction runs too.
 //  4. Select the edges where the clipping operation changes value across
 //     the edge (Lemma 2's contributing edges), direct them so the result
 //     interior lies on their left, and stitch them into output rings
@@ -36,6 +38,7 @@ import (
 	"polyclip/internal/guard"
 	"polyclip/internal/isect"
 	"polyclip/internal/par"
+	"polyclip/internal/scanbeam"
 )
 
 // Clip computes `subject op clip` under opt.Rule: outer rings
@@ -144,7 +147,7 @@ func Clip(ctx context.Context, subject, clip geom.Polygon, op engine.Op, opt eng
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	classify(ctx, segs)
+	scanbeam.Classify(ctx, segs)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -181,7 +184,7 @@ func resolveSelf(ctx context.Context, poly geom.Polygon, eps float64, rule engin
 	edges, owners := gatherEdges(poly, nil)
 	pairs := isect.GridPairs(edges, p)
 	segs := subdivide(ctx, edges, owners, pairs, eps, p)
-	classify(ctx, segs)
+	scanbeam.Classify(ctx, segs)
 	dirs := selectEdges(segs, engine.Xor, rule, p)
 	return stitch(dirs)
 }

@@ -9,34 +9,14 @@ import (
 	"polyclip/internal/geom"
 	"polyclip/internal/isect"
 	"polyclip/internal/par"
+	"polyclip/internal/scanbeam"
 )
 
-// useg is a unique geometric sub-segment of the subdivided arrangement,
-// with its multiplicity per input polygon. Its endpoints are snapped, Lo is
-// the endpoint with smaller (Y, X), and after subdivision no two usegs
-// intersect except at shared endpoints.
-type useg struct {
-	Lo, Hi geom.Point
-	// WindSub/WindClip are the signed winding contributions of the
-	// subject/clip copies of this segment: each original piece directed
-	// Hi->Lo (downward, or -x for horizontals) adds +1, each directed
-	// Lo->Hi adds -1, so that walking left-to-right (or top-to-bottom
-	// across a horizontal) the region winding number changes by this
-	// amount. Parity of the winding equals parity of the copy count, so
-	// the even-odd rule needs no separate field.
-	WindSub  int16
-	WindClip int16
-	// WindSubL/WindClipL are the winding numbers of the region on the
-	// segment's left side (smaller x; above, for horizontals).
-	WindSubL  int16
-	WindClipL int16
-}
-
 // piece is one snapped sub-edge before the fold: its endpoints in (Lo, Hi)
-// order and its winding contribution.
+// order and its winding contribution per operand (scanbeam.Seg's Wind).
 type piece struct {
-	lo, hi    geom.Point
-	sub, clip int16
+	lo, hi geom.Point
+	wind   [2]int16
 }
 
 // weldNearVertex pulls an intersection point onto a nearby endpoint of
@@ -68,7 +48,7 @@ func weldNearVertex(q geom.Point, e1, e2 geom.Segment, eps float64) geom.Point {
 // indices by (Lo, Hi, insertion index) and a linear fold over equal runs.
 // Cancellation is polled periodically; on a cancelled ctx the returned
 // arrangement is partial and the caller must discard it.
-func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs []isect.Pair, eps float64, p int) []useg {
+func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs []isect.Pair, eps float64, p int) []scanbeam.Seg {
 	// Intersection points per edge, computed in parallel over pairs into
 	// per-worker buckets.
 	type split struct {
@@ -144,11 +124,7 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 			dir = +1 // original piece directed Hi->Lo
 		}
 		pc := piece{lo: a, hi: b}
-		if owner == 0 {
-			pc.sub = dir
-		} else {
-			pc.clip = dir
-		}
+		pc.wind[owner] = dir
 		pieces = append(pieces, pc)
 	}
 
@@ -197,7 +173,7 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 
 	// Fold equal pieces: one sort of piece indices by (Lo, Hi, index) brings
 	// each geometric segment's copies together, and the first one inserted
-	// supplies the useg's coordinates (of -0 and +0, the one its edge met
+	// supplies the segment's coordinates (of -0 and +0, the one its edge met
 	// first). It also gives the deterministic (Lo, Hi) order that
 	// classification and stitching rely on.
 	order := make([]int32, len(pieces))
@@ -220,19 +196,19 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 		}
 		return cmp.Compare(i, j)
 	})
-	segs := make([]useg, 0, len(pieces))
+	segs := make([]scanbeam.Seg, 0, len(pieces))
 	for k := 0; k < len(order); {
 		pc := &pieces[order[k]]
-		u := useg{Lo: pc.lo, Hi: pc.hi, WindSub: pc.sub, WindClip: pc.clip}
+		u := scanbeam.Seg{Lo: pc.lo, Hi: pc.hi, Wind: pc.wind}
 		for k++; k < len(order); k++ {
 			pc = &pieces[order[k]]
 			if pc.lo != u.Lo || pc.hi != u.Hi {
 				break
 			}
-			u.WindSub += pc.sub
-			u.WindClip += pc.clip
+			u.Wind[0] += pc.wind[0]
+			u.Wind[1] += pc.wind[1]
 		}
-		if u.WindSub == 0 && u.WindClip == 0 {
+		if u.Wind == [2]int16{} {
 			// Opposite-direction copies cancel under both fill rules. A
 			// segment with even copy count but nonzero winding (e.g. two
 			// same-direction copies) is kept: it matters under NonZero.

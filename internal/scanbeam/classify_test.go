@@ -1,0 +1,107 @@
+package scanbeam
+
+import (
+	"context"
+	"testing"
+
+	"polyclip/internal/geom"
+)
+
+// seg is a test segment from (x0, y0) to (x1, y1), directed as the ring
+// walks it, of operand owner: its endpoints are put in (Lo, Hi) order and
+// its winding contribution signed by Seg's convention.
+func seg(owner int, x0, y0, x1, y1 float64) Seg {
+	a, b := geom.Point{X: x0, Y: y0}, geom.Point{X: x1, Y: y1}
+	var s Seg
+	if b.Less(a) {
+		s = Seg{Lo: b, Hi: a}
+		s.Wind[owner] = 1
+	} else {
+		s = Seg{Lo: a, Hi: b}
+		s.Wind[owner] = -1
+	}
+	return s
+}
+
+func TestClassify(t *testing.T) {
+	type want struct {
+		lo, hi geom.Point
+		left   [2]int16
+	}
+	for _, tc := range []struct {
+		name string
+		segs []Seg
+		want []want
+	}{{
+		// Counter-clockwise squares, the clip [1,3]² nested in the subject
+		// [0,4]², in (Lo, Hi) order. The clip's bottom edge starts where
+		// its left edge does: the inclusive count at x = 1 puts the strip
+		// above it inside both operands. The subject's top edge lies on the
+		// topmost y and keeps Left zero.
+		name: "nested-squares",
+		segs: []Seg{
+			seg(0, 0, 0, 4, 0), seg(0, 0, 4, 0, 0), seg(0, 4, 0, 4, 4),
+			seg(1, 1, 1, 3, 1), seg(1, 1, 3, 1, 1), seg(1, 3, 1, 3, 3),
+			seg(1, 3, 3, 1, 3), seg(0, 4, 4, 0, 4),
+		},
+		want: []want{
+			{geom.Point{X: 0, Y: 0}, geom.Point{X: 4, Y: 0}, [2]int16{1, 0}},
+			{geom.Point{X: 0, Y: 0}, geom.Point{X: 0, Y: 4}, [2]int16{0, 0}},
+			{geom.Point{X: 4, Y: 0}, geom.Point{X: 4, Y: 4}, [2]int16{1, 0}},
+			{geom.Point{X: 1, Y: 1}, geom.Point{X: 3, Y: 1}, [2]int16{1, 1}},
+			{geom.Point{X: 1, Y: 1}, geom.Point{X: 1, Y: 3}, [2]int16{1, 0}},
+			{geom.Point{X: 3, Y: 1}, geom.Point{X: 3, Y: 3}, [2]int16{1, 1}},
+			{geom.Point{X: 1, Y: 3}, geom.Point{X: 3, Y: 3}, [2]int16{1, 0}},
+			{geom.Point{X: 0, Y: 4}, geom.Point{X: 4, Y: 4}, [2]int16{0, 0}},
+		},
+	}, {
+		// A counter-clockwise right triangle: the vertical edge starts at
+		// the horizontal's left end and counts toward it (a strict count
+		// would leave the strip above the base outside); the diagonal,
+		// through the right end at x = 2, does not.
+		name: "triangle",
+		segs: []Seg{seg(0, 0, 0, 2, 0), seg(0, 0, 2, 0, 0), seg(0, 2, 0, 0, 2)},
+		want: []want{
+			{geom.Point{X: 0, Y: 0}, geom.Point{X: 2, Y: 0}, [2]int16{1, 0}},
+			{geom.Point{X: 0, Y: 0}, geom.Point{X: 0, Y: 2}, [2]int16{0, 0}},
+			{geom.Point{X: 2, Y: 0}, geom.Point{X: 0, Y: 2}, [2]int16{1, 0}},
+		},
+	}, {
+		// Horizontals only, all on the one y: there is no beam, and every
+		// segment lies on the topmost boundary.
+		name: "flat",
+		segs: []Seg{seg(0, 0, 1, 2, 1), seg(1, 3, 1, 5, 1)},
+		want: []want{
+			{geom.Point{X: 0, Y: 1}, geom.Point{X: 2, Y: 1}, [2]int16{0, 0}},
+			{geom.Point{X: 3, Y: 1}, geom.Point{X: 5, Y: 1}, [2]int16{0, 0}},
+		},
+	}} {
+		Classify(context.Background(), tc.segs)
+		if len(tc.segs) != len(tc.want) {
+			t.Fatalf("%s: %d segments, want %d", tc.name, len(tc.segs), len(tc.want))
+		}
+		for i, w := range tc.want {
+			s := tc.segs[i]
+			if s.Lo != w.lo || s.Hi != w.hi {
+				t.Fatalf("%s: segment %d is %v-%v, want %v-%v (not in (Lo, Hi) order)", tc.name, i, s.Lo, s.Hi, w.lo, w.hi)
+			}
+			if s.Left != w.left {
+				t.Errorf("%s: segment %v-%v has Left %v, want %v", tc.name, s.Lo, s.Hi, s.Left, w.left)
+			}
+		}
+	}
+
+	Classify(context.Background(), nil)
+
+	// A cancelled ctx stops the sweep at its first poll: no panic, and no
+	// segment is labelled.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	segs := []Seg{seg(0, 0, 0, 2, 0), seg(0, 0, 2, 0, 0), seg(0, 2, 0, 0, 2)}
+	Classify(ctx, segs)
+	for _, s := range segs {
+		if s.Left != [2]int16{} {
+			t.Errorf("cancelled sweep labelled %v-%v with %v", s.Lo, s.Hi, s.Left)
+		}
+	}
+}

@@ -3,13 +3,17 @@
 // allocation-free), the x-ordering of active edges on a beam line, the
 // winding-aware Lemma 1/3 walk that emits rule/op-selected trapezoids (signed
 // winding counts generalize the paper's parity argument, so one walk serves
-// EvenOdd, NonZero, Positive and Negative), and the sequential bottom-to-top
-// sweep schedule (CSR start buckets + active-list compaction).
+// EvenOdd, NonZero, Positive and Negative), the sequential bottom-to-top
+// sweep schedule (CSR start buckets + active-list compaction), and the
+// classification sweep (Classify) that labels each segment of a subdivided
+// arrangement with the winding numbers on its left (Lemmas 1–3).
 //
 // Before this package existed the same machinery was re-implemented in
 // internal/vatti (sequential sweep), internal/core (parallel Algorithm 1
 // beams), internal/overlay (classification beams) and internal/bandclip
-// (boundary-end pairing). Each engine now composes these primitives instead.
+// (boundary-end pairing). Each engine now composes these primitives
+// instead, and internal/arrange's even-odd re-extraction labels its edges
+// with Classify, the sweep overlay runs.
 package scanbeam
 
 import (
