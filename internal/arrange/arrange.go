@@ -13,7 +13,8 @@
 // split at every intersection point found by the internal/isect finders, all
 // vertices are welded onto one power-of-two grid at geom.RelEps of the data
 // extent, and operands that genuinely self-intersect have their simple
-// even-odd boundary re-extracted with the robust orientation predicate.
+// even-odd boundary re-extracted, each boundary edge labelled by the
+// classification sweep overlay runs (scanbeam.Classify).
 // After resolution, edges meet only at shared exact vertices, so a sweep
 // whose events are the endpoint ys sees no crossing strictly inside any
 // beam.
@@ -21,12 +22,14 @@ package arrange
 
 import (
 	"cmp"
+	"context"
 	"slices"
 
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/isect"
 	"polyclip/internal/ringstitch"
+	"polyclip/internal/scanbeam"
 )
 
 // ResolvePair resolves two operands jointly: edges of either operand are
@@ -289,14 +292,15 @@ func ringCollinear(r geom.Ring) bool {
 // by an edge multiset that has already been split at all intersections and
 // welded: edges meet only at shared exact vertices. Coincident edges with
 // even multiplicity separate regions of equal parity and vanish; odd groups
-// are boundary once. Each boundary edge is directed with the region interior
-// on its left — decided by exact ray parity with the robust orientation
-// predicate, not by any epsilon — and the directed soup is stitched into
+// are boundary once. Overlay's classification sweep (scanbeam.Classify)
+// counts the boundary left of each boundary edge (above it, for a
+// horizontal), and each edge is directed with the odd-parity side, the
+// region interior, on its left. The directed soup is stitched into
 // counter-clockwise outer rings and clockwise holes.
 func extractEvenOdd(edges []geom.Segment) geom.Polygon {
 	// Each edge, turned to run from its lesser endpoint, with its position:
 	// sorted, coincident edges form runs, and the odd runs are the boundary,
-	// already in (A, B) order — the classification and stitch order.
+	// already in (Lo, Hi) order — the classification and stitch order.
 	// Coincident edges can differ in the sign of a zero coordinate; a run
 	// is written as its last occurrence.
 	type occ struct {
@@ -322,77 +326,28 @@ func extractEvenOdd(edges []geom.Segment) geom.Polygon {
 		}
 		return cmp.Compare(a.i, b.i)
 	})
-	bd := make([]geom.Segment, 0, len(occs))
+	bd := make([]scanbeam.Seg, 0, len(occs))
 	for lo := 0; lo < len(occs); {
 		hi := lo + 1
 		for hi < len(occs) && occs[hi].s == occs[lo].s {
 			hi++
 		}
 		if (hi-lo)%2 == 1 {
-			bd = append(bd, occs[hi-1].s)
+			s := occs[hi-1].s
+			bd = append(bd, scanbeam.Seg{Lo: s.A, Hi: s.B, Wind: [2]int16{1, 0}})
 		}
 		lo = hi
 	}
 
-	// Both rays skip e itself. Its midpoint lies on it — exactly, since
-	// welded vertices sit on a power-of-two grid — so it would contribute
-	// nothing, after Orient's exact fallback spent a big.Rat evaluation to
-	// say Collinear.
-	dir := make([]ringstitch.Edge, 0, len(bd))
-	for ei, e := range bd {
-		m := e.Midpoint()
-		if e.A.X == e.B.X {
-			// Vertical edge: parity of boundary edges strictly left of m
-			// along the leftward horizontal ray. Half-open in y so a vertex
-			// exactly at m.Y counts once; Orient is Collinear for edges
-			// through m, which contribute nothing.
-			parity := false
-			for fi, f := range bd {
-				if fi != ei && (f.A.Y > m.Y) != (f.B.Y > m.Y) {
-					lo, hi := f.A, f.B
-					if lo.Y > hi.Y {
-						lo, hi = hi, lo
-					}
-					if geom.Orient(lo, hi, m) == geom.Clockwise {
-						parity = !parity
-					}
-				}
-			}
-			lo, hi := e.A, e.B
-			if lo.Y > hi.Y {
-				lo, hi = hi, lo
-			}
-			if parity {
-				// Interior on the left: boundary walks upward.
-				dir = append(dir, ringstitch.Edge{From: lo, To: hi})
-			} else {
-				dir = append(dir, ringstitch.Edge{From: hi, To: lo})
-			}
+	// Each boundary edge winds +1, so Left[0] counts the boundary on an
+	// edge's left; int16 wrap-around keeps its parity.
+	scanbeam.Classify(context.TODO(), bd)
+	dir := make([]ringstitch.Edge, len(bd))
+	for i, s := range bd {
+		if s.Left[0]&1 == 1 {
+			dir[i] = ringstitch.Edge{From: s.Lo, To: s.Hi}
 		} else {
-			// Non-vertical edge: parity of boundary edges strictly below m
-			// along the downward vertical ray.
-			parity := false
-			for fi, f := range bd {
-				if fi != ei && (f.A.X > m.X) != (f.B.X > m.X) {
-					lo, hi := f.A, f.B
-					if lo.X > hi.X {
-						lo, hi = hi, lo
-					}
-					if geom.Orient(lo, hi, m) == geom.CounterClockwise {
-						parity = !parity
-					}
-				}
-			}
-			lo, hi := e.A, e.B
-			if lo.X > hi.X {
-				lo, hi = hi, lo
-			}
-			if parity {
-				// Interior below: boundary walks toward -x.
-				dir = append(dir, ringstitch.Edge{From: hi, To: lo})
-			} else {
-				dir = append(dir, ringstitch.Edge{From: lo, To: hi})
-			}
+			dir[i] = ringstitch.Edge{From: s.Hi, To: s.Lo}
 		}
 	}
 	return ringstitch.Stitch(dir)
