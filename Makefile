@@ -76,11 +76,11 @@ conformance:
 
 # Every benchmark of the root package, of the overlay engine, of the
 # ring-stitching and trapezoid-assembly stages, of the prepared tile clip, of
-# the GeoJSON reader and of the batch overlay's pair clip runs once with
-# allocation counters on: a benchmark that panics or no longer compiles
-# fails here, not in a perf run.
+# the GeoJSON reader, of the batch overlay's pair clip and of arrangement
+# resolution runs once with allocation counters on: a benchmark that panics
+# or no longer compiles fails here, not in a perf run.
 bench-smoke:
-	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch > /dev/null
+	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch ./internal/arrange > /dev/null
 
 # Each native fuzz target gets a short smoke run; raise FUZZTIME for real
 # fuzzing sessions (e.g. make fuzz FUZZTIME=10m). FuzzServeRequest lives in

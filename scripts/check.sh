@@ -81,8 +81,8 @@ go test -race -run TestDifferentialCorpus .
 echo "== engine conformance suite under -race"
 go test -race -run TestConformance ./internal/engine/
 
-echo "== bench smoke (one iteration, alloc counters live; root, overlay engine, ring stitching, trapezoid assembly, prepared tile clip, GeoJSON reader, batch pair clip)"
-go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch > /dev/null
+echo "== bench smoke (one iteration, alloc counters live; root, overlay engine, ring stitching, trapezoid assembly, prepared tile clip, GeoJSON reader, batch pair clip, arrangement resolve)"
+go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch ./internal/arrange > /dev/null
 
 for t in FuzzParseWKT FuzzParseGeoJSON FuzzClipRoundTrip FuzzClipAllEngines; do
 	echo "== fuzz $t ($FUZZTIME)"
