@@ -352,11 +352,24 @@ var faultPlans = []faultPlan{
 	{"core.slab-clip", kindHang},
 }
 
+// cutSites are the guard sites a tiles case reaches, in its reference clip
+// and its pyramid cuts; par.sort, segtree.build, core.slab-clip and
+// batch.pair-clip lie off those paths.
+var cutSites = map[string]bool{
+	"par.worker": true, "isect.pairs": true, "ringstitch.stitch": true,
+	"overlay.clip": true, "polyclip.result": true,
+}
+
 // plan returns case i's fault. The plan advances one extra step each time
 // the generator cycle wraps, so a plan does not meet the same family on
-// every pass when the two cycles have a common length.
-func (e *engine) plan(i int) faultPlan {
-	return faultPlans[(i+i/len(e.gens))%len(faultPlans)]
+// every pass when the two cycles have a common length. A tiles case takes
+// the next plan in the cycle whose site it reaches.
+func (e *engine) plan(i int, w workload) faultPlan {
+	k := i + i/len(e.gens)
+	for w.tiles() && !cutSites[faultPlans[k%len(faultPlans)].site] {
+		k++
+	}
+	return faultPlans[k%len(faultPlans)]
 }
 
 // armFault registers case i's fault. Every fault is one-shot: the first
@@ -365,7 +378,7 @@ func (e *engine) plan(i int) faultPlan {
 // model the retry ladder is built for. fired is set when the fault fires,
 // on whatever worker goroutine reaches the site.
 func (e *engine) armFault(i int, w workload, fired *atomic.Bool) {
-	plan := e.plan(i)
+	plan := e.plan(i, w)
 	if plan.kind == kindHang && e.cfg.Budget <= 0 {
 		// A hang with no deadline would block the join forever by design;
 		// fall back to a panic at the same site.

@@ -57,7 +57,7 @@ func TestBudgetedRunBoundsHangs(t *testing.T) {
 	for i := 0; i < e.cfg.Cases; i++ {
 		fired := e.rep.FaultsFired
 		e.runCase(i)
-		if p := e.plan(i); p.kind == kindHang {
+		if p := e.plan(i, buildWorkloadFrom(e.cfg.Seed, i, e.gens)); p.kind == kindHang {
 			if e.rep.FaultsFired == fired {
 				t.Errorf("case %d: %s hang armed but never fired", i, p.site)
 			} else {
@@ -124,6 +124,19 @@ func TestTilesFamilyRun(t *testing.T) {
 		if g.family != FamilyTiles {
 			t.Errorf("filter leaked family %q (%s)", g.family, g.name)
 		}
+	}
+}
+
+// TestTilesFaultsFire: a tiles case arms only faults at guard sites its
+// reference clip or pyramid cuts reach, so in a tiles-only faulted run every
+// armed fault fires. Every 11 cases draw each such plan of the cycle.
+func TestTilesFaultsFire(t *testing.T) {
+	rep := Run(Config{Seed: 1, Cases: 33, Family: FamilyTiles, Faults: true, Log: t.Logf})
+	if rep.Failed() {
+		t.Fatalf("faulted tiles chaos run failed:\n%s", rep.Summary())
+	}
+	if rep.FaultsArmed != 33 || rep.FaultsFired != rep.FaultsArmed {
+		t.Fatalf("%d of %d armed faults fired, want all of 33", rep.FaultsFired, rep.FaultsArmed)
 	}
 }
 

@@ -11,7 +11,6 @@ package chaos
 
 import (
 	"math"
-	"strings"
 
 	"polyclip"
 )
@@ -33,7 +32,7 @@ func (e *engine) areaOf(ci int, w workload, a, b polyclip.Polygon, op polyclip.O
 func (e *engine) checkCase(ci int, w workload) {
 	// Tiles workloads carry a layer and a pyramid window, not an operand
 	// pair: they get the tiling invariant suite instead.
-	if strings.HasPrefix(w.name, "tiles-") {
+	if w.tiles() {
 		e.checkTiles(ci, w)
 		return
 	}

@@ -15,6 +15,7 @@ package chaos
 import (
 	"math"
 	"math/rand"
+	"strings"
 
 	"polyclip"
 )
@@ -29,6 +30,10 @@ type workload struct {
 	a, b polyclip.Polygon
 	op   polyclip.Op
 }
+
+// tiles reports whether w is a tiles-family case: a layer and a pyramid
+// window rather than an operand pair.
+func (w workload) tiles() bool { return strings.HasPrefix(w.name, "tiles-") }
 
 // generator is one workload family: a report label, the family group it
 // belongs to (selectable via Config.Family), and the generation function.
