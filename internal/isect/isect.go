@@ -1,5 +1,5 @@
 // Package isect finds pairs of intersecting segments among a set of polygon
-// edges. Three finders are provided:
+// edges. Four finders are provided:
 //
 //   - BruteForcePairs: O(n²) oracle used by tests.
 //   - GridPairs: uniform-grid candidate filter (the practical engine's
@@ -11,12 +11,15 @@
 //     beam along the bottom and top scanlines, and report the inversions
 //     between the two orders with the extended mergesort of Lemma 4; each
 //     inversion is a candidate crossing pair (Fig. 4).
+//   - SweepPairs (sweep.go): a Bentley–Ottmann plane sweep, the classic
+//     O((n + k) log n) method of the paper's reference [2], kept as the
+//     harness's finder ablation.
 //
 // All finders return verified pairs: candidates are confirmed with the exact
 // segment intersection predicate before being reported. Horizontal edges
 // span no scanbeam, so the scanbeam finder cannot see them; callers with
-// horizontal edges use the grid finder (the overlay engine switches to it
-// whenever an operand has one).
+// horizontal edges use the grid finder, which the overlay engine always
+// runs.
 package isect
 
 import (
