@@ -46,18 +46,12 @@ func ResolvePair(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
 	return a, b
 }
 
-// ResolvePairEstimate is ResolvePair returning, in addition, an estimate of
-// the arrangement's intersection count k, free because the pre-scan already
-// computes every candidate's exact intersection. It is the output-size
-// signal the paper's output-sensitive processor allocation keys on:
-// internal/core derives its slab count from it. The count is the number of
-// candidate visits (isect.VisitCandidatePairs: edge pairs with overlapping
-// boxes) whose two edges meet, touching at an endpoint or crossing. Below
-// the candidate source's cutoff of 32 edges each pair is visited once; from
-// it up, once per grid cell the two edges share. Consecutive ring edges
-// touch, so the count is at least about the edge count even for disjoint
-// operands, but it grows with arrangement density, which is all a slab
-// heuristic needs.
+// ResolvePairEstimate is ResolvePair returning, in addition, the paper's k:
+// the number of edge pairs that meet, touching at an endpoint or crossing,
+// free because the pre-scan computes every candidate's exact intersection
+// once. internal/core derives its slab count from it, the paper's
+// output-sensitive processor allocation. Consecutive ring edges touch, so
+// the count is about the edge count even for disjoint operands.
 func ResolvePairEstimate(a, b geom.Polygon) (geom.Polygon, geom.Polygon, int) {
 	return resolve(a, b, false)
 }
@@ -87,10 +81,9 @@ func ResolvePairRule(a, b geom.Polygon, rule engine.FillRule) (geom.Polygon, geo
 
 // resolve is the shared implementation. winding keeps the rebuilt rings of
 // self-intersecting operands directed as given instead of re-extracting
-// their even-odd boundary. The int counts the non-disjoint candidate pairs
-// the pre-scan evaluated (see ResolvePairEstimate). When nothing needs
-// splitting or re-extraction the originals come back and no allocation is
-// retained.
+// their even-odd boundary. The int counts the edge pairs that meet (see
+// ResolvePairEstimate). When nothing needs splitting or re-extraction the
+// originals come back and no allocation is retained.
 func resolve(a, b geom.Polygon, winding bool) (geom.Polygon, geom.Polygon, int) {
 	// Flatten every ring of both operands into one edge soup, a's edges
 	// first: an edge belongs to b when its index reaches split, so
@@ -114,10 +107,8 @@ func resolve(a, b geom.Polygon, winding bool) (geom.Polygon, geom.Polygon, int) 
 	//
 	// The cut list is allocated on the first genuine split, with room for
 	// one cut per edge: operands that only touch at shared vertices — the
-	// common clean GIS-style case — return unchanged without it. A grid
-	// streams a candidate once per shared cell; the logic below is
-	// idempotent under revisits (duplicate cuts collapse in the rebuild's
-	// push dedup, the booleans are sticky).
+	// common clean GIS-style case — return unchanged without it. Each pair
+	// is visited once, so each cut is collected once.
 	var cuts []cut
 	addCut := func(e int32, s geom.Segment, p geom.Point) {
 		if cuts == nil {
@@ -162,13 +153,13 @@ func resolve(a, b geom.Polygon, winding bool) (geom.Polygon, geom.Polygon, int) 
 	if len(cuts) == 0 && !selfX[0] && !selfX[1] {
 		return a, b, crossings
 	}
-	// Each edge's cuts in order along it; the point breaks ties, so the
-	// rebuilt rings depend on the set of cuts, not on the visit order.
+	// Each edge's cuts in order along it, ties broken by point and bits, so
+	// the rebuilt rings depend on the set of cuts, not on the visit order.
 	slices.SortFunc(cuts, func(x, y cut) int {
 		if x.e != y.e {
 			return cmp.Compare(x.e, y.e)
 		}
-		return cmp.Or(cmp.Compare(x.pos, y.pos), x.p.Compare(y.p))
+		return cmp.Or(cmp.Compare(x.pos, y.pos), x.p.CompareBits(y.p))
 	})
 
 	// The weld: geom.SnapPoint onto the geom.GridStep grid of the edges'
@@ -244,7 +235,7 @@ func resolve(a, b geom.Polygon, winding bool) (geom.Polygon, geom.Polygon, int) 
 	if !winding {
 		for oi := range out {
 			if selfX[oi] {
-				out[oi] = extractEvenOdd(out[oi].Edges())
+				out[oi] = extractEvenOdd(out[oi])
 			}
 		}
 	}
@@ -289,33 +280,36 @@ func ringCollinear(r geom.Ring) bool {
 }
 
 // extractEvenOdd recovers the simple boundary of the even-odd region covered
-// by an edge multiset that has already been split at all intersections and
-// welded: edges meet only at shared exact vertices. Coincident edges with
-// even multiplicity separate regions of equal parity and vanish; odd groups
-// are boundary once. Overlay's classification sweep (scanbeam.Classify)
-// counts the boundary left of each boundary edge (above it, for a
-// horizontal), and each edge is directed with the odd-parity side, the
-// region interior, on its left. The directed soup is stitched into
+// by the edges of p's rings, which have already been split at all
+// intersections and welded: edges meet only at shared exact vertices.
+// Coincident edges with even multiplicity separate regions of equal parity
+// and vanish; odd groups are boundary once. Overlay's classification sweep
+// (scanbeam.Classify) counts the boundary left of each boundary edge (above
+// it, for a horizontal), and each edge is directed with the odd-parity side,
+// the region interior, on its left. The directed soup is stitched into
 // counter-clockwise outer rings and clockwise holes.
-func extractEvenOdd(edges []geom.Segment) geom.Polygon {
-	// Each edge, turned to run from its lesser endpoint, with its position:
-	// sorted, coincident edges form runs, and the odd runs are the boundary,
-	// already in (Lo, Hi) order — the classification and stitch order.
-	// Coincident edges can differ in the sign of a zero coordinate; a run
-	// is written as its last occurrence.
+func extractEvenOdd(p geom.Polygon) geom.Polygon {
+	// Each edge, turned to run from its lesser endpoint, with its position
+	// in ring order: sorted, coincident edges form runs, and the odd runs
+	// are the boundary, already in (Lo, Hi) order — the classification and
+	// stitch order. Coincident edges can differ in the sign of a zero
+	// coordinate; a run is written as its last occurrence.
 	type occ struct {
 		s geom.Segment
 		i int32
 	}
-	occs := make([]occ, 0, len(edges))
-	for i, s := range edges {
-		if s.A == s.B {
-			continue
+	occs := make([]occ, 0, p.NumVertices())
+	for _, r := range p {
+		for k, a := range r {
+			s := geom.Segment{A: a, B: r[(k+1)%len(r)]}
+			if s.A == s.B {
+				continue
+			}
+			if s.B.Less(s.A) {
+				s.A, s.B = s.B, s.A
+			}
+			occs = append(occs, occ{s, int32(len(occs))})
 		}
-		if s.B.Less(s.A) {
-			s.A, s.B = s.B, s.A
-		}
-		occs = append(occs, occ{s, int32(i)})
 	}
 	slices.SortFunc(occs, func(a, b occ) int {
 		if c := a.s.A.Compare(b.s.A); c != 0 {

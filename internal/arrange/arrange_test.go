@@ -234,6 +234,30 @@ func TestResolveDegenerateInputs(t *testing.T) {
 	}
 }
 
+// TestResolvePairEstimateCountsMeetingPairs holds ResolvePairEstimate's
+// count to the paper's k: the number of distinct edge pairs of the operands'
+// edge soup that meet, as BruteForcePairs finds them. Each pair is counted
+// once even where the grid bins both edges in several shared cells.
+func TestResolvePairEstimateCountsMeetingPairs(t *testing.T) {
+	ia, ib := data.InterleavedPair(1001, 512)
+	sa, sb := data.SelfIntersectingPair(1003, 101)
+	la, lb := data.SelfIntersectingPair(1004, 401)
+	for _, c := range []struct {
+		name string
+		a, b geom.Polygon
+	}{
+		{"InterleavedPair(1001, 512)", ia, ib},
+		{"SelfIntersectingPair(1003, 101)", sa, sb},
+		{"SelfIntersectingPair(1004, 401)", la, lb},
+	} {
+		segs := appendEdges(appendEdges(nil, c.a), c.b)
+		want := len(isect.BruteForcePairs(segs))
+		if _, _, got := ResolvePairEstimate(c.a, c.b); got != want {
+			t.Errorf("%s: count %d, want the %d meeting pairs", c.name, got, want)
+		}
+	}
+}
+
 // TestResolvePairPentagramAllocs pins the allocations of re-extracting a
 // self-crossing operand: the resolve and stitch buffers plus a fixed set of
 // classification-sweep buffers (event ys, schedule, schedule header, entry
@@ -241,8 +265,8 @@ func TestResolveDegenerateInputs(t *testing.T) {
 // geom.Orient's big.Rat fallback, which allocates on every evaluation.
 func TestResolvePairPentagramAllocs(t *testing.T) {
 	p := geom.Polygon{pentagram(0, 0, 10)}
-	if got := testing.AllocsPerRun(50, func() { ResolvePair(p, nil) }); got != 30 {
-		t.Errorf("ResolvePair(pentagram) allocates %v objects/op, pinned at 30", got)
+	if got := testing.AllocsPerRun(50, func() { ResolvePair(p, nil) }); got != 25 {
+		t.Errorf("ResolvePair(pentagram) allocates %v objects/op, pinned at 25", got)
 	}
 }
 
@@ -262,8 +286,7 @@ func TestExtractEvenOddMatchesRayParity(t *testing.T) {
 		t.Helper()
 		ra, rb, _ := resolve(a, b, true)
 		for oi, p := range [2]geom.Polygon{ra, rb} {
-			edges := p.Edges()
-			got, want := extractEvenOdd(edges), extractEvenOddRay(edges)
+			got, want := extractEvenOdd(p), extractEvenOddRay(p.Edges())
 			checked++
 			boundary += want.NumVertices()
 			if !sameBits(got, want) {

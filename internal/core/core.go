@@ -450,8 +450,8 @@ const minSlabWork = 256
 
 // adaptiveSlabCount derives the slab count from the input's measured size
 // instead of a fixed multiple of the thread count — the output-sensitive
-// processor allocation of the paper's Step 3, with the arrangement
-// pre-scan's crossing estimate standing in for k. work = events + crossings
+// processor allocation of the paper's Step 3, with k the arrangement
+// pre-scan's count of edge pairs that meet. work = events + crossings
 // buys one slab per minSlabWork units, clamped to [1, 2p]: small inputs
 // collapse to a single slab (skipping partition and merge entirely), dense
 // inputs get up to 2p slabs, at most two to each of the slab loop's p

@@ -14,9 +14,9 @@ type Stats struct {
 	// result, recorded by the resilience chain.
 	Engine string `json:"engine,omitempty"`
 	Slabs  int    `json:"slabs"` // number of slabs actually used
-	// CrossingEstimate is the arrangement pre-scan's intersection-count
-	// estimate (arrange.ResolvePairEstimate) that the adaptive slab count is
-	// derived from; 0 when the engine does not run the pre-scan.
+	// CrossingEstimate is the paper's k, the arrangement pre-scan's count of
+	// edge pairs that meet (arrange.ResolvePairEstimate), from which the
+	// adaptive slab count is derived; 0 when the engine skips the pre-scan.
 	CrossingEstimate int             `json:"crossingEstimate,omitempty"`
 	Sort             time.Duration   `json:"sortNs"`                // Step 1–2: event sort
 	Partition        time.Duration   `json:"partitionNs"`           // Steps 4–5: rectangle clipping into slabs

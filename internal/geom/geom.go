@@ -76,6 +76,14 @@ func (p Point) Compare(q Point) int {
 	return cmp.Compare(p.X, q.X)
 }
 
+// CompareBits is Compare with ties broken on the coordinate bits, Y first:
+// a total order, so a sort by it is a function of the set even with ±0.
+func (p Point) CompareBits(q Point) int {
+	return cmp.Or(p.Compare(q),
+		cmp.Compare(math.Float64bits(p.Y), math.Float64bits(q.Y)),
+		cmp.Compare(math.Float64bits(p.X), math.Float64bits(q.X)))
+}
+
 func (p Point) String() string { return fmt.Sprintf("(%g,%g)", p.X, p.Y) }
 
 // IsFinite reports whether both coordinates are finite (neither NaN nor

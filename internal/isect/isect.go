@@ -2,10 +2,11 @@
 // edges. Four finders are provided:
 //
 //   - BruteForcePairs: O(n²) oracle used by tests.
-//   - GridPairs: uniform-grid candidate filter (the practical engine's
-//     default for irregular GIS data). Below 32 edges (smallSet) there is
-//     no grid: every pair whose boxes overlap is a candidate, visited once
-//     by VisitCandidatePairs, where the grid visits it once per shared cell.
+//   - GridPairs: the uniform grid's candidate stream, each candidate
+//     verified; the harness's finder ablation. The engines read the stream
+//     itself, each box-overlapping pair once: VisitCandidatePairs (arrange's
+//     pre-scan) and VisitCandidateChunks (overlay's subdivision). Below 32
+//     edges (smallSet) there is no grid.
 //   - ScanbeamPairs: the paper's output-sensitive method — decompose the
 //     y-range into scanbeams with a segment tree, order the edges of each
 //     beam along the bottom and top scanlines, and report the inversions
@@ -18,8 +19,8 @@
 // All finders return verified pairs: candidates are confirmed with the exact
 // segment intersection predicate before being reported. Horizontal edges
 // span no scanbeam, so the scanbeam finder cannot see them; callers with
-// horizontal edges use the grid finder, which the overlay engine always
-// runs.
+// horizontal edges use the grid's candidate stream, as both engine stages
+// do.
 package isect
 
 import (
@@ -175,9 +176,9 @@ func BruteForcePairs(edges []geom.Segment) []Pair {
 	return out
 }
 
-// edgeGrid is the uniform-grid candidate structure shared by GridPairs and
-// VisitCandidatePairs: every edge is binned into the cells its bounding box
-// covers, stored in compressed (CSR) form so building it costs three flat
+// edgeGrid is the uniform-grid candidate structure behind both candidate
+// visitors: every edge is binned into the cells its bounding box covers,
+// stored in compressed (CSR) form so building it costs three flat
 // allocations regardless of how many cells the data spreads over.
 type edgeGrid struct {
 	minX, minY float64
@@ -276,8 +277,8 @@ func (g *edgeGrid) eachCell(e geom.Segment, fn func(c int)) {
 	}
 }
 
-// bboxOverlap is the cheap axis-span prefilter applied to cell-sharing
-// candidates before any predicate runs.
+// bboxOverlap is the cheap axis-span prefilter applied to candidates
+// before any predicate runs.
 func bboxOverlap(ei, ej geom.Segment) bool {
 	lox1, hix1 := ei.XSpan()
 	lox2, hix2 := ej.XSpan()
@@ -290,25 +291,22 @@ func bboxOverlap(ei, ej geom.Segment) bool {
 }
 
 // smallSet is the edge count below which candidates come from direct box
-// tests of all n(n-1)/2 pairs instead of a grid. The grid's fixed cost —
-// the extent pass, the cell-size loop, three CSR allocations and a pair
-// revisited in every cell it shares — outweighs the box tests on a dozen
-// edges. Crossover, timed as the resolve pre-scan (candidates plus one
-// SegIntersection each) over 8–128 edges on one pinned CPU, in two runs:
-// the grid first kept up at 28 and 32 edges on MBR-overlapping
-// data.Features pairs (and stayed ahead from 64), at 36 and 40 on the
-// shared-vertex-grid chaos family, and at 64 to beyond 128 on the
-// crossing-dense chaos families. 32 is the low end: no set below it ran
-// faster on the grid.
+// tests of all n(n-1)/2 pairs instead of a grid, whose fixed cost (the
+// extent pass, the cell-size loop, three CSR allocations) outweighs them on
+// a few dozen edges. Timed as the resolve pre-scan (candidates plus one
+// SegIntersection each) on one pinned CPU, the grid takes 1.2–1.7× the
+// direct tests' time at 32 edges and keeps up from 48 on MBR-overlapping
+// data.Features pairs and from 96 on the crossing-dense chaos families.
+// 32 is the low end: no set below it ran faster on the grid.
 const smallSet = 32
 
-// candidates is the one candidate source of GridPairs and
-// VisitCandidatePairs: it streams the pairs of edges that share a cell in
-// [lo, hi) and whose bounding boxes overlap, each as (i, j) with i < j, to
-// fn until fn returns false. In the one cell of a set below smallSet edges
-// every pair is box-tested once; on a grid a pair is visited once for every
-// cell its two edges share. Overlapping boxes always share a cell (cellOf is
-// monotone), so both give the same candidate set.
+// candidates is the one candidate source of every grid finder: it streams
+// the pairs of edges whose bounding boxes overlap from the cells [lo, hi),
+// each once as (i, j) with i < j, to fn until fn returns false. Below
+// smallSet edges every pair is box-tested in the one cell; on a grid a pair
+// is reported only in the cell holding the lower-left corner of the boxes'
+// overlap (the reference-point rule, Dittrich and Seeger, ICDE 2000), which
+// both edges cover because cellOf is monotone.
 func (g *edgeGrid) candidates(edges []geom.Segment, lo, hi int, fn func(i, j int32) bool) {
 	if g.binStart == nil {
 		for i := int32(0); i < int32(len(edges)); i++ {
@@ -323,8 +321,19 @@ func (g *edgeGrid) candidates(edges []geom.Segment, lo, hi int, fn func(i, j int
 	for cell := lo; cell < hi; cell++ {
 		ids := g.binIDs[g.binStart[cell]:g.binStart[cell+1]]
 		for a, i := range ids {
+			// bboxOverlap, with edge i's spans hoisted out of the inner loop.
+			lox, hix := edges[i].XSpan()
+			loy, hiy := edges[i].YSpan()
 			for _, j := range ids[a+1:] {
-				if bboxOverlap(edges[i], edges[j]) && !fn(i, j) {
+				lox2, hix2 := edges[j].XSpan()
+				if hix < lox2 || hix2 < lox {
+					continue
+				}
+				loy2, hiy2 := edges[j].YSpan()
+				if hiy < loy2 || hiy2 < loy {
+					continue
+				}
+				if cx, cy := g.cellOf(max(lox, lox2), max(loy, loy2)); cy*g.nx+cx == cell && !fn(i, j) {
 					return
 				}
 			}
@@ -332,47 +341,52 @@ func (g *edgeGrid) candidates(edges []geom.Segment, lo, hi int, fn func(i, j int
 	}
 }
 
-// GridPairs returns every intersecting pair using a uniform grid candidate
-// filter with parallelism p. Each edge is binned into the grid cells its
-// bounding box covers; edges sharing a cell are candidates. Below smallSet
-// edges there is no grid: every pair whose boxes overlap is a candidate.
+// GridPairs returns every intersecting pair, in (I, J) order: the grid's
+// candidate stream (VisitCandidateChunks) with parallelism p, each
+// candidate verified with the exact predicate into its chunk's list.
 func GridPairs(edges []geom.Segment, p int) []Pair {
-	guard.Hit("isect.pairs")
-	if len(edges) < 2 {
-		return nil
+	if p <= 0 {
+		p = par.DefaultParallelism()
 	}
-	// Candidates are verified per chunk of cells and merged under a lock;
-	// the sort in dedupPairs makes the merge order irrelevant.
-	g := buildGrid(edges)
-	var mu sync.Mutex
-	var all []Pair
-	par.ForEach(g.nx*g.ny, p, func(lo, hi int) {
-		var local []Pair
-		g.candidates(edges, lo, hi, func(i, j int32) bool {
-			if verify(edges, i, j) {
-				local = append(local, Pair{i, j})
-			}
-			return true
-		})
-		mu.Lock()
-		all = append(all, local...)
-		mu.Unlock()
+	found := make([][]Pair, p)
+	VisitCandidateChunks(edges, p, func(c int, i, j int32) bool {
+		if verify(edges, i, j) {
+			found[c] = append(found[c], Pair{i, j})
+		}
+		return true
 	})
-	return dedupPairs(all)
+	return dedupPairs(slices.Concat(found...)) // a sort: each pair was visited once
 }
 
 // VisitCandidatePairs streams every candidate pair — two edges whose
-// bounding boxes overlap, exactly the candidate set GridPairs verifies — to
-// visit, sequentially, stopping early when visit returns false. Candidates
-// are NOT verified (callers run their own predicate). Below smallSet edges
-// each pair is visited once; from smallSet up a pair spanning several
-// shared grid cells is visited once per cell, so callers must be
-// idempotent. This is the counting/pre-scan mode of the grid finder: the
-// arrangement fast path uses it to detect "no resolution needed" without
-// materializing, verifying, or deduplicating a pair list.
+// bounding boxes overlap, once each — to visit, sequentially, stopping
+// early when visit returns false. Candidates are NOT verified: arrange's
+// resolve pre-scan runs its own predicate and collects its cuts without
+// materializing a pair list.
 func VisitCandidatePairs(edges []geom.Segment, visit func(i, j int32) bool) {
 	g := buildGrid(edges)
 	g.candidates(edges, 0, g.nx*g.ny, visit)
+}
+
+// VisitCandidateChunks is VisitCandidatePairs over at most p contiguous
+// chunks of grid cells streamed concurrently (p <= 0 means
+// par.DefaultParallelism()): visit gets its chunk's index, in [0, p), so
+// callers gather per-chunk results with no lock, and returning false ends
+// that chunk only. Overlay's subdivision and GridPairs run it.
+func VisitCandidateChunks(edges []geom.Segment, p int, visit func(chunk int, i, j int32) bool) {
+	guard.Hit("isect.pairs")
+	if len(edges) < 2 {
+		return
+	}
+	if p <= 0 {
+		p = par.DefaultParallelism()
+	}
+	g := buildGrid(edges)
+	cells := g.nx * g.ny
+	p = min(p, cells)
+	par.ForEachItem(p, p, func(c int) {
+		g.candidates(edges, c*cells/p, (c+1)*cells/p, func(i, j int32) bool { return visit(c, i, j) })
+	})
 }
 
 // ScanbeamPairs returns every intersecting pair using the paper's

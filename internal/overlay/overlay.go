@@ -6,8 +6,10 @@
 //
 // The engine is the practical realization of the paper's Algorithm 1:
 //
-//  1. Find all pairs of intersecting edges (the paper's Step 3.2) with the
-//     uniform-grid filter; internal/isect also holds the paper's
+//  1. Find the intersection points of every pair of meeting edges (the
+//     paper's Step 3.2): the uniform grid streams each pair of edges whose
+//     boxes overlap once (isect.VisitCandidateChunks), and each candidate
+//     gets one exact SegIntersection. internal/isect also holds the paper's
 //     scanbeam-inversion method (Lemma 4) and a plane sweep, held to the
 //     same brute-force oracle.
 //  2. Subdivide every edge at its intersection points so that no two edges
@@ -24,9 +26,10 @@
 //     interior lies on their left, and stitch them into output rings
 //     (Step 3.4/Step 4's merge).
 //
-// Pair finding, the split-point computation and edge selection run in
-// parallel on engine.Options.Threads workers; the fold, the classifying
-// sweep and stitching are sequential.
+// Pair finding with its split-point computation, over chunks of grid cells
+// with one split bucket per chunk, and edge selection run in parallel on
+// engine.Options.Threads workers; the fold, the classifying sweep and
+// stitching are sequential.
 package overlay
 
 import (
@@ -36,7 +39,6 @@ import (
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/guard"
-	"polyclip/internal/isect"
 	"polyclip/internal/par"
 	"polyclip/internal/scanbeam"
 )
@@ -137,13 +139,7 @@ func Clip(ctx context.Context, subject, clip geom.Polygon, op engine.Op, opt eng
 	clip = geom.SnapPolygon(clip, eps)
 
 	edges, owners := gatherEdges(subject, clip)
-
-	pairs := isect.GridPairs(edges, p)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	segs := subdivide(ctx, edges, owners, pairs, eps, p)
+	segs := subdivide(ctx, edges, owners, eps, p)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -182,8 +178,7 @@ func resolveSelf(ctx context.Context, poly geom.Polygon, eps float64, rule engin
 	}
 	poly = geom.SnapPolygon(poly, eps)
 	edges, owners := gatherEdges(poly, nil)
-	pairs := isect.GridPairs(edges, p)
-	segs := subdivide(ctx, edges, owners, pairs, eps, p)
+	segs := subdivide(ctx, edges, owners, eps, p)
 	scanbeam.Classify(ctx, segs)
 	dirs := selectEdges(segs, engine.Xor, rule, p)
 	return stitch(dirs)

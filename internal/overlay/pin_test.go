@@ -29,7 +29,7 @@ var outputPins = map[string]string{
 	"interleaved-512":      "f377470d0a68c43a4583d20529de6d0eba574c4ee669bf4f94aaab6d0432d3a3",
 	"selfintersecting-101": "6ac7673bb6284532c163929a51efd647949d6d7023e480493bf63fcb37e008ff",
 	"selfintersecting-401": "3e72cd3e1b7d4b7d4dbb1d0b3d26d23450d80297bac57be3131eec70cb31e82f",
-	"checkerboard-shared":  "c4df3cb956e8c67dbbde4eccd9b0535b5179c18341db808ef57908cb464bbde1",
+	"checkerboard-shared":  "5322b049007a12b582eefbbd06252aa9ee054e1f82ea8f54bc161e333a11fae4",
 	"checkerboard-shifted": "1c7b2773f9f941c70c45b3b61e30e5fa3475bbcf5f1b2b740e17182094423e3d",
 	"features":             "b167f54ca3ec2d777db14c0b5e0d0fe39fd3aefa5eb66fcc21af77c27c484f1f",
 	"signed-zero":          "b87dfb272794fc2fdb1f603e21bf04f96ade81ff1ae32f98e05b9785b22b1789",

@@ -4,11 +4,9 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sync"
 
 	"polyclip/internal/geom"
 	"polyclip/internal/isect"
-	"polyclip/internal/par"
 	"polyclip/internal/scanbeam"
 )
 
@@ -42,51 +40,43 @@ func weldNearVertex(q geom.Point, e1, e2 geom.Segment, eps float64) geom.Point {
 
 // subdivide splits every edge at its intersection points with other edges
 // and merges geometric duplicates, returning the unique sub-segments with
-// multiplicities in (Lo, Hi) order. The split points are computed in
-// parallel over pairs and laid out per edge in one CSR table (a count, a
-// prefix sum and a fill); the merge is one sort of the snapped pieces'
-// indices by (Lo, Hi, insertion index) and a linear fold over equal runs.
-// Cancellation is polled periodically; on a cancelled ctx the returned
-// arrangement is partial and the caller must discard it.
-func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs []isect.Pair, eps float64, p int) []scanbeam.Seg {
-	// Intersection points per edge, computed in parallel over pairs into
-	// per-worker buckets.
+// multiplicities in (Lo, Hi) order. The split points, one SegIntersection
+// per candidate pair, are computed in parallel over chunks of grid cells
+// (isect.VisitCandidateChunks) and laid out per edge in one CSR table (a
+// count, a prefix sum and a fill); the merge is one sort of the snapped
+// pieces' indices by (Lo, Hi, insertion index) and a linear fold over equal
+// runs. Cancellation is polled periodically; on a cancelled ctx the
+// returned arrangement is partial and the caller must discard it.
+func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, eps float64, p int) []scanbeam.Seg {
+	// Intersection points per edge. Each chunk appends to its own bucket,
+	// and counts its candidates for the cancellation poll.
 	type split struct {
 		edge int32
 		pt   geom.Point
 	}
-	nw := p
-	if nw < 1 {
-		nw = 1
+	type bucket struct {
+		splits []split
+		seen   int
 	}
-	buckets := make([][]split, nw)
-	var next int
-	var mu sync.Mutex
-	par.ForEach(len(pairs), p, func(lo, hi int) {
-		mu.Lock()
-		slot := next
-		next++
-		mu.Unlock()
-		local := buckets[slot]
-		for idx := lo; idx < hi; idx++ {
-			if (idx-lo)&255 == 0 && canceled(ctx) {
-				break
-			}
-			pr := pairs[idx]
-			kind, p0, p1 := geom.SegIntersection(edges[pr.I], edges[pr.J])
-			switch kind {
-			case geom.Crossing:
-				p0 = weldNearVertex(p0, edges[pr.I], edges[pr.J], eps)
-				local = append(local, split{pr.I, p0}, split{pr.J, p0})
-			case geom.Overlapping:
-				p0 = weldNearVertex(p0, edges[pr.I], edges[pr.J], eps)
-				p1 = weldNearVertex(p1, edges[pr.I], edges[pr.J], eps)
-				local = append(local,
-					split{pr.I, p0}, split{pr.I, p1},
-					split{pr.J, p0}, split{pr.J, p1})
-			}
+	buckets := make([]bucket, p)
+	isect.VisitCandidateChunks(edges, p, func(c int, i, j int32) bool {
+		b := &buckets[c]
+		if b.seen++; b.seen&255 == 0 && canceled(ctx) {
+			return false
 		}
-		buckets[slot] = local
+		kind, p0, p1 := geom.SegIntersection(edges[i], edges[j])
+		switch kind {
+		case geom.Crossing:
+			p0 = weldNearVertex(p0, edges[i], edges[j], eps)
+			b.splits = append(b.splits, split{i, p0}, split{j, p0})
+		case geom.Overlapping:
+			p0 = weldNearVertex(p0, edges[i], edges[j], eps)
+			p1 = weldNearVertex(p1, edges[i], edges[j], eps)
+			b.splits = append(b.splits,
+				split{i, p0}, split{i, p1},
+				split{j, p0}, split{j, p1})
+		}
+		return true
 	})
 
 	// CSR split table: count per edge, exclusive prefix sum, then a fill in
@@ -94,7 +84,7 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 	// end, so afterwards edge e's points are pts[end[e-1]:end[e]].
 	end := make([]int32, len(edges)+1)
 	for _, b := range buckets {
-		for _, s := range b {
+		for _, s := range b.splits {
 			end[s.edge+1]++
 		}
 	}
@@ -103,7 +93,7 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 	}
 	pts := make([]geom.Point, end[len(edges)])
 	for _, b := range buckets {
-		for _, s := range b {
+		for _, s := range b.splits {
 			pts[end[s.edge]] = s.pt
 			end[s.edge]++
 		}
@@ -139,7 +129,9 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 			addPiece(e.A, e.B, owners[i])
 			continue
 		}
-		// Order split points along the edge by parameter t.
+		// Order split points along the edge by parameter t, then by point and
+		// coordinate bits, so the pieces are a function of the edge's set of
+		// split points, not of the order the chunks found them in.
 		d := e.B.Sub(e.A)
 		l2 := d.Dot(d)
 		tOf := func(q geom.Point) float64 {
@@ -149,15 +141,10 @@ func subdivide(ctx context.Context, edges []geom.Segment, owners []uint8, pairs 
 			return q.Sub(e.A).Dot(d) / l2
 		}
 		slices.SortFunc(own, func(a, b geom.Point) int {
-			ta, tb := tOf(a), tOf(b)
-			switch {
-			case ta < tb:
-				return -1
-			case ta > tb:
-				return 1
-			default:
-				return 0
+			if c := cmp.Compare(tOf(a), tOf(b)); c != 0 {
+				return c
 			}
+			return a.CompareBits(b)
 		})
 		prev := e.A
 		for _, q := range own {
