@@ -58,10 +58,10 @@ cover:
 		echo "$$pkg: $$pct%"; \
 	done
 
-# The fork battery first, at GOMAXPROCS 1 and oversubscribed, then every
-# package under the race detector.
+# The fork battery and the chunked candidate stream first, at GOMAXPROCS 1
+# and oversubscribed, then every package under the race detector.
 race:
-	go test -race -cpu 1,2,4 ./internal/pool/ ./internal/par/
+	go test -race -cpu 1,2,4 ./internal/pool/ ./internal/par/ ./internal/isect/
 	go test -race ./...
 
 # The golden-file differential corpus must agree across all engines
@@ -76,11 +76,12 @@ conformance:
 
 # Every benchmark of the root package, of the overlay engine, of the
 # ring-stitching and trapezoid-assembly stages, of the prepared tile clip, of
-# the GeoJSON reader, of the batch overlay's pair clip and of arrangement
-# resolution runs once with allocation counters on: a benchmark that panics
-# or no longer compiles fails here, not in a perf run.
+# the GeoJSON reader, of the batch overlay's pair clip, of arrangement
+# resolution and of the candidate stream runs once with allocation counters
+# on: a benchmark that panics or no longer compiles fails here, not in a
+# perf run.
 bench-smoke:
-	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch ./internal/arrange > /dev/null
+	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch ./internal/arrange ./internal/isect > /dev/null
 
 # Each native fuzz target gets a short smoke run; raise FUZZTIME for real
 # fuzzing sessions (e.g. make fuzz FUZZTIME=10m). FuzzServeRequest lives in

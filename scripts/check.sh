@@ -60,8 +60,8 @@ for pkg in ./internal/prepared/ ./internal/tile/; do
 	echo "$pkg: ${pct}%"
 done
 
-echo "== go test -race -cpu 1,2,4 ./internal/pool ./internal/par (scheduler battery + fan-out edges first, at GOMAXPROCS 1 and oversubscribed: fast signal)"
-go test -race -cpu 1,2,4 ./internal/pool/ ./internal/par/
+echo "== go test -race -cpu 1,2,4 ./internal/pool ./internal/par ./internal/isect (scheduler battery, fan-out edges and the chunked candidate stream first, at GOMAXPROCS 1 and oversubscribed: fast signal)"
+go test -race -cpu 1,2,4 ./internal/pool/ ./internal/par/ ./internal/isect/
 
 echo "== adversarial predicates vs exact oracle under -race"
 go test -race -run 'Adversarial|MatchesOrientOracle' ./internal/geom/
@@ -81,8 +81,8 @@ go test -race -run TestDifferentialCorpus .
 echo "== engine conformance suite under -race"
 go test -race -run TestConformance ./internal/engine/
 
-echo "== bench smoke (one iteration, alloc counters live; root, overlay engine, ring stitching, trapezoid assembly, prepared tile clip, GeoJSON reader, batch pair clip, arrangement resolve)"
-go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch ./internal/arrange > /dev/null
+echo "== bench smoke (one iteration, alloc counters live; root, overlay engine, ring stitching, trapezoid assembly, prepared tile clip, GeoJSON reader, batch pair clip, arrangement resolve, candidate stream)"
+go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch ./internal/arrange ./internal/isect > /dev/null
 
 for t in FuzzParseWKT FuzzParseGeoJSON FuzzClipRoundTrip FuzzClipAllEngines; do
 	echo "== fuzz $t ($FUZZTIME)"
