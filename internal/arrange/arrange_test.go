@@ -1,17 +1,13 @@
 package arrange
 
 import (
-	"cmp"
-	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"polyclip/internal/data"
 	"polyclip/internal/geom"
 	"polyclip/internal/isect"
-	"polyclip/internal/ringstitch"
 )
 
 func rect(x0, y0, x1, y1 float64) geom.Ring {
@@ -33,16 +29,6 @@ func pentagram(cx, cy, r float64) geom.Ring {
 		ring = append(ring, geom.Point{X: cx + r*math.Cos(a), Y: cy + r*math.Sin(a)})
 	}
 	return ring
-}
-
-// pentagramArea is the even-odd measure of a {5/2} pentagram with
-// circumradius R: the five tips only — the decagon outline (5·R·r·sin36°,
-// alternating outer radius R and inner-pentagon radius r = R·cos72°/cos36°)
-// minus the inner pentagon ((5/2)·r²·sin72°), which even-odd excludes
-// because the chords wind around it twice.
-func pentagramArea(r float64) float64 {
-	ri := r * math.Cos(2*math.Pi/5) / math.Cos(math.Pi/5)
-	return 5*r*ri*math.Sin(math.Pi/5) - (5.0/2)*ri*ri*math.Sin(2*math.Pi/5)
 }
 
 func TestResolveFastPathLeavesSimpleInputAlone(t *testing.T) {
@@ -67,56 +53,56 @@ func TestResolvePairFastPathSharedVertices(t *testing.T) {
 func TestResolveBowtie(t *testing.T) {
 	p := geom.Polygon{bowtie(0, 0, 1)}
 	got, _ := ResolvePair(p, nil)
-	// The even-odd region of a bowtie is its two lobe triangles, each of
-	// area ½·2·1 = 1.
-	if a := got.Area(); math.Abs(a-2) > 1e-9 {
-		t.Errorf("bowtie even-odd area = %v, want 2", a)
+	// The crossing at the origin becomes a vertex both crossing edges
+	// share; the ring keeps its direction, so it passes the origin twice.
+	want := geom.Ring{{X: -1, Y: -1}, {X: 0, Y: 0}, {X: 1, Y: 1}, {X: 1, Y: -1}, {X: 0, Y: 0}, {X: -1, Y: 1}}
+	if len(got) != 1 || !slices.Equal(got[0], want) {
+		t.Errorf("bowtie resolves to %v, want %v", got, want)
 	}
-	if len(got) != 2 {
-		t.Errorf("bowtie resolves to %d rings, want 2", len(got))
-	}
-	for ri, r := range got {
-		if !r.IsCCW() {
-			t.Errorf("ring %d not CCW: %v", ri, r)
-		}
-	}
+	assertResolved(t, got)
 }
 
 func TestResolvePentagram(t *testing.T) {
 	p := geom.Polygon{pentagram(0, 0, 10)}
 	got, _ := ResolvePair(p, nil)
-	if a, want := got.Area(), pentagramArea(10); math.Abs(a-want) > 1e-6*want {
-		t.Errorf("pentagram even-odd area = %v, want %v", a, want)
+	// Each of the five chords crosses two others: the ring gains the five
+	// inner-pentagon vertices, each passed twice.
+	if len(got) != 1 || len(got[0]) != 15 {
+		t.Fatalf("pentagram resolves to %v, want one ring of 15 vertices", got)
 	}
-	// Five tip triangles; adjacent tips share an inner-pentagon vertex but
-	// no area, and the interior-left stitch walk separates them there.
-	if len(got) != 5 {
-		t.Errorf("pentagram resolves to %d rings, want 5", len(got))
+	seen := map[geom.Point]int{}
+	for _, v := range got[0] {
+		seen[v]++
 	}
+	if len(seen) != 10 {
+		t.Errorf("pentagram ring has %d distinct vertices, want 5 tips and 5 crossings passed twice", len(seen))
+	}
+	assertResolved(t, got)
 }
 
-func TestResolveDuplicatedRingCancels(t *testing.T) {
-	// The same ring twice: every boundary edge has even multiplicity, so
-	// the even-odd region is empty.
+func TestResolveDoubledRingUnchanged(t *testing.T) {
+	// The same ring twice: its copies coincide exactly and cut nothing, so
+	// the operand comes back as given, unwelded. The engines fold the
+	// coincident copies, which cancel under EvenOdd.
 	r := rect(0, 0, 3, 3)
 	p := geom.Polygon{r, r.Clone()}
-	if got, _ := ResolvePair(p, nil); len(got) != 0 {
-		t.Errorf("doubled ring should resolve to empty, got %v", got)
+	got, _ := ResolvePair(p, nil)
+	if len(got) != 2 || &got[0][0] != &p[0][0] || &got[1][0] != &p[1][0] {
+		t.Errorf("doubled ring should come back unchanged, got %v", got)
 	}
+	assertResolved(t, got)
 }
 
 func TestResolveAdjacentRectsShareEdge(t *testing.T) {
 	// Two rectangles of one operand sharing the full edge x=1: the shared
-	// vertical edge appears twice, cancels, and the region re-extracts as
-	// the single fused rectangle.
+	// edge is an exact coincident copy, which cuts nothing, so the operand
+	// comes back unchanged.
 	p := geom.Polygon{rect(0, 0, 1, 1), rect(1, 0, 2, 1)}
 	got, _ := ResolvePair(p, nil)
-	if a := got.Area(); math.Abs(a-2) > 1e-9 {
-		t.Errorf("fused area = %v, want 2", a)
+	if len(got) != 2 || &got[0][0] != &p[0][0] || &got[1][0] != &p[1][0] {
+		t.Errorf("rectangles sharing an edge should come back unchanged, got %v", got)
 	}
-	if len(got) != 1 {
-		t.Errorf("fused region has %d rings, want 1", len(got))
-	}
+	assertResolved(t, got)
 }
 
 func TestResolvePairSplitsCrossings(t *testing.T) {
@@ -161,8 +147,9 @@ func TestResolveSelfIntersectionsGone(t *testing.T) {
 	}
 }
 
-// assertResolved fails if any two edges of the given polygons intersect
-// anywhere other than a shared exact endpoint.
+// assertResolved fails unless the given polygons' edges meet as the
+// package doc promises: crossing only at a shared exact endpoint, and
+// overlapping only as exact coincident copies.
 func assertResolved(t *testing.T, ps ...geom.Polygon) {
 	t.Helper()
 	var segs []geom.Segment
@@ -174,7 +161,9 @@ func assertResolved(t *testing.T, ps ...geom.Polygon) {
 		kind, p0, p1 := geom.SegIntersection(si, sj)
 		switch kind {
 		case geom.Overlapping:
-			t.Errorf("edges %v and %v still overlap (%v..%v)", si, sj, p0, p1)
+			if si != sj && si != (geom.Segment{A: sj.B, B: sj.A}) {
+				t.Errorf("edges %v and %v still overlap (%v..%v)", si, sj, p0, p1)
+			}
 		case geom.Crossing:
 			sharedI := p0 == si.A || p0 == si.B
 			sharedJ := p0 == sj.A || p0 == sj.B
@@ -187,17 +176,16 @@ func assertResolved(t *testing.T, ps ...geom.Polygon) {
 
 func TestResolveHugeAndTinyScale(t *testing.T) {
 	// The weld grid derives from geom.RelEps of the data extent, so
-	// resolution behaves identically at any coordinate scale.
+	// resolution behaves identically at any coordinate scale: the bowtie's
+	// crossing becomes the shared vertex at the origin, which the ring
+	// passes twice. The corners weld onto the power-of-two grid.
 	for _, s := range []float64{1e100, 1, 1e-100} {
 		p := geom.Polygon{bowtie(0, 0, s)}
 		got, _ := ResolvePair(p, nil)
-		want := 2 * s * s
-		if a := got.Area(); math.Abs(a-want) > 1e-9*want {
-			t.Errorf("scale %g: area = %v, want %v", s, a, want)
+		if len(got) != 1 || len(got[0]) != 6 || got[0][1] != (geom.Point{}) || got[0][4] != (geom.Point{}) {
+			t.Errorf("scale %g: resolves to %v, want the origin at vertices 1 and 4 of 6", s, got)
 		}
-		if len(got) != 2 {
-			t.Errorf("scale %g: %d rings, want 2", s, len(got))
-		}
+		assertResolved(t, got)
 	}
 }
 
@@ -258,214 +246,15 @@ func TestResolvePairEstimateCountsMeetingPairs(t *testing.T) {
 	}
 }
 
-// TestResolvePairPentagramAllocs pins the allocations of re-extracting a
-// self-crossing operand: the resolve and stitch buffers plus a fixed set of
-// classification-sweep buffers (event ys, schedule, schedule header, entry
-// scratch and horizontal prefix counts). No labelling step may reach
-// geom.Orient's big.Rat fallback, which allocates on every evaluation.
+// TestResolvePairPentagramAllocs pins the allocations of resolving a
+// self-crossing operand: the edge soup, the cut list (sized one cut per
+// edge, it grows once to hold the pentagram's ten), the rebuilt rings'
+// point buffer and the ring slice. Five edges take no candidate grid. No
+// step may reach geom.Orient's big.Rat fallback, which allocates on every
+// evaluation.
 func TestResolvePairPentagramAllocs(t *testing.T) {
 	p := geom.Polygon{pentagram(0, 0, 10)}
-	if got := testing.AllocsPerRun(50, func() { ResolvePair(p, nil) }); got != 25 {
-		t.Errorf("ResolvePair(pentagram) allocates %v objects/op, pinned at 25", got)
+	if got := testing.AllocsPerRun(50, func() { ResolvePair(p, nil) }); got != 5 {
+		t.Errorf("ResolvePair(pentagram) allocates %v objects/op, pinned at 5", got)
 	}
-}
-
-// TestExtractEvenOddMatchesRayParity holds the sweep-labelled re-extraction
-// to extractEvenOddRay, the exact ray-parity labeller, bit for bit: every
-// output coordinate is compared by math.Float64bits, so a change in which
-// copy of a coincident edge represents its run (they can differ in the sign
-// of a zero) shows even where areas and WKT cannot. The inputs are resolved
-// edge sets, each operand's rebuilt rings before extraction: the pentagram,
-// the self-intersecting star pairs, and seeded random pairs of one to three
-// rings of 3 to 14 vertices, half on a power-of-two-scaled integer grid
-// (exact coincidences: shared and collinear edges, T-vertices, horizontals,
-// zeros of either sign) and half at decimal scales from 1e-6 to 1e9.
-func TestExtractEvenOddMatchesRayParity(t *testing.T) {
-	checked, boundary := 0, 0
-	check := func(name string, a, b geom.Polygon) {
-		t.Helper()
-		ra, rb, _ := resolve(a, b, true)
-		for oi, p := range [2]geom.Polygon{ra, rb} {
-			got, want := extractEvenOdd(p), extractEvenOddRay(p.Edges())
-			checked++
-			boundary += want.NumVertices()
-			if !sameBits(got, want) {
-				t.Fatalf("%s operand %d: sweep labelling gives %v, ray parity %v", name, oi, got, want)
-			}
-		}
-	}
-	check("pentagram", geom.Polygon{pentagram(0, 0, 10)}, nil)
-	for seed := int64(1); seed <= 10; seed++ {
-		for _, n := range []int{5, 11, 101} {
-			a, b := data.SelfIntersectingPair(seed, n)
-			check(fmt.Sprintf("SelfIntersectingPair(%d, %d)", seed, n), a, b)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		grid := i%2 == 0
-		s := math.Pow(10, float64(rng.Intn(16)-6))
-		if grid {
-			s = math.Ldexp(1, rng.Intn(51)-20)
-		}
-		coord := func() float64 {
-			if !grid {
-				return s * (8*rng.Float64() - 4)
-			}
-			v := s * float64(rng.Intn(9)-4)
-			if v == 0 && rng.Intn(2) == 0 {
-				v = math.Copysign(0, -1) // coincident copies differ in a zero's sign
-			}
-			return v
-		}
-		operand := func() geom.Polygon {
-			p := make(geom.Polygon, 1+rng.Intn(3))
-			for ri := range p {
-				p[ri] = make(geom.Ring, 3+rng.Intn(12))
-				for vi := range p[ri] {
-					p[ri][vi] = geom.Point{X: coord(), Y: coord()}
-				}
-			}
-			return p
-		}
-		a := operand()
-		check(fmt.Sprintf("random pair %d (scale %g)", i, s), a, operand())
-	}
-	t.Logf("%d operands re-extracted, %d boundary vertices", checked, boundary)
-}
-
-// sameBits reports whether a and b have the same rings with bitwise-equal
-// coordinates.
-func sameBits(a, b geom.Polygon) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j, p := range a[i] {
-			q := b[i][j]
-			if math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// extractEvenOddRay is the exact oracle for extractEvenOdd: the same
-// coincident-edge cancellation, with each boundary edge labelled by a ray
-// test against every other boundary edge, O(E²). It recovers the simple
-// boundary of the even-odd region covered by an edge multiset that has
-// already been split at all intersections and welded: edges meet only at
-// shared exact vertices. Coincident edges with even multiplicity separate
-// regions of equal parity and vanish; odd groups are boundary once. Each
-// boundary edge is directed with the region interior on its left — decided
-// by exact ray parity with the robust orientation predicate, not by any
-// epsilon — and the directed soup is stitched into counter-clockwise outer
-// rings and clockwise holes.
-func extractEvenOddRay(edges []geom.Segment) geom.Polygon {
-	// Each edge, turned to run from its lesser endpoint, with its position:
-	// sorted, coincident edges form runs, and the odd runs are the boundary,
-	// already in (A, B) order — the classification and stitch order.
-	// Coincident edges can differ in the sign of a zero coordinate; a run
-	// is written as its last occurrence.
-	type occ struct {
-		s geom.Segment
-		i int32
-	}
-	occs := make([]occ, 0, len(edges))
-	for i, s := range edges {
-		if s.A == s.B {
-			continue
-		}
-		if s.B.Less(s.A) {
-			s.A, s.B = s.B, s.A
-		}
-		occs = append(occs, occ{s, int32(i)})
-	}
-	slices.SortFunc(occs, func(a, b occ) int {
-		if c := a.s.A.Compare(b.s.A); c != 0 {
-			return c
-		}
-		if c := a.s.B.Compare(b.s.B); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.i, b.i)
-	})
-	bd := make([]geom.Segment, 0, len(occs))
-	for lo := 0; lo < len(occs); {
-		hi := lo + 1
-		for hi < len(occs) && occs[hi].s == occs[lo].s {
-			hi++
-		}
-		if (hi-lo)%2 == 1 {
-			bd = append(bd, occs[hi-1].s)
-		}
-		lo = hi
-	}
-
-	// Both rays skip e itself. Its midpoint lies on it — exactly, since
-	// welded vertices sit on a power-of-two grid — so it would contribute
-	// nothing, after Orient's exact fallback spent a big.Rat evaluation to
-	// say Collinear.
-	dir := make([]ringstitch.Edge, 0, len(bd))
-	for ei, e := range bd {
-		m := e.Midpoint()
-		if e.A.X == e.B.X {
-			// Vertical edge: parity of boundary edges strictly left of m
-			// along the leftward horizontal ray. Half-open in y so a vertex
-			// exactly at m.Y counts once; Orient is Collinear for edges
-			// through m, which contribute nothing.
-			parity := false
-			for fi, f := range bd {
-				if fi != ei && (f.A.Y > m.Y) != (f.B.Y > m.Y) {
-					lo, hi := f.A, f.B
-					if lo.Y > hi.Y {
-						lo, hi = hi, lo
-					}
-					if geom.Orient(lo, hi, m) == geom.Clockwise {
-						parity = !parity
-					}
-				}
-			}
-			lo, hi := e.A, e.B
-			if lo.Y > hi.Y {
-				lo, hi = hi, lo
-			}
-			if parity {
-				// Interior on the left: boundary walks upward.
-				dir = append(dir, ringstitch.Edge{From: lo, To: hi})
-			} else {
-				dir = append(dir, ringstitch.Edge{From: hi, To: lo})
-			}
-		} else {
-			// Non-vertical edge: parity of boundary edges strictly below m
-			// along the downward vertical ray.
-			parity := false
-			for fi, f := range bd {
-				if fi != ei && (f.A.X > m.X) != (f.B.X > m.X) {
-					lo, hi := f.A, f.B
-					if lo.X > hi.X {
-						lo, hi = hi, lo
-					}
-					if geom.Orient(lo, hi, m) == geom.CounterClockwise {
-						parity = !parity
-					}
-				}
-			}
-			lo, hi := e.A, e.B
-			if lo.X > hi.X {
-				lo, hi = hi, lo
-			}
-			if parity {
-				// Interior below: boundary walks toward -x.
-				dir = append(dir, ringstitch.Edge{From: hi, To: lo})
-			} else {
-				dir = append(dir, ringstitch.Edge{From: lo, To: hi})
-			}
-		}
-	}
-	return ringstitch.Stitch(dir)
 }

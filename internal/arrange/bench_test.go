@@ -11,10 +11,10 @@ import (
 // resolved keeps the benchmarked call's result live.
 var resolved geom.Polygon
 
-// BenchmarkResolvePair resolves self-intersecting star pairs, whose
-// re-extraction labels thousands of boundary edges at n = 1601, an
-// interleaved pair that only needs splitting, and the pentagram, whose 15
-// boundary edges show the labelling sweep's fixed cost.
+// BenchmarkResolvePair resolves self-intersecting star pairs, whose own
+// edges cross thousands of times at n = 1601, an interleaved pair whose
+// crossings are all between the operands, and the pentagram, whose five
+// edges below the grid cutoff show resolve's fixed cost.
 func BenchmarkResolvePair(b *testing.B) {
 	type pair struct {
 		name string

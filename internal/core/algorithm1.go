@@ -71,10 +71,9 @@ func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, r
 	// Pre-resolve the arrangement (see internal/arrange): crossings become
 	// shared welded vertices, so the event schedule below needs only the
 	// endpoint ys and no two active edges cross strictly inside a beam.
-	// EvenOdd additionally rewrites self-intersecting operands as simple
-	// even-odd rings; the winding rules keep the split rings directed as
-	// given so the signed-count walk sees the original multiplicities.
-	a, b = arrange.ResolvePairRule(a, b, rule)
+	// Rings keep their directions under every rule: the signed-count walk
+	// reads EvenOdd as the winding's parity.
+	a, b = arrange.ResolvePair(a, b)
 	edges := scanbeam.CollectEdges(a, b)
 	if len(edges) == 0 {
 		return nil, rep

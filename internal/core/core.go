@@ -244,22 +244,21 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, opt Optio
 	st := &engine.Stats{}
 	snapEps := geom.AutoSnapEps(a, b)
 	// Decompose the resolved, snapped pair — the same pre-pass every other
-	// engine's sweep starts from — not the raw operands. Two alignments
-	// must hold at once. First, the quantization ORDER must match the rest
-	// of the registry: joint pair resolution (split at every intersection,
-	// weld onto the shared grid, re-extract self-crossing operands) and
-	// only then the grid snap; snapping raw geometry first collapses
-	// sub-grid rings that the resolve pipeline would have re-extracted,
-	// and the result measurably diverges from the other engines on
-	// coarse-grid (mixed-extent) pairs. Second, slab cuts are placed at
-	// event ys and each slab host re-snaps its band onto this same grid —
-	// after this pre-pass every event y is a grid value (so cut lines and
-	// the caps they produce quantize identically in adjacent hosts) and
-	// every cut still passes exactly through the vertices that generated
+	// engine's sweep starts from — not the raw operands. Two alignments must
+	// hold at once. First, the quantization ORDER must match the rest of the
+	// registry: joint pair resolution (split at every intersection, weld onto
+	// the shared grid) and only then the grid snap; snapping raw geometry
+	// first moves vertices before their crossings are found, so the slab pair
+	// is not the arrangement the other engines sweep, and on coarse-grid
+	// (mixed-extent) pairs the results measurably diverged. Second, slab cuts
+	// are placed at event ys and each slab host re-snaps its band onto this
+	// same grid — after this pre-pass every event y is a grid value (so cut
+	// lines and the caps they produce quantize identically in adjacent hosts)
+	// and every cut still passes exactly through the vertices that generated
 	// it, which seam cancellation in the merge relies on. This is the pair's
-	// one resolve: when the pair is not cut into slabs, the host gets it
-	// with PreResolved set and only sweeps; band-clipped slab pieces are
-	// new geometry and their hosts resolve them again.
+	// one resolve: when the pair is not cut into slabs, the host gets it with
+	// PreResolved set and only sweeps; band-clipped slab pieces are new
+	// geometry and their hosts resolve them again.
 	var crossings int
 	a, b, crossings = arrange.ResolvePairEstimate(a, b)
 	a = geom.SnapPolygon(a, snapEps)

@@ -201,7 +201,7 @@ func TestAlgorithmOneOutputIsNPlusK(t *testing.T) {
 		{"selfintersecting-401", func() (geom.Polygon, geom.Polygon) { return data.SelfIntersectingPair(3, 401) }},
 	} {
 		a, b := tc.pair()
-		ra, rb := arrange.ResolvePairRule(a, b, engine.EvenOdd)
+		ra, rb := arrange.ResolvePair(a, b)
 		resolved := ra.NumVertices() + rb.NumVertices()
 		for _, op := range []engine.Op{engine.Intersection, engine.Union, engine.Difference, engine.Xor} {
 			_, rep := AlgorithmOne(a, b, op, 2)

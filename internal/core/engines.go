@@ -18,18 +18,19 @@ import (
 // slab host sweeps operands of the input's size. EvenOdd operands pass
 // through untouched — the slab pipeline handles them natively.
 //
-// The operands are first resolved jointly onto the pair's shared snap grid,
-// and each union sweep runs on that joint arrangement as it stands
-// (vatti.Clip with PreResolved). Resolving each operand in isolation would pick a
-// grid from that operand's own extent; when the extents differ by many
-// orders of magnitude the lone-operand arrangement diverges from the pair
-// arrangement every other engine sweeps, and the slab result drifts
-// outside the cross-engine agreement tolerance.
+// The operands are first resolved jointly onto the pair's shared snap grid
+// (arrange.ResolvePair, rings keeping their directions), and each union
+// sweep runs on that joint arrangement as it stands (vatti.Clip with
+// PreResolved). Resolving each operand in isolation would pick a grid from
+// that operand's own extent; when the extents differ by many orders of
+// magnitude the lone-operand arrangement diverges from the pair arrangement
+// every other engine sweeps, and the slab result drifts outside the
+// cross-engine agreement tolerance.
 func normalizePairRule(a, b geom.Polygon, rule engine.FillRule) (geom.Polygon, geom.Polygon) {
 	if rule == engine.EvenOdd {
 		return a, b
 	}
-	ra, rb := arrange.ResolvePairRule(a, b, rule)
+	ra, rb := arrange.ResolvePair(a, b)
 	opt := engine.Options{Rule: rule, PreResolved: true}
 	return vatti.Clip(ra, nil, engine.Union, opt), vatti.Clip(rb, nil, engine.Union, opt)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -101,18 +102,90 @@ func TestConformanceGoldenCorpus(t *testing.T) {
 	}
 }
 
+// TestConformanceEvenOddRegions holds every registered engine to the
+// even-odd region of operands whose own edges cross or coincide, read as
+// the parity of the winding each engine carries: a bowtie's two lobes at
+// every coordinate scale, a pentagram's five tips (its doubly wound centre
+// is outside), a doubled ring's empty region, and two rectangles sharing
+// an edge fused into one. Each region is taken both as the operand united
+// with nothing and as its intersection with a box that covers it.
+func TestConformanceEvenOddRegions(t *testing.T) {
+	rect := func(x0, y0, x1, y1 float64) geom.Ring {
+		return geom.Ring{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
+	}
+	type region struct {
+		name string
+		p    geom.Polygon
+		area float64
+	}
+	var cases []region
+	for _, s := range []float64{1e100, 1, 1e-100} {
+		bowtie := geom.Ring{{X: -s, Y: -s}, {X: s, Y: s}, {X: s, Y: -s}, {X: -s, Y: s}}
+		cases = append(cases, region{fmt.Sprintf("bowtie/scale=%g", s), geom.Polygon{bowtie}, 2 * s * s})
+	}
+	square := rect(0, 0, 3, 3)
+	cases = append(cases,
+		region{"pentagram", geom.Polygon{polygram(5, 10)}, polygramArea(5, 10)},
+		region{"doubled-ring", geom.Polygon{square, square.Clone()}, 0},
+		region{"rects-sharing-edge", geom.Polygon{rect(0, 0, 1, 1), rect(1, 0, 2, 1)}, 2},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			box := c.p.BBox()
+			cover := geom.Polygon{rect(2*box.MinX, 2*box.MinY, 2*box.MaxX, 2*box.MaxY)}
+			for _, e := range engine.All() {
+				for _, run := range []struct {
+					op   engine.Op
+					clip geom.Polygon
+				}{{engine.Union, nil}, {engine.Intersection, cover}} {
+					res, err := e.Clip(context.Background(), c.p, run.clip, run.op,
+						engine.Options{Threads: 4, Rule: engine.EvenOdd, NoFallback: true})
+					if err != nil {
+						t.Fatalf("%s %s: %v", e.Name(), run.op, err)
+					}
+					got := res.Polygon.Area()
+					if c.area == 0 && len(res.Polygon) != 0 || math.Abs(got-c.area) > 1e-9*c.area {
+						t.Errorf("%s %s: area = %g (%d rings), want %g", e.Name(), run.op, got, len(res.Polygon), c.area)
+					}
+				}
+			}
+		})
+	}
+}
+
+// polygram returns the {n/2} star polygon with circumradius r: each vertex
+// joined to the one two steps on.
+func polygram(n int, r float64) geom.Ring {
+	ring := make(geom.Ring, n)
+	for i := range ring {
+		a := math.Pi/2 + 2*math.Pi*float64(i*2%n)/float64(n)
+		ring[i] = geom.Point{X: r * math.Cos(a), Y: r * math.Sin(a)}
+	}
+	return ring
+}
+
+// polygramArea is the even-odd area of the {n/2} polygram with
+// circumradius R: the ring-sum area (n/2)·R²·sin(4π/n), which counts the
+// doubly wound inner n-gon twice, less twice that n-gon, n·r²·sin(2π/n)
+// for its circumradius r = R·cos(2π/n)/cos(π/n).
+func polygramArea(n int, R float64) float64 {
+	fn := float64(n)
+	r := R * math.Cos(2*math.Pi/fn) / math.Cos(math.Pi/fn)
+	return fn/2*R*R*math.Sin(4*math.Pi/fn) - fn*r*r*math.Sin(2*math.Pi/fn)
+}
+
 // TestConformancePreResolved pins the one resolve seam: each slab host
-// (overlay, vatti), handed the corpus pair already resolved for the rule
-// (arrange.ResolvePairRule) with PreResolved set, must return the same area
-// as it does on the raw pair — over the golden corpus, every rule and every
+// (overlay, vatti), handed the corpus pair already resolved
+// (arrange.ResolvePair) with PreResolved set, must return the same area as
+// it does on the raw pair — over the golden corpus, every rule and every
 // operation.
 func TestConformancePreResolved(t *testing.T) {
 	hosts := []engine.Engine{engine.MustGet("overlay"), engine.MustGet("vatti")}
 	for _, c := range goldenCorpus(t) {
 		t.Run(c.name, func(t *testing.T) {
 			scale := guard.MeasureBound(c.subject) + guard.MeasureBound(c.clip)
+			ra, rb := arrange.ResolvePair(c.subject, c.clip)
 			for _, rule := range engine.Rules() {
-				ra, rb := arrange.ResolvePairRule(c.subject, c.clip, rule)
 				for _, op := range engine.Ops() {
 					for _, e := range hosts {
 						opt := engine.Options{Threads: 1, Rule: rule, NoFallback: true}

@@ -173,11 +173,11 @@ type Options struct {
 	// per-pair engine swaps), surfacing the first failure directly.
 	NoFallback bool
 	// PreResolved promises that a and b have already been through the joint
-	// arrangement resolution for Rule (arrange.ResolvePairRule) — the slab
-	// decomposition sets it when it hands its resolved, snapped pair to the
-	// slab host whole. Overlay and vatti, the engines that run inside slabs,
-	// honor it by skipping their own resolution pass, so each clip resolves
-	// its pair once; slabs and scanbeam always resolve.
+	// arrangement resolution (arrange.ResolvePair, the same for every rule)
+	// — the slab decomposition sets it when it hands its resolved, snapped
+	// pair to the slab host whole. Overlay and vatti, the engines that run
+	// inside slabs, honor it by skipping their own resolution pass, so each
+	// clip resolves its pair once; slabs and scanbeam always resolve.
 	PreResolved bool
 }
 

@@ -19,8 +19,7 @@
 //  3. Sweep the scanbeams bottom to top once and classify every sub-edge,
 //     in the beam where it starts, with the prefix sums of Lemmas 1–3:
 //     which polygons is the region immediately left of the edge inside of?
-//     The sweep is scanbeam.Classify, the one side-labelling kernel, which
-//     internal/arrange's even-odd re-extraction runs too.
+//     The sweep is scanbeam.Classify, the one side-labelling kernel.
 //  4. Select the edges where the clipping operation changes value across
 //     the edge (Lemma 2's contributing edges), direct them so the result
 //     interior lies on their left, and stitch them into output rings
@@ -118,16 +117,14 @@ func Clip(ctx context.Context, subject, clip geom.Polygon, op engine.Op, opt eng
 	// unbalanced node degrees that stitching must drop. ResolvePair splits
 	// everything at every intersection and welds both operands onto one
 	// shared grid, so subdivide meets crossings only at shared exact
-	// vertices, which it never splits. The rule picks the resolution family
-	// (arrange.ResolvePairRule): EvenOdd re-extracts the even-odd boundary
-	// of self-crossing operands, while the winding rules keep ring
-	// directions, because winding multiplicity (same-direction overlapping
-	// rings, a pentagram's doubly-wound centre) is semantic. Beyond welding
-	// self-crossings, the joint resolve matters when the snap grid is coarse
-	// relative to one operand (mixed-extent pairs): sub-eps slivers collapse
-	// here exactly as they do in every other engine's pair arrangement.
+	// vertices, which it never splits. Rings keep their directions under
+	// every rule: selectEdges reads EvenOdd as the parity of the winding
+	// each sub-edge carries. Beyond welding self-crossings, the joint
+	// resolve matters when the snap grid is coarse relative to one operand
+	// (mixed-extent pairs): sub-eps slivers collapse here exactly as they do
+	// in every other engine's pair arrangement.
 	if !opt.PreResolved {
-		subject, clip = arrange.ResolvePairRule(subject, clip, opt.Rule)
+		subject, clip = arrange.ResolvePair(subject, clip)
 	}
 
 	// Snap the inputs onto the eps grid before pair finding, so that

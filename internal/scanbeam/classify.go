@@ -28,11 +28,12 @@ type Seg struct {
 }
 
 // Classify computes Left for every segment of an arrangement given in (Lo,
-// Hi) order: the paper's side labelling (Lemmas 1–3). For a non-horizontal
-// segment, the left side is the smaller-x side (travelling upward); for a
-// horizontal segment it is the side above (travelling +x). In both cases the
-// numbers are constant along the segment because the arrangement has no
-// interior crossings.
+// Hi) order: the paper's side labelling (Lemmas 1–3), run by overlay on its
+// subdivided, folded arrangement. For a non-horizontal segment, the left
+// side is the smaller-x side (travelling upward); for a horizontal segment
+// it is the side above (travelling +x). In both cases the numbers are
+// constant along the segment because the arrangement has no interior
+// crossings.
 //
 // One bottom-to-top sweep over the scanbeams labels every segment once, at
 // the boundary where it starts. Non-horizontal segments get the prefix sums

@@ -12,8 +12,7 @@
 // internal/vatti (sequential sweep), internal/core (parallel Algorithm 1
 // beams), internal/overlay (classification beams) and internal/bandclip
 // (boundary-end pairing). Each engine now composes these primitives
-// instead, and internal/arrange's even-odd re-extraction labels its edges
-// with Classify, the sweep overlay runs.
+// instead; Classify labels the sides of overlay's subdivided arrangement.
 package scanbeam
 
 import (

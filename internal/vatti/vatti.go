@@ -31,10 +31,10 @@ import (
 
 // Clip computes `subject op clip` under opt.Rule with the sequential
 // scanbeam sweep. opt.PreResolved promises the pair already went through the
-// joint arrangement resolution for the rule (arrange.ResolvePairRule), and
-// the sweep then runs directly on the given geometry. Every other field is
-// ignored: the sweep is sequential and snaps its output corners onto the
-// grid of the output's own extent.
+// joint arrangement resolution (arrange.ResolvePair), and the sweep then
+// runs directly on the given geometry. Every other field is ignored: the
+// sweep is sequential and snaps its output corners onto the grid of the
+// output's own extent.
 func Clip(subject, clip geom.Polygon, op engine.Op, opt engine.Options) geom.Polygon {
 	return Assemble(sweep(subject, clip, op, opt))
 }
@@ -72,12 +72,10 @@ func sweep(subject, clip geom.Polygon, op engine.Op, opt engine.Options) []scanb
 	// welded vertex. Scheduling intersection ys on unsplit edges is not
 	// enough: a near-collinear crossing's computed y can land in the wrong
 	// beam, leaving two active edges crossed inside a beam and the emitted
-	// trapezoid corners inverted. Under EvenOdd, self-intersecting operands
-	// are additionally rewritten as simple even-odd rings; the winding rules
-	// keep the split rings directed as given, because the signed-count walk
-	// needs the original winding multiplicities.
+	// trapezoid corners inverted. Rings keep their directions under every
+	// rule: the signed-count walk reads EvenOdd as the winding's parity.
 	if !opt.PreResolved {
-		subject, clip = arrange.ResolvePairRule(subject, clip, opt.Rule)
+		subject, clip = arrange.ResolvePair(subject, clip)
 	}
 
 	edges := scanbeam.CollectEdges(subject, clip)

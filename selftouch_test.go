@@ -4,14 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"polyclip/internal/arrange"
-	"polyclip/internal/geom"
 )
 
 // TestSelfClipPolygram pins the self-touching-polygram regression (chaos
-// seed 7 case 195): clipping a self-intersecting {11/2} polygram against
-// itself must reproduce its resolved even-odd area exactly. Before operands
+// seed 7 case 195): clipping a self-intersecting {n/2} polygram (n = 11
+// here) against itself must reproduce its even-odd area, which the test
+// computes in closed form, independently of every engine. Before operands
 // were pre-resolved through internal/arrange, the two copies of each
 // interior self-crossing were split at points computed with the segment
 // arguments in opposite orders; SegIntersection is not bit-symmetric under
@@ -30,13 +28,15 @@ func TestSelfClipPolygram(t *testing.T) {
 	// The exact geometry of chaos seed 7 case 195.
 	rng := rand.New(rand.NewSource(7 + 195*1_000_003))
 	n := 5 + 2*rng.Intn(4)
-	a := Polygon{polygram(0, 0, 8+4*rng.Float64(), n, 2, rng.Float64())}
+	R := 8 + 4*rng.Float64()
+	a := Polygon{polygram(0, 0, R, n, 2, rng.Float64())}
 
-	ra, _ := arrange.ResolvePair(geom.Polygon(a), nil)
-	want := ra.Area()
-	if want <= 0 {
-		t.Fatalf("oracle area = %g, want positive", want)
-	}
+	// The even-odd area is the ring-sum area (n/2)·R²·sin(4π/n), which
+	// counts the doubly wound inner n-gon twice, less twice that n-gon,
+	// n·r²·sin(2π/n) for its circumradius r = R·cos(2π/n)/cos(π/n).
+	fn := float64(n)
+	r := R * math.Cos(2*math.Pi/fn) / math.Cos(math.Pi/fn)
+	want := fn/2*R*R*math.Sin(4*math.Pi/fn) - fn*r*r*math.Sin(2*math.Pi/fn)
 	tol := 1e-9 * want
 	for _, eng := range []struct {
 		name string
