@@ -186,6 +186,7 @@ type edgeGrid struct {
 	nx, ny     int
 	binStart   []int32 // len nx*ny+1: cell c holds binIDs[binStart[c]:binStart[c+1]]
 	binIDs     []int32
+	col, row   []int32 // each edge's lowest cell column and row (the cellOf its box's lower-left corner)
 }
 
 // buildGrid bins the edges. Cell size aims for the average edge extent,
@@ -226,15 +227,23 @@ func buildGrid(edges []geom.Segment) edgeGrid {
 	}
 
 	// Two-phase CSR fill: count cells per edge, prefix-sum, then place ids.
-	counts := make([]int32, g.nx*g.ny+1)
-	for _, e := range edges {
+	// Each edge's lowest column and row share the counts' allocation.
+	cells := g.nx * g.ny
+	counts := make([]int32, cells+1+2*n)
+	g.col, g.row = counts[cells+1:cells+1+n:cells+1+n], counts[cells+1+n:]
+	counts = counts[: cells+1 : cells+1]
+	for i, e := range edges {
+		lox, _ := e.XSpan()
+		loy, _ := e.YSpan()
+		cx, cy := g.cellOf(lox, loy)
+		g.col[i], g.row[i] = int32(cx), int32(cy)
 		g.eachCell(e, func(c int) { counts[c+1]++ })
 	}
 	for c := 1; c < len(counts); c++ {
 		counts[c] += counts[c-1]
 	}
 	g.binIDs = make([]int32, counts[len(counts)-1])
-	fill := make([]int32, g.nx*g.ny)
+	fill := make([]int32, cells)
 	for i, e := range edges {
 		g.eachCell(e, func(c int) {
 			g.binIDs[counts[c]+fill[c]] = int32(i)
@@ -306,7 +315,9 @@ const smallSet = 32
 // smallSet edges every pair is box-tested in the one cell; on a grid a pair
 // is reported only in the cell holding the lower-left corner of the boxes'
 // overlap (the reference-point rule, Dittrich and Seeger, ICDE 2000), which
-// both edges cover because cellOf is monotone.
+// both edges cover because cellOf is monotone. Monotone also means that
+// cell is the larger of the two edges' lowest columns and of their lowest
+// rows, so the test compares integers and divides nothing.
 func (g *edgeGrid) candidates(edges []geom.Segment, lo, hi int, fn func(i, j int32) bool) {
 	if g.binStart == nil {
 		for i := int32(0); i < int32(len(edges)); i++ {
@@ -319,11 +330,13 @@ func (g *edgeGrid) candidates(edges []geom.Segment, lo, hi int, fn func(i, j int
 		return
 	}
 	for cell := lo; cell < hi; cell++ {
+		cx, cy := int32(cell%g.nx), int32(cell/g.nx)
 		ids := g.binIDs[g.binStart[cell]:g.binStart[cell+1]]
 		for a, i := range ids {
 			// bboxOverlap, with edge i's spans hoisted out of the inner loop.
 			lox, hix := edges[i].XSpan()
 			loy, hiy := edges[i].YSpan()
+			coli, rowi := g.col[i], g.row[i]
 			for _, j := range ids[a+1:] {
 				lox2, hix2 := edges[j].XSpan()
 				if hix < lox2 || hix2 < lox {
@@ -333,7 +346,7 @@ func (g *edgeGrid) candidates(edges []geom.Segment, lo, hi int, fn func(i, j int
 				if hiy < loy2 || hiy2 < loy {
 					continue
 				}
-				if cx, cy := g.cellOf(max(lox, lox2), max(loy, loy2)); cy*g.nx+cx == cell && !fn(i, j) {
+				if max(coli, g.col[j]) == cx && max(rowi, g.row[j]) == cy && !fn(i, j) {
 					return
 				}
 			}
