@@ -39,9 +39,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Add returns p + q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Scale returns p scaled by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
 // Dot returns the dot product of p and q taken as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
@@ -98,15 +95,6 @@ type Segment struct {
 	A, B Point
 }
 
-// Reversed returns the segment with endpoints swapped.
-func (s Segment) Reversed() Segment { return Segment{s.B, s.A} }
-
-// IsHorizontal reports whether the segment is parallel to the x-axis.
-func (s Segment) IsHorizontal() bool { return s.A.Y == s.B.Y }
-
-// IsDegenerate reports whether the segment has zero length.
-func (s Segment) IsDegenerate() bool { return s.A == s.B }
-
 // YSpan returns the segment's y extent with lo <= hi.
 func (s Segment) YSpan() (lo, hi float64) {
 	if s.A.Y <= s.B.Y {
@@ -159,11 +147,6 @@ func (s Segment) DistToPoint(p Point) float64 {
 		t = 1
 	}
 	return p.Dist(Point{s.A.X + t*d.X, s.A.Y + t*d.Y})
-}
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point {
-	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
 }
 
 // Len returns the segment length.

@@ -191,7 +191,7 @@ func TestSegmentIntersectionCommutative(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy, dx, dy int8) bool {
 		s := Segment{Point{float64(ax), float64(ay)}, Point{float64(bx), float64(by)}}
 		u := Segment{Point{float64(cx), float64(cy)}, Point{float64(dx), float64(dy)}}
-		if s.IsDegenerate() || u.IsDegenerate() {
+		if s.A == s.B || u.A == u.B {
 			return true
 		}
 		k1, _, _ := SegIntersection(s, u)
@@ -385,27 +385,15 @@ func TestNumVertices(t *testing.T) {
 
 func TestSmallHelpers(t *testing.T) {
 	p := Point{1, 2}
-	if p.Scale(3) != (Point{3, 6}) {
-		t.Errorf("Scale = %v", p.Scale(3))
-	}
 	if p.String() != "(1,2)" {
 		t.Errorf("String = %q", p.String())
 	}
 	s := Segment{Point{0, 0}, Point{2, 4}}
-	if s.Reversed() != (Segment{Point{2, 4}, Point{0, 0}}) {
-		t.Errorf("Reversed = %v", s.Reversed())
-	}
-	if s.Midpoint() != (Point{1, 2}) {
-		t.Errorf("Midpoint = %v", s.Midpoint())
-	}
 	if s.String() == "" {
 		t.Error("empty segment String")
 	}
-	if !s.IsDegenerate() == s.A.Near(s.B, 0) {
-		t.Error("IsDegenerate mismatch")
-	}
 	h := Segment{Point{3, 1}, Point{0, 1}}
-	if !h.IsHorizontal() || h.XAtY(1) != 0 {
+	if h.XAtY(1) != 0 {
 		t.Errorf("horizontal XAtY = %v", h.XAtY(1))
 	}
 	r := Ring{{0, 0}, {2, 0}, {2, 2}}

@@ -6,15 +6,6 @@ package geom
 // inside or outside the layer. These predicates are the O(1) building blocks;
 // the binary-search culling lives in internal/prepared.
 
-// ContainsBBox reports whether o lies entirely inside the closed box b.
-// An empty o is contained in everything.
-func (b BBox) ContainsBBox(o BBox) bool {
-	if o.IsEmpty() {
-		return true
-	}
-	return o.MinX >= b.MinX && o.MaxX <= b.MaxX && o.MinY >= b.MinY && o.MaxY <= b.MaxY
-}
-
 // Center returns the box center. Meaningful only for non-empty boxes.
 func (b BBox) Center() Point {
 	return Point{X: (b.MinX + b.MaxX) / 2, Y: (b.MinY + b.MaxY) / 2}
