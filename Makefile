@@ -87,16 +87,19 @@ bench-smoke:
 # fuzzing sessions (e.g. make fuzz FUZZTIME=10m). FuzzServeRequest lives in
 # internal/serve and fuzzes the whole HTTP serving path; FuzzDecodeFeatures
 # lives in internal/geojson and holds the GeoJSON reader to its
-# encoding/json oracle.
+# encoding/json oracle. -fuzzminimizetime=1s caps the minimization of each
+# new interesting input, whose executions the fuzzer reports as 0/sec until
+# it ends (60 s by default), so a short smoke keeps fuzzing; long sessions
+# should drop it to keep the default minimization.
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		echo "fuzz $$t ($(FUZZTIME))"; \
-		go test -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) . || exit 1; \
+		go test -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s . || exit 1; \
 	done
 	@echo "fuzz FuzzServeRequest ($(FUZZTIME))"
-	go test -run='^$$' -fuzz='^FuzzServeRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve/
+	go test -run='^$$' -fuzz='^FuzzServeRequest$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/serve/
 	@echo "fuzz FuzzDecodeFeatures ($(FUZZTIME))"
-	go test -run='^$$' -fuzz='^FuzzDecodeFeatures$$' -fuzztime=$(FUZZTIME) ./internal/geojson/
+	go test -run='^$$' -fuzz='^FuzzDecodeFeatures$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/geojson/
 
 # CPU and heap profiles of one bench experiment (default table2, the
 # scanbeam hot path). Inspect with `go tool pprof $(PROFILE_DIR)/cpu.prof`.

@@ -86,14 +86,14 @@ go test -run='^$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./intern
 
 for t in FuzzParseWKT FuzzParseGeoJSON FuzzClipRoundTrip FuzzClipAllEngines; do
 	echo "== fuzz $t ($FUZZTIME)"
-	go test -run='^$' -fuzz="^$t\$" -fuzztime="$FUZZTIME" .
+	go test -run='^$' -fuzz="^$t\$" -fuzztime="$FUZZTIME" -fuzzminimizetime=1s .
 done
 
 echo "== fuzz FuzzServeRequest ($FUZZTIME, whole HTTP serve path)"
-go test -run='^$' -fuzz='^FuzzServeRequest$' -fuzztime="$FUZZTIME" ./internal/serve/
+go test -run='^$' -fuzz='^FuzzServeRequest$' -fuzztime="$FUZZTIME" -fuzzminimizetime=1s ./internal/serve/
 
 echo "== fuzz FuzzDecodeFeatures ($FUZZTIME, GeoJSON reader against the encoding/json oracle)"
-go test -run='^$' -fuzz='^FuzzDecodeFeatures$' -fuzztime="$FUZZTIME" ./internal/geojson/
+go test -run='^$' -fuzz='^FuzzDecodeFeatures$' -fuzztime="$FUZZTIME" -fuzzminimizetime=1s ./internal/geojson/
 
 echo "== chaos (seed $CHAOS_SEED, $CHAOS_CASES cases, clean)"
 go run ./cmd/chaos -seed "$CHAOS_SEED" -cases "$CHAOS_CASES"
