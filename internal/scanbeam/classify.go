@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"polyclip/internal/geom"
-	"polyclip/internal/segtree"
 )
 
 // Seg is one unique segment of a subdivided arrangement, with per-operand
@@ -35,36 +34,27 @@ type Seg struct {
 // constant along the segment because the arrangement has no interior
 // crossings.
 //
-// One bottom-to-top sweep over the scanbeams labels every segment once, at
-// the boundary where it starts. Non-horizontal segments get the prefix sums
-// of Lemma 3 in their first scanbeam: the beam's active segments are
-// ordered by x on its midline and walked left to right. Horizontal segments
-// span no beam; they lie on the beam's bottom boundary and get the winding
-// along that line of the beam's segments at or left of their left end.
-// (The paper removes horizontal edges by perturbation; counting strictly
-// inside beams makes that unnecessary.) Horizontals on the topmost boundary
-// keep Left zero: nothing lies above them. Only beams where segments start
-// are walked, so the sweep costs the active lists of those beams, not of
-// all.
+// One bottom-to-top sweep over the scanbeams (SweepStarts, fed segs in
+// their own order: (Lo, Hi) order is ascending low y, ties by index) labels
+// every segment once, at the boundary where it starts, so nothing is sorted
+// before the walk. Non-horizontal segments get the prefix sums of Lemma 3 in
+// their first scanbeam: the beam's active segments are ordered by x on its
+// midline and walked left to right. Horizontal segments span no beam; they
+// lie on the beam's bottom boundary and get the winding along that line of
+// the beam's segments at or left of their left end. (The paper removes
+// horizontal edges by perturbation; counting strictly inside beams makes
+// that unnecessary.) Horizontals on the topmost boundary keep Left zero:
+// nothing lies above them. Only beams where segments start are walked, so
+// the sweep costs the active lists of those beams, not of all.
 //
 // Cancellation is polled every 64 beams; on a cancelled ctx classification
 // is partial and the caller must discard the arrangement.
 func Classify(ctx context.Context, segs []Seg) {
 	n := len(segs)
-	if n == 0 {
-		return
+	starts := make([]int32, n)
+	for i := range starts {
+		starts[i] = int32(i)
 	}
-	ys := make([]float64, 0, 2*n)
-	for i := range segs {
-		ys = append(ys, segs[i].Lo.Y, segs[i].Hi.Y)
-	}
-	ys = segtree.Dedup(ys)
-	if len(ys) < 2 {
-		return
-	}
-	sweep := NewSweep(ys, n, func(i int32) (float64, float64) {
-		return segs[i].Lo.Y, segs[i].Hi.Y
-	})
 	// order sorts the active segments by x on the line y.
 	var scratch Scratch
 	order := func(active []int32, y float64) []Entry {
@@ -76,15 +66,15 @@ func Classify(ctx context.Context, segs []Seg) {
 		SortByX(es)
 		return es
 	}
-	// segs are in (Lo, Hi) order, so the segments starting on one boundary
-	// are the run segs[first:next].
+	// The segments starting on one boundary are the run segs[first:next].
 	var cum [][2]int16
-	next, stopped := 0, false
-	sweep.ForEachBeam(func(b int, yb, yt float64, active []int32) {
-		if stopped || b&63 == 0 && ctx.Err() != nil {
-			stopped = true
-			return
+	next, beams := 0, 0
+	span := func(i int32) (float64, float64) { return segs[i].Lo.Y, segs[i].Hi.Y }
+	SweepStarts(starts, span, func(yb, yt float64, active []int32) bool {
+		if beams&63 == 0 && ctx.Err() != nil {
+			return false
 		}
+		beams++
 		first, walk, flat := next, false, false
 		for ; next < n && segs[next].Lo.Y == yb; next++ {
 			if segs[next].Hi.Y == yb {
@@ -125,5 +115,6 @@ func Classify(ctx context.Context, segs []Seg) {
 				}
 			}
 		}
+		return true
 	})
 }

@@ -1,9 +1,13 @@
 package scanbeam
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"testing"
 
+	"polyclip/internal/arrange"
+	"polyclip/internal/data"
 	"polyclip/internal/geom"
 )
 
@@ -103,5 +107,34 @@ func TestClassify(t *testing.T) {
 		if s.Left != [2]int16{} {
 			t.Errorf("cancelled sweep labelled %v-%v with %v", s.Lo, s.Hi, s.Left)
 		}
+	}
+}
+
+// BenchmarkClassify labels the resolved arrangement of two data pairs —
+// SyntheticPair(1, 4096, 4096) and InterleavedPair(1001, 512) — whose
+// segments are given in (Lo, Hi) order, as overlay's fold returns them.
+func BenchmarkClassify(b *testing.B) {
+	syn1, syn2 := data.SyntheticPair(1, 4096, 4096)
+	il1, il2 := data.InterleavedPair(1001, 512)
+	for _, c := range []struct {
+		name string
+		a, b geom.Polygon
+	}{{"synthetic=4096", syn1, syn2}, {"interleaved=512", il1, il2}} {
+		ra, rb := arrange.ResolvePair(c.a, c.b)
+		var segs []Seg
+		for owner, p := range []geom.Polygon{ra, rb} {
+			for _, e := range p.Edges() {
+				segs = append(segs, seg(owner, e.A.X, e.A.Y, e.B.X, e.B.Y))
+			}
+		}
+		slices.SortFunc(segs, func(s, t Seg) int {
+			return cmp.Or(s.Lo.Compare(t.Lo), s.Hi.Compare(t.Hi))
+		})
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Classify(context.Background(), segs)
+			}
+		})
 	}
 }
