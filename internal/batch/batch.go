@@ -27,9 +27,11 @@
 package batch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -277,19 +279,25 @@ func Overlay(ctx context.Context, a, b []geom.Polygon, op engine.Op, opt Options
 	}
 
 	// Every candidate pair takes its group's result. Canonical order: (A, B)
-	// ascending, a total order since the join visits each pair once.
-	out = make([]Output, 0, n)
-	for _, c := range cands {
-		if poly := polys[c.group]; len(poly) > 0 {
-			out = append(out, Output{A: c.a, B: c.b, Poly: poly})
+	// ascending, a total order since the join visits each pair once. One
+	// packed key A<<32 | B per non-empty result is sorted with the
+	// candidate's index, and the outputs are gathered in key order.
+	type keyed struct {
+		key uint64
+		i   int32
+	}
+	keys := make([]keyed, 0, n)
+	for ci, c := range cands {
+		if len(polys[c.group]) > 0 {
+			keys = append(keys, keyed{uint64(c.a)<<32 | uint64(c.b), int32(ci)})
 		}
 	}
-	sort.Slice(out, func(x, y int) bool {
-		if out[x].A != out[y].A {
-			return out[x].A < out[y].A
-		}
-		return out[x].B < out[y].B
-	})
+	slices.SortFunc(keys, func(x, y keyed) int { return cmp.Compare(x.key, y.key) })
+	out = make([]Output, len(keys))
+	for k, kc := range keys {
+		c := cands[kc.i]
+		out[k] = Output{A: c.a, B: c.b, Poly: polys[c.group]}
+	}
 	st.Outputs = len(out)
 	st.Clip = time.Since(t2)
 	st.Cache = acache.Stats{

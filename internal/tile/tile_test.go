@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -308,6 +309,52 @@ func TestGridRange(t *testing.T) {
 		lo, hi := gridRange(tc.vmin, tc.vmax, 0, 8, 4)
 		if lo != tc.lo || hi != tc.hi {
 			t.Errorf("case %d: gridRange = [%d, %d), want [%d, %d)", i, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}
+
+// TestSortTiles holds sortTiles to the (z, x, y) order over shuffled keys at
+// every zoom up to MaxZoomLimit, each tile keeping its own polygon.
+func TestSortTiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	seen := map[[3]int64]bool{}
+	var tiles []Tile
+	for len(tiles) < 500 {
+		z := rng.Intn(MaxZoomLimit + 1)
+		tl := Tile{Z: z, X: int32(rng.Int63n(1 << z)), Y: int32(rng.Int63n(1 << z))}
+		if seen[key(tl)] {
+			continue
+		}
+		seen[key(tl)] = true
+		tl.Poly = geom.Polygon{{{X: float64(tl.Z), Y: float64(tl.X)}, {X: float64(tl.Y)}}}
+		tiles = append(tiles, tl)
+	}
+	sortTiles(tiles)
+	for i, tl := range tiles {
+		if p := tl.Poly[0]; p[0].X != float64(tl.Z) || p[0].Y != float64(tl.X) || p[1].X != float64(tl.Y) {
+			t.Fatalf("tile %d %v carries the polygon of another tile", i, key(tl))
+		}
+		if a, b := key(tiles[max(i, 1)-1]), key(tl); i > 0 && slices.Compare(a[:], b[:]) >= 0 {
+			t.Fatalf("tiles %d and %d out of order: %v then %v", i-1, i, a, b)
+		}
+	}
+}
+
+// BenchmarkCut cuts a 32-ring data.TileLayer into its zoom 0–7 pyramid at
+// one thread through a warm cache, as one op of the tiles benchmark workload
+// does.
+func BenchmarkCut(b *testing.B) {
+	layer := data.TileLayer(data.TileLayerOptions{Rings: 32, Seed: 100})
+	spec := testSpec(layer, 0, 7)
+	opt := Options{Rule: engine.EvenOdd, Threads: 1, Cache: acache.New(32 << 20)}
+	if _, _, err := Cut(context.Background(), layer, spec, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Cut(context.Background(), layer, spec, opt); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
