@@ -344,12 +344,13 @@ func EmptyBBox() BBox {
 // IsEmpty reports whether the box contains no points.
 func (b BBox) IsEmpty() bool { return b.MinX > b.MaxX || b.MinY > b.MaxY }
 
-// Extend grows the box to include p.
+// Extend grows the box to include p. The builtin min and max inline, and
+// agree with math.Min and math.Max on finite coordinates, ±0 included.
 func (b *BBox) Extend(p Point) {
-	b.MinX = math.Min(b.MinX, p.X)
-	b.MinY = math.Min(b.MinY, p.Y)
-	b.MaxX = math.Max(b.MaxX, p.X)
-	b.MaxY = math.Max(b.MaxY, p.Y)
+	b.MinX = min(b.MinX, p.X)
+	b.MinY = min(b.MinY, p.Y)
+	b.MaxX = max(b.MaxX, p.X)
+	b.MaxY = max(b.MaxY, p.Y)
 }
 
 // Union returns the smallest box containing both b and o.
