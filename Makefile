@@ -77,11 +77,11 @@ conformance:
 # Every benchmark of the root package, of the overlay engine, of the
 # ring-stitching and trapezoid-assembly stages, of the prepared tile clip, of
 # the GeoJSON reader, of the batch overlay's pair clip, of arrangement
-# resolution and of the candidate stream runs once with allocation counters
-# on: a benchmark that panics or no longer compiles fails here, not in a
-# perf run.
+# resolution, of the candidate stream, of the side-labelling sweep and of the
+# pyramid cut runs once with allocation counters on: a benchmark that panics
+# or no longer compiles fails here, not in a perf run.
 bench-smoke:
-	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch ./internal/arrange ./internal/isect > /dev/null
+	go test -run='^$$' -bench=. -benchtime=1x -benchmem . ./internal/overlay ./internal/ringstitch ./internal/vatti ./internal/prepared ./internal/geojson ./internal/batch ./internal/arrange ./internal/isect ./internal/scanbeam ./internal/tile > /dev/null
 
 # Each native fuzz target gets a short smoke run; raise FUZZTIME for real
 # fuzzing sessions (e.g. make fuzz FUZZTIME=10m). FuzzServeRequest lives in
