@@ -4,9 +4,10 @@
 // winding-aware Lemma 1/3 walk that emits rule/op-selected trapezoids (signed
 // winding counts generalize the paper's parity argument, so one walk serves
 // EvenOdd, NonZero, Positive and Negative), the sequential bottom-to-top
-// sweep schedule (CSR start buckets + active-list compaction), and the
-// classification sweep (Classify) that labels each segment of a subdivided
-// arrangement with the winding numbers on its left (Lemmas 1–3).
+// sweep driver (SweepStarts: edges fed in low-y order, the active list
+// compacted once per beam), and the classification sweep (Classify) that
+// labels each segment of a subdivided arrangement with the winding numbers
+// on its left (Lemmas 1–3).
 //
 // Before this package existed the same machinery was re-implemented in
 // internal/vatti (sequential sweep), internal/core (parallel Algorithm 1
@@ -39,7 +40,7 @@ type Entry struct {
 // Edge is one active edge of a sweep: the segment normalized upward
 // (A.Y < B.Y), the operand tag (0 subject, 1 clip) and the winding delta of
 // the original ring direction. It is the shared currency between
-// CollectEdges, the sweep schedules and BeamTrapezoids.
+// CollectEdges, the sweeps and BeamTrapezoids.
 type Edge struct {
 	Seg   geom.Segment
 	Owner uint8
