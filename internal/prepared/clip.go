@@ -5,7 +5,6 @@ import (
 
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
-	"polyclip/internal/shclip"
 	"polyclip/internal/vatti"
 )
 
@@ -13,14 +12,13 @@ import (
 // served it. The result is the even-odd region layer ∩ box with canonical
 // ring orientations (CCW outers, CW holes); nil when empty.
 //
-// A straddling window whose only touching ring is convex, with no other ring
-// around its centre, is clipped by Sutherland–Hodgman. Every other
-// straddling window takes the oriented pass (clipOriented): one walk over
-// the edges the window query returned, linked around the window's corners,
-// whose cost follows the boundary inside the window and never the layer.
+// Every straddling window takes the oriented pass (clipOriented): one walk
+// over the edges the window query returned, linked around the window's
+// corners, whose cost follows the boundary inside the window and never the
+// layer, convex ring or not.
 //
-// A panic anywhere in the fast route is rescued by the full prepared sweep
-// (SweepRect), mirroring the engine resilience convention.
+// A panic anywhere in the oriented pass is rescued by the full prepared
+// sweep (SweepRect), mirroring the engine resilience convention.
 func (pp *Prepared) ClipRect(box geom.BBox) (out geom.Polygon, cls Class) {
 	scr := pp.scratch.Get().(*scratch)
 	defer pp.scratch.Put(scr)
@@ -42,37 +40,8 @@ func (pp *Prepared) ClipRect(box geom.BBox) (out geom.Polygon, cls Class) {
 		}
 	}()
 
-	if ri := pp.edgeRing[scr.first]; pp.ringConvex[ri] && pp.soleRing(box, scr, ri) &&
-		oddRings(pp.rayRings(box.Center(), scr, func(r int32) bool { return r == ri })) == 0 {
-		// Single convex ring straddling an otherwise untouched window: the
-		// classic Sutherland–Hodgman case, one linear pass, single piece.
-		// With no ring around the window the ring is an outer, so CCW.
-		// A window side or corner on a ring vertex makes Sutherland–Hodgman
-		// emit that point twice; drop the repeats as the oriented pass does.
-		pp.convexClips.Add(1)
-		clipped := shclip.SutherlandHodgman(pp.poly[ri], geom.Rect(box.MinX, box.MinY, box.MaxX, box.MaxY))
-		ring := clipped[:0]
-		for _, p := range clipped {
-			ring = appendDistinct(ring, p)
-		}
-		if ring = trimWrap(ring); len(ring) >= 3 && ring.Area() > 0 {
-			out = geom.Polygon{ring}
-		}
-		return out, cls
-	}
 	pp.bandClips.Add(1)
 	return pp.clipOriented(box, scr), cls
-}
-
-// soleRing reports whether ring ri is the only ring with an edge in the
-// closed window.
-func (pp *Prepared) soleRing(box geom.BBox, scr *scratch, ri int32) bool {
-	for _, id := range scr.ids {
-		if pp.edgeRing[id] != ri && geom.SegIntersectsBBox(pp.edges[id], box) {
-			return false
-		}
-	}
-	return true
 }
 
 // chain is one run of the layer's boundary through the open window: the
@@ -139,7 +108,7 @@ func (pp *Prepared) clipOriented(box geom.BBox, scr *scratch) geom.Polygon {
 		pp.walkChain(id, box, scr)
 	}
 	if len(scr.chains) == 0 {
-		if len(pp.rayRings(box.Center(), scr, func(ri int32) bool { return pp.ringInterior(ri, box) }))%2 == 1 {
+		if pp.containsPoint(box.Center(), scr, func(ri int32) bool { return pp.ringInterior(ri, box) }) {
 			rect := geom.Rect(box.MinX, box.MinY, box.MaxX, box.MaxY)
 			if rect.SignedArea() > 0 {
 				out = append(geom.Polygon{rect}, out...)

@@ -23,9 +23,9 @@ import (
 // TestPyramidPin and names the seed; such a change must update the pin and
 // say which cases changed and why.
 var pyramidPins = map[int64]string{
-	1: "24b30eee33580ef38336841d779e1ea4c2d2b7d8b8820b6f73e9518f1118aceb",
-	2: "8c9e74c5ff932505d21796666926cf287ad2d89503a01ccf57342f59397f2949",
-	3: "43650d1fed9146464afbf385ad9a2a59c82699147552ba4224854d55c7b88e8a",
+	1: "530734685cab5eefe9f955b725b18b7892bc0098c98829d9fa5a71e877bdb877",
+	2: "f0bc074e516a258c738aa96f1636e24d7b3b1cdf21d9e8148489b664be807e72",
+	3: "1d87fe0b5edbb6b3e7469bee03713e6204a51354cfe546540c5f8adab6e9e876",
 }
 
 // pinZooms are the pinned zoom ranges: the full pyramid the tiles workload
