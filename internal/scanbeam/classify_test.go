@@ -110,6 +110,34 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// resolvedSegs returns the resolved arrangement of the pair as segments in
+// (Lo, Hi) order, as overlay's fold returns them.
+func resolvedSegs(a, b geom.Polygon) []Seg {
+	ra, rb := arrange.ResolvePair(a, b)
+	var segs []Seg
+	for owner, p := range []geom.Polygon{ra, rb} {
+		for _, e := range p.Edges() {
+			segs = append(segs, seg(owner, e.A.X, e.A.Y, e.B.X, e.B.Y))
+		}
+	}
+	slices.SortFunc(segs, func(s, t Seg) int {
+		return cmp.Or(s.Lo.Compare(t.Lo), s.Hi.Compare(t.Hi))
+	})
+	return segs
+}
+
+// TestClassifyAllocs pins Classify's allocations on the resolved
+// InterleavedPair(1001, 512), whose active list peaks a few edges at a
+// time: the start order, the beam entries grown geometrically and the
+// horizontals' prefix sums.
+func TestClassifyAllocs(t *testing.T) {
+	segs := resolvedSegs(data.InterleavedPair(1001, 512))
+	allocs := testing.AllocsPerRun(10, func() { Classify(context.Background(), segs) })
+	if allocs > 8 {
+		t.Errorf("Classify allocates %.0f objects per call, want <= 8", allocs)
+	}
+}
+
 // BenchmarkClassify labels the resolved arrangement of two data pairs —
 // SyntheticPair(1, 4096, 4096) and InterleavedPair(1001, 512) — whose
 // segments are given in (Lo, Hi) order, as overlay's fold returns them.
@@ -120,16 +148,7 @@ func BenchmarkClassify(b *testing.B) {
 		name string
 		a, b geom.Polygon
 	}{{"synthetic=4096", syn1, syn2}, {"interleaved=512", il1, il2}} {
-		ra, rb := arrange.ResolvePair(c.a, c.b)
-		var segs []Seg
-		for owner, p := range []geom.Polygon{ra, rb} {
-			for _, e := range p.Edges() {
-				segs = append(segs, seg(owner, e.A.X, e.A.Y, e.B.X, e.B.Y))
-			}
-		}
-		slices.SortFunc(segs, func(s, t Seg) int {
-			return cmp.Or(s.Lo.Compare(t.Lo), s.Hi.Compare(t.Hi))
-		})
+		segs := resolvedSegs(c.a, c.b)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

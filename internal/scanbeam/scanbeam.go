@@ -94,11 +94,13 @@ type Scratch struct {
 	entries []Entry
 }
 
-// Entries returns a length-n entry slice backed by the scratch, growing the
-// backing array only when n exceeds every previous beam's population.
+// Entries returns a length-n entry slice backed by the scratch. When n
+// exceeds its capacity the backing array grows to max(n, twice the
+// capacity), so a sweep whose active list grows a few edges at a time
+// reallocates O(log n) times, not at each new peak.
 func (s *Scratch) Entries(n int) []Entry {
 	if cap(s.entries) < n {
-		s.entries = make([]Entry, n)
+		s.entries = make([]Entry, max(n, 2*cap(s.entries)))
 	}
 	return s.entries[:n]
 }
