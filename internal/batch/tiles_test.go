@@ -92,7 +92,8 @@ func TestCutTilesCacheRepeats(t *testing.T) {
 	}
 }
 
-// TestCutTilesNaiveAgrees: naive mode emits the same tile keys.
+// TestCutTilesNaiveAgrees: naive mode emits the same tile keys and never
+// touches the prepare cache.
 func TestCutTilesNaiveAgrees(t *testing.T) {
 	features, opt := tileTestSetup()
 	fast, _, err := CutTiles(context.Background(), features, opt)
@@ -101,7 +102,6 @@ func TestCutTilesNaiveAgrees(t *testing.T) {
 	}
 	o := opt
 	o.Naive = true
-	o.NoCache = true
 	naive, nst, err := CutTiles(context.Background(), features, o)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestCutTilesNaiveAgrees(t *testing.T) {
 		}
 	}
 	if nst.Cache.Hits+nst.Cache.Misses != 0 {
-		t.Errorf("NoCache run touched the cache: %+v", nst.Cache)
+		t.Errorf("naive run touched the cache: %+v", nst.Cache)
 	}
 }
 

@@ -22,10 +22,6 @@ type Digest struct {
 	Hi, Lo uint64
 }
 
-// IsZero reports whether d is the zero digest (the hash of no input is
-// never zero, so the zero value can mean "unhashed").
-func (d Digest) IsZero() bool { return d.Hi == 0 && d.Lo == 0 }
-
 const (
 	hashOffsetLo = 0xcbf29ce484222325 // FNV-1a 64-bit offset basis
 	hashOffsetHi = 0x9e3779b97f4a7c15 // golden-gamma offset for the second lane

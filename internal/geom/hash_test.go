@@ -22,7 +22,7 @@ func TestHashEqualForClones(t *testing.T) {
 	if got, want := Hash(p), Hash(p.Clone()); got != want {
 		t.Errorf("clone digest %v != %v", got, want)
 	}
-	if Hash(p).IsZero() {
+	if Hash(p) == (Digest{}) {
 		t.Error("digest of a non-empty polygon is zero")
 	}
 }

@@ -19,7 +19,6 @@ const maxFill = 16
 type Tree struct {
 	nodes []node
 	root  int32
-	n     int
 }
 
 type node struct {
@@ -32,7 +31,7 @@ type node struct {
 // packing: items are sorted into vertical tiles by center x, each tile
 // sorted by center y and cut into runs of maxFill.
 func Build(n int, box func(i int32) geom.BBox) *Tree {
-	t := &Tree{n: n}
+	t := &Tree{}
 	if n == 0 {
 		t.root = -1
 		return t
@@ -106,50 +105,13 @@ func Build(n int, box func(i int32) geom.BBox) *Tree {
 	return t
 }
 
-// Len returns the number of indexed items.
-func (t *Tree) Len() int { return t.n }
-
-// Bounds returns the root bounding box (empty for an empty tree).
-func (t *Tree) Bounds() geom.BBox {
-	if t.root < 0 {
-		return geom.EmptyBBox()
-	}
-	return t.nodes[t.root].box
-}
-
-// Search calls visit for every item whose box intersects q.
-func (t *Tree) Search(q geom.BBox, visit func(id int32)) {
-	if t.root < 0 {
-		return
-	}
-	t.search(t.root, q, visit)
-}
-
-func (t *Tree) search(ni int32, q geom.BBox, visit func(id int32)) {
-	nd := &t.nodes[ni]
-	if !nd.box.Intersects(q) {
-		return
-	}
-	if nd.leaf {
-		for _, id := range nd.child {
-			visit(id)
-		}
-		return
-	}
-	for _, ci := range nd.child {
-		t.search(ci, q, visit)
-	}
-}
-
 // SearchRect appends to out the candidate ids for the window q — every item
-// in a leaf whose node box intersects q, exactly the ids Search would visit —
-// and returns the extended slice. It is the window query of the tile
-// pipeline: no callback, so a caller that reuses out across queries
-// allocates nothing per query once the slice has grown to its working size
-// (pinned by TestSearchRectAllocs); the traversal itself is the same
-// recursive descent as Search, which is allocation-free. Callers needing the
-// exact per-item test filter the ids against their own boxes, as
-// SearchFiltered does. Ids arrive in tree traversal order.
+// in a leaf whose node box intersects q — and returns the extended slice. It
+// is the window query of the tile pipeline, and its only filter: no
+// callback, so a caller that reuses out across queries allocates nothing
+// per query once the slice has grown to its working size (pinned by
+// TestSearchRectAllocs). Callers needing the exact per-item test filter the
+// ids against their own boxes. Ids arrive in tree traversal order.
 func (t *Tree) SearchRect(q geom.BBox, out []int32) []int32 {
 	if t.root < 0 {
 		return out
@@ -171,34 +133,12 @@ func (t *Tree) searchRect(ni int32, q geom.BBox, out []int32) []int32 {
 	return out
 }
 
-// SearchFiltered calls visit only for items whose own box (from box(id))
-// intersects q — Search plus the exact leaf-level test.
-func (t *Tree) SearchFiltered(q geom.BBox, box func(id int32) geom.BBox, visit func(id int32)) {
-	t.Search(q, func(id int32) {
-		if box(id).Intersects(q) {
-			visit(id)
-		}
-	})
-}
-
-// Join reports every pair (i, j) with boxesA(i) intersecting the tree's
-// item j (whose exact box is boxesB(j)). Pair order is i-major with j in
-// tree traversal order — identical to streaming the same join through
-// JoinVisit, which Join is a materializing wrapper around.
-func (t *Tree) Join(na int, boxA func(i int32) geom.BBox, boxB func(j int32) geom.BBox) [][2]int32 {
-	var out [][2]int32
-	t.JoinVisit(na, boxA, boxB, func(i, j int32) {
-		out = append(out, [2]int32{i, j})
-	})
-	return out
-}
-
 // JoinVisit is the streaming spatial join: visit is called for every pair
 // (i, j) with boxA(i) intersecting the tree's item j (exact box boxB(j)),
 // without ever materializing the pair list. The million-feature batch
 // overlay groups pairs as they stream out, so the join's memory stays
 // O(tree depth) regardless of how many candidates the layers produce.
-// Visit order matches Join: i ascending, j in tree traversal order.
+// Visit order is i ascending, j in tree traversal order.
 //
 // The traversal is iterative over one reused stack (a recursive descent
 // would be allocation-free too, but the per-query closure a recursive
@@ -226,8 +166,8 @@ func (t *Tree) JoinVisit(na int, boxA func(i int32) geom.BBox, boxB func(j int32
 				}
 				continue
 			}
-			// Push in reverse so children pop in declaration order,
-			// preserving the recursive traversal's visit order.
+			// Push in reverse so children pop in declaration order, the
+			// order SearchRect visits them.
 			for k := len(nd.child) - 1; k >= 0; k-- {
 				stack = append(stack, nd.child[k])
 			}

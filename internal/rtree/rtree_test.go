@@ -19,24 +19,26 @@ func randomBoxes(rng *rand.Rand, n int, span float64) []geom.BBox {
 	return boxes
 }
 
+// ids returns the window query's candidates whose own box meets q, sorted:
+// SearchRect plus the exact per-item test its callers run.
 func ids(t *Tree, q geom.BBox, boxes []geom.BBox) []int32 {
 	var got []int32
-	t.SearchFiltered(q, func(id int32) geom.BBox { return boxes[id] }, func(id int32) {
-		got = append(got, id)
-	})
+	for _, id := range t.SearchRect(q, nil) {
+		if boxes[id].Intersects(q) {
+			got = append(got, id)
+		}
+	}
 	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
 	return got
 }
 
 func TestEmptyTree(t *testing.T) {
 	tr := Build(0, nil)
-	if tr.Len() != 0 {
-		t.Errorf("len = %d", tr.Len())
+	if got := tr.SearchRect(geom.BBox{MaxX: 1, MaxY: 1}, nil); got != nil {
+		t.Errorf("empty tree returned %v", got)
 	}
-	if !tr.Bounds().IsEmpty() {
-		t.Error("bounds should be empty")
-	}
-	tr.Search(geom.BBox{MaxX: 1, MaxY: 1}, func(int32) { t.Error("visited in empty tree") })
+	tr.JoinVisit(1, func(int32) geom.BBox { return geom.BBox{MaxX: 1, MaxY: 1} }, nil,
+		func(i, j int32) { t.Errorf("empty tree joined (%d, %d)", i, j) })
 }
 
 func TestSingleItem(t *testing.T) {
@@ -50,14 +52,15 @@ func TestSingleItem(t *testing.T) {
 	}
 }
 
+// TestSearchMatchesBruteForce holds the window query to a scan of every
+// box: no item whose box meets the window is missed, and each candidate is
+// returned once.
 func TestSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{5, 17, 100, 1000, 5000} {
 		boxes := randomBoxes(rng, n, 100)
 		tr := Build(n, func(i int32) geom.BBox { return boxes[i] })
-		if tr.Len() != n {
-			t.Fatalf("len = %d", tr.Len())
-		}
+		var buf []int32
 		for q := 0; q < 20; q++ {
 			x := rng.Float64() * 100
 			y := rng.Float64() * 100
@@ -72,18 +75,14 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d query %d: got %d items want %d", n, q, len(got), len(want))
 			}
-		}
-	}
-}
-
-func TestBoundsCoverAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	boxes := randomBoxes(rng, 300, 50)
-	tr := Build(300, func(i int32) geom.BBox { return boxes[i] })
-	root := tr.Bounds()
-	for _, b := range boxes {
-		if b.MinX < root.MinX || b.MaxX > root.MaxX || b.MinY < root.MinY || b.MaxY > root.MaxY {
-			t.Fatal("root bounds do not cover an item")
+			buf = tr.SearchRect(query, buf[:0])
+			seen := make(map[int32]bool, len(buf))
+			for _, id := range buf {
+				if seen[id] {
+					t.Fatalf("n=%d query %d: id %d returned twice", n, q, id)
+				}
+				seen[id] = true
+			}
 		}
 	}
 }
@@ -93,9 +92,11 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	boxesA := randomBoxes(rng, 120, 60)
 	boxesB := randomBoxes(rng, 150, 60)
 	tr := Build(len(boxesB), func(i int32) geom.BBox { return boxesB[i] })
-	got := tr.Join(len(boxesA),
+	var got [][2]int32
+	tr.JoinVisit(len(boxesA),
 		func(i int32) geom.BBox { return boxesA[i] },
-		func(j int32) geom.BBox { return boxesB[j] })
+		func(j int32) geom.BBox { return boxesB[j] },
+		func(i, j int32) { got = append(got, [2]int32{i, j}) })
 	var want [][2]int32
 	for i := range boxesA {
 		for j := range boxesB {
@@ -131,33 +132,10 @@ func TestDegenerateIdenticalBoxes(t *testing.T) {
 	}
 }
 
-// TestJoinVisitMatchesJoin pins that the streaming join and the
-// materializing wrapper see the same pairs in the same order — callers that
-// bucket pairs as they stream may rely on the order being the old Join
-// order exactly.
-func TestJoinVisitMatchesJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	boxesA := randomBoxes(rng, 200, 70)
-	boxesB := randomBoxes(rng, 170, 70)
-	tr := Build(len(boxesB), func(i int32) geom.BBox { return boxesB[i] })
-	boxA := func(i int32) geom.BBox { return boxesA[i] }
-	boxB := func(j int32) geom.BBox { return boxesB[j] }
-	want := tr.Join(len(boxesA), boxA, boxB)
-	var got [][2]int32
-	tr.JoinVisit(len(boxesA), boxA, boxB, func(i, j int32) {
-		got = append(got, [2]int32{i, j})
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("JoinVisit: %d pairs in a different order/set than Join's %d", len(got), len(want))
-	}
-}
-
 // TestJoinVisitAllocs is the allocation regression pin: the streaming join
 // must cost a constant number of allocations (the reused traversal stack)
 // no matter how many items or candidate pairs flow through it, so that
-// million-feature joins never materialize per-pair state. It also pins that
-// rewriting Join on top of JoinVisit left Join's own profile append-only:
-// allocations grow with the output slice only.
+// million-feature joins never materialize per-pair state.
 func TestJoinVisitAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	boxesA := randomBoxes(rng, 500, 80)
@@ -175,45 +153,6 @@ func TestJoinVisitAllocs(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Errorf("JoinVisit allocates %.1f objects/run, want <= 2 (stack only)", allocs)
-	}
-	// The Join wrapper may only add the output slice's growth.
-	out := tr.Join(len(boxesA), boxA, boxB)
-	joinAllocs := testing.AllocsPerRun(10, func() {
-		out = out[:0]
-		tr.JoinVisit(len(boxesA), boxA, boxB, func(i, j int32) {
-			out = append(out, [2]int32{i, j})
-		})
-	})
-	if joinAllocs > 3 {
-		t.Errorf("Join path allocates %.1f objects/run over a warm buffer, want <= 3", joinAllocs)
-	}
-}
-
-// TestSearchRectMatchesSearch pins that the window query returns exactly the
-// ids Search visits, in the same order — SearchRect is Search minus the
-// callback, nothing more.
-func TestSearchRectMatchesSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	boxes := randomBoxes(rng, 800, 90)
-	tr := Build(len(boxes), func(i int32) geom.BBox { return boxes[i] })
-	var buf []int32
-	for q := 0; q < 50; q++ {
-		x := rng.Float64() * 90
-		y := rng.Float64() * 90
-		query := geom.BBox{MinX: x, MinY: y, MaxX: x + rng.Float64()*25, MaxY: y + rng.Float64()*25}
-		var want []int32
-		tr.Search(query, func(id int32) { want = append(want, id) })
-		buf = tr.SearchRect(query, buf[:0])
-		if len(buf) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(append([]int32{}, buf...), want) {
-			t.Fatalf("query %d: SearchRect returned %d ids, Search visited %d", q, len(buf), len(want))
-		}
-	}
-	// Empty tree: no-op, buffer unchanged.
-	if got := Build(0, nil).SearchRect(geom.BBox{MaxX: 1, MaxY: 1}, nil); got != nil {
-		t.Errorf("empty tree returned %v", got)
 	}
 }
 
