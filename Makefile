@@ -12,9 +12,9 @@ COVER_PKGS_TILES := ./internal/prepared/ ./internal/tile/
 PROFILE_EXP ?= table2
 PROFILE_DIR ?= /tmp/polyclip-prof
 
-.PHONY: check fmt build vet test benchmark-module cover race differential conformance bench-smoke fuzz chaos layers-smoke profile clipd bench
+.PHONY: check fmt build vet test benchmark-module cover race differential conformance bench-smoke fuzz chaos tilecut-smoke layers-smoke profile clipd bench
 
-check: fmt vet build test benchmark-module cover race differential conformance bench-smoke fuzz chaos layers-smoke
+check: fmt vet build test benchmark-module cover race differential conformance bench-smoke fuzz chaos tilecut-smoke layers-smoke
 
 # Formatting gate: gofmt must list no file (benchmark/ included).
 fmt:
@@ -122,6 +122,21 @@ chaos:
 	go run ./cmd/chaos -seed $(CHAOS_SEED) -cases 60 -faults -budget 500ms
 	go run ./cmd/chaos -seed 7 -cases 320 -family degenerate
 	go run ./cmd/chaos -seed 5 -cases 120 -family tiles
+
+# Tile-cut smoke: a datagen tile layer cut by the prepared pipeline and by
+# the naive per-tile clips must give the same (feature, z, x, y) keys in the
+# same order.
+tilecut-smoke:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go run ./cmd/datagen -tiles 32 -seed 3 -o $$tmp/layer.wkt || exit 1; \
+	go run ./cmd/tilecut -in $$tmp/layer.wkt -zooms 0:3 -o $$tmp/tiles.ndjson -stats 2> $$tmp/stats.json || exit 1; \
+	go run ./cmd/tilecut -in $$tmp/layer.wkt -zooms 0:3 -naive -o $$tmp/naive.ndjson || exit 1; \
+	n=$$(wc -l < $$tmp/tiles.ndjson); \
+	if [ $$n -lt 1 ]; then echo "tilecut emitted no tiles"; exit 1; fi; \
+	sed 's/,"wkt".*//' $$tmp/tiles.ndjson > $$tmp/tiles.keys; \
+	sed 's/,"wkt".*//' $$tmp/naive.ndjson > $$tmp/naive.keys; \
+	cmp -s $$tmp/tiles.keys $$tmp/naive.keys || { echo "tilecut prepared and naive tile keys differ"; exit 1; }; \
+	echo "tilecut: $$n tiles, prepared and naive keys identical"
 
 # Layer-overlay smoke: two datagen feature layers through polyclip -layers
 # must give at least one result and the same bytes from WKT and from ndjson

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification sweep: gofmt, vet, build, tests under the race detector, a
-# short native-fuzz smoke on every fuzz target, and fixed-seed chaos runs
-# (clean + faulted). Mirrors `make check` for environments without make.
+# short native-fuzz smoke on every fuzz target, fixed-seed chaos runs
+# (clean, faulted, and faulted under a stage budget) and the tilecut and
+# layer-overlay smokes. Mirrors `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -101,13 +102,16 @@ go run ./cmd/chaos -seed "$CHAOS_SEED" -cases "$CHAOS_CASES"
 echo "== chaos (seed $CHAOS_SEED, $CHAOS_CASES cases, faulted)"
 go run ./cmd/chaos -seed "$CHAOS_SEED" -cases "$CHAOS_CASES" -faults
 
+echo "== chaos (seed $CHAOS_SEED, 60 cases, faulted, 500ms stage budget: the stage watchdog)"
+go run ./cmd/chaos -seed "$CHAOS_SEED" -cases 60 -faults -budget 500ms
+
 echo "== chaos (seed 7, 320 cases, degenerate taxonomy: exact coincidences, all rules)"
 go run ./cmd/chaos -seed 7 -cases 320 -family degenerate
 
 echo "== chaos (seed 5, 120 cases, tiles: pyramid partition invariants, all rules)"
 go run ./cmd/chaos -seed 5 -cases 120 -family tiles
 
-echo "== tilecut smoke (datagen layer through the prepared pipeline, WKT out)"
+echo "== tilecut smoke (datagen layer through the prepared and naive pipelines: the same (feature, z, x, y) keys)"
 TILE_TMP=$(mktemp -d)
 trap 'rm -rf "$TILE_TMP"' EXIT INT TERM
 go run ./cmd/datagen -tiles 32 -seed 3 -o "$TILE_TMP/layer.wkt"
@@ -118,12 +122,13 @@ if [ "$TILE_COUNT" -lt 1 ]; then
 	exit 1
 fi
 go run ./cmd/tilecut -in "$TILE_TMP/layer.wkt" -zooms 0:3 -naive -o "$TILE_TMP/naive.ndjson"
-NAIVE_COUNT=$(wc -l < "$TILE_TMP/naive.ndjson")
-if [ "$TILE_COUNT" != "$NAIVE_COUNT" ]; then
-	echo "tilecut prepared ($TILE_COUNT tiles) and naive ($NAIVE_COUNT tiles) disagree" >&2
+sed 's/,"wkt".*//' "$TILE_TMP/tiles.ndjson" > "$TILE_TMP/tiles.keys"
+sed 's/,"wkt".*//' "$TILE_TMP/naive.ndjson" > "$TILE_TMP/naive.keys"
+if ! cmp -s "$TILE_TMP/tiles.keys" "$TILE_TMP/naive.keys"; then
+	echo "tilecut prepared and naive tile keys differ" >&2
 	exit 1
 fi
-echo "tilecut: $TILE_COUNT tiles, prepared and naive agree"
+echo "tilecut: $TILE_COUNT tiles, prepared and naive keys identical"
 
 echo "== layer-overlay smoke (datagen layers through polyclip -layers, WKT and ndjson byte-identical; gisoverlay overlays something)"
 for s in 1 2; do
