@@ -4,7 +4,7 @@ package geom
 // tests): the prepared-geometry pipeline classifies a clip window against a
 // layer without touching a sweep whenever the window provably lies entirely
 // inside or outside the layer. These predicates are the O(1) building blocks;
-// the binary-search culling lives in internal/prepared.
+// the window query over the layer's edges lives in internal/prepared.
 
 // Center returns the box center. Meaningful only for non-empty boxes.
 func (b BBox) Center() Point {
