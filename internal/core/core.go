@@ -74,8 +74,9 @@ type Options struct {
 	Slabs int
 	// Engine is the per-slab sequential clipper: an engine that runs
 	// single-threaded, honors SnapEps so seam geometry quantizes identically
-	// across slabs, and honors PreResolved (overlay and vatti). nil selects
-	// overlay.
+	// across slabs, honors PreResolved, and folds coincident edges, because
+	// the caps of a band-clipped piece may overlap (bandclip). Overlay and
+	// vatti qualify. nil selects overlay.
 	Engine engine.Engine
 	// Merge selects the partial-output merge strategy.
 	Merge MergeMode

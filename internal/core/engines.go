@@ -18,6 +18,17 @@ import (
 // slab host sweeps operands of the input's size. EvenOdd operands pass
 // through untouched — the slab pipeline handles them natively.
 //
+// Correctness no longer needs this step: the band clip keeps every winding
+// number inside its band, so the slab hosts could sweep the raw operands
+// under the rule. It stays because the median clip is faster with it.
+// Under Negative a counter-clockwise operand normalizes to nothing, which
+// makes the pair clip after it trivial. Without the step, NonZero and
+// Positive slab clips of InterleavedPair(1001, 512) took 2.4–2.9 ms
+// instead of 6.1–8.3 ms, but Negative ones 2.3 ms instead of 1.2–1.4 ms,
+// and clips like those sit below the median: clip-degenerate's
+// latency_p50_ms rose from 2.68 to 3.43 ms (EXPERIMENTS.md, "One band
+// clip").
+//
 // The operands are first resolved jointly onto the pair's shared snap grid
 // (arrange.ResolvePair, rings keeping their directions), and each union
 // sweep runs on that joint arrangement as it stands (vatti.Clip with
@@ -42,10 +53,11 @@ type slabsEngine struct{}
 
 func (slabsEngine) Name() string { return "slabs" }
 
-// Clip runs the slab decomposition. The per-slab clipper (bandclip chain
-// pairing) is inherently parity-based, so winding rules are handled by
-// normalizing each operand to its rule-region first (see normalizePairRule)
-// — after which the even-odd slab pipeline is exact for the requested rule.
+// Clip runs the slab decomposition. The slab hosts sweep under EvenOdd, so
+// winding rules are handled by normalizing each operand to its rule-region
+// first — after which the even-odd slab pipeline is exact for the requested
+// rule. normalizePairRule says why that step stays although the band clip
+// keeps winding numbers.
 func (slabsEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, opt engine.Options) (engine.Result, error) {
 	if err := engine.CheckRule(opt.Rule); err != nil {
 		return engine.Result{}, err

@@ -63,7 +63,7 @@ func Ablations(seed int64) Result {
 			for _, f := range poly {
 				bandclip.Clip(f, band[0], band[1])
 			}
-		})), "exact caps, arbitrary input"),
+		})), "keeps winding, caps folded by the host"),
 		row("rect-clip", "greiner-hormann", ms(timeIt(5, func() {
 			for _, f := range poly {
 				box := f.BBox()

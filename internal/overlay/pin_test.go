@@ -27,8 +27,8 @@ var outputPins = map[string]string{
 	"synthetic-1024":       "69d36e316faf752ad56cc6b9bf2e90e075c93544de958801a373d0417f803abd",
 	"interleaved-128":      "81ac55c6413d5ad5d3ad6dc93abd1c69fd278ad4f7420c790f67a7e31025d84c",
 	"interleaved-512":      "f377470d0a68c43a4583d20529de6d0eba574c4ee669bf4f94aaab6d0432d3a3",
-	"selfintersecting-101": "6ac7673bb6284532c163929a51efd647949d6d7023e480493bf63fcb37e008ff",
-	"selfintersecting-401": "3e72cd3e1b7d4b7d4dbb1d0b3d26d23450d80297bac57be3131eec70cb31e82f",
+	"selfintersecting-101": "df41d59b1ec2e4dec44793f184db2319fdb8a9239cc64c702ee47dc3bf11e29e",
+	"selfintersecting-401": "9d8b53370a875c6d2804bd39b3c5fc56d273766fd19d379811750cb4df3fd58e",
 	"checkerboard-shared":  "5322b049007a12b582eefbbd06252aa9ee054e1f82ea8f54bc161e333a11fae4",
 	"checkerboard-shifted": "1c7b2773f9f941c70c45b3b61e30e5fa3475bbcf5f1b2b740e17182094423e3d",
 	"features":             "b167f54ca3ec2d777db14c0b5e0d0fe39fd3aefa5eb66fcc21af77c27c484f1f",

@@ -11,9 +11,9 @@
 //
 // Before this package existed the same machinery was re-implemented in
 // internal/vatti (sequential sweep), internal/core (parallel Algorithm 1
-// beams), internal/overlay (classification beams) and internal/bandclip
-// (boundary-end pairing). Each engine now composes these primitives
-// instead; Classify labels the sides of overlay's subdivided arrangement.
+// beams) and internal/overlay (classification beams). Each engine now
+// composes these primitives instead; Classify labels the sides of overlay's
+// subdivided arrangement.
 package scanbeam
 
 import (
@@ -24,12 +24,12 @@ import (
 	"polyclip/internal/geom"
 )
 
-// Entry is one edge (or chain end) positioned on a scanbeam line: its x
-// coordinate there, the caller's edge id, an owner tag (subject/clip
-// polygon, or any other per-edge bit the walk needs), and the signed winding
-// delta the edge contributes when crossed left to right (+1 for edges whose
-// original ring direction is downward, -1 for upward; parity-only callers
-// may leave it zero).
+// Entry is one edge positioned on a scanbeam line: its x coordinate there,
+// the caller's edge id, an owner tag (subject/clip polygon, or any other
+// per-edge bit the walk needs), and the signed winding delta the edge
+// contributes when crossed left to right (+1 for edges whose original ring
+// direction is downward, -1 for upward; parity-only callers may leave it
+// zero).
 type Entry struct {
 	X     float64
 	ID    int32
@@ -104,21 +104,6 @@ func (s *Scratch) Entries(n int) []Entry {
 	}
 	return s.entries[:n]
 }
-
-// Grow returns a zero-length entry slice with capacity at least n, for
-// callers that append an unknown subset of candidates. Put the final slice
-// back with Keep so the capacity is retained.
-func (s *Scratch) Grow(n int) []Entry {
-	if cap(s.entries) < n {
-		s.entries = make([]Entry, 0, n)
-		return s.entries
-	}
-	return s.entries[:0]
-}
-
-// Keep stores a slice obtained from Grow back into the scratch after
-// appends may have reallocated it.
-func (s *Scratch) Keep(entries []Entry) { s.entries = entries }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 

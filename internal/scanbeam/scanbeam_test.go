@@ -38,23 +38,6 @@ func TestScratchEntries(t *testing.T) {
 	}
 }
 
-func TestScratchGrowKeep(t *testing.T) {
-	var s Scratch
-	buf := s.Grow(8)
-	if len(buf) != 0 || cap(buf) < 8 {
-		t.Fatalf("Grow(8): len=%d cap=%d", len(buf), cap(buf))
-	}
-	for i := 0; i < 8; i++ {
-		buf = append(buf, Entry{X: float64(i)})
-	}
-	s.Keep(buf)
-	// The retained capacity serves the next Grow without allocation.
-	buf2 := s.Grow(8)
-	if cap(buf2) < 8 || len(buf2) != 0 {
-		t.Errorf("Grow after Keep: len=%d cap=%d", len(buf2), cap(buf2))
-	}
-}
-
 func TestPool(t *testing.T) {
 	s := Get()
 	if s == nil {
