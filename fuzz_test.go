@@ -148,7 +148,8 @@ func FuzzClipRoundTrip(f *testing.F) {
 // FuzzClipAllEngines drives every registered engine through the registry on
 // the same WKT pair, operation, AND fill rule: no engine may panic or reject
 // the rule (every engine serves every rule), and all engines that accept the
-// input must agree on the clipped measure under that rule.
+// input, and a slabs run cut into three slabs ("slabs-cut"), must agree on
+// the clipped measure under that rule.
 // Engines run with NoFallback, so a drifting engine fails by name rather
 // than being silently rescued by a sibling.
 func FuzzClipAllEngines(f *testing.F) {
@@ -177,24 +178,30 @@ func FuzzClipAllEngines(f *testing.F) {
 			area float64
 		}
 		var got []outcome
-		for _, e := range engine.All() {
+		run := func(name string, e engine.Engine, slabs int) {
 			res, err := e.Clip(context.Background(), subject, clip, op,
-				engine.Options{Threads: 2, Rule: rule, NoFallback: true})
+				engine.Options{Threads: 2, Rule: rule, NoFallback: true, Slabs: slabs})
 			if err != nil {
 				// Real errors (overflowing coordinates, guard rejections) are
 				// acceptable; only panics are bugs, and those crash the fuzzer.
 				// No engine may reject one of the four rules.
 				if errors.Is(err, engine.ErrUnsupported) {
-					t.Fatalf("%s: rejected rule %v: %v", e.Name(), rule, err)
+					t.Fatalf("%s: rejected rule %v: %v", name, rule, err)
 				}
-				continue
+				return
 			}
 			a := Area(res.Polygon)
 			if math.IsNaN(a) || math.IsInf(a, 0) {
-				t.Fatalf("%s: non-finite area (ops %q %v %q rule %v)", e.Name(), ws, op, wc, rule)
+				t.Fatalf("%s: non-finite area (ops %q %v %q rule %v)", name, ws, op, wc, rule)
 			}
-			got = append(got, outcome{e.Name(), a})
+			got = append(got, outcome{name, a})
 		}
+		for _, e := range engine.All() {
+			run(e.Name(), e, 0)
+		}
+		// The adaptive slab count keeps pairs this small in one slab, so a
+		// pinned three-slab run covers Algorithm 2's band clip and seam merge.
+		run("slabs-cut", engine.MustGet("slabs"), 3)
 		// Cross-check: every pair of succeeding engines must agree under the
 		// fuzzed rule.
 		for i := 1; i < len(got); i++ {
