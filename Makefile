@@ -12,9 +12,9 @@ COVER_PKGS_TILES := ./internal/prepared/ ./internal/tile/
 PROFILE_EXP ?= table2
 PROFILE_DIR ?= /tmp/polyclip-prof
 
-.PHONY: check fmt build vet test benchmark-module cover race differential conformance bench-smoke fuzz chaos tilecut-smoke layers-smoke profile clipd bench
+.PHONY: check fmt build vet test benchmark-module cover race serve-chaos differential conformance bench-smoke fuzz chaos tilecut-smoke layers-smoke profile clipd
 
-check: fmt vet build test benchmark-module cover race differential conformance bench-smoke fuzz chaos tilecut-smoke layers-smoke
+check: fmt vet build test benchmark-module cover race serve-chaos differential conformance bench-smoke fuzz chaos tilecut-smoke layers-smoke
 
 # Formatting gate: gofmt must list no file (benchmark/ included).
 fmt:
@@ -63,6 +63,11 @@ cover:
 race:
 	go test -race -cpu 1,2,4 ./internal/pool/ ./internal/par/ ./internal/isect/
 	go test -race ./...
+
+# Chaos through the server for 5 s instead of the test's 1.2 s default, under
+# the race detector: no crash, and every shed is a 503 with Retry-After.
+serve-chaos:
+	SERVE_CHAOS_MS=5000 go test -race -count=1 -run TestServeChaosSmoke ./internal/serve/
 
 # The golden-file differential corpus must agree across all engines
 # with the race detector watching the parallel ones.
@@ -155,12 +160,6 @@ layers-smoke:
 	g=$$(go run ./examples/gisoverlay | sed -n 's/^intersect(A,B): \([0-9]*\) result polygons.*/\1/p'); \
 	if [ -z "$$g" ] || [ $$g -lt 1 ]; then echo "examples/gisoverlay reported no result polygons"; exit 1; fi; \
 	echo "layers: $$n results, WKT and ndjson identical; gisoverlay: $$g results"
-
-# Short scaling smoke: one iteration of the two scaling benchmarks at 1 and
-# 2 workers — enough to catch a fork regression (deadlock, lost task, gross
-# slowdown) in CI without paying for a statistically meaningful run.
-bench:
-	go test -run='^$$' -bench='Fig8SlabClipPair|AlgorithmOne' -benchtime=1x -cpu 1,2 .
 
 # Build the serving daemon.
 clipd:
