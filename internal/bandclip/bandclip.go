@@ -20,7 +20,7 @@ package bandclip
 import "polyclip/internal/geom"
 
 // Clip returns the part of the polygon with lo <= y <= hi: one ring for each
-// input ring that crosses into the band, every point strictly inside the
+// input ring that keeps area in the band, every point strictly inside the
 // band keeping its winding number. The caps along y = lo and y = hi may
 // overlap, so the result is meant for a host that folds coincident edges.
 func Clip(poly geom.Polygon, lo, hi float64) geom.Polygon {

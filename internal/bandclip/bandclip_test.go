@@ -273,8 +273,8 @@ func TestClipKeepsWinding(t *testing.T) {
 }
 
 // TestClipAllocs pins the pass's allocations: the output ring grows by
-// append, so a 4,096-spike star cut across its spikes allocates a few dozen
-// times, not once per spike.
+// append, so a 4,096-spike star cut across its spikes allocates about
+// twenty times, not once per spike.
 func TestClipAllocs(t *testing.T) {
 	star := geom.Polygon{geom.Star(geom.Point{}, 100, 1, 4096, 0.3)}
 	allocs := testing.AllocsPerRun(10, func() { Clip(star, 10, 30) })
