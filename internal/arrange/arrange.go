@@ -21,6 +21,12 @@
 // subdivide fold, BeamTrapezoids' runs of equal x). One case is not yet
 // covered: a weld can move a sub-grid spike's vertex onto a neighbouring
 // edge and leave the two overlapping.
+//
+// EmptyResult reads the same contract: on a resolved pair, a ring split at
+// its repeated vertices falls apart into simple loops, whose turns bound
+// the sign of every winding number. Overlay, vatti and Algorithm 1 ask it
+// after resolving, and under Positive and Negative return the empty result
+// without sweeping when it fires.
 package arrange
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"polyclip/internal/data"
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -32,6 +33,35 @@ func BenchmarkResolvePair(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				resolved, _ = ResolvePair(p.a, p.b)
+			}
+		})
+	}
+}
+
+// BenchmarkEmptyResult tests resolved pairs for an empty union: the
+// synthetic pair under Positive, which one shoelace pass settles, and under
+// Negative, where every ring is split into loops and found empty, as are
+// the interleaved and self-intersecting pairs of the clip-degenerate
+// benchmark.
+func BenchmarkEmptyResult(b *testing.B) {
+	type pair struct {
+		name string
+		rule engine.FillRule
+		a, b geom.Polygon
+	}
+	sa, sc := ResolvePair(data.SyntheticPair(1, 4096, 4096))
+	ia, ic := ResolvePair(data.InterleavedPair(1001, 512))
+	xa, xc := ResolvePair(data.SelfIntersectingPair(3, 401))
+	for _, p := range []pair{
+		{"synthetic-4096/positive", engine.Positive, sa, sc},
+		{"synthetic-4096/negative", engine.Negative, sa, sc},
+		{"interleaved-512/negative", engine.Negative, ia, ic},
+		{"self-intersecting-401/negative", engine.Negative, xa, xc},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				EmptyResult(p.a, p.b, engine.Union, p.rule)
 			}
 		})
 	}
