@@ -80,6 +80,16 @@ func genTilesAligned(rng *rand.Rand) (polyclip.Polygon, polyclip.Polygon) {
 	return layer, polyclip.Polygon{rectRing(0, 0, 16, 16, false)}
 }
 
+// reversed returns a copy of p with every ring's winding flipped.
+func reversed(p polyclip.Polygon) polyclip.Polygon {
+	out := make(polyclip.Polygon, len(p))
+	for i, r := range p {
+		out[i] = append(polyclip.Ring(nil), r...)
+		reverseRing(out[i])
+	}
+	return out
+}
+
 // reverseRing flips a ring's winding in place.
 func reverseRing(r polyclip.Ring) {
 	for i, j := 0, len(r)-1; i < j; i, j = i+1, j-1 {
@@ -99,12 +109,11 @@ func (e *engine) checkTiles(ci int, w workload) {
 	// pipeline — under -faults, this is the clip the armed guard sites can
 	// hit. The sweep applies the fill rule to each operand separately, so a
 	// CCW window reads as empty under Negative; flip it, exactly as the
-	// prepared package's naive baseline does.
+	// prepared package's naive baseline does, and flip the layer, whose
+	// rings are mostly CCW too, so that the case cuts a non-empty region.
 	rect := window
 	if rule == polyclip.Negative {
-		rev := append(polyclip.Ring(nil), window[0]...)
-		reverseRing(rev)
-		rect = polyclip.Polygon{rev}
+		layer, rect = reversed(layer), reversed(window)
 	}
 	ref, okRef := e.areaOf(ci, w, layer, rect, polyclip.Intersection,
 		polyclip.Options{Threads: e.cfg.Threads, Rule: rule})

@@ -74,6 +74,9 @@ func AlgorithmOneRuleCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, r
 	// Rings keep their directions under every rule: the signed-count walk
 	// reads EvenOdd as the winding's parity.
 	a, b = arrange.ResolvePair(a, b)
+	if arrange.EmptyResult(a, b, op, rule) {
+		return nil, rep
+	}
 	edges := scanbeam.CollectEdges(a, b)
 	if len(edges) == 0 {
 		return nil, rep

@@ -49,8 +49,10 @@ import (
 // derives it from the input magnitude, geom.AutoSnapEps); opt.PreResolved
 // skips the joint arrangement resolution. Every pair takes that one path, an
 // empty operand or disjoint boxes included: a lone operand's even-odd region
-// is read from the same resolved arrangement as any other. The subdivision
-// and classification stages poll ctx, and a cancelled run returns ctx.Err()
+// is read from the same resolved arrangement as any other. Under Positive
+// and Negative, a resolved, snapped pair whose result arrange.EmptyResult
+// finds empty returns nil there, without the sweep. The subdivision and
+// classification stages poll ctx, and a cancelled run returns ctx.Err()
 // instead of a partial result.
 func Clip(ctx context.Context, subject, clip geom.Polygon, op engine.Op, opt engine.Options) (geom.Polygon, error) {
 	if ctx == nil {
@@ -104,6 +106,9 @@ func Clip(ctx context.Context, subject, clip geom.Polygon, op engine.Op, opt eng
 	// after the intersection pass.
 	subject = geom.SnapPolygon(subject, eps)
 	clip = geom.SnapPolygon(clip, eps)
+	if arrange.EmptyResult(subject, clip, op, opt.Rule) {
+		return nil, ctx.Err()
+	}
 
 	edges, owners := gatherEdges(subject, clip)
 	segs := subdivide(ctx, edges, owners, eps, p)

@@ -31,9 +31,10 @@ import (
 // Clip computes `subject op clip` under opt.Rule with the sequential
 // scanbeam sweep. opt.PreResolved promises the pair already went through the
 // joint arrangement resolution (arrange.ResolvePair), and the sweep then
-// runs directly on the given geometry. Every other field is ignored: the
-// sweep is sequential and snaps its output corners onto the grid of the
-// output's own extent.
+// runs directly on the given geometry. Under Positive and Negative, a
+// resolved pair whose result arrange.EmptyResult finds empty returns nil
+// without the sweep. Every other field is ignored: the sweep is sequential
+// and snaps its output corners onto the grid of the output's own extent.
 func Clip(subject, clip geom.Polygon, op engine.Op, opt engine.Options) geom.Polygon {
 	return Assemble(sweep(subject, clip, op, opt))
 }
@@ -74,6 +75,9 @@ func sweep(subject, clip geom.Polygon, op engine.Op, opt engine.Options) []scanb
 	// rule: the signed-count walk reads EvenOdd as the winding's parity.
 	if !opt.PreResolved {
 		subject, clip = arrange.ResolvePair(subject, clip)
+	}
+	if arrange.EmptyResult(subject, clip, op, opt.Rule) {
+		return nil
 	}
 
 	edges := scanbeam.CollectEdges(subject, clip)
