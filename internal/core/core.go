@@ -72,11 +72,15 @@ type Options struct {
 	// timers are only CPU-attributable when workers do not outnumber
 	// cores).
 	Slabs int
+	// Rule is the fill rule every slab host sweeps its piece under. The
+	// band clip keeps the winding number of every point inside its band,
+	// so a piece's region under the rule is the operand's inside the band.
+	Rule engine.FillRule
 	// Engine is the per-slab sequential clipper: an engine that runs
-	// single-threaded, honors SnapEps so seam geometry quantizes identically
-	// across slabs, honors PreResolved, and folds coincident edges, because
-	// the caps of a band-clipped piece may overlap (bandclip). Overlay and
-	// vatti qualify. nil selects overlay.
+	// single-threaded, serves Rule, honors SnapEps so seam geometry
+	// quantizes identically across slabs, honors PreResolved, and folds
+	// coincident edges, because the caps of a band-clipped piece may
+	// overlap (bandclip). Overlay and vatti qualify. nil selects overlay.
 	Engine engine.Engine
 	// Merge selects the partial-output merge strategy.
 	Merge MergeMode
@@ -95,15 +99,15 @@ func slabEngine(opt Options) engine.Engine {
 	return engine.MustGet("overlay")
 }
 
-// slabClip runs a sequential engine on one slab's operands. snapEps is the
-// vertex grid shared by every slab of one run, so that seam geometry produced
-// independently by different workers quantizes identically. resolved hands
-// the host a pair that already went through the joint arrangement resolution
-// (engine.Options.PreResolved), so the host only sweeps. A cancelled ctx
-// makes cancellable engines bail early; the surrounding loops detect the
-// cancellation and discard the partial output.
-func slabClip(ctx context.Context, e engine.Engine, a, b geom.Polygon, op engine.Op, snapEps float64, resolved bool) geom.Polygon {
-	res, _ := e.Clip(ctx, a, b, op, engine.Options{Threads: 1, SnapEps: snapEps, PreResolved: resolved})
+// slabClip runs a sequential engine on one slab's operands under rule.
+// snapEps is the vertex grid shared by every slab of one run, so that seam
+// geometry produced independently by different workers quantizes
+// identically. resolved hands the host a pair that already went through the
+// joint arrangement resolution (engine.Options.PreResolved), so the host
+// only sweeps. A cancelled ctx makes cancellable engines bail early; the
+// surrounding loops detect the cancellation and discard the partial output.
+func slabClip(ctx context.Context, e engine.Engine, a, b geom.Polygon, op engine.Op, rule engine.FillRule, snapEps float64, resolved bool) geom.Polygon {
+	res, _ := e.Clip(ctx, a, b, op, engine.Options{Threads: 1, Rule: rule, SnapEps: snapEps, PreResolved: resolved})
 	return res.Polygon
 }
 
@@ -303,7 +307,7 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, opt Optio
 		var out geom.Polygon
 		err := runStage(ctx, st, "clip", fracClip, p, opt.NoFallback, func(sctx context.Context, _ int) error {
 			var o geom.Polygon
-			if err := par.Run(sctx, func() { o = slabClip(sctx, eng, a, b, op, snapEps, true) }); err != nil {
+			if err := par.Run(sctx, func() { o = slabClip(sctx, eng, a, b, op, opt.Rule, snapEps, true) }); err != nil {
 				return err
 			}
 			if err := stallIfExpired(sctx); err != nil {
@@ -371,7 +375,7 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op engine.Op, opt Optio
 					}()
 					guard.Hit("core.slab-clip")
 					ts := time.Now()
-					pt[i] = slabClip(sctx, eng, subA[i], subB[i], op, snapEps, false)
+					pt[i] = slabClip(sctx, eng, subA[i], subB[i], op, opt.Rule, snapEps, false)
 					tt[i] = time.Since(ts)
 				}(i)
 			}

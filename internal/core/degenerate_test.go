@@ -58,11 +58,12 @@ func TestSlabsSubEpsEventY(t *testing.T) {
 	}
 }
 
-// TestSlabsWindingMixedExtent pins the winding-rule operand normalization
-// onto the pair snap grid: resolving an operand in its own extent context
-// picks a different grid than the pair arrangement every other engine
-// sweeps, and the slab result drifts (a 2e12-wide sliver clip against unit
-// cells moved the positive-rule difference from 3 to 8).
+// TestSlabsWindingMixedExtent pins the rule that goes to the slab hosts on
+// the pair snap grid: a 2e12-wide sliver clip against unit cells, on two
+// threads, must give overlay's area under every winding rule and op. The
+// hosts sweep the pair's one resolved, snapped arrangement under the
+// caller's rule; an operand resolved on a grid of its own extent instead
+// once moved the positive-rule difference from 3 to 8.
 func TestSlabsWindingMixedExtent(t *testing.T) {
 	cells := geom.Polygon{
 		{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}},

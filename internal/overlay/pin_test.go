@@ -26,12 +26,12 @@ var outputPins = map[string]string{
 	"synthetic-256":        "191b35536c392502f412f2938bd1f035f2af9070bbb6c37be214ba4ae2670a8c",
 	"synthetic-1024":       "69d36e316faf752ad56cc6b9bf2e90e075c93544de958801a373d0417f803abd",
 	"interleaved-128":      "81ac55c6413d5ad5d3ad6dc93abd1c69fd278ad4f7420c790f67a7e31025d84c",
-	"interleaved-512":      "f377470d0a68c43a4583d20529de6d0eba574c4ee669bf4f94aaab6d0432d3a3",
+	"interleaved-512":      "3bebc2d3aae54def5e75a914f721dc8c933bef3ce4d660d3389419428356324e",
 	"selfintersecting-101": "df41d59b1ec2e4dec44793f184db2319fdb8a9239cc64c702ee47dc3bf11e29e",
-	"selfintersecting-401": "9d8b53370a875c6d2804bd39b3c5fc56d273766fd19d379811750cb4df3fd58e",
+	"selfintersecting-401": "c0615d25d30fed519a8a7b939d60ab330daedcad1b3468a89bf4d9f06cfae573",
 	"checkerboard-shared":  "5322b049007a12b582eefbbd06252aa9ee054e1f82ea8f54bc161e333a11fae4",
 	"checkerboard-shifted": "1c7b2773f9f941c70c45b3b61e30e5fa3475bbcf5f1b2b740e17182094423e3d",
-	"features":             "b167f54ca3ec2d777db14c0b5e0d0fe39fd3aefa5eb66fcc21af77c27c484f1f",
+	"features":             "0b322378765618496f1455c316cb7de149bb7f66785493afecc47aca24ffdc93",
 	"signed-zero":          "b87dfb272794fc2fdb1f603e21bf04f96ade81ff1ae32f98e05b9785b22b1789",
 }
 

@@ -121,10 +121,11 @@ type Options struct {
 	Algorithm Algorithm
 	// Threads bounds the parallelism; <= 0 means all available CPUs.
 	Threads int
-	// Rule is the fill rule; every Algorithm hosts all four (the scanbeam
-	// engines sweep signed winding counts, the slab decomposition
-	// normalizes winding operands before partitioning). A value that is not
-	// one of the four constants returns an error wrapping ErrUnsupported.
+	// Rule is the fill rule; every Algorithm hosts all four (every sweep
+	// walks signed winding counts, and the slab decomposition's band clip
+	// keeps them, so each slab host sweeps under the rule). A value that is
+	// not one of the four constants returns an error wrapping
+	// ErrUnsupported.
 	Rule FillRule
 	// Slabs is the slab count for AlgoSlabs; 0 derives it from the input's
 	// size and the thread count.
