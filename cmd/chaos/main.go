@@ -2,7 +2,9 @@
 // pipeline: generated adversarial workloads, optional fault injection into
 // the pipeline's guard sites, and metamorphic invariant checking over the
 // results. Exit status 0 means the robustness contract held for every
-// case; 1 means at least one violation (details on stderr).
+// case; 1 means at least one violation (details on stderr). In a run
+// without -faults, any fallback step, stage retry, audit rejection or batch
+// rescue is a violation too.
 //
 // Usage:
 //
@@ -55,6 +57,9 @@ func main() {
 	if rep.Failed() {
 		for _, f := range rep.Failures {
 			fmt.Fprintf(os.Stderr, "FAIL case %d [%s] %s: %s\n", f.Case, f.Workload, f.Invariant, f.Detail)
+		}
+		if n := rep.CleanRescues(); n > 0 {
+			fmt.Fprintf(os.Stderr, "FAIL %d rescues in a run with no armed fault\n", n)
 		}
 		if n := len(rep.Failures); n < rep.InvariantFailures+rep.Crashes+rep.UnstructuredErrors {
 			fmt.Fprintf(os.Stderr, "(failure list truncated at %d records)\n", n)

@@ -105,9 +105,22 @@ type Report struct {
 	Failures   []Failure
 }
 
-// Failed reports whether the run found any contract violation.
+// Failed reports whether the run found any contract violation. In a run
+// with no armed fault, a rescue is one: a clean workload that needed a
+// fallback step, a stage retry, an audit rejection or a batch rescue hit a
+// bug the safety net hid.
 func (r *Report) Failed() bool {
-	return r.InvariantFailures > 0 || r.Crashes > 0 || r.UnstructuredErrors > 0
+	return r.InvariantFailures > 0 || r.Crashes > 0 || r.UnstructuredErrors > 0 || r.CleanRescues() > 0
+}
+
+// CleanRescues counts the fallback steps, stage retries, audit rejections
+// and batch rescues of a run with no armed fault; 0 when a fault was armed.
+func (r *Report) CleanRescues() int {
+	if r.FaultsArmed > 0 {
+		return 0
+	}
+	t := r.Resilience
+	return t.FallbackSteps + t.Retries + t.AuditFailures + t.BatchRescued
 }
 
 // Summary renders the report as a compact multi-line string.

@@ -246,3 +246,22 @@ func TestWorkloadsAreAdversarial(t *testing.T) {
 		}
 	}
 }
+
+// TestCleanRescuesFail: in a run with no armed fault, any fallback step,
+// stage retry, audit rejection or batch rescue fails the run; with a fault
+// armed, rescues are how the run absorbs it.
+func TestCleanRescuesFail(t *testing.T) {
+	for _, res := range []ResilienceTotals{{FallbackSteps: 1}, {Retries: 1}, {AuditFailures: 1}, {BatchRescued: 1}} {
+		rep := &Report{Resilience: res}
+		if !rep.Failed() || rep.CleanRescues() != 1 {
+			t.Errorf("%+v with no armed fault: Failed %v, CleanRescues %d", res, rep.Failed(), rep.CleanRescues())
+		}
+		rep.FaultsArmed = 1
+		if rep.Failed() || rep.CleanRescues() != 0 {
+			t.Errorf("%+v with a fault armed: Failed %v, CleanRescues %d", res, rep.Failed(), rep.CleanRescues())
+		}
+	}
+	if rep := (&Report{Resilience: ResilienceTotals{RepairedInputs: 3}}); rep.Failed() {
+		t.Error("repaired inputs failed a clean run")
+	}
+}
