@@ -132,11 +132,11 @@ func (e *engine) checkCase(ci int, w workload) {
 	// Per-rule cross-engine agreement. Every engine now hosts every fill
 	// rule (the scanbeam substrate sweeps signed winding counts, and each
 	// slab host sweeps its band piece, which keeps its winding numbers,
-	// under the rule), so for each winding rule
-	// the overlay baseline, the sequential Vatti sweep, the slab engine,
-	// and the parallel scanbeam pipeline must land on the same measure —
-	// on the degenerate families included, where rule disagreements are
-	// exactly where doubled boundaries and dropped slivers hide.
+	// under the rule), so for each winding rule the overlay baseline, the
+	// sequential Vatti sweep, the slab engine, and the parallel scanbeam
+	// pipeline must land on the same measure — on the degenerate families
+	// included, where rule disagreements are exactly where doubled
+	// boundaries and dropped slivers hide.
 	for _, rule := range []polyclip.FillRule{polyclip.NonZero, polyclip.Positive, polyclip.Negative} {
 		ruleBase, ok := e.areaOf(ci, w, w.a, w.b, w.op, polyclip.Options{Threads: e.cfg.Threads, Rule: rule})
 		if !ok {
